@@ -272,43 +272,6 @@ void PrintDurabilityOverhead() {
   table.Print();
 }
 
-/// Chain TC under an explicit thread count; the result-set check pins
-/// the parallel path to the exact serial model.
-double RunChainTcThreaded(uint32_t n, uint32_t threads) {
-  return bench::MeasureSeconds([&] {
-    EngineOptions opts;
-    opts.eval.threads = threads;
-    Engine e(opts);
-    GDLOG_CHECK(e.LoadProgram(R"(
-      tc(X, Y) <- edge(X, Y).
-      tc(X, Z) <- tc(X, Y), edge(Y, Z).
-    )").ok());
-    for (uint32_t i = 0; i + 1 < n; ++i) {
-      GDLOG_CHECK(e.AddFact("edge", {Value::Int(i), Value::Int(i + 1)}).ok());
-    }
-    GDLOG_CHECK(e.Run().ok());
-    GDLOG_CHECK_EQ(e.Query("tc", 2).size(), size_t{n} * (n - 1) / 2);
-  }, /*reps=*/2);
-}
-
-/// E14: parallel saturation — the same chain TC at threads=1 (the exact
-/// legacy path) vs threads=4 (partitioned delta scans, merged
-/// deterministically). The speedup column is wall-clock bound by the
-/// host's core count; on a single-core host it hovers near (or below)
-/// 1.0 while the bit-identical result contract still holds.
-void PrintParallelScaling() {
-  bench::ExperimentTable table(
-      "E14: parallel saturation — chain TC, serial vs 4 workers "
-      "(bit-identical results)",
-      "n", {"t1_ms", "t4_ms", "t1_over_t4"});
-  for (uint32_t n : {500u, 1000u, 2000u, 4000u}) {
-    const double t1 = RunChainTcThreaded(n, 1);
-    const double t4 = RunChainTcThreaded(n, 4);
-    table.AddRow(n, {t1 * 1e3, t4 * 1e3, t1 / t4});
-  }
-  table.Print();
-}
-
 /// One obs-enabled Prim run recorded into ProcessMetrics(), so the JSON
 /// report embeds a representative engine metrics snapshot alongside the
 /// timing tables.
@@ -355,7 +318,6 @@ int main(int argc, char** argv) {
   gdlog::PrintExperimentTable();
   gdlog::PrintSeminaiveAblation();
   gdlog::PrintBackendAblation();
-  gdlog::PrintParallelScaling();
   gdlog::PrintDurabilityOverhead();
   if (gdlog::bench::JsonReportEnabled()) gdlog::RecordInstrumentedRun();
   benchmark::Initialize(&argc, argv);

@@ -683,12 +683,12 @@ Status Engine::RunInner() {
   const uint64_t compile_t0 = WallNowNs();
   // Cost-based join planning: estimates come from the EDB as loaded
   // above, so the chosen goal orders are a pure function of the program
-  // plus its input — identical across thread counts and reruns.
+  // plus its input — identical across reruns.
   JoinPlanner planner(catalog_.get());
   // Seed cardinality priors for IDB relations that are still empty at
   // plan time: the analyzer's upper bound replaces the neutral default.
   // Priors derive from the program plus the loaded EDB only, so plans
-  // stay deterministic across thread counts and reruns.
+  // stay deterministic across reruns.
   if (absint_ && options_.eval.use_join_planner &&
       options_.eval.use_cardinality_priors) {
     for (const absint::PredicateSignature& sig : absint_->signatures) {
@@ -811,7 +811,6 @@ Result<std::string> Engine::RunReport() const {
   w.Key("use_join_planner").Bool(options_.eval.use_join_planner);
   w.Key("use_cardinality_priors").Bool(options_.eval.use_cardinality_priors);
   w.Key("static_analysis").Bool(options_.static_analysis);
-  w.Key("threads").UInt(options_.eval.threads);
   w.Key("backend").String(
       options_.eval.backend == EvalBackend::kVm ? "vm" : "interp");
   w.Key("provenance").Bool(options_.eval.provenance);
@@ -869,16 +868,6 @@ Result<std::string> Engine::RunReport() const {
   w.Key("solutions").UInt(s.exec.solutions);
   w.Key("inserts").UInt(s.exec.inserts);
   w.Key("scan_rows").UInt(s.exec.scan_rows);
-  w.EndObject();
-
-  // Parallel evaluation: resolved worker count and how the saturation
-  // work split between pool batches and the main thread.
-  w.Key("parallel").BeginObject();
-  w.Key("threads_used").UInt(s.threads_used);
-  w.Key("batches").UInt(s.parallel_batches);
-  w.Key("tasks").UInt(s.parallel_tasks);
-  w.Key("parallel_apps").UInt(s.parallel_apps);
-  w.Key("serial_apps").UInt(s.serial_apps);
   w.EndObject();
 
   // Join-planner decisions: the goal order each generator plan ended up

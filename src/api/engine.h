@@ -100,9 +100,8 @@ struct EngineOptions {
   /// Derivation provenance & choice audit: annotate every row with its
   /// deriving rule and premise rows (queryable via Engine::Why) and
   /// record one audit entry per choice firing (Engine::ChoiceAudit).
-  /// The fixpoint itself is bit-identical with the flag off, at any
-  /// thread count; memory for annotations is charged to the engine's
-  /// MemoryBudget. See docs/OBSERVABILITY.md.
+  /// The fixpoint itself is bit-identical with the flag off; memory for
+  /// annotations is charged to the engine's MemoryBudget. See docs/OBSERVABILITY.md.
   bool provenance = false;
 };
 

@@ -152,10 +152,11 @@ class FaultInjector {
   const std::string& spec() const { return spec_; }
 
  private:
-  // Hit counters are atomic: the alloc probe fires from MemoryBudget
-  // charges, which parallel evaluation issues on worker threads. The
-  // copy constructor exists only so Parse can return by value and the
-  // engine can store the injector — never copy one that is being hit.
+  // Hit counters are relaxed atomics, like MemoryBudget's totals, so
+  // reading them (hits(), the run report) from another thread while a
+  // run is hitting probes is not a data race. The copy constructor
+  // exists only so Parse can return by value and the engine can store
+  // the injector — never copy one that is being hit.
   struct Probe {
     std::string name;
     uint64_t trigger = 0;  // 0 = not armed; N = fire on the Nth hit
@@ -216,11 +217,9 @@ class RunGuard {
   TerminationReason reason() const { return reason_; }
   uint64_t checks() const { return checks_; }
   const RunLimits& limits() const { return limits_; }
-  /// Non-const: worker threads charge their output buffers to the budget
-  /// (MemoryBudget::Update is atomic).
+  /// Non-const: the driver charges its evaluation structures to the
+  /// budget.
   MemoryBudget* budget() const { return budget_; }
-  /// The run's cancel token (may be null); polled inside worker scans.
-  const CancelToken* cancel() const { return cancel_; }
   FaultInjector* injector() const { return injector_; }
 
  private:

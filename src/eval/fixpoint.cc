@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <cstdio>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "eval/ir/ir.h"
@@ -105,21 +102,6 @@ FixpointDriver::FixpointDriver(Catalog* catalog, ValueStore* store,
     exec_.set_provenance_trail(&prov_trail_);
     audit_ = std::make_unique<ChoiceAuditTrail>();
   }
-  stats_.threads_used = options_.threads == 0
-                            ? ThreadPool::HardwareThreads()
-                            : std::max(1u, options_.threads);
-  if (stats_.threads_used > 1) {
-    pool_ = std::make_unique<ThreadPool>(stats_.threads_used);
-    safety_.resize(profiles_.size());
-    for (const CompiledRule& r : rules_) {
-      safety_[r.rule_index] = AnalyzeRule(r);
-    }
-    if (obs_.metrics != nullptr) {
-      Histogram* wait = obs_.metrics->GetHistogram("pool.queue_wait_ns");
-      pool_->set_queue_wait_callback(
-          [wait](uint64_t ns) { wait->Record(ns); });
-    }
-  }
   if (options_.backend == EvalBackend::kVm) {
     // Lower once, after rules_ reached its final address (the IR and
     // the compiled program alias its plans), and charge the program to
@@ -160,14 +142,6 @@ FixpointDriver::~FixpointDriver() = default;
 
 const ir::LoweringReport* FixpointDriver::vm_coverage() const {
   return vm_ir_ == nullptr ? nullptr : &vm_ir_->report;
-}
-
-const std::vector<CompiledLiteral>& FixpointDriver::PlanOf(
-    const CompiledRule& rule, uint32_t delta) {
-  return (delta == CompiledScan::kNoOccurrence ||
-          delta >= rule.delta_plans.size())
-             ? rule.generator
-             : rule.delta_plans[delta];
 }
 
 Status FixpointDriver::Run() {
@@ -358,8 +332,6 @@ void FixpointDriver::RestoreSnapshot(const CompiledRule& rule,
 
 void FixpointDriver::EvalPlain(const CompiledRule& rule,
                                uint32_t delta_occurrence) {
-  static const bool kTrace = std::getenv("GDLOG_TRACE") != nullptr;
-  const uint64_t rows_before = kTrace ? exec_.stats().scan_rows : 0;
   RuleProfile& prof = profiles_[rule.rule_index];
   ++prof.invocations;
   const uint64_t t0 = obs_enabled_ ? ObsNowNs() : 0;
@@ -368,18 +340,6 @@ void FixpointDriver::EvalPlain(const CompiledRule& rule,
   prof.tuples += n;
   prof.dedup_hits += attempted - n;
   if (obs_enabled_) RecordApply(&prof, t0, "rule");
-  if (kTrace) {
-    const Relation& head = catalog_->relation(rule.head_pred);
-    fprintf(stderr,
-            "[plain] rule#%u head=%s d=%d inserted=%zu size=%zu rows=%llu\n",
-            rule.rule_index, head.name().c_str(),
-            delta_occurrence == CompiledScan::kNoOccurrence
-                ? -1
-                : static_cast<int>(delta_occurrence),
-            n, head.size(),
-            static_cast<unsigned long long>(exec_.stats().scan_rows -
-                                            rows_before));
-  }
 }
 
 void FixpointDriver::EvalAggregate(const CompiledRule& rule) {
@@ -491,375 +451,6 @@ void FixpointDriver::InsertCandidates(GammaState* g,
   if (obs_enabled_) RecordApply(&prof, t0, "rule");
 }
 
-void FixpointDriver::EvalSerial(const App& app) {
-  switch (app.kind) {
-    case App::Kind::kPlain:
-      EvalPlain(*app.rule, app.delta);
-      break;
-    case App::Kind::kAggregate:
-      EvalAggregate(*app.rule);
-      break;
-    case App::Kind::kGamma:
-      InsertCandidates(app.g, app.delta);
-      break;
-  }
-}
-
-void FixpointDriver::RunApps(const std::vector<App>& apps) {
-  if (pool_ == nullptr) {
-    for (const App& a : apps) EvalSerial(a);
-    return;
-  }
-  // Split the serial application sequence into batches: an application
-  // joins the current batch only when nothing it reads through a full
-  // (growing) window was written by an earlier batch member, so deferring
-  // its enumeration to batch start cannot change what it sees. Gamma
-  // applications write no relations (they only push candidates).
-  size_t i = 0;
-  std::vector<PredicateId> reads;
-  std::unordered_set<PredicateId> writes;
-  while (i < apps.size()) {
-    writes.clear();
-    if (apps[i].kind != App::Kind::kGamma) {
-      writes.insert(apps[i].rule->head_pred);
-    }
-    size_t j = i + 1;
-    for (; j < apps.size(); ++j) {
-      const App& a = apps[j];
-      reads.clear();
-      CollectFullWindowReads(PlanOf(*a.rule, a.delta), a.delta, &reads);
-      bool conflict = false;
-      for (PredicateId p : reads) {
-        if (writes.count(p) > 0) {
-          conflict = true;
-          break;
-        }
-      }
-      if (conflict) break;
-      if (a.kind != App::Kind::kGamma) writes.insert(a.rule->head_pred);
-    }
-    RunBatch(apps.data() + i, j - i);
-    i = j;
-  }
-}
-
-void FixpointDriver::RunWorkerTask(WorkerTask* task, const App& app) {
-  const CompiledRule& rule = *app.rule;
-  if (obs_enabled_) task->t0_ns = ObsNowNs();
-  PlanExecutor exec(catalog_, store_);
-  if (vm_code_ != nullptr) exec.set_vm_program(vm_code_.get());
-  if (guard_ != nullptr) exec.set_cancel_token(guard_->cancel());
-  if (task->ranged) {
-    exec.set_scan_range(&(*task->plan)[0].scan, task->begin, task->end);
-  }
-  // Task-local goal counters (merged serially in MergeApp); the fan-out
-  // histograms are lock-free and shared with the driver's table, so
-  // workers record into them directly.
-  std::vector<std::vector<GoalStats>> local_goals;
-  if (!goal_stats_[rule.rule_index].empty()) {
-    local_goals.resize(rule.rule_index + 1);
-    auto& row = local_goals[rule.rule_index];
-    row.resize(rule.num_goals);
-    for (uint32_t g = 0; g < rule.num_goals; ++g) {
-      row[g].fanout = goal_stats_[rule.rule_index][g].fanout;
-    }
-    exec.set_goal_stats(&local_goals);
-  }
-  // Task-local premise trail; per-solution contents are appended to the
-  // task's flat premise buffer, mirroring the value capture.
-  std::vector<ProvPremise> trail;
-  if (prov_) exec.set_provenance_trail(&trail);
-  const std::vector<uint32_t>& capture = task->safety->capture;
-  BindingFrame frame(rule.num_slots);
-  exec.Enumerate(rule, *task->plan, app.delta, &frame,
-                 [&](BindingFrame& f) {
-                   ++task->emitted;
-                   for (uint32_t s : capture) {
-                     task->values.push_back(f.Get(s));
-                   }
-                   if (prov_) {
-                     task->premises.insert(task->premises.end(),
-                                           trail.begin(), trail.end());
-                   }
-                   return true;
-                 });
-  task->solutions = exec.stats().solutions;
-  task->scan_rows = exec.stats().scan_rows;
-  if (!local_goals.empty()) {
-    task->goal_stats = std::move(local_goals[rule.rule_index]);
-  }
-  if (guard_ != nullptr && guard_->budget() != nullptr) {
-    guard_->budget()->Update(
-        &task->charged,
-        task->values.capacity() * sizeof(Value) +
-            task->premises.capacity() * sizeof(ProvPremise));
-  }
-  if (obs_enabled_) task->t1_ns = ObsNowNs();
-}
-
-void FixpointDriver::RunBatch(const App* apps, size_t count) {
-  std::vector<WorkerTask> tasks;
-  std::vector<int> first_task(count, -1);  // -1 = serial at merge position
-  std::vector<int> task_count(count, 0);
-  for (size_t a = 0; a < count; ++a) {
-    const App& app = apps[a];
-    const CompiledRule& rule = *app.rule;
-    const RuleParallelSafety& safety = safety_[rule.rule_index];
-    const std::vector<CompiledLiteral>& plan = PlanOf(rule, app.delta);
-    if (plan.empty() ||
-        !safety.PlanSafe(app.delta, rule.delta_plans.size())) {
-      continue;
-    }
-    first_task[a] = static_cast<int>(tasks.size());
-    // Partition the leading scan across workers when it is an unindexed
-    // full scan over enough rows: each range enumerates rows in
-    // ascending order, so the concatenation of the range buffers equals
-    // the serial enumeration. Indexed probes enumerate in chain order
-    // and stay unpartitioned.
-    uint32_t parts = 1;
-    RowId begin = 0, end = 0;
-    bool ranged = false;
-    const CompiledLiteral& lead = plan[0];
-    if (lead.kind == CompiledLiteral::Kind::kScan && !lead.scan.negated &&
-        lead.scan.bound_cols.empty()) {
-      const auto window = PlanExecutor::ScanWindow(
-          lead.scan, catalog_->relation(lead.scan.pred), app.delta);
-      begin = window.first;
-      end = window.second;
-      const RowId rows = end > begin ? end - begin : 0;
-      if (rows >= std::max(2u, options_.parallel_min_rows)) {
-        parts = std::min<uint32_t>(stats_.threads_used, rows);
-        ranged = true;
-      }
-    }
-    const uint64_t rows = end - begin;
-    const uint64_t chunk = parts > 1 ? (rows + parts - 1) / parts : rows;
-    for (uint32_t p = 0; p < parts; ++p) {
-      WorkerTask t;
-      t.app = a;
-      t.plan = &plan;
-      t.safety = &safety;
-      if (ranged) {
-        t.ranged = true;
-        t.begin = static_cast<RowId>(begin + p * chunk);
-        t.end = static_cast<RowId>(
-            std::min<uint64_t>(begin + (p + 1) * chunk, end));
-      }
-      tasks.push_back(std::move(t));
-    }
-    task_count[a] = static_cast<int>(tasks.size()) - first_task[a];
-  }
-
-  if (!tasks.empty()) {
-    ++stats_.parallel_batches;
-    stats_.parallel_tasks += tasks.size();
-    if (obs_.recorder != nullptr) {
-      obs_.recorder->Record(FlightEventKind::kBatchStart,
-                            static_cast<int64_t>(count),
-                            static_cast<int64_t>(tasks.size()));
-    }
-    pool_->Run(tasks.size(), [&](size_t t) {
-      RunWorkerTask(&tasks[t], apps[tasks[t].app]);
-    });
-    if (obs_.recorder != nullptr) {
-      obs_.recorder->Record(FlightEventKind::kBatchEnd,
-                            static_cast<int64_t>(count),
-                            static_cast<int64_t>(tasks.size()));
-    }
-  }
-
-  // Merge in serial application order; applications without tasks run
-  // serially right here, at exactly their serial position.
-  for (size_t a = 0; a < count; ++a) {
-    if (first_task[a] < 0) {
-      ++stats_.serial_apps;
-      EvalSerial(apps[a]);
-    } else {
-      ++stats_.parallel_apps;
-      MergeApp(apps[a], tasks.data() + first_task[a],
-               static_cast<size_t>(task_count[a]));
-    }
-  }
-}
-
-void FixpointDriver::MergeApp(const App& app, WorkerTask* tasks,
-                              size_t count) {
-  const CompiledRule& rule = *app.rule;
-  RuleProfile& prof = profiles_[rule.rule_index];
-  ++prof.invocations;
-  const uint64_t t0 = obs_enabled_ ? ObsNowNs() : 0;
-  uint64_t worker_ns = 0;
-
-  const std::vector<uint32_t>& capture = safety_[rule.rule_index].capture;
-  const size_t width = capture.size();
-  // Premises per solution: one per positive top-level scan of the plan
-  // (fixed for a given plan — see PlanExecutor::set_provenance_trail).
-  size_t prov_width = 0;
-  if (prov_ && count > 0) {
-    for (const CompiledLiteral& lit : *tasks[0].plan) {
-      if (lit.kind == CompiledLiteral::Kind::kScan && !lit.scan.negated) {
-        ++prov_width;
-      }
-    }
-  }
-  BindingFrame frame(rule.num_slots);
-
-  // kAggregate fold state (mirrors EvalAggregate exactly).
-  struct Group {
-    Value best;
-    std::vector<std::vector<Value>> heads;
-    std::vector<std::vector<ProvPremise>> provs;
-  };
-  std::unordered_map<Value, Group, ValueHash> groups;
-
-  GammaState* g = app.g;
-  const uint64_t pushed_before =
-      app.kind == App::Kind::kGamma ? g->queue->stats().inserted : 0;
-  size_t attempted = 0;
-  size_t inserted = 0;
-  std::vector<Value> head;
-
-  for (size_t ti = 0; ti < count; ++ti) {
-    WorkerTask& task = tasks[ti];
-    exec_.stats().solutions += task.solutions;
-    exec_.stats().scan_rows += task.scan_rows;
-    if (!task.goal_stats.empty()) {
-      auto& row = goal_stats_[rule.rule_index];
-      for (size_t gi = 0; gi < task.goal_stats.size() && gi < row.size();
-           ++gi) {
-        row[gi].probes += task.goal_stats[gi].probes;
-        row[gi].rows += task.goal_stats[gi].rows;
-        row[gi].matches += task.goal_stats[gi].matches;
-      }
-    }
-    worker_ns += task.t1_ns - task.t0_ns;
-    const Value* vals = task.values.data();
-    const ProvPremise* prem = task.premises.data();
-    for (uint64_t s = 0; s < task.emitted;
-         ++s, vals += width, prem += prov_width) {
-      const size_t mark = frame.Mark();
-      for (size_t k = 0; k < width; ++k) frame.Bind(capture[k], vals[k]);
-      switch (app.kind) {
-        case App::Kind::kPlain: {
-          if (exec_.BuildHead(rule, frame, &head)) {
-            ++attempted;
-            Relation& head_rel = catalog_->relation(rule.head_pred);
-            const auto res = head_rel.Insert(TupleView(head));
-            if (res.inserted) {
-              ++inserted;
-              ++exec_.stats().inserts;
-              if (prov_) {
-                head_rel.Annotate(res.row, rule.rule_index, prem, prov_width);
-              }
-            }
-          }
-          break;
-        }
-        case App::Kind::kAggregate: {
-          Value cost, group;
-          if (!EvalTerm(rule.pool, rule.cost_term, frame, store_, &cost) ||
-              !EvalTerm(rule.pool, rule.group_term, frame, store_, &group)) {
-            break;  // untyped binding: contributes nothing
-          }
-          std::vector<Value> agg_head;
-          if (!exec_.BuildHead(rule, frame, &agg_head)) break;
-          auto [it, fresh] = groups.try_emplace(group);
-          Group& grp = it->second;
-          const int c = fresh ? -1 : store_->Compare(cost, grp.best);
-          const bool better = fresh || (rule.is_least ? c < 0 : c > 0);
-          if (better) {
-            grp.best = cost;
-            grp.heads.clear();
-            grp.provs.clear();
-            grp.heads.push_back(std::move(agg_head));
-            if (prov_) grp.provs.emplace_back(prem, prem + prov_width);
-          } else if (c == 0) {
-            grp.heads.push_back(std::move(agg_head));
-            if (prov_) grp.provs.emplace_back(prem, prem + prov_width);
-          }
-          break;
-        }
-        case App::Kind::kGamma: {
-          Value cost = Value::Int(0);
-          if (rule.has_extremum &&
-              !EvalTerm(rule.pool, rule.cost_term, frame, store_, &cost)) {
-            break;
-          }
-          std::vector<Value> snapshot;
-          snapshot.reserve(rule.snapshot_slots.size());
-          for (uint32_t slot : rule.snapshot_slots) {
-            snapshot.push_back(frame.Get(slot));
-          }
-          Value key;
-          if (g->merge) {
-            std::vector<Value> kv;
-            kv.reserve(rule.congruence_slots.size());
-            for (uint32_t slot : rule.congruence_slots) {
-              kv.push_back(frame.Get(slot));
-            }
-            key = store_->MakeTuple(kv);
-          } else {
-            key = store_->MakeTuple(snapshot);
-          }
-          g->queue->Push(cost, key, std::move(snapshot),
-                         prov_ ? std::vector<ProvPremise>(prem,
-                                                          prem + prov_width)
-                               : std::vector<ProvPremise>{});
-          break;
-        }
-      }
-      frame.UndoTo(mark);
-    }
-    if (guard_ != nullptr && guard_->budget() != nullptr) {
-      guard_->budget()->Update(&task.charged, 0);
-    }
-    std::vector<Value>().swap(task.values);
-    std::vector<ProvPremise>().swap(task.premises);
-  }
-
-  switch (app.kind) {
-    case App::Kind::kPlain:
-      prof.tuples += inserted;
-      prof.dedup_hits += attempted - inserted;
-      break;
-    case App::Kind::kAggregate: {
-      Relation& head_rel = catalog_->relation(rule.head_pred);
-      for (auto& [group, grp] : groups) {
-        for (size_t i = 0; i < grp.heads.size(); ++i) {
-          const auto res = head_rel.Insert(TupleView(grp.heads[i]));
-          if (res.inserted) {
-            ++exec_.stats().inserts;
-            ++prof.tuples;
-            if (prov_) {
-              head_rel.Annotate(res.row, rule.rule_index,
-                                grp.provs[i].data(), grp.provs[i].size());
-            }
-          } else {
-            ++prof.dedup_hits;
-          }
-        }
-      }
-      break;
-    }
-    case App::Kind::kGamma:
-      prof.candidates += g->queue->stats().inserted - pushed_before;
-      break;
-  }
-
-  if (obs_enabled_) {
-    prof.wall_ns += worker_ns;
-    if (obs_.tracer != nullptr) {
-      for (size_t ti = 0; ti < count; ++ti) {
-        if (tasks[ti].t1_ns > tasks[ti].t0_ns && obs_.tracer->Sample()) {
-          obs_.tracer->Complete(prof.head + ".worker#" + std::to_string(ti),
-                                "parallel", tasks[ti].t0_ns, tasks[ti].t1_ns);
-        }
-      }
-    }
-    RecordApply(&prof, t0, "rule");
-  }
-}
-
 Status FixpointDriver::EvalClique(uint32_t scc) {
   const CliqueStageInfo& cl = analysis_->cliques[scc];
   const DependencyGraph& graph = *analysis_->graph;
@@ -895,19 +486,13 @@ Status FixpointDriver::EvalClique(uint32_t scc) {
 
   // Round 0: full evaluation of every rule.
   GDLOG_RETURN_IF_ERROR(GuardCheck(FaultInjector::kEvalSaturate));
-  std::vector<App> apps;
   for (const CompiledRule* r : ctx.plain) {
-    apps.push_back({App::Kind::kPlain, r, nullptr, CompiledScan::kNoOccurrence});
+    EvalPlain(*r, CompiledScan::kNoOccurrence);
   }
-  for (const CompiledRule* r : ctx.aggregate) {
-    apps.push_back({App::Kind::kAggregate, r, nullptr,
-                    CompiledScan::kNoOccurrence});
-  }
+  for (const CompiledRule* r : ctx.aggregate) EvalAggregate(*r);
   for (GammaState* g : ctx.gammas) {
-    apps.push_back({App::Kind::kGamma, g->rule, g,
-                    CompiledScan::kNoOccurrence});
+    InsertCandidates(g, CompiledScan::kNoOccurrence);
   }
-  RunApps(apps);
 
   // Alternate Q∞ and γ until neither makes progress.
   for (;;) {
@@ -943,7 +528,6 @@ Status FixpointDriver::Saturate(CliqueCtx* ctx) {
   const uint64_t t0 = obs_enabled_ ? ObsNowNs() : 0;
   const uint64_t rounds_before = stats_.saturation_rounds;
   Status guard_status = Status::OK();
-  std::vector<App> apps;
   for (;;) {
     bool any_delta = false;
     uint64_t delta_total = 0;
@@ -967,37 +551,31 @@ Status FixpointDriver::Saturate(CliqueCtx* ctx) {
     guard_status = GuardCheck(FaultInjector::kEvalSaturate);
     if (!guard_status.ok()) break;
     const bool seminaive = options_.use_seminaive;
-    apps.clear();
+    const uint64_t inserts_before = exec_.stats().inserts;
     for (const CompiledRule* r : ctx->plain) {
       if (!r->recursive) continue;
       if (seminaive) {
         for (uint32_t d = 0; d < r->num_clique_occurrences; ++d) {
-          apps.push_back({App::Kind::kPlain, r, nullptr, d});
+          EvalPlain(*r, d);
         }
       } else {
         // Naive ablation: full windows every round.
-        apps.push_back({App::Kind::kPlain, r, nullptr,
-                        CompiledScan::kNoOccurrence});
+        EvalPlain(*r, CompiledScan::kNoOccurrence);
       }
     }
     for (const CompiledRule* r : ctx->aggregate) {
-      if (!r->recompute_full) continue;
-      apps.push_back({App::Kind::kAggregate, r, nullptr,
-                      CompiledScan::kNoOccurrence});
+      if (r->recompute_full) EvalAggregate(*r);
     }
     for (GammaState* g : ctx->gammas) {
       if (!g->rule->recursive) continue;
       if (seminaive) {
         for (uint32_t d = 0; d < g->rule->num_clique_occurrences; ++d) {
-          apps.push_back({App::Kind::kGamma, g->rule, g, d});
+          InsertCandidates(g, d);
         }
       } else {
-        apps.push_back({App::Kind::kGamma, g->rule, g,
-                        CompiledScan::kNoOccurrence});
+        InsertCandidates(g, CompiledScan::kNoOccurrence);
       }
     }
-    const uint64_t inserts_before = exec_.stats().inserts;
-    RunApps(apps);
     if (obs_.recorder != nullptr) {
       obs_.recorder->Record(
           FlightEventKind::kRoundEnd,
@@ -1188,12 +766,6 @@ bool FixpointDriver::TryFireNext(CliqueCtx* ctx, GammaState* g,
           head_rel.name() + TupleToString(*store_, TupleView(head));
       audit->head_pred = rule.head_pred;
       audit->head_row = res.row;
-    }
-    static const bool kTrace = std::getenv("GDLOG_TRACE") != nullptr;
-    if (kTrace) {
-      fprintf(stderr, "[gamma] stage=%ld head=%s %s\n", ctx->stage_counter,
-              catalog_->relation(rule.head_pred).name().c_str(),
-              TupleToString(*store_, TupleView(head)).c_str());
     }
     g->queue->MarkFired(cand);
     ++prof.firings;

@@ -27,9 +27,7 @@
 #include "analysis/stage.h"
 #include "common/guardrails.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "eval/choice_runtime.h"
-#include "eval/parallel_eval.h"
 #include "eval/rql.h"
 #include "eval/rule_compiler.h"
 #include "eval/seminaive.h"
@@ -71,12 +69,6 @@ struct EvalOptions {
   /// rule over full windows — the ablation baseline for the abstract's
   /// "through seminaive refinements ... low asymptotic complexity".
   bool use_seminaive = true;
-  /// Worker threads for rule-application enumeration. 1 = the exact
-  /// legacy serial path; N > 1 evaluates independent applications of a
-  /// saturation round concurrently and partitions large leading scans,
-  /// with results merged in serial order so the run is bit-identical to
-  /// threads=1. 0 = hardware concurrency.
-  uint32_t threads = 1;
   /// Cost-based join planning (goal reordering by boundness + estimated
   /// selectivity). Off = parser order with filters-first — the planner
   /// ablation baseline. Consumed by Engine when compiling; the driver
@@ -88,21 +80,17 @@ struct EvalOptions {
   /// planning stays deterministic. Off = the priors ablation baseline.
   /// No effect when use_join_planner is off.
   bool use_cardinality_priors = true;
-  /// Minimum leading-scan window (rows) before one application is split
-  /// across workers; below it the application still runs as a single
-  /// parallel task. Tests lower this to force partitioning on tiny data.
-  uint32_t parallel_min_rows = 64;
   /// Derivation provenance + choice audit: annotate every derived row
   /// with (rule, premises) and record one ChoiceAuditEntry per γ firing.
   /// Annotations are pure metadata — evaluation order, insert order, and
-  /// the fixpoint itself are bit-identical with the flag off, at any
-  /// thread count. The caller must also enable the catalog's provenance
-  /// column (Engine does both from EngineOptions::provenance).
+  /// the fixpoint itself are bit-identical with the flag off. The caller
+  /// must also enable the catalog's provenance column (Engine does both
+  /// from EngineOptions::provenance).
   bool provenance = false;
   /// Which executor runs rule plans. Both backends are bit-identical
-  /// (model, stats, audit trail, provenance) at any thread count — the
-  /// differential fleet in tests/differential_test.cc enforces it. The
-  /// interpreter stays the default and the oracle.
+  /// (model, stats, audit trail, provenance) — the differential fleet in
+  /// tests/differential_test.cc enforces it. The interpreter stays the
+  /// default and the oracle.
   EvalBackend backend = EvalBackend::kInterp;
 };
 
@@ -119,13 +107,6 @@ struct FixpointStats {
   // when observability is enabled (0 otherwise).
   uint64_t saturate_ns = 0;
   uint64_t gamma_ns = 0;
-  // Parallel evaluation: resolved worker count and how much work went
-  // through the pool (zero everywhere when threads == 1).
-  uint32_t threads_used = 1;
-  uint64_t parallel_batches = 0;  // batches with at least one worker task
-  uint64_t parallel_tasks = 0;    // worker tasks run (partitions count)
-  uint64_t parallel_apps = 0;     // applications enumerated off-thread
-  uint64_t serial_apps = 0;       // applications kept on the main thread
   ExecStats exec;
   CandidateQueueStats queues;  // aggregated over all gamma rules
 };
@@ -212,53 +193,6 @@ class FixpointDriver {
     bool has_next = false;
   };
 
-  /// One rule application of a saturation round, in serial order.
-  struct App {
-    enum class Kind : uint8_t { kPlain, kAggregate, kGamma };
-    Kind kind = Kind::kPlain;
-    const CompiledRule* rule = nullptr;
-    GammaState* g = nullptr;  // kGamma only
-    uint32_t delta = UINT32_MAX;
-  };
-  /// One worker task: a (possibly row-partitioned) enumeration of one
-  /// application, capturing per-solution slot values for the merge.
-  struct WorkerTask {
-    size_t app = 0;  // index into the batch
-    const std::vector<CompiledLiteral>* plan = nullptr;
-    const RuleParallelSafety* safety = nullptr;
-    bool ranged = false;
-    RowId begin = 0, end = 0;  // leading-scan partition when ranged
-    std::vector<Value> values;  // emitted * capture.size(), in order
-    // Provenance premises, emitted * (positive scans in plan), in order
-    // (empty when provenance is off).
-    std::vector<ProvPremise> premises;
-    uint64_t emitted = 0;       // top-level solutions (buffered rows)
-    // Executor stat counters; `solutions` also counts NotExists
-    // sub-enumeration witnesses, so it is NOT the buffered-row count.
-    uint64_t solutions = 0;
-    uint64_t scan_rows = 0;
-    // Task-local per-goal cardinality counters for this task's rule
-    // (indexed by goal_id), merged serially in MergeApp.
-    std::vector<GoalStats> goal_stats;
-    uint64_t t0_ns = 0, t1_ns = 0;  // worker span (obs)
-    size_t charged = 0;             // MemoryBudget charge for `values`
-  };
-
-  /// Runs consecutive applications, preserving their serial semantics:
-  /// with a pool, splits them into order-independent batches, enumerates
-  /// each batch's safe applications on workers, and merges in order;
-  /// without one, falls back to plain serial evaluation.
-  void RunApps(const std::vector<App>& apps);
-  void RunBatch(const App* apps, size_t count);
-  void RunWorkerTask(WorkerTask* task, const App& app);
-  /// Replays one application's captured solutions on the main thread,
-  /// reproducing the serial interning/insert/push order exactly.
-  void MergeApp(const App& app, WorkerTask* tasks, size_t count);
-  void EvalSerial(const App& app);
-  /// The plan variant an application runs (generator or delta plan).
-  static const std::vector<CompiledLiteral>& PlanOf(const CompiledRule& rule,
-                                                    uint32_t delta);
-
   Status EvalClique(uint32_t scc);
   /// Polls the guard (no-op OK when no guard is installed). `probe` names
   /// the boundary for fault injection.
@@ -331,20 +265,15 @@ class FixpointDriver {
   bool trip_recorded_ = false;
 
   // Provenance (see EvalOptions::provenance). `prov_trail_` is the
-  // serial executor's premise trail; worker executors get task-local
-  // trails. `audit_` is allocated iff provenance is on.
+  // executor's premise trail; `audit_` is allocated iff provenance is on.
   bool prov_ = false;
   std::vector<ProvPremise> prov_trail_;
   std::unique_ptr<ChoiceAuditTrail> audit_;
   size_t audit_charged_ = 0;  // MemoryBudget charge for the trail
 
-  // Parallel evaluation (null / empty when threads == 1).
-  std::unique_ptr<ThreadPool> pool_;
-  std::vector<RuleParallelSafety> safety_;  // by rule_index
-
   // Bytecode backend (null under kInterp): the lowered IR (owns the
   // coverage report and op lists) and the executable program compiled
-  // from it. Shared read-only with every worker executor.
+  // from it.
   std::unique_ptr<ir::ProgramIR> vm_ir_;
   std::unique_ptr<vm::ProgramCode> vm_code_;
   size_t vm_charged_ = 0;  // MemoryBudget charge for the program

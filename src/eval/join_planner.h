@@ -13,9 +13,7 @@
 // compiling, so base relations carry real cardinalities; IDB relations
 // are still empty and get a neutral default that ranks them after
 // comparably-bound EDB scans). Estimates are computed once per predicate
-// and cached, so planning is deterministic for a given database — and in
-// particular identical across thread counts, which the parallel
-// evaluator's bit-identical contract relies on.
+// and cached, so planning is deterministic for a given database.
 #ifndef GDLOG_EVAL_JOIN_PLANNER_H_
 #define GDLOG_EVAL_JOIN_PLANNER_H_
 
@@ -61,9 +59,8 @@ class JoinPlanner {
   /// bound, replacing the neutral default an empty (IDB) relation would
   /// otherwise get. Non-empty relations keep their exact scanned stats:
   /// the prior is ignored for them. Priors are a pure function of the
-  /// program and the loaded EDB, so planning stays deterministic (and
-  /// identical across thread counts). Call before the first Estimate()
-  /// for the predicate.
+  /// program and the loaded EDB, so planning stays deterministic. Call
+  /// before the first Estimate() for the predicate.
   void SetPrior(PredicateId pred, uint64_t row_bound);
 
   /// Estimated matching rows for a scan of `pred` with `bound_cols`

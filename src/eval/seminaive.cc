@@ -1,8 +1,5 @@
 #include "eval/seminaive.h"
 
-#include <algorithm>
-#include <cstdlib>
-
 #include "common/logging.h"
 #include "eval/vm/vm.h"
 #include "obs/metrics.h"
@@ -34,13 +31,6 @@ Window WindowFor(const CompiledScan& scan, const Relation& rel,
 }
 
 }  // namespace
-
-std::pair<RowId, RowId> PlanExecutor::ScanWindow(const CompiledScan& scan,
-                                                 const Relation& rel,
-                                                 uint32_t delta_occurrence) {
-  const Window w = WindowFor(scan, rel, delta_occurrence);
-  return {w.begin, w.end};
-}
 
 bool PlanExecutor::RunCompare(const CompiledRule& rule,
                               const CompiledCompare& cmp,
@@ -93,11 +83,7 @@ bool PlanExecutor::RunScan(const CompiledRule& rule, const CompiledScan& scan,
     return on_match();  // absent: negation holds, continue (no bindings)
   }
 
-  Window window = WindowFor(scan, rel, delta_occurrence);
-  if (&scan == range_scan_) {
-    window.begin = std::max(window.begin, range_begin_);
-    window.end = std::min(window.end, range_end_);
-  }
+  const Window window = WindowFor(scan, rel, delta_occurrence);
 
   GoalStats* gs = nullptr;
   if (goal_stats_ != nullptr && !scan.negated &&
@@ -111,10 +97,6 @@ bool PlanExecutor::RunScan(const CompiledRule& rule, const CompiledScan& scan,
 
   auto try_row = [&](RowId row) -> int {
     // Returns -1 mismatch, 0 matched-and-continue, 1 aborted.
-    if (cancel_ != nullptr && (++cancel_tick_ & 4095u) == 0 &&
-        cancel_->cancelled()) {
-      return 1;
-    }
     ++stats_.scan_rows;
     if (gs != nullptr) ++gs->rows;
     const size_t mark = frame->Mark();
@@ -146,10 +128,8 @@ bool PlanExecutor::RunScan(const CompiledRule& rule, const CompiledScan& scan,
     return keep_going ? 0 : 1;
   };
 
-  // Debug/ablation switch: GDLOG_NO_INDEX=1 forces full scans.
-  static const bool kNoIndex = std::getenv("GDLOG_NO_INDEX") != nullptr;
   bool aborted = false;
-  if (scan.index_id >= 0 && !kNoIndex) {
+  if (scan.index_id >= 0) {
     // Evaluate the probe key.
     std::vector<Value> key;
     key.reserve(scan.bound_cols.size());
@@ -248,13 +228,8 @@ vm::ExecCtx PlanExecutor::VmCtx() {
   ctx.catalog = catalog_;
   ctx.store = store_;
   ctx.stats = &stats_;
-  ctx.cancel = cancel_;
-  ctx.cancel_tick = &cancel_tick_;
   ctx.goal_stats = goal_stats_;
   ctx.trail = trail_;
-  ctx.range_scan = range_scan_;
-  ctx.range_begin = range_begin_;
-  ctx.range_end = range_end_;
   return ctx;
 }
 

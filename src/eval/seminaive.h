@@ -17,7 +17,6 @@
 #include <functional>
 #include <utility>
 
-#include "common/guardrails.h"
 #include "eval/binding.h"
 #include "eval/rule_compiler.h"
 #include "storage/catalog.h"
@@ -41,9 +40,8 @@ struct ExecStats {
 
 /// Actual per-goal cardinality counters for EXPLAIN ANALYZE, accumulated
 /// by RunScan for positive scans carrying a goal_id. Counters are plain
-/// (each executor writes its own table; parallel workers merge their
-/// task-local tables serially); the fan-out histogram, when set, is
-/// lock-free and may be shared across executors.
+/// (each executor writes its own table); the fan-out histogram, when
+/// set, is a shared registry metric.
 struct GoalStats {
   uint64_t probes = 0;   // scan invocations (outer-binding probes)
   uint64_t rows = 0;     // rows touched (window rows / index postings)
@@ -64,20 +62,6 @@ class PlanExecutor {
   void set_negation_oracle(NegationOracle oracle) {
     oracle_ = std::move(oracle);
   }
-
-  /// Restricts one scan of the plan to rows [begin, end) ∩ its seminaive
-  /// window — the row-range partitioning hook of parallel evaluation
-  /// (each worker gets its own executor with its own range).
-  void set_scan_range(const CompiledScan* scan, RowId begin, RowId end) {
-    range_scan_ = scan;
-    range_begin_ = begin;
-    range_end_ = end;
-  }
-
-  /// When set, scans poll the token every ~4k rows and abort the
-  /// enumeration on cancellation (workers observe a cancel mid-scan
-  /// instead of running their partition to completion).
-  void set_cancel_token(const CancelToken* cancel) { cancel_ = cancel; }
 
   /// Per-goal cardinality sink, indexed [rule_index][goal_id]. Rows
   /// shorter than a rule's goal count (or missing) disable counting for
@@ -103,12 +87,6 @@ class PlanExecutor {
   /// the interpreter. The program is shared, immutable, and not owned.
   void set_vm_program(const vm::ProgramCode* program) { vm_ = program; }
   const vm::ProgramCode* vm_program() const { return vm_; }
-
-  /// The seminaive row window `scan` reads under `delta_occurrence`
-  /// (exposed for partition planning).
-  static std::pair<RowId, RowId> ScanWindow(const CompiledScan& scan,
-                                            const Relation& rel,
-                                            uint32_t delta_occurrence);
 
   /// Enumerates all solutions of `plan` extending `frame`, invoking
   /// `on_solution` for each; the callback returns false to abort the
@@ -148,8 +126,8 @@ class PlanExecutor {
                   BindingFrame* frame);
 
   /// The execution context handed to the VM: this executor's own
-  /// counters, cancel tick, trail, and scan-range state, so both
-  /// backends are indistinguishable to callers.
+  /// counters and trail, so both backends are indistinguishable to
+  /// callers.
   vm::ExecCtx VmCtx();
   size_t ApplyRuleVm(const CompiledRule& rule, const vm::PlanCode& code,
                      const vm::RuleCode& rcode, uint32_t delta_occurrence,
@@ -160,11 +138,6 @@ class PlanExecutor {
   NegationOracle oracle_;
   ExecStats stats_;
 
-  const CompiledScan* range_scan_ = nullptr;
-  RowId range_begin_ = 0;
-  RowId range_end_ = 0;
-  const CancelToken* cancel_ = nullptr;
-  uint32_t cancel_tick_ = 0;
   std::vector<std::vector<GoalStats>>* goal_stats_ = nullptr;
   std::vector<ProvPremise>* trail_ = nullptr;
   const vm::ProgramCode* vm_ = nullptr;

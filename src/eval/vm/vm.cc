@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
 #include <type_traits>
 
 #include "obs/metrics.h"
@@ -135,11 +134,7 @@ class Runner {
         const PlanCode::Level& level = code.levels[i];
         if (level.kind != CompiledLiteral::Kind::kScan) continue;
         LevelRt& rt = rt_[i];
-        Window w = WindowOf(*level.scan, *level.rel, delta_);
-        if (level.scan == ctx.range_scan) {
-          w.begin = std::max(w.begin, ctx.range_begin);
-          w.end = std::min(w.end, ctx.range_end);
-        }
+        const Window w = WindowOf(*level.scan, *level.rel, delta_);
         rt.begin = w.begin;
         rt.end = w.end;
         rt.gs = nullptr;
@@ -279,10 +274,6 @@ class Runner {
       if (gs != nullptr) ++gs->probes;
     } else {
       window = WindowOf(scan, *level.rel, delta_);
-      if (&scan == ctx_.range_scan) {
-        window.begin = std::max(window.begin, ctx_.range_begin);
-        window.end = std::min(window.end, ctx_.range_end);
-      }
       if (level.track_goal && ctx_.goal_stats != nullptr &&
           code_.rule->rule_index < ctx_.goal_stats->size() &&
           scan.goal_id < (*ctx_.goal_stats)[code_.rule->rule_index].size()) {
@@ -292,9 +283,9 @@ class Runner {
     }
     uint64_t probe_matches = 0;
     // Rows and matches accumulate in locals and flush once per scan:
-    // nothing reads the counters mid-scan (reports, EXPLAIN ANALYZE and
-    // the worker capture all read them between rule applications), so
-    // the flushed totals are bit-identical to per-row increments.
+    // nothing reads the counters mid-scan (reports and EXPLAIN ANALYZE
+    // read them between rule applications), so the flushed totals are
+    // bit-identical to per-row increments.
     uint64_t rows_seen = 0;
 
     bool aborted = false;
@@ -396,10 +387,6 @@ class Runner {
   /// so the mark/undo pair exists only on levels that have one.
   int TryRow(const PlanCode::Level& level, size_t idx, RowId row,
              GoalStats* gs, uint64_t* probe_matches) {
-    if (ctx_.cancel != nullptr && (++*ctx_.cancel_tick & 4095u) == 0 &&
-        ctx_.cancel->cancelled()) {
-      return 1;
-    }
     const size_t mark = level.has_match ? frame_->Mark() : 0;
     const TupleView tuple = level.rel->Row(row);
     if (!level.generic) {
@@ -495,8 +482,7 @@ class Runner {
 
 std::unique_ptr<PlanCode> CompilePlanLevels(const ir::PlanIR& pir,
                                             const CompiledRule* rule,
-                                            const Catalog& catalog,
-                                            bool no_index) {
+                                            const Catalog& catalog) {
   auto code = std::make_unique<PlanCode>();
   code->rule = rule;
   uint32_t key_off = 0;
@@ -515,7 +501,7 @@ std::unique_ptr<PlanCode> CompilePlanLevels(const ir::PlanIR& pir,
         level.scan = &scan;
         const Relation& rel = catalog.relation(scan.pred);
         level.rel = &rel;
-        if (scan.index_id >= 0 && !no_index) {
+        if (scan.index_id >= 0) {
           level.index = &rel.index(static_cast<size_t>(scan.index_id));
           level.keys = l.scan.keys;
           level.key_offset = key_off;
@@ -588,7 +574,7 @@ std::unique_ptr<PlanCode> CompilePlanLevels(const ir::PlanIR& pir,
         }
         break;
       case CompiledLiteral::Kind::kNotExists:
-        level.sub = CompilePlanLevels(*l.sub, rule, catalog, no_index);
+        level.sub = CompilePlanLevels(*l.sub, rule, catalog);
         if (!level.sub->pure_slots) pure = false;
         break;
     }
@@ -617,9 +603,6 @@ size_t PlanBytes(const PlanCode& code) {
 }  // namespace
 
 ProgramCode Compile(const ir::ProgramIR& pir, const Catalog& catalog) {
-  // Same debug/ablation switch as the interpreter's RunScan, folded at
-  // compile time: with GDLOG_NO_INDEX set, every scan is a full scan.
-  static const bool kNoIndex = std::getenv("GDLOG_NO_INDEX") != nullptr;
   ProgramCode out;
   out.report = pir.report;
   for (const ir::RuleIR& r : pir.rules) {
@@ -631,7 +614,7 @@ ProgramCode Compile(const ir::ProgramIR& pir, const Catalog& catalog) {
     out.rules.emplace(r.rule, RuleCode{r.rule, r.head_ops, head_pure});
     for (const ir::PlanIR& p : r.plans) {
       out.plans.emplace(p.source,
-                        CompilePlanLevels(p, r.rule, catalog, kNoIndex));
+                        CompilePlanLevels(p, r.rule, catalog));
     }
   }
   return out;
@@ -669,7 +652,7 @@ void ExecuteEmit(const PlanCode& code, const RuleCode& rcode,
   if (code.pure_slots && rcode.head_pure) {
     Runner<EmitSink, /*kPure=*/true> r(code, delta_occurrence, frame, ctx,
                                        keys.data(), ctx.trail, &sink);
-    r.Run();  // an abort keeps rows emitted so far, like the interpreter
+    r.Run();
   } else {
     Runner<EmitSink> r(code, delta_occurrence, frame, ctx, keys.data(),
                        ctx.trail, &sink);

@@ -3,12 +3,10 @@
 //
 // The VM is an exact drop-in for PlanExecutor's interpreter loop: it
 // runs on the same live BindingFrame (so driver callbacks observe
-// identical binding state), buffers inserts the same way, polls the
-// same CancelToken at the same ~4k-row cadence through a shared tick
-// counter, charges the same GoalStats/ExecStats counters, and pushes
-// the same provenance premises. `threads=N` bit-identity is inherited:
-// PlanCode is immutable after Compile and every mutable execution state
-// lives on the caller's stack, so worker executors share one program.
+// identical binding state), buffers inserts the same way, charges the
+// same GoalStats/ExecStats counters, and pushes the same provenance
+// premises. PlanCode is immutable after Compile; every mutable
+// execution state lives on the caller's stack.
 //
 // The interpreter (eval/seminaive) stays the semantics oracle: rules
 // the lowering rejects simply never appear in the ProgramCode map and
@@ -132,23 +130,17 @@ struct ProgramCode {
 
 /// Resolves storage pointers and registers every plan of `pir` (which
 /// must outlive the result, along with the CompiledRule vector it
-/// aliases). Honors GDLOG_NO_INDEX like the interpreter.
+/// aliases).
 ProgramCode Compile(const ir::ProgramIR& pir, const Catalog& catalog);
 
 /// Execution context, assembled by PlanExecutor from its own state so
-/// both backends share one set of counters, one cancel tick, and one
-/// provenance trail.
+/// both backends share one set of counters and one provenance trail.
 struct ExecCtx {
   Catalog* catalog = nullptr;
   ValueStore* store = nullptr;
   ExecStats* stats = nullptr;
-  const CancelToken* cancel = nullptr;
-  uint32_t* cancel_tick = nullptr;  // shared poll cadence with the interpreter
   std::vector<std::vector<GoalStats>>* goal_stats = nullptr;
   std::vector<ProvPremise>* trail = nullptr;
-  const CompiledScan* range_scan = nullptr;  // worker row partition
-  RowId range_begin = 0;
-  RowId range_end = 0;
 };
 
 /// Enumerates `code` extending `frame`, calling `on_solution` per
@@ -162,8 +154,7 @@ bool ExecutePlan(const PlanCode& code, uint32_t delta_occurrence,
 /// `pending` (flat, stride head_arity). Rows whose head fails to
 /// evaluate are skipped, like BuildHead. When `pending_prov` is
 /// non-null, one premise vector per emitted row is appended. `emitted`
-/// receives the row count (ApplyRule's `attempted`). An abort (cancel)
-/// keeps the rows emitted so far, like the interpreter.
+/// receives the row count (ApplyRule's `attempted`).
 void ExecuteEmit(const PlanCode& code, const RuleCode& rcode,
                  uint32_t delta_occurrence, BindingFrame* frame,
                  const ExecCtx& ctx, std::vector<Value>* pending,

@@ -23,10 +23,6 @@ const char* FlightEventKindName(FlightEventKind k) {
       return "plan-decision";
     case FlightEventKind::kFaultInjected:
       return "fault-injected";
-    case FlightEventKind::kBatchStart:
-      return "batch-start";
-    case FlightEventKind::kBatchEnd:
-      return "batch-end";
     case FlightEventKind::kCancelRequested:
       return "cancel-requested";
     case FlightEventKind::kGammaFire:

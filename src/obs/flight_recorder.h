@@ -3,7 +3,7 @@
 //
 // Record() is O(1), lock-free, allocation-free, and noexcept: one
 // fetch_add claims a slot, then four relaxed stores fill it. That makes
-// it safe to call from worker threads and from async-signal context
+// it safe to call from any thread and from async-signal context
 // (Engine::RequestCancel records the cancellation from a SIGINT
 // handler). The ring keeps the last `capacity` events; a dump renders
 // them in sequence order with per-event decoding (the event taxonomy is
@@ -34,8 +34,6 @@ enum class FlightEventKind : uint8_t {
   kGuardTrip,        // a0 = TerminationReason, a1 = checks so far
   kPlanDecision,     // a0 = rule index,   a1 = goals in plan
   kFaultInjected,    // a0 = probe ordinal (FaultInjector::ProbeCatalog)
-  kBatchStart,       // a0 = batch size (apps), a1 = worker tasks
-  kBatchEnd,         // a0 = batch size (apps), a1 = worker tasks
   kCancelRequested,  // from Engine::RequestCancel (signal-safe path)
   kGammaFire,        // a0 = rule index,   a1 = stage counter (-1: none)
   kStageAdvance,     // a0 = rule index,   a1 = new stage counter

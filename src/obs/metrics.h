@@ -4,9 +4,9 @@
 // Handles returned by the registry are stable for its lifetime, so hot
 // paths resolve a metric once and then pay a single atomic add per
 // event. Registration (the Get* calls) is mutex-guarded; recording
-// through a handle is lock-free (relaxed atomics), so worker threads may
-// hammer the same counter or histogram concurrently without losing
-// updates. The registry is always on by default (ObsOptions::metrics_enabled);
+// through a handle is lock-free (relaxed atomics), so any number of
+// threads (the evaluator, HTTP scrapes) may touch the same counter or
+// histogram concurrently without losing updates. The registry is always on by default (ObsOptions::metrics_enabled);
 // see docs/OBSERVABILITY.md for the bucket scheme and naming conventions.
 #ifndef GDLOG_OBS_METRICS_H_
 #define GDLOG_OBS_METRICS_H_

@@ -11,9 +11,8 @@
 // matches oldest-first, exactly like a full scan, no matter whether the
 // entries arrived incrementally, through an EnsureIndex backfill over
 // pre-existing rows, or across a rehash. Goal reordering (the join
-// planner) and scan partitioning (the parallel evaluator) both rely on
-// this: the same database enumerates identically however the index came
-// to be.
+// planner) relies on this: the same database enumerates identically
+// however the index came to be.
 #ifndef GDLOG_STORAGE_INDEX_H_
 #define GDLOG_STORAGE_INDEX_H_
 

@@ -1,9 +1,9 @@
-// Differential harness for the parallel evaluator: every shipped
-// programs/ example and every greedy wrapper must produce the exact
-// serial result at threads=2 and threads=8 (bit-identical model, same
-// insertion order, same choice decisions), and the computed costs must
-// equal the procedural baselines — so a scheduling or merge bug cannot
-// hide behind "still a valid stable model".
+// Differential harness: every shipped programs/ example must produce the
+// same model (bit-identical, same insertion order, same choice
+// decisions) with and without the join planner and on both rule
+// backends, and every greedy wrapper's computed cost must equal its
+// procedural baseline — so an evaluation bug cannot hide behind "still a
+// valid stable model".
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -48,8 +48,7 @@ std::string ProgramPath(const std::string& name) {
 
 /// The full model as ordered text: every predicate mentioned by the
 /// program, tuples in relation insertion order. Captures not just the
-/// fact set but the order the engine derived it in — the bit-identity
-/// contract of EvalOptions::threads.
+/// fact set but the order the engine derived it in.
 std::vector<std::string> DumpModel(const Engine& e) {
   std::vector<std::string> lines;
   for (const auto& ref : e.program()->AllPredicates()) {
@@ -67,36 +66,16 @@ std::vector<std::string> DumpModel(const Engine& e) {
   return lines;
 }
 
-EngineOptions Threaded(uint32_t threads) {
-  EngineOptions opts;
-  opts.eval.threads = threads;
-  // Force leading-scan partitioning even on the tiny shipped examples.
-  opts.eval.parallel_min_rows = 2;
-  return opts;
-}
-
-std::vector<std::string> RunProgram(const std::string& text,
-                                    uint32_t threads) {
-  Engine e(Threaded(threads));
+std::vector<std::string> RunProgram(const std::string& text) {
+  Engine e;
   auto load = e.LoadProgram(text);
   EXPECT_TRUE(load.ok()) << load.ToString();
   auto run = e.Run();
   EXPECT_TRUE(run.ok()) << run.ToString();
-  EXPECT_GE(e.stats()->threads_used, 1u);
   return DumpModel(e);
 }
 
 class ProgramDifferential : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(ProgramDifferential, ParallelModelBitIdenticalToSerial) {
-  const std::string text = ReadFileOrDie(ProgramPath(GetParam()));
-  const std::vector<std::string> serial = RunProgram(text, 1);
-  ASSERT_FALSE(serial.empty());
-  for (uint32_t threads : {2u, 8u}) {
-    EXPECT_EQ(RunProgram(text, threads), serial)
-        << GetParam() << " diverged at threads=" << threads;
-  }
-}
 
 TEST_P(ProgramDifferential, PlannerPreservesTheModel) {
   const std::string text = ReadFileOrDie(ProgramPath(GetParam()));
@@ -105,7 +84,7 @@ TEST_P(ProgramDifferential, PlannerPreservesTheModel) {
   Engine e(unplanned);
   ASSERT_TRUE(e.LoadProgram(text).ok());
   ASSERT_TRUE(e.Run().ok());
-  EXPECT_EQ(DumpModel(e), RunProgram(text, 1)) << GetParam();
+  EXPECT_EQ(DumpModel(e), RunProgram(text)) << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Programs, ProgramDifferential,
@@ -116,17 +95,15 @@ INSTANTIATE_TEST_SUITE_P(Programs, ProgramDifferential,
 // -- Cross-backend fleet: bytecode VM vs interpreter oracle -------------
 //
 // The interpreter is the semantics oracle for the VM: for every shipped
-// program, every combination of backend × threads × join-planner ×
-// provenance must produce the serial interpreter's model bit-identically
-// (same tuples, same insertion order), and with provenance on, the
-// choice-audit trails must pick the same winners for the same reasons.
+// program, every combination of backend × join-planner × provenance must
+// produce the default interpreter's model bit-identically (same tuples,
+// same insertion order), and with provenance on, the choice-audit trails
+// must pick the same winners for the same reasons.
 
-EngineOptions BackendOpts(EvalBackend backend, uint32_t threads, bool planner,
+EngineOptions BackendOpts(EvalBackend backend, bool planner,
                           bool provenance) {
   EngineOptions opts;
   opts.eval.backend = backend;
-  opts.eval.threads = threads;
-  opts.eval.parallel_min_rows = 2;  // partition even the tiny examples
   opts.eval.use_join_planner = planner;
   opts.provenance = provenance;
   return opts;
@@ -136,61 +113,55 @@ class BackendDifferential : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(BackendDifferential, VmModelBitIdenticalToInterpreterEverywhere) {
   const std::string text = ReadFileOrDie(ProgramPath(GetParam()));
-  Engine oracle(BackendOpts(EvalBackend::kInterp, 1, true, false));
+  Engine oracle(BackendOpts(EvalBackend::kInterp, true, false));
   ASSERT_TRUE(oracle.LoadProgram(text).ok());
   ASSERT_TRUE(oracle.Run().ok());
   EXPECT_EQ(oracle.VmCoverage(), nullptr) << "interp run reported VM coverage";
   const std::vector<std::string> expected = DumpModel(oracle);
   ASSERT_FALSE(expected.empty());
-  for (uint32_t threads : {1u, 8u}) {
-    for (bool planner : {true, false}) {
-      for (bool provenance : {false, true}) {
-        const auto label = [&](const char* backend) {
-          std::ostringstream os;
-          os << GetParam() << " backend=" << backend << " threads=" << threads
-             << " planner=" << planner << " provenance=" << provenance;
-          return os.str();
-        };
-        Engine interp(
-            BackendOpts(EvalBackend::kInterp, threads, planner, provenance));
-        ASSERT_TRUE(interp.LoadProgram(text).ok());
-        ASSERT_TRUE(interp.Run().ok());
-        EXPECT_EQ(DumpModel(interp), expected) << label("interp");
+  for (bool planner : {true, false}) {
+    for (bool provenance : {false, true}) {
+      const auto label = [&](const char* backend) {
+        std::ostringstream os;
+        os << GetParam() << " backend=" << backend << " planner=" << planner
+           << " provenance=" << provenance;
+        return os.str();
+      };
+      Engine interp(BackendOpts(EvalBackend::kInterp, planner, provenance));
+      ASSERT_TRUE(interp.LoadProgram(text).ok());
+      ASSERT_TRUE(interp.Run().ok());
+      EXPECT_EQ(DumpModel(interp), expected) << label("interp");
 
-        Engine vm(BackendOpts(EvalBackend::kVm, threads, planner, provenance));
-        ASSERT_TRUE(vm.LoadProgram(text).ok());
-        ASSERT_TRUE(vm.Run().ok());
-        EXPECT_EQ(DumpModel(vm), expected) << label("vm");
-        // The sweep must actually exercise the bytecode: a lowering
-        // regression that rejected every rule would silently turn this
-        // fleet into interp-vs-interp.
-        ASSERT_NE(vm.VmCoverage(), nullptr) << label("vm");
-        EXPECT_GT(vm.VmCoverage()->rules_lowered, 0u) << label("vm");
-      }
+      Engine vm(BackendOpts(EvalBackend::kVm, planner, provenance));
+      ASSERT_TRUE(vm.LoadProgram(text).ok());
+      ASSERT_TRUE(vm.Run().ok());
+      EXPECT_EQ(DumpModel(vm), expected) << label("vm");
+      // The sweep must actually exercise the bytecode: a lowering
+      // regression that rejected every rule would silently turn this
+      // fleet into interp-vs-interp.
+      ASSERT_NE(vm.VmCoverage(), nullptr) << label("vm");
+      EXPECT_GT(vm.VmCoverage()->rules_lowered, 0u) << label("vm");
     }
   }
 }
 
 TEST_P(BackendDifferential, ChoiceAuditWinnersMatchInterpreter) {
   const std::string text = ReadFileOrDie(ProgramPath(GetParam()));
-  Engine interp(BackendOpts(EvalBackend::kInterp, 1, true, true));
+  Engine interp(BackendOpts(EvalBackend::kInterp, true, true));
   ASSERT_TRUE(interp.LoadProgram(text).ok());
   ASSERT_TRUE(interp.Run().ok());
   auto expected = interp.ChoiceAuditText();
   ASSERT_TRUE(expected.ok());
-  for (uint32_t threads : {1u, 8u}) {
-    Engine vm(BackendOpts(EvalBackend::kVm, threads, true, true));
-    ASSERT_TRUE(vm.LoadProgram(text).ok());
-    ASSERT_TRUE(vm.Run().ok());
-    auto got = vm.ChoiceAuditText();
-    ASSERT_TRUE(got.ok());
-    // Full-text equality: same firings in the same order, same winners,
-    // same candidate-set sizes, pops, ties and rejection tallies — the
-    // VM must not merely reach the same model but make the same
-    // decisions for the same reasons.
-    EXPECT_EQ(*got, *expected)
-        << GetParam() << " audit diverged at threads=" << threads;
-  }
+  Engine vm(BackendOpts(EvalBackend::kVm, true, true));
+  ASSERT_TRUE(vm.LoadProgram(text).ok());
+  ASSERT_TRUE(vm.Run().ok());
+  auto got = vm.ChoiceAuditText();
+  ASSERT_TRUE(got.ok());
+  // Full-text equality: same firings in the same order, same winners,
+  // same candidate-set sizes, pops, ties and rejection tallies — the VM
+  // must not merely reach the same model but make the same decisions for
+  // the same reasons.
+  EXPECT_EQ(*got, *expected) << GetParam() << " audit diverged";
 }
 
 INSTANTIATE_TEST_SUITE_P(Programs, BackendDifferential,
@@ -206,10 +177,10 @@ TEST(BackendFallback, RejectedRulesFallBackToInterpreterAndAgree) {
        {"vm_reject_nested_not.dl", "vm_reject_wide_rule.dl"}) {
     const std::string text = ReadFileOrDie(std::string(GDLOG_SOURCE_DIR) +
                                            "/tests/fixtures/" + name);
-    Engine interp(BackendOpts(EvalBackend::kInterp, 1, true, false));
+    Engine interp(BackendOpts(EvalBackend::kInterp, true, false));
     ASSERT_TRUE(interp.LoadProgram(text).ok()) << name;
     ASSERT_TRUE(interp.Run().ok()) << name;
-    Engine vm(BackendOpts(EvalBackend::kVm, 1, true, false));
+    Engine vm(BackendOpts(EvalBackend::kVm, true, false));
     ASSERT_TRUE(vm.LoadProgram(text).ok()) << name;
     ASSERT_TRUE(vm.Run().ok()) << name;
     EXPECT_EQ(DumpModel(vm), DumpModel(interp)) << name;
@@ -222,33 +193,31 @@ TEST(BackendFallback, RejectedRulesFallBackToInterpreterAndAgree) {
   }
 }
 
-// -- Greedy wrappers vs procedural baselines, across thread counts ------
+// -- Greedy wrappers vs procedural baselines ----------------------------
 
-class ThreadSweep : public ::testing::TestWithParam<uint32_t> {};
-
-TEST_P(ThreadSweep, PrimCostEqualsBaseline) {
+TEST(GreedyVsBaseline, PrimCostEqualsBaseline) {
   GraphGenOptions opts;
   opts.seed = 17;
   const Graph g = ConnectedRandomGraph(30, 60, opts);
-  auto r = PrimMst(g, 0, Threaded(GetParam()));
+  auto r = PrimMst(g, 0);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->total_cost, BaselinePrim(g, 0).total_cost);
 }
 
-TEST_P(ThreadSweep, KruskalCostEqualsBaseline) {
+TEST(GreedyVsBaseline, KruskalCostEqualsBaseline) {
   GraphGenOptions opts;
   opts.seed = 23;
   const Graph g = ConnectedRandomGraph(20, 40, opts);
-  auto r = KruskalMst(g, Threaded(GetParam()));
+  auto r = KruskalMst(g);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->total_cost, BaselineKruskal(g).total_cost);
 }
 
-TEST_P(ThreadSweep, DijkstraDistancesEqualBaseline) {
+TEST(GreedyVsBaseline, DijkstraDistancesEqualBaseline) {
   GraphGenOptions opts;
   opts.seed = 31;
   const Graph g = ConnectedRandomGraph(25, 70, opts);
-  auto r = DijkstraSssp(g, 0, Threaded(GetParam()));
+  auto r = DijkstraSssp(g, 0);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   const std::vector<int64_t> base = BaselineDijkstra(g, 0);
   ASSERT_EQ(r->settled.size(), g.num_nodes);
@@ -258,86 +227,40 @@ TEST_P(ThreadSweep, DijkstraDistancesEqualBaseline) {
   }
 }
 
-TEST_P(ThreadSweep, HuffmanCostEqualsBaseline) {
+TEST(GreedyVsBaseline, HuffmanCostEqualsBaseline) {
   TextGenOptions opts;
   opts.seed = 11;
   const auto freqs = ZipfLetterFrequencies(10, opts);
-  auto r = HuffmanTree(freqs, Threaded(GetParam()));
+  auto r = HuffmanTree(freqs);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->total_cost, BaselineHuffman(freqs).total_cost);
 }
 
-TEST_P(ThreadSweep, MatchingCostEqualsBaseline) {
+TEST(GreedyVsBaseline, MatchingCostEqualsBaseline) {
   GraphGenOptions opts;
   opts.seed = 41;
   const Graph g = BipartiteGraph(12, 12, 60, opts);
-  auto r = GreedyMatching(g, Threaded(GetParam()));
+  auto r = GreedyMatching(g);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->total_cost, BaselineGreedyMatching(g).total_cost);
 }
 
-TEST_P(ThreadSweep, SortEqualsHeapSort) {
+TEST(GreedyVsBaseline, SortEqualsHeapSort) {
   RelationGenOptions opts;
   opts.seed = 53;
   const auto tuples = RandomCostedRelation(120, opts);
-  auto r = SortRelation(tuples, Threaded(GetParam()));
+  auto r = SortRelation(tuples);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->sorted, BaselineHeapSort(tuples));
 }
 
-TEST_P(ThreadSweep, TspCostEqualsBaseline) {
+TEST(GreedyVsBaseline, TspCostEqualsBaseline) {
   GraphGenOptions opts;
   opts.seed = 61;
   const Graph g = CompleteGraph(9, opts);
-  auto r = GreedyTspChain(g, Threaded(GetParam()));
+  auto r = GreedyTspChain(g);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->total_cost, BaselineGreedyTsp(g).total_cost);
-}
-
-INSTANTIATE_TEST_SUITE_P(Threads, ThreadSweep, ::testing::Values(1u, 2u, 8u));
-
-// -- Thread-count invariance of whole runs over random instances --------
-
-TEST(DifferentialParallel, PrimModelIdenticalAcrossThreadCounts) {
-  GraphGenOptions opts;
-  opts.seed = 77;
-  const Graph g = ConnectedRandomGraph(40, 90, opts);
-  auto serial = PrimMst(g, 0, Threaded(1));
-  ASSERT_TRUE(serial.ok());
-  const auto expected = DumpModel(*serial->engine);
-  for (uint32_t threads : {2u, 8u}) {
-    auto r = PrimMst(g, 0, Threaded(threads));
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(DumpModel(*r->engine), expected) << "threads=" << threads;
-  }
-}
-
-TEST(DifferentialParallel, ParallelWorkActuallyHappened) {
-  // Guard against the sweep silently degrading to all-serial: a chain TC
-  // at threads=8 with a tiny partition floor must push work through the
-  // pool.
-  Engine e(Threaded(8));
-  ASSERT_TRUE(e.LoadProgram(R"(
-    tc(X, Y) <- edge(X, Y).
-    tc(X, Z) <- tc(X, Y), edge(Y, Z).
-  )").ok());
-  for (int i = 0; i + 1 < 64; ++i) {
-    ASSERT_TRUE(e.AddFact("edge", {Value::Int(i), Value::Int(i + 1)}).ok());
-  }
-  ASSERT_TRUE(e.Run().ok());
-  EXPECT_EQ(e.stats()->threads_used, 8u);
-  EXPECT_GT(e.stats()->parallel_apps, 0u);
-  EXPECT_GT(e.stats()->parallel_tasks, e.stats()->parallel_apps)
-      << "no delta scan was ever partitioned";
-  EXPECT_EQ(e.Query("tc", 2).size(), 64u * 63u / 2u);
-}
-
-TEST(DifferentialParallel, ThreadsZeroResolvesToHardwareConcurrency) {
-  Engine e(Threaded(0));
-  ASSERT_TRUE(e.LoadProgram("p(X) <- q(X).").ok());
-  ASSERT_TRUE(e.AddFact("q", {Value::Int(1)}).ok());
-  ASSERT_TRUE(e.Run().ok());
-  EXPECT_EQ(e.stats()->threads_used, ThreadPool::HardwareThreads());
 }
 
 }  // namespace

@@ -212,29 +212,5 @@ TEST(ExplainAnalyze, ActualsAbsentWhenMetricsOff) {
   EXPECT_EQ(ge.actual_rows, -1);
 }
 
-/// The parallel path buffers per-task goal counters and merges them
-/// serially; totals must not depend on the worker count.
-TEST(ExplainAnalyze, ActualsAreThreadCountInvariant) {
-  auto counts_for = [](uint32_t threads) {
-    EngineOptions opts;
-    opts.eval.threads = threads;
-    Engine e(opts);
-    EXPECT_TRUE(e.LoadProgram(kFixture).ok());
-    EXPECT_TRUE(e.Run().ok());
-    auto report = e.RunReport();
-    EXPECT_TRUE(report.ok());
-    auto doc = ParseJson(*report);
-    EXPECT_TRUE(doc.ok());
-    return FindGoal(*doc, "f/1");
-  };
-  const GoalActual serial = counts_for(1);
-  const GoalActual parallel = counts_for(4);
-  ASSERT_TRUE(serial.found);
-  ASSERT_TRUE(parallel.found);
-  EXPECT_EQ(serial.probes, parallel.probes);
-  EXPECT_EQ(serial.rows, parallel.rows);
-  EXPECT_EQ(serial.matches, parallel.matches);
-}
-
 }  // namespace
 }  // namespace gdlog

@@ -153,8 +153,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep,
 // A generated family: random EDBs, a recursive clique, a comparison
 // filter, and a stratified negation — with the body goal order itself
 // randomized, so the planner has real reordering work on every seed.
-// These programs have a unique model (no choice), so serial, parallel,
-// planned, and unplanned runs must all agree exactly.
+// These programs have a unique model (no choice), so planned and
+// unplanned, seminaive and naive runs must all derive the same facts.
 
 struct RandomProgram {
   std::string text;
@@ -195,8 +195,8 @@ RandomProgram MakeRandomStratifiedProgram(uint64_t seed) {
   return p;
 }
 
-/// Ordered model dump: the parallel and cross-backend contracts are
-/// bit-identity, not just set equality.
+/// Ordered model dump: the cross-backend contract is bit-identity, not
+/// just set equality.
 std::vector<std::string> DumpOrderedModel(const Engine& e) {
   std::vector<std::string> lines;
   for (const auto& ref : e.program()->AllPredicates()) {
@@ -235,23 +235,10 @@ std::vector<std::string> RunRandomProgramWith(const RandomProgram& p,
 }
 
 std::vector<std::string> RunRandomProgram(const RandomProgram& p,
-                                          uint32_t threads,
                                           bool use_planner) {
   EngineOptions opts;
-  opts.eval.threads = threads;
   opts.eval.use_join_planner = use_planner;
-  opts.eval.parallel_min_rows = 2;  // force partitioning on tiny EDBs
   return RunRandomProgramWith(p, opts);
-}
-
-TEST_P(SeedSweep, RandomStratifiedParallelEqualsSerial) {
-  const RandomProgram p = MakeRandomStratifiedProgram(GetParam() * 31 + 7);
-  const auto serial = RunRandomProgram(p, 1, /*use_planner=*/true);
-  ASSERT_FALSE(serial.empty());
-  for (uint32_t threads : {2u, 8u}) {
-    EXPECT_EQ(RunRandomProgram(p, threads, true), serial)
-        << "threads=" << threads << "\n" << p.text;
-  }
 }
 
 TEST_P(SeedSweep, RandomStratifiedPlannerPreservesModel) {
@@ -259,20 +246,27 @@ TEST_P(SeedSweep, RandomStratifiedPlannerPreservesModel) {
   // Unique-model programs: the planner may change goal order inside a
   // body (and with it the enumeration, hence insertion, order) but never
   // the derived fact set.
-  auto unplanned = RunRandomProgram(p, 1, /*use_planner=*/false);
-  auto planned = RunRandomProgram(p, 1, /*use_planner=*/true);
+  auto unplanned = RunRandomProgram(p, /*use_planner=*/false);
+  auto planned = RunRandomProgram(p, /*use_planner=*/true);
   std::sort(unplanned.begin(), unplanned.end());
   std::sort(planned.begin(), planned.end());
   EXPECT_EQ(unplanned, planned) << p.text;
 }
 
-TEST_P(SeedSweep, RandomStratifiedParallelWithoutPlanner) {
-  // The two features compose: parallel merge must also be exact when the
-  // plans come out in parser order.
-  const RandomProgram p = MakeRandomStratifiedProgram(GetParam() * 977 + 11);
-  EXPECT_EQ(RunRandomProgram(p, 8, /*use_planner=*/false),
-            RunRandomProgram(p, 1, /*use_planner=*/false))
-      << p.text;
+TEST_P(SeedSweep, RandomStratifiedSeminaiveEqualsNaive) {
+  // Naive evaluation re-runs every recursive rule over full windows each
+  // round, so it never touches the delta windows: an oracle for the
+  // seminaive hot path that shares none of its windowing. Insertion
+  // order may differ between the two; the fact set may not.
+  const RandomProgram p = MakeRandomStratifiedProgram(GetParam() * 613 + 29);
+  EngineOptions naive_opts;
+  naive_opts.eval.use_seminaive = false;
+  auto naive = RunRandomProgramWith(p, naive_opts);
+  auto seminaive = RunRandomProgramWith(p, EngineOptions{});
+  ASSERT_FALSE(seminaive.empty());
+  std::sort(naive.begin(), naive.end());
+  std::sort(seminaive.begin(), seminaive.end());
+  EXPECT_EQ(naive, seminaive) << p.text;
 }
 
 // -- Cross-backend property sweep: bytecode VM vs interpreter -----------
@@ -286,25 +280,19 @@ TEST_P(SeedSweep, RandomStratifiedParallelWithoutPlanner) {
 
 TEST_P(SeedSweep, RandomStratifiedVmMatchesInterpreter) {
   const RandomProgram p = MakeRandomStratifiedProgram(GetParam() * 389 + 19);
-  const auto oracle = RunRandomProgram(p, 1, /*use_planner=*/true);
+  const auto oracle = RunRandomProgram(p, /*use_planner=*/true);
   ASSERT_FALSE(oracle.empty());
-  for (uint32_t threads : {1u, 8u}) {
-    for (bool planner : {true, false}) {
-      EngineOptions opts;
-      opts.eval.backend = EvalBackend::kVm;
-      opts.eval.threads = threads;
-      opts.eval.use_join_planner = planner;
-      opts.eval.parallel_min_rows = 2;
-      if (planner) {
-        EXPECT_EQ(RunRandomProgramWith(p, opts), oracle)
-            << "threads=" << threads << "\n" << p.text;
-      } else {
-        // The planner changes enumeration order; compare against the
-        // interpreter under the same plans instead.
-        EXPECT_EQ(RunRandomProgramWith(p, opts),
-                  RunRandomProgram(p, threads, false))
-            << "threads=" << threads << "\n" << p.text;
-      }
+  for (bool planner : {true, false}) {
+    EngineOptions opts;
+    opts.eval.backend = EvalBackend::kVm;
+    opts.eval.use_join_planner = planner;
+    if (planner) {
+      EXPECT_EQ(RunRandomProgramWith(p, opts), oracle) << p.text;
+    } else {
+      // The planner changes enumeration order; compare against the
+      // interpreter under the same plans instead.
+      EXPECT_EQ(RunRandomProgramWith(p, opts), RunRandomProgram(p, false))
+          << p.text;
     }
   }
 }
@@ -351,12 +339,9 @@ struct BackendRunResult {
 };
 
 BackendRunResult RunChoiceProgram(const RandomChoiceProgram& p,
-                                  EvalBackend backend, uint32_t threads,
-                                  RunLimits limits = {}) {
+                                  EvalBackend backend, RunLimits limits = {}) {
   EngineOptions opts;
   opts.eval.backend = backend;
-  opts.eval.threads = threads;
-  opts.eval.parallel_min_rows = 2;
   opts.limits = limits;
   Engine e(opts);
   auto load = e.LoadProgram(p.text);
@@ -380,16 +365,12 @@ BackendRunResult RunChoiceProgram(const RandomChoiceProgram& p,
 
 TEST_P(SeedSweep, RandomChoiceVmMatchesInterpreter) {
   const RandomChoiceProgram p = MakeRandomChoiceProgram(GetParam() * 523 + 41);
-  const BackendRunResult oracle =
-      RunChoiceProgram(p, EvalBackend::kInterp, 1);
+  const BackendRunResult oracle = RunChoiceProgram(p, EvalBackend::kInterp);
   ASSERT_EQ(oracle.reason, TerminationReason::kCompleted) << oracle.status;
   ASSERT_FALSE(oracle.model.empty());
-  for (uint32_t threads : {1u, 8u}) {
-    const BackendRunResult vm = RunChoiceProgram(p, EvalBackend::kVm, threads);
-    EXPECT_EQ(vm.status, oracle.status);
-    EXPECT_EQ(vm.model, oracle.model)
-        << "threads=" << threads << "\n" << p.text;
-  }
+  const BackendRunResult vm = RunChoiceProgram(p, EvalBackend::kVm);
+  EXPECT_EQ(vm.status, oracle.status);
+  EXPECT_EQ(vm.model, oracle.model) << p.text;
 }
 
 TEST_P(SeedSweep, BoundedStopParityAcrossBackends) {
@@ -407,9 +388,8 @@ TEST_P(SeedSweep, BoundedStopParityAcrossBackends) {
   iter_cap.max_iterations = static_cast<uint64_t>(rng.NextInt(1, 3));
   for (const RunLimits& limits : {tuple_cap, stage_cap, iter_cap}) {
     const BackendRunResult interp =
-        RunChoiceProgram(p, EvalBackend::kInterp, 1, limits);
-    const BackendRunResult vm =
-        RunChoiceProgram(p, EvalBackend::kVm, 1, limits);
+        RunChoiceProgram(p, EvalBackend::kInterp, limits);
+    const BackendRunResult vm = RunChoiceProgram(p, EvalBackend::kVm, limits);
     EXPECT_EQ(static_cast<int>(vm.reason), static_cast<int>(interp.reason))
         << p.text;
     EXPECT_EQ(vm.status, interp.status) << p.text;

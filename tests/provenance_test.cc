@@ -3,8 +3,8 @@
 //   1. Why() must reproduce a proof tree counted by hand on a tiny
 //      fixture — the annotation column is asserted row-by-row, not just
 //      "some tree came back".
-//   2. Provenance is pure metadata: with it on or off, at threads 1 or
-//      8, the shipped choice programs produce bit-identical models.
+//   2. Provenance is pure metadata: with it on or off, the shipped
+//      choice programs produce bit-identical models.
 //   3. The choice audit must agree with the procedural baselines: the
 //      sum of audited winner costs is exactly the baseline MST /
 //      Huffman cost, and the firing count matches the merge count.
@@ -54,11 +54,9 @@ constexpr char kFixture[] = R"(
   q(X) <- p(X,Y), g(Y).
 )";
 
-EngineOptions WithProvenance(uint32_t threads = 1) {
+EngineOptions WithProvenance() {
   EngineOptions opts;
   opts.provenance = true;
-  opts.eval.threads = threads;
-  opts.eval.parallel_min_rows = 2;
   return opts;
 }
 
@@ -212,10 +210,10 @@ std::vector<std::string> DumpModel(const Engine& e) {
 class ProvenanceDifferential : public ::testing::TestWithParam<const char*> {
 };
 
-TEST_P(ProvenanceDifferential, ModelBitIdenticalOnOffAcrossThreads) {
+TEST_P(ProvenanceDifferential, ModelBitIdenticalOnOff) {
   const std::string text = ReadFileOrDie(GetParam());
-  auto run = [&text](bool provenance, uint32_t threads) {
-    EngineOptions opts = WithProvenance(threads);
+  auto run = [&text](bool provenance) {
+    EngineOptions opts = WithProvenance();
     opts.provenance = provenance;
     opts.eval.provenance = false;  // ctor re-derives from opts.provenance
     Engine e(opts);
@@ -224,14 +222,9 @@ TEST_P(ProvenanceDifferential, ModelBitIdenticalOnOffAcrossThreads) {
     EXPECT_TRUE(st.ok()) << st.ToString();
     return DumpModel(e);
   };
-  const std::vector<std::string> baseline = run(false, 1);
+  const std::vector<std::string> baseline = run(false);
   ASSERT_FALSE(baseline.empty());
-  for (uint32_t threads : {1u, 8u}) {
-    EXPECT_EQ(run(false, threads), baseline)
-        << GetParam() << " off/threads=" << threads;
-    EXPECT_EQ(run(true, threads), baseline)
-        << GetParam() << " on/threads=" << threads;
-  }
+  EXPECT_EQ(run(true), baseline) << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Programs, ProvenanceDifferential,

@@ -31,7 +31,6 @@
 //   --trace PATH         record a phase timeline, write Chrome trace JSON
 //   --no-merge           disable congruence merging ((R,Q,L) ablation)
 //   --linear-least       naive linear-scan retrieval instead of the heap
-//   --threads N          parallel evaluation workers (0 = hardware, 1 = serial)
 //   --backend NAME       evaluation backend: interp (default) | vm (bytecode;
 //                        bit-identical results, rejected rule shapes fall
 //                        back to the interpreter — see docs/VM.md)
@@ -211,7 +210,7 @@ void Usage(const char* argv0) {
                "[--explain-analyze] [--json-report] [--metrics-out PATH] "
                "[--serve-obs PORT] [--serve-linger-ms N] [--progress] "
                "[--trace PATH] [--no-merge] [--linear-least] "
-               "[--threads N] [--backend interp|vm] [--dump-plan] "
+               "[--backend interp|vm] [--dump-plan] "
                "[--no-planner] [--no-absint] [--no-priors] "
                "[--deadline-ms N] [--max-tuples N] [--max-stages N] "
                "[--max-memory-mb N] [--faults SPEC] "
@@ -295,8 +294,6 @@ void PrintStats(const gdlog::Engine& engine) {
     std::printf("%% histograms (p50/p90/p99):\n");
     PrintHistPercentiles("delta rows/round", m->FindHistogram("seminaive.delta_rows"),
                          1.0, "rows");
-    PrintHistPercentiles("pool queue wait", m->FindHistogram("pool.queue_wait_ns"),
-                         1e3, "us");
     PrintHistPercentiles("pops per gamma fire",
                          m->FindHistogram("choice.pops_per_fire"), 1.0, "pops");
   }
@@ -836,9 +833,6 @@ int main(int argc, char** argv) {
       options.eval.use_merge_congruence = false;
     } else if (arg == "--linear-least") {
       options.eval.use_priority_queue = false;
-    } else if (arg == "--threads" && i + 1 < argc) {
-      options.eval.threads =
-          static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--backend" && i + 1 < argc) {
       const std::string name = argv[++i];
       if (name == "interp") {
