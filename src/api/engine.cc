@@ -62,13 +62,9 @@ Engine::Engine(EngineOptions options)
   // stores can never trip the "alloc" probe.
   store_->set_memory_budget(&budget_);
   catalog_->set_memory_budget(&budget_);
-  // Provenance: either flag (top-level or eval-level) turns on both the
-  // storage side-column and the driver's trail/audit.
-  if (options_.provenance || options_.eval.provenance) {
-    options_.provenance = true;
-    options_.eval.provenance = true;
-    catalog_->EnableProvenance();
-  }
+  // Provenance: the catalog's side-column is the one switch; the driver
+  // turns its premise trail and choice audit on from it.
+  if (options_.provenance) catalog_->EnableProvenance();
   // Fault injection: explicit option first, GDLOG_FAULTS env fallback. A
   // malformed spec is remembered and surfaced by LoadProgram/Run rather
   // than aborting construction.
@@ -102,9 +98,6 @@ Engine::Engine(EngineOptions options)
     recorder_ =
         std::make_unique<FlightRecorder>(options_.obs.recorder_capacity);
   }
-  if (options_.obs.progress_enabled) {
-    progress_ = std::make_unique<ProgressTap>(options_.obs.progress_capacity);
-  }
   if (metrics_ != nullptr) {
     // Build identity as a constant gauge, the node_exporter convention:
     // the value is always 1, the information lives in the labels.
@@ -133,7 +126,6 @@ Engine::Engine(EngineOptions options)
       return text.ok() ? std::move(*text) : std::string();
     };
     src.recorder = recorder_.get();
-    src.progress = progress_.get();
     src.statusz = [this] { return StatuszJson(); };
     obs_server_ =
         std::make_unique<ObsServer>(options_.obs_http, std::move(src));
@@ -526,19 +518,9 @@ Status Engine::Run() {
                                       injector_.get());
   guard_->Arm();
   run_state_.store(EngineRunState::kRunning, std::memory_order_release);
-  if (recorder_) {
-    recorder_->Record(FlightEventKind::kRunStart,
-                      static_cast<int64_t>(program_->rules.size()),
-                      static_cast<int64_t>(catalog_->size()));
-  }
-  if (progress_) {
-    ProgressEvent e;
-    e.kind = ProgressKind::kRunStart;
-    e.round = program_->rules.size();
-    e.delta_rows = catalog_->size();
-    e.memory_bytes = budget_.used();
-    progress_->Record(e);
-  }
+  RecordRunEvent(FlightEventKind::kRunStart,
+                 static_cast<int64_t>(program_->rules.size()),
+                 static_cast<int64_t>(catalog_->size()));
 
   Status st;
   try {
@@ -548,11 +530,8 @@ Status Engine::Run() {
     // tracked structures throw only from growth paths that leave them
     // readable, so whatever partial state exists is safe to report.
     guard_->ForceReason(TerminationReason::kOom);
-    if (recorder_) {
-      recorder_->Record(FlightEventKind::kOom,
-                        static_cast<int64_t>(budget_.used()),
-                        static_cast<int64_t>(budget_.peak()));
-    }
+    RecordRunEvent(FlightEventKind::kOom, static_cast<int64_t>(budget_.used()),
+                   static_cast<int64_t>(budget_.peak()));
     st = Status::OutOfMemory(std::string("[") +
                              std::string(diag::kOutOfMemory) +
                              "] allocation failed during evaluation");
@@ -569,22 +548,11 @@ Status Engine::Run() {
         ->Set(static_cast<int64_t>(outcome_.peak_memory_bytes));
   }
   PublishDurabilityMetrics();
-  if (recorder_) {
-    recorder_->Record(FlightEventKind::kTermination,
-                      static_cast<int64_t>(outcome_.reason),
-                      outcome_.status.ok() ? 1 : 0);
-  }
   if (driver_ && outcome_.reason != TerminationReason::kCompleted) {
     // A bounded stop leaves a consistent partial fixpoint behind: keep
     // the engine queryable (Query/RunReport/stats all work) while still
     // returning the non-OK stop status.
     ran_ = true;
-  }
-  // The black box earns its keep exactly when a run does NOT complete:
-  // dump the ring to stderr on any bounded stop, crash-adjacent or not.
-  if (recorder_ && options_.obs.recorder_dump_on_stop &&
-      outcome_.reason != TerminationReason::kCompleted) {
-    fputs(recorder_->DumpText().c_str(), stderr);
   }
 
   if (tracer_ && !options_.obs.trace_path.empty()) {
@@ -598,41 +566,40 @@ Status Engine::Run() {
                        : EngineRunState::kStopped,
                    std::memory_order_release);
   PublishRunArtifacts();
+  // The terminal event comes after /runs/last is populated, so an SSE
+  // client that closes on it finds the report already there.
+  RecordRunEvent(FlightEventKind::kTermination,
+                 static_cast<int64_t>(outcome_.reason),
+                 outcome_.status.ok() ? 1 : 0);
+  // The black box earns its keep exactly when a run does NOT complete:
+  // dump the ring to stderr on any bounded stop, crash-adjacent or not.
+  if (recorder_ && options_.obs.recorder_dump_on_stop &&
+      outcome_.reason != TerminationReason::kCompleted) {
+    fputs(recorder_->DumpText().c_str(), stderr);
+  }
   return st;
+}
+
+void Engine::RecordRunEvent(FlightEventKind kind, int64_t a0, int64_t a1) {
+  if (!recorder_) return;
+  RunCounters run = driver_ ? driver_->run_counters() : RunCounters{};
+  run.memory_bytes = budget_.used();
+  recorder_->Record(kind, a0, a1, run);
 }
 
 void Engine::PublishRunArtifacts() {
   // RunReport and the tracer are not mid-run-safe; now that evaluation
   // stopped, snapshot them into the endpoint's ring. Bounded stops
-  // report partial state (ran_ is set for those too). This happens
-  // BEFORE the terminal progress event so an SSE client that closes on
-  // that event finds /runs/last and /trace already populated.
-  if (obs_server_) {
-    if (ran_) {
-      auto report = RunReport();
-      if (report.ok()) obs_server_->PushRunReport(std::move(*report));
-    }
-    if (tracer_) {
-      JsonWriter w;
-      tracer_->WriteJson(&w);
-      obs_server_->SetTrace(w.Take());
-    }
+  // report partial state (ran_ is set for those too).
+  if (!obs_server_) return;
+  if (ran_) {
+    auto report = RunReport();
+    if (report.ok()) obs_server_->PushRunReport(std::move(*report));
   }
-  // Terminal progress event: SSE streams see the run end (completed or
-  // bounded stop alike) and close; the ticker prints its last line.
-  if (progress_) {
-    ProgressEvent e;
-    e.kind = ProgressKind::kTermination;
-    e.termination = static_cast<int32_t>(outcome_.reason);
-    if (driver_) {
-      const FixpointStats& s = driver_->stats();
-      e.round = s.saturation_rounds;
-      e.tuples = s.exec.inserts;
-      e.gamma_firings = s.gamma_firings;
-      e.stages = s.stages_assigned;
-    }
-    e.memory_bytes = budget_.used();
-    progress_->Record(e);
+  if (tracer_) {
+    JsonWriter w;
+    tracer_->WriteJson(&w);
+    obs_server_->SetTrace(w.Take());
   }
 }
 
@@ -664,7 +631,7 @@ Status Engine::RunInner() {
 
   if (injector_ && injector_->Hit(FaultInjector::kCompile)) {
     guard_->ForceReason(TerminationReason::kFault);
-    if (recorder_) recorder_->Record(FlightEventKind::kFaultInjected, 2);
+    RecordRunEvent(FlightEventKind::kFaultInjected, 2, 0);
     return InjectedFault(FaultInjector::kCompile);
   }
 
@@ -707,19 +674,17 @@ Status Engine::RunInner() {
   }();
   phase_times_.compile_ns += WallNowNs() - compile_t0;
   GDLOG_RETURN_IF_ERROR(compiled.status());
-  if (recorder_) {
-    for (const CompiledRule& r : *compiled) {
-      if (r.plan_decisions.empty()) continue;
-      recorder_->Record(FlightEventKind::kPlanDecision,
-                        static_cast<int64_t>(r.rule_index),
-                        static_cast<int64_t>(r.plan_decisions.size()));
-    }
+  for (const CompiledRule& r : *compiled) {
+    if (r.plan_decisions.empty()) continue;
+    RecordRunEvent(FlightEventKind::kPlanDecision,
+                   static_cast<int64_t>(r.rule_index),
+                   static_cast<int64_t>(r.plan_decisions.size()));
   }
 
   driver_ = std::make_unique<FixpointDriver>(
       catalog_.get(), store_.get(), analysis_.get(), std::move(*compiled),
       options_.eval,
-      ObsContext{metrics_, tracer_.get(), recorder_.get(), progress_.get()},
+      ObsContext{metrics_, tracer_.get(), recorder_.get()},
       guard_.get());
   const uint64_t eval_t0 = WallNowNs();
   const Status eval_status = [&] {
@@ -813,7 +778,7 @@ Result<std::string> Engine::RunReport() const {
   w.Key("static_analysis").Bool(options_.static_analysis);
   w.Key("backend").String(
       options_.eval.backend == EvalBackend::kVm ? "vm" : "interp");
-  w.Key("provenance").Bool(options_.eval.provenance);
+  w.Key("provenance").Bool(options_.provenance);
   w.Key("obs_enabled").Bool(options_.obs.enabled);
   w.Key("obs_sample_every").UInt(options_.obs.sample_every);
   w.Key("metrics_enabled").Bool(metrics_ != nullptr);
@@ -1237,15 +1202,15 @@ std::string Engine::StatuszJson() const {
   w.Key("uptime_seconds").UInt(uptime_seconds());
   w.Key("run_state").String(EngineRunStateName(run_state()));
   w.Key("tracked_memory_bytes").UInt(budget_.used());
-  ProgressEvent last;
-  if (progress_ && progress_->Last(&last)) {
+  FlightRecorder::Event last;
+  if (recorder_ && recorder_->LastProgress(&last)) {
     w.Key("progress").BeginObject();
     w.Key("seq").UInt(last.seq);
-    w.Key("kind").String(ProgressKindName(last.kind));
-    w.Key("round").UInt(last.round);
-    w.Key("tuples").UInt(last.tuples);
-    w.Key("gamma_firings").UInt(last.gamma_firings);
-    w.Key("stages").UInt(last.stages);
+    w.Key("kind").String(FlightEventKindName(last.kind));
+    w.Key("round").UInt(last.run.round);
+    w.Key("tuples").UInt(last.run.tuples);
+    w.Key("gamma_firings").UInt(last.run.gamma_firings);
+    w.Key("stages").UInt(last.run.stages);
     w.EndObject();
   } else {
     w.Key("progress").Null();

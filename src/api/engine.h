@@ -37,7 +37,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/http/obs_server.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
 #include "obs/trace.h"
 #include "storage/catalog.h"
 #include "storage/durable/durable_store.h"
@@ -243,13 +242,10 @@ class Engine {
   const MetricsRegistry* metrics() const { return metrics_; }
   /// The tracer; nullptr when obs is disabled.
   const Tracer* tracer() const { return tracer_.get(); }
-  /// The always-on flight recorder; nullptr when obs.recorder_enabled is
-  /// false.
+  /// The always-on flight recorder, the engine's one event stream (safe
+  /// to poll from other threads mid-run); nullptr when
+  /// obs.recorder_enabled is false.
   const FlightRecorder* flight_recorder() const { return recorder_.get(); }
-  /// The always-on progress tap (per-round/per-stage events, safe to
-  /// poll from other threads mid-run); nullptr when
-  /// obs.progress_enabled is false.
-  const ProgressTap* progress() const { return progress_.get(); }
   /// The engine lifecycle state (atomic; safe from any thread).
   EngineRunState run_state() const {
     return run_state_.load(std::memory_order_acquire);
@@ -392,8 +388,11 @@ class Engine {
   std::string StatuszJson() const;
   /// Publishes the end-of-run artifacts that are only safe to render
   /// once evaluation stopped (RunReport JSON, Chrome trace) into the
-  /// endpoint's bounded ring, plus the terminal progress event.
+  /// endpoint's bounded ring.
   void PublishRunArtifacts();
+  /// Records one flight-recorder event of the run in flight, stamped with
+  /// the driver's counters (zero before it exists) and tracked memory.
+  void RecordRunEvent(FlightEventKind kind, int64_t a0, int64_t a1);
   /// Rendered program rules indexed by rule index (facts stay empty).
   std::vector<std::string> RuleTexts() const;
   /// Runs the abstract interpreter on the loaded program against the
@@ -429,7 +428,6 @@ class Engine {
   std::unique_ptr<MetricsRegistry> own_metrics_;
   MetricsRegistry* metrics_ = nullptr;
   std::unique_ptr<FlightRecorder> recorder_;
-  std::unique_ptr<ProgressTap> progress_;
   std::chrono::steady_clock::time_point start_time_;
   std::atomic<EngineRunState> run_state_{EngineRunState::kIdle};
   EnginePhaseTimes phase_times_;
@@ -438,7 +436,7 @@ class Engine {
   std::vector<size_t> seed_watermarks_;
   bool ran_ = false;
   // The live endpoint is declared LAST: its worker threads read the
-  // members above (metrics, recorder, tap, atomics), so it must be the
+  // members above (metrics, recorder, atomics), so it must be the
   // first member destroyed — destruction joins every server thread
   // before anything it borrows goes away.
   Status obs_http_status_;

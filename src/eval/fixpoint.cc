@@ -97,7 +97,7 @@ FixpointDriver::FixpointDriver(Catalog* catalog, ValueStore* store,
     admissible_ = obs_.metrics->GetCounter("choice.admissible");
     inadmissible_ = obs_.metrics->GetCounter("choice.inadmissible");
   }
-  if (options_.provenance) {
+  if (catalog_->provenance_enabled()) {
     prov_ = true;
     exec_.set_provenance_trail(&prov_trail_);
     audit_ = std::make_unique<ChoiceAuditTrail>();
@@ -178,23 +178,14 @@ Status FixpointDriver::GuardCheck(std::string_view probe) {
   c.stages = stats_.stages_assigned;
   c.iterations = stats_.saturation_rounds;
   const Status st = guard_->Check(c, probe);
-  if (obs_.recorder != nullptr) {
-    // Checks are sampled (they run per round and per γ step); trips are
-    // always recorded, once, with the latched reason.
-    if ((++guard_event_tick_ & 15u) == 0) {
-      obs_.recorder->Record(FlightEventKind::kGuardCheck,
-                            static_cast<int64_t>(guard_->checks()),
-                            static_cast<int64_t>(c.tuples));
+  // Trips are recorded once, with the latched reason.
+  if (!st.ok() && !trip_recorded_) {
+    trip_recorded_ = true;
+    if (guard_->reason() == TerminationReason::kFault) {
+      Record(FlightEventKind::kFaultInjected, 0, 0);
     }
-    if (!st.ok() && !trip_recorded_) {
-      trip_recorded_ = true;
-      if (guard_->reason() == TerminationReason::kFault) {
-        obs_.recorder->Record(FlightEventKind::kFaultInjected, 0, 0);
-      }
-      obs_.recorder->Record(FlightEventKind::kGuardTrip,
-                            static_cast<int64_t>(guard_->reason()),
-                            static_cast<int64_t>(guard_->checks()));
-    }
+    Record(FlightEventKind::kGuardTrip, static_cast<int64_t>(guard_->reason()),
+           static_cast<int64_t>(guard_->checks()));
   }
   return st;
 }
@@ -227,19 +218,22 @@ void FixpointDriver::AddAuditEntry(ChoiceAuditEntry entry) {
   }
 }
 
-void FixpointDriver::PublishProgress(ProgressKind kind, uint64_t delta_rows) {
-  if (obs_.progress == nullptr) return;
-  ProgressEvent e;
-  e.kind = kind;
-  e.round = stats_.saturation_rounds;
-  e.delta_rows = delta_rows;
-  e.tuples = exec_.stats().inserts;
-  e.gamma_firings = stats_.gamma_firings;
-  e.stages = stats_.stages_assigned;
+RunCounters FixpointDriver::run_counters() const {
+  RunCounters run;
+  run.round = stats_.saturation_rounds;
+  run.tuples = exec_.stats().inserts;
+  run.gamma_firings = stats_.gamma_firings;
+  run.stages = stats_.stages_assigned;
   if (guard_ != nullptr && guard_->budget() != nullptr) {
-    e.memory_bytes = guard_->budget()->used();
+    run.memory_bytes = guard_->budget()->used();
   }
-  obs_.progress->Record(e);
+  return run;
+}
+
+void FixpointDriver::Record(FlightEventKind kind, int64_t a0, int64_t a1) {
+  if (obs_.recorder != nullptr) {
+    obs_.recorder->Record(kind, a0, a1, run_counters());
+  }
 }
 
 void FixpointDriver::PublishMetrics() {
@@ -543,11 +537,6 @@ Status FixpointDriver::Saturate(CliqueCtx* ctx) {
     }
     if (!any_delta) break;
     ++stats_.saturation_rounds;
-    if (obs_.recorder != nullptr) {
-      obs_.recorder->Record(FlightEventKind::kRoundStart,
-                            static_cast<int64_t>(stats_.saturation_rounds),
-                            static_cast<int64_t>(delta_total));
-    }
     guard_status = GuardCheck(FaultInjector::kEvalSaturate);
     if (!guard_status.ok()) break;
     const bool seminaive = options_.use_seminaive;
@@ -576,13 +565,8 @@ Status FixpointDriver::Saturate(CliqueCtx* ctx) {
         InsertCandidates(g, CompiledScan::kNoOccurrence);
       }
     }
-    if (obs_.recorder != nullptr) {
-      obs_.recorder->Record(
-          FlightEventKind::kRoundEnd,
-          static_cast<int64_t>(stats_.saturation_rounds),
-          static_cast<int64_t>(exec_.stats().inserts - inserts_before));
-    }
-    PublishProgress(ProgressKind::kRound, delta_total);
+    Record(FlightEventKind::kRound, static_cast<int64_t>(delta_total),
+           static_cast<int64_t>(exec_.stats().inserts - inserts_before));
   }
   span.AddArg("rounds",
               static_cast<int64_t>(stats_.saturation_rounds - rounds_before));
@@ -624,12 +608,9 @@ size_t FixpointDriver::DrainChoiceRule(GammaState* g) {
       auto [it, fresh] = g->group_best.try_emplace(group, cost);
       if (!fresh && it->second != cost) {
         ++rej_ext;
-        if (obs_.recorder != nullptr) {
-          obs_.recorder->Record(
-              FlightEventKind::kChoiceReject,
-              static_cast<int64_t>(rule.rule_index),
-              static_cast<int64_t>(g->queue->LiveSize()));
-        }
+        Record(FlightEventKind::kChoiceReject,
+               static_cast<int64_t>(rule.rule_index),
+               static_cast<int64_t>(g->queue->LiveSize()));
         g->queue->MarkRedundant(*cand);
         continue;
       }
@@ -637,11 +618,9 @@ size_t FixpointDriver::DrainChoiceRule(GammaState* g) {
     if (!choice_.Admissible(rule, frame)) {
       if (inadmissible_ != nullptr) inadmissible_->Add(1);
       ++rej_fd;
-      if (obs_.recorder != nullptr) {
-        obs_.recorder->Record(FlightEventKind::kChoiceReject,
-                              static_cast<int64_t>(rule.rule_index),
-                              static_cast<int64_t>(g->queue->LiveSize()));
-      }
+      Record(FlightEventKind::kChoiceReject,
+             static_cast<int64_t>(rule.rule_index),
+             static_cast<int64_t>(g->queue->LiveSize()));
       g->queue->MarkRedundant(*cand);
       continue;
     }
@@ -673,11 +652,8 @@ size_t FixpointDriver::DrainChoiceRule(GammaState* g) {
     ++stats_.gamma_firings;
     ++prof.firings;
     if (pops_per_fire_hist_ != nullptr) pops_per_fire_hist_->Record(pops);
-    if (obs_.recorder != nullptr) {
-      obs_.recorder->Record(FlightEventKind::kGammaFire,
-                            static_cast<int64_t>(rule.rule_index),
-                            static_cast<int64_t>(stats_.gamma_firings));
-    }
+    Record(FlightEventKind::kGammaFire, static_cast<int64_t>(rule.rule_index),
+           static_cast<int64_t>(stats_.gamma_firings));
     if (obs_.tracer != nullptr && obs_.tracer->Sample()) {
       obs_.tracer->Instant("gamma.fire", "gamma",
                            {{"rule", rule.rule_index}});
@@ -769,27 +745,21 @@ bool FixpointDriver::TryFireNext(CliqueCtx* ctx, GammaState* g,
     }
     g->queue->MarkFired(cand);
     ++prof.firings;
-    if (obs_.recorder != nullptr) {
-      obs_.recorder->Record(FlightEventKind::kStageAdvance,
-                            static_cast<int64_t>(rule.rule_index),
-                            ctx->stage_counter);
-    }
     if (obs_.tracer != nullptr && obs_.tracer->Sample()) {
       obs_.tracer->Instant("stage.advance", "gamma",
                            {{"rule", rule.rule_index},
                             {"stage", ctx->stage_counter}});
     }
-    ++ctx->stage_counter;
+    const int64_t stage = ctx->stage_counter++;
     ++stats_.gamma_firings;
     ++stats_.stages_assigned;
-    PublishProgress(ProgressKind::kStage, 0);
+    Record(FlightEventKind::kStage, static_cast<int64_t>(rule.rule_index),
+           stage);
   } else {
     if (audit != nullptr && !saw_solution) ++audit->rejected_post;
-    if (obs_.recorder != nullptr) {
-      obs_.recorder->Record(FlightEventKind::kChoiceReject,
-                            static_cast<int64_t>(rule.rule_index),
-                            static_cast<int64_t>(g->queue->LiveSize()));
-    }
+    Record(FlightEventKind::kChoiceReject,
+           static_cast<int64_t>(rule.rule_index),
+           static_cast<int64_t>(g->queue->LiveSize()));
     g->queue->MarkRedundant(cand);
   }
   return fired;

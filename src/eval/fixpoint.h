@@ -33,7 +33,6 @@
 #include "eval/seminaive.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
 #include "obs/provenance.h"
 #include "obs/trace.h"
 
@@ -80,13 +79,6 @@ struct EvalOptions {
   /// planning stays deterministic. Off = the priors ablation baseline.
   /// No effect when use_join_planner is off.
   bool use_cardinality_priors = true;
-  /// Derivation provenance + choice audit: annotate every derived row
-  /// with (rule, premises) and record one ChoiceAuditEntry per γ firing.
-  /// Annotations are pure metadata — evaluation order, insert order, and
-  /// the fixpoint itself are bit-identical with the flag off. The caller
-  /// must also enable the catalog's provenance column (Engine does both
-  /// from EngineOptions::provenance).
-  bool provenance = false;
   /// Which executor runs rule plans. Both backends are bit-identical
   /// (model, stats, audit trail, provenance) — the differential fleet in
   /// tests/differential_test.cc enforces it. The interpreter stays the
@@ -149,6 +141,9 @@ class FixpointDriver {
   const ChoiceRuntime& choice_runtime() const { return choice_; }
   const std::vector<CompiledRule>& rules() const { return rules_; }
   const FixpointStats& stats() const { return stats_; }
+  /// The live run totals every flight-recorder event carries. Reads
+  /// plain counters: call it on the evaluation thread only.
+  RunCounters run_counters() const;
   const ExecStats& exec_stats() const { return exec_stats_view_; }
   /// Indexed by rule_index; entries with an empty `head` had no compiled
   /// rule (program facts).
@@ -162,7 +157,7 @@ class FixpointDriver {
   }
 
   /// The choice-audit trail (one entry per γ firing), or nullptr when
-  /// EvalOptions::provenance is off.
+  /// the catalog's provenance column is off.
   const ChoiceAuditTrail* choice_audit() const { return audit_.get(); }
 
   /// Lowering coverage of the bytecode backend (how many rules run on
@@ -232,8 +227,8 @@ class FixpointDriver {
   void AddAuditEntry(ChoiceAuditEntry entry);
   /// Publishes end-of-run totals into the metrics registry.
   void PublishMetrics();
-  /// Publishes one wide progress event (round / stage) to the tap.
-  void PublishProgress(ProgressKind kind, uint64_t delta_rows);
+  /// Records one flight-recorder event stamped with run_counters().
+  void Record(FlightEventKind kind, int64_t a0, int64_t a1);
 
   Catalog* catalog_;
   ValueStore* store_;
@@ -260,12 +255,13 @@ class FixpointDriver {
   Histogram* pops_per_fire_hist_ = nullptr;  // choice pops per γ firing
   Counter* admissible_ = nullptr;          // candidates passing Admissible
   Counter* inadmissible_ = nullptr;        // candidates rejected by FDs
-  // Flight-recorder bookkeeping.
-  uint32_t guard_event_tick_ = 0;  // samples kGuardCheck events 1/16
-  bool trip_recorded_ = false;
+  bool trip_recorded_ = false;  // the guard trip reached the recorder
 
-  // Provenance (see EvalOptions::provenance). `prov_trail_` is the
-  // executor's premise trail; `audit_` is allocated iff provenance is on.
+  // Provenance: on iff the catalog's provenance column is (Engine enables
+  // it from EngineOptions::provenance). Annotations are pure metadata —
+  // evaluation order, insert order, and the fixpoint are bit-identical
+  // with it off. `prov_trail_` is the executor's premise trail; `audit_`
+  // (one ChoiceAuditEntry per γ firing) is allocated iff it is on.
   bool prov_ = false;
   std::vector<ProvPremise> prov_trail_;
   std::unique_ptr<ChoiceAuditTrail> audit_;

@@ -109,6 +109,7 @@ class PlanExecutor {
                  std::vector<Value>* out);
 
   ExecStats& stats() { return stats_; }
+  const ExecStats& stats() const { return stats_; }
   ValueStore* store() { return store_; }
   Catalog* catalog() { return catalog_; }
 

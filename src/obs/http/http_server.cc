@@ -122,12 +122,10 @@ Status HttpServer::Start() {
 void HttpServer::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
   stopping_.store(true, std::memory_order_release);
-  // Closing the listener wakes the accept thread out of accept().
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  // shutdown() wakes the accept thread out of accept(). The listener is
+  // closed (and listen_fd_ reset) only after that thread is joined, so
+  // it never reads a changing listen_fd_ or accepts on a reused fd number.
+  ::shutdown(listen_fd_, SHUT_RDWR);
   // Unblock workers stuck in recv/send on a live connection (includes
   // any in-flight SSE stream, which also polls ShouldStop).
   for (uint32_t i = 0; i < options_.workers; ++i) {
@@ -136,6 +134,8 @@ void HttpServer::Stop() {
   }
   cv_.notify_all();
   if (accept_thread_.joinable()) accept_thread_.join();
+  ::close(listen_fd_);
+  listen_fd_ = -1;
   for (std::thread& t : workers_) {
     if (t.joinable()) t.join();
   }

@@ -5,7 +5,6 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
 
 namespace gdlog {
 
@@ -138,53 +137,50 @@ void ObsServer::RegisterEndpoints() {
     return r;
   });
 
+  if (sources_.recorder == nullptr) {
+    for (const char* path : {"/blackbox", "/progress"}) {
+      http_.HandleGet(path, [](const HttpRequest&) {
+        HttpResponse r;
+        r.status = 503;
+        r.body = "flight recorder disabled\n";
+        return r;
+      });
+    }
+    return;
+  }
   http_.HandleGet("/blackbox", [this](const HttpRequest&) {
     HttpResponse r;
-    if (sources_.recorder == nullptr) {
-      r.status = 503;
-      r.body = "flight recorder disabled\n";
-      return r;
-    }
     // Documented safe mid-run: the ring tolerates concurrent writers.
     r.body = sources_.recorder->DumpText();
     return r;
   });
-
-  if (sources_.progress != nullptr) {
-    http_.HandleGetStream("/progress",
-                          [this](const HttpRequest& req, HttpStream* stream) {
-                            ServeProgress(req, stream);
-                          });
-  } else {
-    http_.HandleGet("/progress", [](const HttpRequest&) {
-      HttpResponse r;
-      r.status = 503;
-      r.body = "progress tap disabled\n";
-      return r;
-    });
-  }
+  http_.HandleGetStream("/progress",
+                        [this](const HttpRequest& req, HttpStream* stream) {
+                          ServeProgress(req, stream);
+                        });
 }
 
 void ObsServer::ServeProgress(const HttpRequest& req, HttpStream* stream) {
   (void)req;
-  const ProgressTap& tap = *sources_.progress;
+  const FlightRecorder& ring = *sources_.recorder;
   if (!stream->Write("retry: 2000\n\n")) return;
-  // Replay whatever the ring retains, then follow the live run. The
-  // stream ends when the run terminates (the tap's termination event),
-  // the client disconnects, or the server stops.
+  // Replay whatever the ring retains, then follow the live run, sending
+  // its run-start/round/stage/termination events. The stream ends when
+  // the run terminates, the client disconnects, or the server stops.
   uint64_t cursor = 0;
   auto last_keepalive = std::chrono::steady_clock::now();
   for (;;) {
     if (stream->ShouldStop()) return;
-    const std::vector<ProgressEvent> events = tap.Since(cursor);
+    const std::vector<FlightRecorder::Event> events = ring.Since(cursor);
     bool terminated = false;
-    for (const ProgressEvent& e : events) {
+    for (const FlightRecorder::Event& e : events) {
       cursor = e.seq;
+      if (!IsRunProgress(e.kind)) continue;
       std::string frame = "event: progress\ndata: ";
-      frame += ProgressEventJson(e);
+      frame += FlightEventJson(e);
       frame += "\n\n";
       if (!stream->Write(frame)) return;
-      if (e.kind == ProgressKind::kTermination) terminated = true;
+      if (e.kind == FlightEventKind::kTermination) terminated = true;
     }
     if (terminated) return;
     if (events.empty()) {

@@ -11,14 +11,15 @@
 //   GET /runs/last  the most recent RunReport
 //   GET /trace      Chrome trace_event JSON of the last run
 //   GET /blackbox   flight-recorder dump (safe mid-run)
-//   GET /progress   Server-Sent Events stream of progress events
+//   GET /progress   Server-Sent Events stream of the recorder's
+//                   run-start/round/stage/termination events
 //
 // Thread-safety contract: every handler reads only surfaces that are
 // documented safe against a concurrent Run — the metrics registry, the
-// flight recorder, the progress tap, atomics published by the engine,
-// and strings pushed into the ring *after* a run ended. RunReport and
-// the tracer are NOT mid-run-safe, which is exactly why /runs serves a
-// ring of completed-run snapshots instead of calling Engine::RunReport.
+// flight recorder, atomics published by the engine, and strings pushed
+// into the ring *after* a run ended. RunReport and the tracer are NOT
+// mid-run-safe, which is exactly why /runs serves a ring of
+// completed-run snapshots instead of calling Engine::RunReport.
 #ifndef GDLOG_OBS_HTTP_OBS_SERVER_H_
 #define GDLOG_OBS_HTTP_OBS_SERVER_H_
 
@@ -37,7 +38,6 @@ namespace gdlog {
 
 class MetricsRegistry;
 class FlightRecorder;
-class ProgressTap;
 
 /// Engine-level switch for the endpoint, carried on EngineOptions.
 struct ObsHttpOptions {
@@ -67,8 +67,7 @@ class ObsServer {
     /// (also null-safe).
     MetricsRegistry* metrics = nullptr;
     std::function<std::string()> metrics_text;  // "" = disabled -> 503
-    const FlightRecorder* recorder = nullptr;
-    const ProgressTap* progress = nullptr;
+    const FlightRecorder* recorder = nullptr;  // null: /blackbox, /progress 503
     std::function<std::string()> statusz;  // JSON object, never fails
   };
 

@@ -121,15 +121,16 @@ class TraceSpan {
 // ---------------------------------------------------------------------------
 
 class FlightRecorder;
-class ProgressTap;
 
 /// Per-engine observability switches, carried on EngineOptions.
 ///
 /// Metrics and the flight recorder are ALWAYS ON by default: histogram
 /// recording is one relaxed atomic add per event and the recorder is one
-/// slot claim plus four relaxed stores, both measured under 5% on the
-/// bench kernels (tests/obs_overhead_test.cc keeps that honest). Tracing
-/// stays opt-in via `enabled` — it allocates per event. Setting both
+/// slot claim, a fence and eleven stores, both measured under 5% on the
+/// bench kernels (tests/obs_overhead_test.cc keeps that honest). The
+/// recorder is the engine's one event stream: /blackbox, /progress,
+/// /statusz and the shell's --progress ticker all read it. Tracing stays
+/// opt-in via `enabled` — it allocates per event. Setting both
 /// `metrics_enabled` and `recorder_enabled` false reproduces the old
 /// fully-off behavior (every instrumented site reduces to one branch on
 /// a null pointer).
@@ -150,20 +151,14 @@ struct ObsOptions {
   /// wait, admissibility). False = no registry at all.
   bool metrics_enabled = true;
   /// Always-on flight recorder (ring buffer of structured events, dumped
-  /// on bounded stops). False = no recorder.
+  /// on bounded stops, streamed by /progress). False = no recorder, and
+  /// /blackbox and /progress answer 503.
   bool recorder_enabled = true;
   /// Ring capacity (events retained); rounded up to a power of two.
-  uint32_t recorder_capacity = 256;
+  uint32_t recorder_capacity = 512;
   /// Auto-dump the recorder to stderr when a run ends in anything other
   /// than a completed fixpoint (cancel, limit, OOM, fault).
   bool recorder_dump_on_stop = true;
-  /// Always-on progress tap (one wide event per saturation round /
-  /// stage advance, single-writer lock-free ring) feeding the /progress
-  /// SSE stream and the shell's --progress ticker. False = no tap.
-  bool progress_enabled = true;
-  /// Progress ring capacity (events retained); rounded up to a power of
-  /// two.
-  uint32_t progress_capacity = 512;
 };
 
 /// The sinks threaded through the evaluator; all null when observability
@@ -172,7 +167,6 @@ struct ObsContext {
   MetricsRegistry* metrics = nullptr;
   Tracer* tracer = nullptr;
   FlightRecorder* recorder = nullptr;
-  ProgressTap* progress = nullptr;
   bool enabled() const { return metrics != nullptr || tracer != nullptr; }
 };
 

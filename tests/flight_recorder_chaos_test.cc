@@ -3,12 +3,17 @@
 // memory limit, GD205 cancel, GD206 OOM, GD207 injected fault) must
 // leave a dumpable black box holding the guard trip and the termination
 // event — and dumping must never crash, including concurrently with the
-// signal-path cancel that SIGINT takes in the shell.
+// signal-path cancel that SIGINT takes in the shell. A completed run
+// records one event per fixpoint step.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -138,7 +143,7 @@ TEST(FlightRecorderChaos, SignalPathCancelLeavesBlackBox) {  // GD205
 TEST(FlightRecorderChaos, GracefulOomLeavesBlackBox) {  // GD206
   RunLimits backstop;
   backstop.deadline_ms = 180000;  // hang backstop only (TSan headroom)
-  ExpectBlackBox(*StoppedRunaway(backstop, "alloc@40"),
+  ExpectBlackBox(*StoppedRunaway(backstop, "alloc@30"),
                  TerminationReason::kOom);
 }
 
@@ -187,6 +192,49 @@ TEST(FlightRecorderChaos, CompletedRunRecordsOkTermination) {
   EXPECT_EQ(last.a0,
             static_cast<int64_t>(TerminationReason::kCompleted));
   EXPECT_EQ(last.a1, 1);
+}
+
+TEST(FlightRecorderChaos, ShippedProgramsRecordOneEventPerStep) {
+  // Every shipped program, on a ring large enough to keep everything:
+  // one run-start, one round per saturation round, one stage per stage
+  // assigned, one termination — each stamped with the run's counters.
+  int programs = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(GDLOG_SOURCE_DIR) + "/programs")) {
+    if (entry.path().extension() != ".dl") continue;
+    SCOPED_TRACE(entry.path().filename().string());
+    ++programs;
+    std::ifstream in(entry.path());
+    std::ostringstream text;
+    text << in.rdbuf();
+    EngineOptions options;
+    options.obs.recorder_capacity = 1u << 16;
+    Engine engine(options);
+    ASSERT_TRUE(engine.LoadProgram(text.str()).ok());
+    ASSERT_TRUE(engine.Run().ok());
+    const FixpointStats& stats = *engine.stats();
+    const FlightRecorder& rec = *engine.flight_recorder();
+    ASSERT_LE(rec.recorded(), rec.capacity());
+    std::map<FlightEventKind, uint64_t> count;
+    uint64_t rounds_seen = 0;
+    for (const auto& ev : rec.Snapshot()) {
+      ++count[ev.kind];
+      if (ev.kind == FlightEventKind::kRound) {
+        EXPECT_EQ(ev.run.round, ++rounds_seen);
+      }
+    }
+    EXPECT_EQ(count[FlightEventKind::kRunStart], 1u);
+    EXPECT_EQ(count[FlightEventKind::kRound], stats.saturation_rounds);
+    EXPECT_EQ(count[FlightEventKind::kStage], stats.stages_assigned);
+    EXPECT_EQ(count[FlightEventKind::kTermination], 1u);
+    const FlightRecorder::Event last = rec.Snapshot().back();
+    ASSERT_EQ(last.kind, FlightEventKind::kTermination);
+    EXPECT_EQ(last.run.round, stats.saturation_rounds);
+    EXPECT_EQ(last.run.gamma_firings, stats.gamma_firings);
+    EXPECT_EQ(last.run.stages, stats.stages_assigned);
+    EXPECT_EQ(last.run.tuples, stats.exec.inserts);
+  }
+  EXPECT_GE(programs, 5);
 }
 
 }  // namespace

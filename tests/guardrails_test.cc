@@ -228,7 +228,7 @@ TEST(Guardrails, InjectedAllocFailureIsGracefulOom) {
   // probe's trigger time even under TSan's ~30x slowdown.
   RunLimits backstop;
   backstop.deadline_ms = 180000;
-  auto engine = MakeRunaway(backstop, "alloc@40");
+  auto engine = MakeRunaway(backstop, "alloc@30");
   const Status st = engine->Run();
   EXPECT_EQ(st.code(), StatusCode::kOutOfMemory) << st.ToString();
   EXPECT_EQ(DiagCodeOfStatus(st), diag::kOutOfMemory);

@@ -125,7 +125,7 @@ TEST(ObsConcurrency, FlightRecorderSurvivesWriterStorm) {
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([&, t] {
       for (int i = 0; i < kOpsPerThread; ++i) {
-        rec.Record(FlightEventKind::kRoundStart, t, i);
+        rec.Record(FlightEventKind::kRound, t, i);
       }
     });
   }
@@ -135,7 +135,7 @@ TEST(ObsConcurrency, FlightRecorderSurvivesWriterStorm) {
     while (!stop.load(std::memory_order_relaxed)) {
       const auto events = rec.Snapshot();
       for (const auto& ev : events) {
-        ASSERT_EQ(ev.kind, FlightEventKind::kRoundStart);
+        ASSERT_EQ(ev.kind, FlightEventKind::kRound);
         ASSERT_GE(ev.a0, 0);
         ASSERT_LT(ev.a0, kThreads);
       }

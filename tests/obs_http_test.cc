@@ -2,9 +2,10 @@
 // with the HTTP server enabled, scraped over loopback sockets with a
 // raw-socket client so hostile inputs (oversized heads, wrong methods,
 // slow senders) can be crafted byte-for-byte. The concurrency tests run
-// scrapes against an 8-thread evaluation and are part of the TSan CI
-// job, so the "safe mid-run" contract on every endpoint is checked by
-// the race detector, not just by review.
+// scrapes and an SSE stream against a live evaluation, and race readers
+// against writers on the flight-recorder ring every live surface reads;
+// they are part of the TSan CI job, so the "safe mid-run" contract on
+// every endpoint is checked by the race detector, not just by review.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -21,9 +22,9 @@
 #include <gtest/gtest.h>
 
 #include "api/engine.h"
+#include "obs/flight_recorder.h"
 #include "obs/http/http_server.h"
 #include "obs/json.h"
-#include "obs/progress.h"
 
 namespace gdlog {
 namespace {
@@ -233,7 +234,7 @@ TEST(ObsHttp, ProgressStreamsEventsAndEndsAtTermination) {
   auto engine = MakeServingEngine(kPrim);
   const uint16_t port = engine->obs_http_port();
   ASSERT_TRUE(engine->Run().ok());
-  // After the run the tap retains the whole history; the stream replays
+  // After the run the ring retains the whole history; the stream replays
   // it and closes at the termination event, so a plain blocking read
   // terminates without any client-side timeout games.
   const std::string resp = Get(port, "/progress");
@@ -258,6 +259,20 @@ TEST(ObsHttp, ProgressStreamsEventsAndEndsAtTermination) {
     ++events;
   }
   EXPECT_GE(events, 3);
+}
+
+TEST(ObsHttp, ProgressAndBlackboxAre503WithoutRecorder) {
+  EngineOptions options;
+  options.obs.recorder_enabled = false;
+  auto engine = MakeServingEngine(kPrim, options);
+  ASSERT_TRUE(engine->Run().ok());
+  const uint16_t port = engine->obs_http_port();
+  EXPECT_EQ(StatusOf(Get(port, "/progress")), 503);
+  EXPECT_EQ(StatusOf(Get(port, "/blackbox")), 503);
+  auto statusz = ParseJson(BodyOf(Get(port, "/statusz")));
+  ASSERT_TRUE(statusz.ok());
+  ASSERT_NE(statusz->Find("progress"), nullptr);
+  EXPECT_EQ(statusz->Find("progress")->kind, JsonValue::Kind::kNull);
 }
 
 // ---------------------------------------------------------------------------
@@ -493,89 +508,147 @@ TEST(ObsHttp, WriteMetricsTextFailsCleanlyOnBadDirectory) {
 }
 
 // ---------------------------------------------------------------------------
-// Progress tap unit coverage (ring semantics the SSE stream builds on)
+// Flight-recorder ring semantics the SSE stream and the ticker build on
 // ---------------------------------------------------------------------------
 
-TEST(ProgressTap, SinceReturnsOnlyNewEventsInOrder) {
-  ProgressTap tap(/*capacity=*/8);
-  for (int i = 1; i <= 3; ++i) {
-    ProgressEvent e;
-    e.kind = ProgressKind::kRound;
-    e.round = static_cast<uint32_t>(i);
-    tap.Record(e);
-  }
-  const auto all = tap.Since(0);
+/// Records a `round` event with a0, a1, round and tuples all equal to `i`.
+void RecordRound(FlightRecorder* rec, uint64_t i) {
+  RunCounters run;
+  run.round = i;
+  run.tuples = i;
+  rec->Record(FlightEventKind::kRound, static_cast<int64_t>(i),
+              static_cast<int64_t>(i), run);
+}
+
+TEST(FlightRecorder, SinceReturnsOnlyNewEventsInOrder) {
+  FlightRecorder rec(/*capacity=*/8);
+  for (uint64_t i = 1; i <= 3; ++i) RecordRound(&rec, i);
+  const auto all = rec.Since(0);
   ASSERT_EQ(all.size(), 3u);
-  EXPECT_EQ(all[0].round, 1u);
-  EXPECT_EQ(all[2].round, 3u);
-  const auto tail = tap.Since(all[1].seq);
+  EXPECT_EQ(all[0].run.round, 1u);
+  EXPECT_EQ(all[2].run.round, 3u);
+  const auto tail = rec.Since(all[1].seq);
   ASSERT_EQ(tail.size(), 1u);
-  EXPECT_EQ(tail[0].round, 3u);
-  EXPECT_TRUE(tap.Since(all[2].seq).empty());
+  EXPECT_EQ(tail[0].run.round, 3u);
+  EXPECT_TRUE(rec.Since(all[2].seq).empty());
 }
 
-TEST(ProgressTap, LappedReaderSkipsToOldestRetained) {
-  ProgressTap tap(/*capacity=*/4);
-  for (uint32_t i = 1; i <= 100; ++i) {
-    ProgressEvent e;
-    e.kind = ProgressKind::kRound;
-    e.round = i;
-    tap.Record(e);
-  }
-  const auto events = tap.Since(0);
+TEST(FlightRecorder, LappedReaderSkipsToOldestRetained) {
+  FlightRecorder rec(/*capacity=*/4);
+  for (uint64_t i = 1; i <= 100; ++i) RecordRound(&rec, i);
+  const auto events = rec.Since(0);
   ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events.front().round, 97u);
-  EXPECT_EQ(events.back().round, 100u);
-  ProgressEvent last;
-  ASSERT_TRUE(tap.Last(&last));
-  EXPECT_EQ(last.round, 100u);
+  EXPECT_EQ(events.front().run.round, 97u);
+  EXPECT_EQ(events.back().run.round, 100u);
+  // A cursor the writer lapped resumes at the oldest retained event.
+  EXPECT_EQ(rec.Since(/*after_seq=*/5).front().run.round, 97u);
+  // The last progress event skips newer non-progress events.
+  rec.Record(FlightEventKind::kChoiceReject, 0, 0);
+  FlightRecorder::Event last;
+  ASSERT_TRUE(rec.LastProgress(&last));
+  EXPECT_EQ(last.run.round, 100u);
 }
 
-TEST(ProgressTap, JsonRendersKindNamesAndTermination) {
-  ProgressEvent e;
+TEST(FlightRecorder, JsonRendersKindNamesAndTermination) {
+  FlightRecorder::Event e;
   e.seq = 9;
-  e.kind = ProgressKind::kTermination;
-  e.round = 4;
-  e.termination = static_cast<int32_t>(TerminationReason::kCompleted);
-  const std::string json = ProgressEventJson(e);
+  e.kind = FlightEventKind::kTermination;
+  e.a0 = static_cast<int64_t>(TerminationReason::kCompleted);
+  e.run.round = 4;
+  const std::string json = FlightEventJson(e);
   auto doc = ParseJson(json);
   ASSERT_TRUE(doc.ok()) << json;
   EXPECT_EQ(doc->Find("kind")->string, "termination");
   EXPECT_EQ(doc->Find("termination")->string, "completed");
   EXPECT_EQ(doc->Find("seq")->number, 9);
+  EXPECT_EQ(doc->Find("round")->number, 4);
+  // A round event's delta_rows is its a0; other kinds have none.
+  e.kind = FlightEventKind::kRound;
+  e.a0 = 17;
+  auto round = ParseJson(FlightEventJson(e));
+  ASSERT_TRUE(round.ok());
+  EXPECT_EQ(round->Find("delta_rows")->number, 17);
+  EXPECT_EQ(round->Find("termination"), nullptr);
 }
 
-TEST(ProgressTap, ConcurrentReadersSeeOnlyConsistentEvents) {
-  // Single writer lapping a tiny ring while readers poll: torn reads
-  // would surface as events whose fields disagree (round != delta).
-  ProgressTap tap(/*capacity=*/4);
+TEST(FlightRecorder, ConcurrentReadersSeeOnlyConsistentEvents) {
+  // One writer lapping a tiny ring while readers poll: torn reads would
+  // surface as events whose fields disagree.
+  FlightRecorder rec(/*capacity=*/4);
   std::atomic<bool> stop{false};
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&] {
       uint64_t cursor = 0;
       while (!stop.load(std::memory_order_acquire)) {
-        for (const ProgressEvent& e : tap.Since(cursor)) {
+        for (const FlightRecorder::Event& e : rec.Since(cursor)) {
           cursor = e.seq;
-          // The writer keeps round == delta_rows == tuples; any slot
-          // torn mid-write would break the equality.
-          ASSERT_EQ(e.round, e.delta_rows);
-          ASSERT_EQ(static_cast<uint64_t>(e.round), e.tuples);
+          // The writer keeps a0 == a1 == round == tuples; any slot torn
+          // mid-write would break the equality.
+          ASSERT_EQ(e.kind, FlightEventKind::kRound);
+          ASSERT_EQ(static_cast<uint64_t>(e.a0), e.run.round);
+          ASSERT_EQ(e.a1, e.a0);
+          ASSERT_EQ(e.run.round, e.run.tuples);
         }
       }
     });
   }
-  for (uint32_t i = 1; i <= 200000; ++i) {
-    ProgressEvent e;
-    e.kind = ProgressKind::kRound;
-    e.round = i;
-    e.delta_rows = i;
-    e.tuples = i;
-    tap.Record(e);
-  }
+  for (uint64_t i = 1; i <= 200000; ++i) RecordRound(&rec, i);
   stop.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
-  EXPECT_EQ(tap.published(), 200000u);
+  EXPECT_EQ(rec.recorded(), 200000u);
+}
+
+TEST(FlightRecorder, SinceNeverSkipsAnUnpublishedEvent) {
+  // An evaluation-style writer and a second writer (as RequestCancel is)
+  // share a ring that never laps while a reader polls. A reader that
+  // stepped past a claimed-but-unpublished slot would lose that event
+  // for good: its cursor must advance one event at a time, and the
+  // rounds it saw must be exactly those the final snapshot holds.
+  constexpr uint64_t kRounds = 100000;
+  constexpr uint64_t kCancels = 100000;
+  FlightRecorder rec(/*capacity=*/1u << 18);
+  ASSERT_GT(rec.capacity(), kRounds + kCancels);
+  std::atomic<bool> done{false};
+  // The writers pause between events, as the evaluation loop does between
+  // rounds, so the reader keeps up and polls at the ring's frontier, where
+  // one writer's slot can still be unpublished while the other's is not.
+  auto pause = [&done] {
+    for (int k = 0; k < 1500; ++k) (void)done.load(std::memory_order_relaxed);
+  };
+  std::vector<uint64_t> seen;
+  std::thread reader([&] {
+    uint64_t cursor = 0;
+    for (;;) {
+      const bool last_pass = done.load(std::memory_order_acquire);
+      for (const FlightRecorder::Event& e : rec.Since(cursor)) {
+        ASSERT_EQ(e.seq, cursor + 1);
+        cursor = e.seq;
+        if (e.kind == FlightEventKind::kRound) seen.push_back(e.seq);
+      }
+      if (last_pass) return;
+    }
+  });
+  std::thread canceller([&] {
+    for (uint64_t i = 0; i < kCancels; ++i) {
+      rec.Record(FlightEventKind::kCancelRequested);
+      pause();
+    }
+  });
+  for (uint64_t i = 1; i <= kRounds; ++i) {
+    RecordRound(&rec, i);
+    pause();
+  }
+  canceller.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  std::vector<uint64_t> want;
+  for (const FlightRecorder::Event& e : rec.Snapshot()) {
+    if (e.kind == FlightEventKind::kRound) want.push_back(e.seq);
+  }
+  EXPECT_EQ(want.size(), kRounds);
+  EXPECT_EQ(seen, want);
 }
 
 }  // namespace

@@ -107,8 +107,7 @@ TEST(ObsOverhead, AlwaysOnObservabilityStaysUnderFivePercent) {
 TEST(ObsOverhead, IdleHttpServerStaysWithinAlwaysOnBound) {
   // The live endpoint's threads block in accept()/queue-wait when no
   // client is connected, so an enabled-but-unscraped server must fit
-  // the same always-on budget as plain observability. The progress tap
-  // publishing on every round rides along in this arm too.
+  // the same always-on budget as plain observability.
   (void)RunKernelSeconds(Arm::kServe);
   (void)RunKernelSeconds(Arm::kObsOff);
   std::vector<double> serve, off;

@@ -401,8 +401,8 @@ TEST(Metrics, PrometheusEscapesHostileLabelValues) {
 TEST(FlightRecorder, RecordsAndDumpsInOrder) {
   FlightRecorder rec(/*capacity=*/16);
   rec.Record(FlightEventKind::kRunStart, 3, 7);
-  rec.Record(FlightEventKind::kRoundStart, 1, 10);
-  rec.Record(FlightEventKind::kRoundEnd, 1, 4);
+  rec.Record(FlightEventKind::kRound, 1, 10);
+  rec.Record(FlightEventKind::kRound, 1, 4);
   rec.Record(FlightEventKind::kTermination, 0, 1);
 
   const auto events = rec.Snapshot();
@@ -425,7 +425,7 @@ TEST(FlightRecorder, RecordsAndDumpsInOrder) {
 TEST(FlightRecorder, RingKeepsOnlyTheNewestEvents) {
   FlightRecorder rec(/*capacity=*/8);
   for (int i = 0; i < 100; ++i) {
-    rec.Record(FlightEventKind::kRoundStart, i, 0);
+    rec.Record(FlightEventKind::kRound, i, 0);
   }
   const auto events = rec.Snapshot();
   ASSERT_EQ(events.size(), 8u);
@@ -444,7 +444,7 @@ TEST(FlightRecorder, CapacityRoundsUpToPowerOfTwo) {
 }
 
 TEST(FlightRecorder, EveryKindHasAName) {
-  for (int k = 0; k <= static_cast<int>(FlightEventKind::kTermination);
+  for (int k = 0; k <= static_cast<int>(FlightEventKind::kDurabilityError);
        ++k) {
     const std::string_view name =
         FlightEventKindName(static_cast<FlightEventKind>(k));

@@ -215,7 +215,6 @@ TEST_P(ProvenanceDifferential, ModelBitIdenticalOnOff) {
   auto run = [&text](bool provenance) {
     EngineOptions opts = WithProvenance();
     opts.provenance = provenance;
-    opts.eval.provenance = false;  // ctor re-derives from opts.provenance
     Engine e(opts);
     EXPECT_TRUE(e.LoadProgram(text).ok());
     auto st = e.Run();

@@ -135,8 +135,8 @@ gdlog::Status RunWithCancel(gdlog::Engine* engine) {
   return st;
 }
 
-/// --progress: a background thread draining the engine's progress tap
-/// to stderr, one status line per ~100ms (the tap is multi-reader, so
+/// --progress: a background thread draining the engine's flight recorder
+/// to stderr, one status line per ~100ms (the ring is multi-reader, so
 /// the ticker composes with a concurrent /progress SSE stream). The
 /// destructor drains once more, so the terminal event always prints.
 class ProgressTicker {
@@ -159,19 +159,44 @@ class ProgressTicker {
     Drain(cursor);
   }
 
-  /// Prints the newest event of the batch (natural rate limiting: fast
-  /// runs produce many rounds per poll, one line summarizes them).
+  /// Prints the newest round/stage/termination event of the batch
+  /// (natural rate limiting: fast runs produce many rounds per poll, one
+  /// line summarizes them).
   uint64_t Drain(uint64_t cursor) {
-    const gdlog::ProgressTap* tap = engine_->progress();
-    if (tap == nullptr) return cursor;
-    const std::vector<gdlog::ProgressEvent> events = tap->Since(cursor);
-    if (events.empty()) return cursor;
-    cursor = events.back().seq;
-    if (events.back().kind != gdlog::ProgressKind::kRunStart) {
-      std::fprintf(stderr, "%s\n",
-                   gdlog::ProgressEventLine(events.back()).c_str());
+    const gdlog::FlightRecorder* ring = engine_->flight_recorder();
+    if (ring == nullptr) return cursor;
+    const std::vector<gdlog::FlightRecorder::Event> events =
+        ring->Since(cursor);
+    for (auto it = events.rbegin(); it != events.rend(); ++it) {
+      if (gdlog::IsRunProgress(it->kind) &&
+          it->kind != gdlog::FlightEventKind::kRunStart) {
+        PrintLine(*it);
+        break;
+      }
     }
-    return cursor;
+    return events.empty() ? cursor : events.back().seq;
+  }
+
+  /// One status line:
+  ///   % round 12  +345 delta  5678 tuples  3 stages  1.2 MiB
+  ///   % run completed  round 12  5678 tuples  3 stages  1.2 MiB
+  static void PrintLine(const gdlog::FlightRecorder::Event& e) {
+    const gdlog::RunCounters& run = e.run;
+    std::string head;
+    if (e.kind == gdlog::FlightEventKind::kTermination) {
+      head = "run " +
+             std::string(gdlog::TerminationReasonName(
+                 static_cast<gdlog::TerminationReason>(e.a0))) +
+             "  round " + std::to_string(run.round);
+    } else {
+      const bool round = e.kind == gdlog::FlightEventKind::kRound;
+      head = "round " + std::to_string(run.round) + "  +" +
+             std::to_string(round ? e.a0 : 0) + " delta";
+    }
+    std::fprintf(stderr, "%% %s  %llu tuples  %llu stages  %.1f MiB\n",
+                 head.c_str(), (unsigned long long)run.tuples,
+                 (unsigned long long)run.stages,
+                 static_cast<double>(run.memory_bytes) / (1024.0 * 1024.0));
   }
 
   const gdlog::Engine* engine_;
@@ -638,7 +663,6 @@ int RunInteractive(gdlog::EngineOptions options) {
         std::printf("provenance on (takes effect on the next .run)\n");
       } else if (arg1 == "off") {
         sh.options.provenance = false;
-        sh.options.eval.provenance = false;
         std::printf("provenance off\n");
       } else {
         std::printf("usage: .provenance on | .provenance off\n");

@@ -79,10 +79,11 @@ grep -q 'gdlog_engine_run_state{state="running"} 1' \
   "$OUT_DIR/metrics_live.prom"
 
 # Mid-run the bounded ring has lapped far past run-start; recent round
-# events prove the recorder is live.
+# events, stamped with the run's counters, prove the recorder is live.
 curl -sSf "$BASE/blackbox" > "$OUT_DIR/blackbox_live.txt"
 grep -q 'flight recorder:' "$OUT_DIR/blackbox_live.txt"
-grep -q 'round-start' "$OUT_DIR/blackbox_live.txt"
+grep -Eq 'ms round +a0=[0-9]+ a1=[0-9]+ round=[1-9][0-9]* tuples=[1-9][0-9]* gamma=[0-9]+ stages=[0-9]+ mem=[1-9][0-9]*$' \
+  "$OUT_DIR/blackbox_live.txt"
 
 # /runs is empty mid-run (reports are pushed only after a run ends).
 test "$(curl -s -o /dev/null -w '%{http_code}' "$BASE/runs/last")" = 404
@@ -91,7 +92,7 @@ test "$(curl -s -o /dev/null -w '%{http_code}' "$BASE/runs/last")" = 404
 # Blocks until the run's termination event closes the stream; the 30s
 # cap is a hang backstop only.
 curl -sSf -m 30 -N "$BASE/progress" > "$OUT_DIR/progress.sse"
-# run-start is not asserted: the tap's ring has lapped it long before a
+# run-start is not asserted: the ring has lapped it long before a
 # mid-run subscriber connects (it replays only the retained window).
 grep -q '^event: progress$' "$OUT_DIR/progress.sse"
 grep -q '"kind":"round"' "$OUT_DIR/progress.sse"
@@ -99,12 +100,15 @@ grep -q '"kind":"termination"' "$OUT_DIR/progress.sse"
 python3 - "$OUT_DIR/progress.sse" <<'EOF'
 import json, sys
 events = 0
+last_seq = 0
 for line in open(sys.argv[1]):
     if line.startswith("data: "):
-        json.loads(line[6:])
+        seq = json.loads(line[6:])["seq"]
+        assert seq > last_seq, f"SSE seq {seq} after {last_seq}"
+        last_seq = seq
         events += 1
 assert events >= 3, f"only {events} SSE events"
-print(f"serve_smoke: {events} SSE progress events, all valid JSON")
+print(f"serve_smoke: {events} SSE progress events, valid JSON, seq increasing")
 EOF
 
 # --- Post-run scrapes (linger window) --------------------------------------
