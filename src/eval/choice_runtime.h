@@ -4,25 +4,34 @@
 // Per Section 2, "an efficient implementation for choice programs only
 // requires memorization of the chosen predicates; from these, the
 // diffChoice predicates can be generated on-the-fly". Each choice goal
-// choice(L, R) of a gamma rule owns a hash map from the interned value
-// of L to the interned value of R. A candidate firing is admissible iff
-// for every goal the map either lacks L's value or maps it to exactly
-// R's value; firing commits all pairs and records the chosen$ tuple for
-// the stable-model checker.
+// choice(L, R) of a gamma rule owns one FlatTable from L's value to R's
+// value (left→right only: the FD is checked from its left side). A
+// tuple-valued side — the W of next's synthesized choice(I, W) and
+// choice(W, I), or a compound key such as choice((X, C), Y) — is stored
+// as its evaluated components, so a check interns nothing. A candidate
+// firing is admissible iff for every goal the table either lacks L or
+// maps it to exactly R; firing commits all pairs and records the chosen$
+// tuple for the stable-model checker.
 #ifndef GDLOG_EVAL_CHOICE_RUNTIME_H_
 #define GDLOG_EVAL_CHOICE_RUNTIME_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
+#include "eval/flat_table.h"
 #include "eval/rule_compiler.h"
 
 namespace gdlog {
 
+class MemoryBudget;
+
 class ChoiceRuntime {
  public:
   explicit ChoiceRuntime(ValueStore* store) : store_(store) {}
+  /// Releases the MemoryBudget charge, if any.
+  ~ChoiceRuntime();
+  ChoiceRuntime(const ChoiceRuntime&) = delete;
+  ChoiceRuntime& operator=(const ChoiceRuntime&) = delete;
 
   /// Registers a gamma rule; returns its handle (== rule.gamma_index).
   int Register(const CompiledRule& rule);
@@ -37,25 +46,35 @@ class ChoiceRuntime {
 
   /// The chosen$ tuples recorded for gamma rule `gamma_index`, each laid
   /// out per CompiledRule::chosen_slots.
-  const std::vector<std::vector<Value>>& ChosenTuples(int gamma_index) const;
+  std::vector<std::vector<Value>> ChosenTuples(int gamma_index) const;
 
   size_t TotalChosen() const;
 
+  /// Charges the FD tables and chosen tuples to `budget` (which must
+  /// outlive this runtime), now and whenever one of them grows.
+  void set_memory_budget(MemoryBudget* budget);
+
  private:
-  struct GoalMemo {
-    std::unordered_map<Value, Value, ValueHash> fd;
-  };
   struct RuleMemo {
-    std::vector<GoalMemo> goals;  // parallel to CompiledRule::choices
-    std::vector<std::vector<Value>> chosen;
+    // One table per choice goal (parallel to CompiledRule::choices):
+    // left components -> right components.
+    std::vector<FlatTable> goals;
+    uint32_t chosen_width = 0;
+    size_t num_chosen = 0;
+    std::vector<Value> chosen;  // chosen$ tuples, chosen_width each
   };
 
-  /// Evaluates the pair (left, right) of a choice goal under `frame`.
+  /// Evaluates goal `spec`'s sides into left_ / right_.
   bool EvalPair(const CompiledRule& rule, const ChoiceSpec& spec,
-                const BindingFrame& frame, Value* left, Value* right);
+                const BindingFrame& frame);
+  size_t ApproxBytes() const;
+  void Recharge();
 
   ValueStore* store_;
   std::vector<RuleMemo> memos_;  // by gamma_index
+  std::vector<Value> left_, right_;  // scratch components
+  MemoryBudget* budget_ = nullptr;
+  size_t charged_ = 0;
 };
 
 }  // namespace gdlog

@@ -45,6 +45,8 @@ FixpointDriver::FixpointDriver(Catalog* catalog, ValueStore* store,
                                          std::to_string(r.rule_index)}});
     }
   }
+  // The queues and the FD memo charge their growth to the run's budget.
+  MemoryBudget* const budget = guard_ != nullptr ? guard_->budget() : nullptr;
   for (const CompiledRule& r : rules_) {
     if (!r.is_gamma) continue;
     choice_.Register(r);
@@ -65,6 +67,12 @@ FixpointDriver::FixpointDriver(Catalog* catalog, ValueStore* store,
     g->queue = std::make_unique<CandidateQueue>(
         store_, order, merge, options_.choice_seed,
         /*linear_scan=*/!options_.use_priority_queue);
+    if (r.has_extremum) {
+      g->group_best =
+          FlatTable(TermComponentCount(r.pool, r.group_term),
+                    /*value_width=*/1);  // the group's extremum cost
+    }
+    g->queue->set_memory_budget(budget);
     if (obs_.tracer != nullptr) {
       g->queue->set_tracer(obs_.tracer,
                            "q" + std::to_string(r.gamma_index));
@@ -74,6 +82,7 @@ FixpointDriver::FixpointDriver(Catalog* catalog, ValueStore* store,
     }
     gamma_states_[r.gamma_index] = std::move(g);
   }
+  choice_.set_memory_budget(budget);
   // EXPLAIN ANALYZE: per-goal cardinality counters, one row per rule,
   // with a shared lock-free fan-out histogram per goal. Sized (and thus
   // enabled in the executor) only when metrics are on.
@@ -111,9 +120,7 @@ FixpointDriver::FixpointDriver(Catalog* catalog, ValueStore* store,
     vm_code_ = std::make_unique<vm::ProgramCode>(
         vm::Compile(*vm_ir_, *catalog_));
     exec_.set_vm_program(vm_code_.get());
-    if (guard_ != nullptr && guard_->budget() != nullptr) {
-      guard_->budget()->Update(&vm_charged_, vm_code_->MemoryBytes());
-    }
+    Charge(&vm_charged_, vm_code_->MemoryBytes());
   }
   // Backend visibility (gdlog_vm_* in the Prometheus export): which
   // executor runs the rules, how many rules the bytecode backend
@@ -213,8 +220,12 @@ void FixpointDriver::RecordApply(RuleProfile* prof, uint64_t start_ns,
 
 void FixpointDriver::AddAuditEntry(ChoiceAuditEntry entry) {
   audit_->Add(std::move(entry));
+  Charge(&audit_charged_, audit_->ApproxBytes());
+}
+
+void FixpointDriver::Charge(size_t* charged, size_t bytes) {
   if (guard_ != nullptr && guard_->budget() != nullptr) {
-    guard_->budget()->Update(&audit_charged_, audit_->ApproxBytes());
+    guard_->budget()->Update(charged, bytes);
   }
 }
 
@@ -315,7 +326,7 @@ const CandidateQueueStats* FixpointDriver::QueueStats(int gamma_index) const {
 }
 
 void FixpointDriver::RestoreSnapshot(const CompiledRule& rule,
-                                     const std::vector<Value>& snapshot,
+                                     std::span<const Value> snapshot,
                                      BindingFrame* frame) {
   frame->Reset(rule.num_slots);
   GDLOG_CHECK_EQ(snapshot.size(), rule.snapshot_slots.size());
@@ -406,43 +417,41 @@ void FixpointDriver::InsertCandidates(GammaState* g,
   ++prof.invocations;
   const uint64_t t0 = obs_enabled_ ? ObsNowNs() : 0;
   const uint64_t pushed_before = g->queue->stats().inserted;
-  BindingFrame frame(rule.num_slots);
+  gen_frame_.Reset(rule.num_slots);
   const std::vector<CompiledLiteral>& plan =
       (delta_occurrence == CompiledScan::kNoOccurrence ||
        delta_occurrence >= rule.delta_plans.size())
           ? rule.generator
           : rule.delta_plans[delta_occurrence];
-  exec_.Enumerate(rule, plan, delta_occurrence, &frame,
-                  [&](BindingFrame& f) {
-                    Value cost = Value::Int(0);
-                    if (rule.has_extremum &&
-                        !EvalTerm(rule.pool, rule.cost_term, f, store_,
-                                  &cost)) {
-                      return true;
-                    }
-                    std::vector<Value> snapshot;
-                    snapshot.reserve(rule.snapshot_slots.size());
-                    for (uint32_t s : rule.snapshot_slots) {
-                      snapshot.push_back(f.Get(s));
-                    }
-                    Value key;
-                    if (g->merge) {
-                      std::vector<Value> kv;
-                      kv.reserve(rule.congruence_slots.size());
-                      for (uint32_t s : rule.congruence_slots) {
-                        kv.push_back(f.Get(s));
-                      }
-                      key = store_->MakeTuple(kv);
-                    } else {
-                      key = store_->MakeTuple(snapshot);
-                    }
-                    g->queue->Push(cost, key, std::move(snapshot),
-                                   prov_ ? prov_trail_
-                                         : std::vector<ProvPremise>{});
+  exec_.Enumerate(rule, plan, delta_occurrence, &gen_frame_,
+                  [this, g](BindingFrame& f) {
+                    PushCandidate(g, f);
                     return true;
                   });
   prof.candidates += g->queue->stats().inserted - pushed_before;
   if (obs_enabled_) RecordApply(&prof, t0, "rule");
+}
+
+void FixpointDriver::PushCandidate(GammaState* g, const BindingFrame& f) {
+  const CompiledRule& rule = *g->rule;
+  Value cost = Value::Int(0);
+  if (rule.has_extremum &&
+      !EvalTerm(rule.pool, rule.cost_term, f, store_, &cost)) {
+    return;
+  }
+  snapshot_buf_.clear();
+  for (uint32_t s : rule.snapshot_slots) snapshot_buf_.push_back(f.Get(s));
+  // Merge mode keys the class by the choice keys, full mode by the
+  // whole candidate.
+  std::span<const Value> key = snapshot_buf_;
+  if (g->merge) {
+    key_buf_.clear();
+    for (uint32_t s : rule.congruence_slots) key_buf_.push_back(f.Get(s));
+    key = key_buf_;
+  }
+  g->queue->Push(cost, key, snapshot_buf_,
+                 prov_ ? std::span<const ProvPremise>(prov_trail_)
+                       : std::span<const ProvPremise>());
 }
 
 Status FixpointDriver::EvalClique(uint32_t scc) {
@@ -579,7 +588,7 @@ size_t FixpointDriver::DrainChoiceRule(GammaState* g) {
   // per iteration, alternating with saturation; interleaving lets
   // different tie-break seeds explore different stable models.
   const CompiledRule& rule = *g->rule;
-  BindingFrame frame;
+  BindingFrame& frame = fire_frame_;
   uint64_t pops = 0;
   uint64_t rej_ext = 0, rej_fd = 0, rej_post = 0;
   const uint64_t live_before =
@@ -593,20 +602,27 @@ size_t FixpointDriver::DrainChoiceRule(GammaState* g) {
       // extremum; any later candidate with a different cost was never a
       // valid instance of the rule. The per-group record persists across
       // calls in the GammaState.
-      Value cost, group;
+      Value cost;
       // Cost evaluated at enqueue, so it evaluates again here; the
       // group term is first evaluated on this path and can fail on an
       // untyped binding — such a candidate was never a valid instance.
+      group_buf_.clear();
       const bool ok =
           EvalTerm(rule.pool, rule.cost_term, frame, store_, &cost) &&
-          EvalTerm(rule.pool, rule.group_term, frame, store_, &group);
+          EvalTermComponents(rule.pool, rule.group_term, frame, store_,
+                             &group_buf_);
       if (!ok) {
         ++rej_post;
         g->queue->MarkRedundant(*cand);
         continue;
       }
-      auto [it, fresh] = g->group_best.try_emplace(group, cost);
-      if (!fresh && it->second != cost) {
+      bool fresh = false;
+      const uint32_t id = g->group_best.Insert(group_buf_, &fresh);
+      Value& best = g->group_best.Values(id)[0];
+      if (fresh) {
+        best = cost;
+        Charge(&g->group_charged, g->group_best.ApproxBytes());
+      } else if (best != cost) {
         ++rej_ext;
         Record(FlightEventKind::kChoiceReject,
                static_cast<int64_t>(rule.rule_index),
@@ -628,7 +644,7 @@ size_t FixpointDriver::DrainChoiceRule(GammaState* g) {
     // Build the head before committing the FD: a candidate whose head
     // term fails to evaluate (untyped binding, e.g. arithmetic over a
     // symbol) derives nothing and must not burn the choice.
-    std::vector<Value> head;
+    std::vector<Value>& head = head_buf_;
     if (!exec_.BuildHead(rule, frame, &head)) {
       ++rej_post;
       g->queue->MarkRedundant(*cand);
@@ -685,20 +701,24 @@ bool FixpointDriver::TryFireNext(CliqueCtx* ctx, GammaState* g,
                                  const Candidate& cand,
                                  ChoiceAuditEntry* audit) {
   const CompiledRule& rule = *g->rule;
-  BindingFrame frame;
-  RestoreSnapshot(rule, cand.snapshot, &frame);
-  frame.Bind(rule.stage_slot, Value::Int(ctx->stage_counter));
+  RestoreSnapshot(rule, cand.snapshot, &fire_frame_);
+  fire_frame_.Bind(rule.stage_slot, Value::Int(ctx->stage_counter));
 
-  bool fired = false;
-  bool saw_solution = false;
-  std::vector<Value> head;
-  std::vector<ProvPremise> post_prov;
-  exec_.Enumerate(rule, rule.post, CompiledScan::kNoOccurrence, &frame,
-                  [&](BindingFrame& f) {
-                    saw_solution = true;
-                    if (!choice_.Admissible(rule, f)) {
+  // The callback captures two pointers, so std::function holds it
+  // without allocating.
+  struct Attempt {
+    const CompiledRule* rule;
+    ChoiceAuditEntry* audit;
+    bool fired = false;
+    bool saw_solution = false;
+  } at{&rule, audit};
+  std::vector<Value>& head = head_buf_;
+  exec_.Enumerate(rule, rule.post, CompiledScan::kNoOccurrence, &fire_frame_,
+                  [this, &at](BindingFrame& f) {
+                    at.saw_solution = true;
+                    if (!choice_.Admissible(*at.rule, f)) {
                       if (inadmissible_ != nullptr) inadmissible_->Add(1);
-                      if (audit != nullptr) ++audit->rejected_fd;
+                      if (at.audit != nullptr) ++at.audit->rejected_fd;
                       return true;
                     }
                     if (admissible_ != nullptr) admissible_->Add(1);
@@ -707,17 +727,18 @@ bool FixpointDriver::TryFireNext(CliqueCtx* ctx, GammaState* g,
                     // Commit — a solution whose head term fails to
                     // evaluate derives nothing and must not burn the
                     // choice.
-                    if (!exec_.BuildHead(rule, f, &head)) {
-                      if (audit != nullptr) ++audit->rejected_post;
+                    if (!exec_.BuildHead(*at.rule, f, &head_buf_)) {
+                      if (at.audit != nullptr) ++at.audit->rejected_post;
                       return true;
                     }
-                    choice_.Commit(rule, f);
+                    choice_.Commit(*at.rule, f);
                     // The firing's post premises; the trail pops back to
                     // empty as the enumeration unwinds, so copy here.
-                    if (prov_) post_prov = prov_trail_;
-                    fired = true;
+                    if (prov_) post_prov_ = prov_trail_;
+                    at.fired = true;
                     return false;  // one firing per γ
                   });
+  const bool fired = at.fired;
   if (fired) {
     RuleProfile& prof = profiles_[rule.rule_index];
     Relation& head_rel = catalog_->relation(rule.head_pred);
@@ -727,10 +748,11 @@ bool FixpointDriver::TryFireNext(CliqueCtx* ctx, GammaState* g,
       if (prov_) {
         // Full justification: the generator premises carried by the
         // candidate plus the post plan's premises at the firing.
-        std::vector<ProvPremise> prems = cand.premises;
-        prems.insert(prems.end(), post_prov.begin(), post_prov.end());
-        head_rel.Annotate(res.row, rule.rule_index, prems.data(),
-                          prems.size());
+        prems_buf_.assign(cand.premises.begin(), cand.premises.end());
+        prems_buf_.insert(prems_buf_.end(), post_prov_.begin(),
+                          post_prov_.end());
+        head_rel.Annotate(res.row, rule.rule_index, prems_buf_.data(),
+                          prems_buf_.size());
       }
     } else {
       ++prof.dedup_hits;
@@ -756,7 +778,7 @@ bool FixpointDriver::TryFireNext(CliqueCtx* ctx, GammaState* g,
     Record(FlightEventKind::kStage, static_cast<int64_t>(rule.rule_index),
            stage);
   } else {
-    if (audit != nullptr && !saw_solution) ++audit->rejected_post;
+    if (audit != nullptr && !at.saw_solution) ++audit->rejected_post;
     Record(FlightEventKind::kChoiceReject,
            static_cast<int64_t>(rule.rule_index),
            static_cast<int64_t>(g->queue->LiveSize()));

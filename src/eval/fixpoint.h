@@ -22,12 +22,14 @@
 #define GDLOG_EVAL_FIXPOINT_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "analysis/stage.h"
 #include "common/guardrails.h"
 #include "common/status.h"
 #include "eval/choice_runtime.h"
+#include "eval/flat_table.h"
 #include "eval/rql.h"
 #include "eval/rule_compiler.h"
 #include "eval/seminaive.h"
@@ -175,8 +177,10 @@ class FixpointDriver {
     const CompiledRule* rule;
     std::unique_ptr<CandidateQueue> queue;
     bool merge = false;  // effective congruence-merge mode
-    // For non-next extrema rules: first-seen (= true) extremum per group.
-    std::unordered_map<Value, Value, ValueHash> group_best;
+    // For non-next extrema rules: first-seen (= true) extremum per group,
+    // keyed by the group term's components.
+    FlatTable group_best;
+    size_t group_charged = 0;  // MemoryBudget charge for group_best
   };
 
   struct CliqueCtx {
@@ -200,11 +204,13 @@ class FixpointDriver {
   void EvalPlain(const CompiledRule& rule, uint32_t delta_occurrence);
   void EvalAggregate(const CompiledRule& rule);
   void InsertCandidates(GammaState* g, uint32_t delta_occurrence);
+  /// Pushes the generator solution `f` into g's queue (Section 6's
+  /// insertion into D_r), through the reused key/snapshot buffers.
+  void PushCandidate(GammaState* g, const BindingFrame& f);
 
   /// Restores a candidate snapshot into `frame`.
   void RestoreSnapshot(const CompiledRule& rule,
-                       const std::vector<Value>& snapshot,
-                       BindingFrame* frame);
+                       std::span<const Value> snapshot, BindingFrame* frame);
 
   /// Attempts to fire one popped candidate of a next rule; true on fire.
   /// `audit` (audit mode only, else null) accumulates per-candidate
@@ -212,9 +218,10 @@ class FixpointDriver {
   bool TryFireNext(CliqueCtx* ctx, GammaState* g, const Candidate& cand,
                    ChoiceAuditEntry* audit);
 
-  /// Drains a non-next gamma rule's queue, firing every admissible
-  /// candidate (extrema-filtered when the rule has one). Returns the
-  /// number of firings.
+  /// Pops a non-next gamma rule's queue until one candidate passes the
+  /// extremum filter (when the rule has one) and the choice FDs, and
+  /// fires it: at most one firing per call, so γ alternates with
+  /// saturation. Returns the number of firings (0 or 1).
   size_t DrainChoiceRule(GammaState* g);
 
   /// Clock for profile timing: tracer time when tracing (so spans and
@@ -225,6 +232,9 @@ class FixpointDriver {
   void RecordApply(RuleProfile* prof, uint64_t start_ns, const char* cat);
   /// Appends an audit entry and re-charges the trail to the MemoryBudget.
   void AddAuditEntry(ChoiceAuditEntry entry);
+  /// Moves `*charged` to `bytes` in the run's MemoryBudget (no-op
+  /// without one).
+  void Charge(size_t* charged, size_t bytes);
   /// Publishes end-of-run totals into the metrics registry.
   void PublishMetrics();
   /// Records one flight-recorder event stamped with run_counters().
@@ -238,6 +248,18 @@ class FixpointDriver {
 
   PlanExecutor exec_;
   ChoiceRuntime choice_;
+  // Scratch reused across candidates, so the γ path allocates only when
+  // a buffer first grows: the generator frame and the key/snapshot
+  // buffers InsertCandidates fills; the firing frame, head, extremum
+  // group and provenance buffers TryFireNext and DrainChoiceRule fill.
+  BindingFrame gen_frame_;
+  std::vector<Value> key_buf_;
+  std::vector<Value> snapshot_buf_;
+  BindingFrame fire_frame_;
+  std::vector<Value> head_buf_;
+  std::vector<Value> group_buf_;
+  std::vector<ProvPremise> post_prov_;
+  std::vector<ProvPremise> prems_buf_;
   std::vector<std::unique_ptr<GammaState>> gamma_states_;  // by gamma_index
   FixpointStats stats_;
   ExecStats exec_stats_view_;  // snapshot filled when Run completes

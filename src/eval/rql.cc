@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/guardrails.h"
 #include "common/hash.h"
 #include "common/logging.h"
 
@@ -16,129 +17,196 @@ CandidateQueue::CandidateQueue(const ValueStore* store, Order order,
       tie_seed_(tie_seed),
       linear_scan_(linear_scan) {}
 
-bool CandidateQueue::After(const HeapEntry& a, const HeapEntry& b) const {
-  if (order_ != Order::kFifo) {
-    const int c = store_->Compare(a.cost, b.cost);
-    if (c != 0) {
-      return order_ == Order::kMin ? c > 0 : c < 0;
-    }
-  }
-  return a.tie > b.tie;
+CandidateQueue::~CandidateQueue() {
+  if (budget_ != nullptr) budget_->Update(&charged_, 0);
 }
 
-void CandidateQueue::Push(Value cost, Value congruence_key,
-                          std::vector<Value> snapshot,
-                          std::vector<ProvPremise> premises) {
+void CandidateQueue::set_memory_budget(MemoryBudget* budget) {
+  if (budget_ != nullptr) budget_->Update(&charged_, 0);
+  budget_ = budget;
+  Recharge();
+}
+
+size_t CandidateQueue::ApproxBytes() const {
+  return heap_.capacity() * sizeof(HeapEntry) + class_index_.ApproxBytes() +
+         classes_.capacity() * sizeof(ClassState) +
+         slab_.capacity() * sizeof(Value) +
+         free_slots_.capacity() * sizeof(uint32_t) +
+         premises_.capacity() * sizeof(std::vector<ProvPremise>) +
+         premise_bytes_;
+}
+
+void CandidateQueue::Recharge() {
+  if (budget_ == nullptr) return;
+  const size_t bytes = ApproxBytes();
+  if (bytes != charged_) budget_->Update(&charged_, bytes);
+}
+
+void CandidateQueue::Push(Value cost, std::span<const Value> key,
+                          std::span<const Value> snapshot,
+                          std::span<const ProvPremise> premises) {
   ++stats_.inserted;
-  if (fired_.count(congruence_key)) {
+  if (!shaped_) {
+    class_index_ = FlatTable(static_cast<uint32_t>(key.size()));
+    snapshot_width_ = static_cast<uint32_t>(snapshot.size());
+    shaped_ = true;
+  }
+  GDLOG_CHECK_EQ(key.size(), class_index_.key_width());
+  GDLOG_CHECK_EQ(snapshot.size(), snapshot_width_);
+  bool fresh = false;
+  const uint32_t cls = class_index_.Insert(key, &fresh);
+  if (!fresh && classes_[cls].fired) {
     ++stats_.merged;
     return;  // L-hit at insertion: straight to R (paper's insertion rule)
   }
   const uint64_t seq = next_seq_++;
-  bool superseding = false;
-  auto it = live_.find(congruence_key);
-  if (it != live_.end()) {
-    if (!merge_) {
-      // Full mode: the key is the whole candidate — exact duplicate.
-      ++stats_.merged;
-      return;
-    }
-    // Merge mode: keep the better of the congruent pair in Q.
-    // Find the authoritative entry's cost via a linear probe is too
-    // slow; we track it in the live map instead.
-    const Value old_cost = live_cost_[congruence_key];
-    const int c = store_->Compare(cost, old_cost);
-    const bool new_better = order_ == Order::kMin ? c < 0 : c > 0;
-    if (!new_better) {
-      ++stats_.merged;
-      return;
-    }
-    // Supersede: the old heap entry goes stale.
+  if (fresh) {
+    classes_.push_back(ClassState{cost, seq, /*queued=*/1, /*fired=*/0});
+    ++live_count_;
+  } else {
+    // Full mode: the key is the whole candidate — an exact duplicate.
+    // Merge mode: keep the better of the congruent pair in Q; a better
+    // newcomer supersedes (the old heap entry goes stale).
     ++stats_.merged;
-    superseding = true;
-  }
-  live_[congruence_key] = seq;
-  live_cost_[congruence_key] = cost;
-  if (!superseding) ++live_count_;
-
-  HeapEntry e;
-  e.cost = cost;
-  e.seq = seq;
-  e.tie = tie_seed_ ? Mix64(seq ^ tie_seed_) : seq;
-  e.key = congruence_key;
-  e.snapshot = std::move(snapshot);
-  e.premises = std::move(premises);
-  heap_.push_back(std::move(e));
-  if (!linear_scan_) {
-    // Sift up.
-    size_t i = heap_.size() - 1;
-    while (i > 0) {
-      const size_t parent = (i - 1) / 2;
-      if (!After(heap_[parent], heap_[i])) break;
-      std::swap(heap_[parent], heap_[i]);
-      i = parent;
+    ClassState& c = classes_[cls];
+    const int cmp = merge_ ? CompareCost(cost, c.cost) : 0;
+    const bool new_better = order_ == Order::kMin ? cmp < 0 : cmp > 0;
+    if (!new_better) return;
+    c.cost = cost;
+    c.seq = seq;
+    if (!c.queued) {
+      c.queued = 1;
+      ++live_count_;
     }
   }
+
+  const uint32_t slot = AcquireSlot();
+  std::copy(snapshot.begin(), snapshot.end(),
+            slab_.begin() + static_cast<ptrdiff_t>(slot) * snapshot_width_);
+  if (!premises.empty() || slot < premises_.size()) {
+    if (slot >= premises_.size()) premises_.resize(slot + 1);
+    std::vector<ProvPremise>& p = premises_[slot];
+    const size_t before = p.capacity();
+    p.assign(premises.begin(), premises.end());
+    premise_bytes_ += (p.capacity() - before) * sizeof(ProvPremise);
+  }
+  heap_.push_back(HeapEntry{cost, Tie(seq), cls, slot});
+  if (!linear_scan_) SiftUp(heap_.size() - 1);
   stats_.max_queue = std::max(stats_.max_queue, live_count_);
+  Recharge();
   if (tracer_ != nullptr) TraceOp(".push");
 }
 
+uint32_t CandidateQueue::AcquireSlot() {
+  if (!free_slots_.empty()) {
+    const uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
+  }
+  const auto slot = static_cast<uint32_t>(num_slots_++);
+  slab_.resize(num_slots_ * snapshot_width_);
+  // Every slot can be free at once; size the free list with the slab so
+  // releasing a slot at pop never allocates.
+  if (free_slots_.capacity() < num_slots_) {
+    free_slots_.reserve(std::max<size_t>(16, 2 * num_slots_));
+  }
+  return slot;
+}
+
+void CandidateQueue::SiftUp(size_t i) {
+  const HeapEntry moving = heap_[i];
+  while (i > 0) {
+    const size_t parent = (i - 1) / kArity;
+    if (!After(heap_[parent], moving)) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = moving;
+}
+
+void CandidateQueue::SiftDown(size_t i) {
+  const HeapEntry moving = heap_[i];
+  const size_t n = heap_.size();
+  for (;;) {
+    const size_t first = kArity * i + 1;
+    if (first >= n) break;
+    size_t best = first;
+    const size_t last = std::min(first + kArity, n);
+    for (size_t c = first + 1; c < last; ++c) {
+      if (After(heap_[best], heap_[c])) best = c;
+    }
+    if (!After(moving, heap_[best])) break;
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = moving;
+}
+
+void CandidateQueue::RemoveTop() {
+  heap_[0] = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) SiftDown(0);
+}
+
 void CandidateQueue::SkimDead() {
-  while (!heap_.empty()) {
-    const HeapEntry& top = heap_[0];
-    const auto it = live_.find(top.key);
-    const bool stale = it == live_.end() || it->second != top.seq;
-    const bool l_hit = fired_.count(top.key) > 0;
-    if (!stale && !l_hit) return;
+  while (!heap_.empty() && !Live(heap_[0])) {
     ++stats_.redundant;
     if (tracer_ != nullptr) TraceOp(".lazy_delete");
-    // Remove top: move last to root and sift down.
-    heap_[0] = std::move(heap_.back());
-    heap_.pop_back();
-    size_t i = 0;
-    for (;;) {
-      const size_t l = 2 * i + 1, r = 2 * i + 2;
-      size_t best = i;
-      if (l < heap_.size() && After(heap_[best], heap_[l])) best = l;
-      if (r < heap_.size() && After(heap_[best], heap_[r])) best = r;
-      if (best == i) break;
-      std::swap(heap_[i], heap_[best]);
-      i = best;
-    }
+    free_slots_.push_back(heap_[0].slot);
+    RemoveTop();
   }
+}
+
+Candidate CandidateQueue::Take(const HeapEntry& e) {
+  classes_[e.cls].queued = 0;
+  --live_count_;
+  free_slots_.push_back(e.slot);
+  if (tracer_ != nullptr) TraceOp(".pop");
+  Candidate c;
+  c.cost = e.cost;
+  c.seq = classes_[e.cls].seq;  // e is its class's authoritative entry
+  c.cls = e.cls;
+  c.snapshot = std::span<const Value>(
+      slab_.data() + static_cast<size_t>(e.slot) * snapshot_width_,
+      snapshot_width_);
+  if (e.slot < premises_.size()) c.premises = premises_[e.slot];
+  return c;
 }
 
 std::optional<Candidate> CandidateQueue::Pop() {
   if (linear_scan_) return PopLinear();
   SkimDead();
   if (heap_.empty()) return std::nullopt;
-  HeapEntry top = std::move(heap_[0]);
-  heap_[0] = std::move(heap_.back());
-  heap_.pop_back();
-  size_t i = 0;
-  for (;;) {
-    const size_t l = 2 * i + 1, r = 2 * i + 2;
-    size_t best = i;
-    if (l < heap_.size() && After(heap_[best], heap_[l])) best = l;
-    if (r < heap_.size() && After(heap_[best], heap_[r])) best = r;
-    if (best == i) break;
-    std::swap(heap_[i], heap_[best]);
-    i = best;
+  const HeapEntry top = heap_[0];
+  RemoveTop();
+  if (!heap_.empty()) {
+    // The next pop reads the new top's class state and the caller then
+    // reads its snapshot: start both loads while this candidate is
+    // being checked.
+    __builtin_prefetch(&classes_[heap_[0].cls]);
+    __builtin_prefetch(slab_.data() +
+                       static_cast<size_t>(heap_[0].slot) * snapshot_width_);
   }
-  Candidate c;
-  c.cost = top.cost;
-  c.seq = top.seq;
-  c.congruence_key = top.key;
-  c.snapshot = std::move(top.snapshot);
-  c.premises = std::move(top.premises);
-  if (live_count_ > 0) --live_count_;
-  if (tracer_ != nullptr) TraceOp(".pop");
-  return c;
+  return Take(top);
 }
 
-bool CandidateQueue::EntryLive(const HeapEntry& e) const {
-  const auto it = live_.find(e.key);
-  return it != live_.end() && it->second == e.seq && fired_.count(e.key) == 0;
+std::optional<Candidate> CandidateQueue::PopLinear() {
+  size_t best = heap_.size();
+  for (size_t i = 0; i < heap_.size(); ++i) {
+    if (!Live(heap_[i])) continue;
+    if (best == heap_.size() || After(heap_[best], heap_[i])) best = i;
+  }
+  if (best == heap_.size()) {
+    // Everything left is dead.
+    stats_.redundant += heap_.size();
+    for (const HeapEntry& e : heap_) free_slots_.push_back(e.slot);
+    heap_.clear();
+    return std::nullopt;
+  }
+  const HeapEntry e = heap_[best];
+  heap_[best] = heap_.back();
+  heap_.pop_back();
+  return Take(e);
 }
 
 size_t CandidateQueue::CountLiveEqualCost(const Value& cost) const {
@@ -148,7 +216,7 @@ size_t CandidateQueue::CountLiveEqualCost(const Value& cost) const {
     // the linear ablation has no heap order at all.
     size_t n = 0;
     for (const HeapEntry& e : heap_) {
-      if (EntryLive(e) && store_->Compare(e.cost, cost) == 0) ++n;
+      if (Live(e) && CompareCost(e.cost, cost) == 0) ++n;
     }
     return n;
   }
@@ -162,76 +230,27 @@ size_t CandidateQueue::CountLiveEqualCost(const Value& cost) const {
     const size_t i = stack.back();
     stack.pop_back();
     if (i >= heap_.size()) continue;
-    const int c = store_->Compare(heap_[i].cost, cost);
+    const int c = CompareCost(heap_[i].cost, cost);
     const bool worse = order_ == Order::kMin ? c > 0 : c < 0;
     if (worse) continue;
-    if (c == 0 && EntryLive(heap_[i])) ++n;
-    stack.push_back(2 * i + 1);
-    stack.push_back(2 * i + 2);
+    if (c == 0 && Live(heap_[i])) ++n;
+    for (size_t k = 1; k <= kArity; ++k) stack.push_back(kArity * i + k);
   }
   return n;
 }
 
 void CandidateQueue::MarkFired(const Candidate& c) {
-  fired_.insert(c.congruence_key);
+  classes_[c.cls].fired = 1;
   ++stats_.fired;
 }
 
 void CandidateQueue::MarkRedundant(const Candidate& c) {
   ++stats_.redundant;
-  if (merge_) {
-    // The FD that rejected this candidate is keyed by the congruence key,
-    // so the whole class is dead: block future congruent insertions.
-    fired_.insert(c.congruence_key);
-  }
-  // Full mode: the key stays in live_ as a seen-set entry, so exact
+  // Merge mode: the FD that rejected this candidate is keyed by the
+  // congruence key, so the whole class is dead — block future congruent
+  // insertions. Full mode: the class stays as a seen-set entry, so exact
   // re-derivations keep being dropped at insertion.
-}
-
-std::optional<Candidate> CandidateQueue::PopLinear() {
-  for (;;) {
-    if (heap_.empty()) return std::nullopt;
-    size_t best = heap_.size();
-    for (size_t i = 0; i < heap_.size(); ++i) {
-      const auto it = live_.find(heap_[i].key);
-      const bool dead = it == live_.end() || it->second != heap_[i].seq ||
-                        fired_.count(heap_[i].key) > 0;
-      if (dead) continue;
-      if (best == heap_.size() || After(heap_[best], heap_[i])) best = i;
-    }
-    if (best == heap_.size()) {
-      // Everything left is dead.
-      stats_.redundant += heap_.size();
-      heap_.clear();
-      return std::nullopt;
-    }
-    HeapEntry e = std::move(heap_[best]);
-    heap_[best] = std::move(heap_.back());
-    heap_.pop_back();
-    Candidate c;
-    c.cost = e.cost;
-    c.seq = e.seq;
-    c.congruence_key = e.key;
-    c.snapshot = std::move(e.snapshot);
-    c.premises = std::move(e.premises);
-    if (live_count_ > 0) --live_count_;
-    if (tracer_ != nullptr) TraceOp(".pop");
-    return c;
-  }
-}
-
-bool CandidateQueue::Empty() {
-  if (linear_scan_) {
-    for (const HeapEntry& e : heap_) {
-      const auto it = live_.find(e.key);
-      if (it != live_.end() && it->second == e.seq && !fired_.count(e.key)) {
-        return false;
-      }
-    }
-    return true;
-  }
-  SkimDead();
-  return heap_.empty();
+  if (merge_) classes_[c.cls].fired = 1;
 }
 
 }  // namespace gdlog

@@ -18,32 +18,47 @@
 // mode the key is the whole candidate (pure duplicate elimination) and
 // competition is resolved lazily at pop.
 //
+// Layout: flat, and nothing is interned. A FlatTable keyed by the key's
+// components maps each congruence class to a dense id; per-class state
+// (authoritative seq and cost, queued and L flags; 16 bytes) sits in one
+// array. Q is a 4-ary heap of 24-byte POD entries {cost, tie, class,
+// slot} with lazy deletion: a superseded entry stays in the heap and is
+// skipped when it surfaces (its tie no longer matches its class's seq).
+// Snapshots have a fixed width per queue and live in a slab whose slots
+// are recycled after pop.
+//
 // Complexity: insertion and pop are O(log |Q|) plus O(1) hash work —
-// the bound Section 6 assumes.
+// the bound Section 6 assumes. Neither allocates except when the heap,
+// the slab, or the class table grows (amortized O(1)).
 #ifndef GDLOG_EVAL_RQL_H_
 #define GDLOG_EVAL_RQL_H_
 
 #include <cstdint>
 #include <optional>
-#include <queue>
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
+#include <string>
 #include <vector>
 
+#include "common/hash.h"
+#include "eval/flat_table.h"
 #include "obs/trace.h"
 #include "storage/relation.h"
 #include "value/value.h"
 
 namespace gdlog {
 
+class MemoryBudget;
+
+/// A popped candidate. The spans view queue storage and stay valid until
+/// the next Push.
 struct Candidate {
-  Value cost;                   // extremum key (Int(seq) for FIFO rules)
-  uint64_t seq = 0;             // insertion order; ties and staleness
-  Value congruence_key;         // interned tuple
-  std::vector<Value> snapshot;  // generator-bound slot values
+  Value cost;        // extremum key (Int(0) for FIFO rules)
+  uint64_t seq = 0;  // insertion number, the tie-break input
+  uint32_t cls = 0;  // congruence class, for MarkFired / MarkRedundant
+  std::span<const Value> snapshot;  // generator-bound slot values
   // Generator premises (provenance mode only; empty otherwise). Carried
   // through supersede/pop so a firing can annotate its head row.
-  std::vector<ProvPremise> premises;
+  std::span<const ProvPremise> premises;
 };
 
 struct CandidateQueueStats {
@@ -70,13 +85,26 @@ class CandidateQueue {
   /// naive baseline the Section 6 structure is benchmarked against.
   CandidateQueue(const ValueStore* store, Order order, bool merge,
                  uint64_t tie_seed = 0, bool linear_scan = false);
+  /// Releases the MemoryBudget charge, if any.
+  ~CandidateQueue();
+  CandidateQueue(const CandidateQueue&) = delete;
+  CandidateQueue& operator=(const CandidateQueue&) = delete;
 
-  /// Inserts a candidate. In merge mode a congruent entry in L sends the
-  /// candidate to R; a congruent better entry in Q sends it to R; a
-  /// congruent worse entry is superseded. In full mode exact duplicates
-  /// (same key) are dropped.
-  void Push(Value cost, Value congruence_key, std::vector<Value> snapshot,
-            std::vector<ProvPremise> premises = {});
+  /// Inserts a candidate whose congruence key has the components `key`.
+  /// In merge mode a congruent entry in L sends the candidate to R; a
+  /// congruent better entry in Q sends it to R; a congruent worse entry
+  /// is superseded. In full mode exact duplicates (same key) are dropped.
+  /// A push that passes the L check consumes a seq (the tie-break input)
+  /// even when it is then merged away. The first push fixes the key and
+  /// snapshot widths; later pushes must match them.
+  void Push(Value cost, std::span<const Value> key,
+            std::span<const Value> snapshot,
+            std::span<const ProvPremise> premises = {});
+  /// A single-value congruence key (e.g. an interned tuple).
+  void Push(Value cost, Value key, std::span<const Value> snapshot,
+            std::span<const ProvPremise> premises = {}) {
+    Push(cost, std::span<const Value>(&key, 1), snapshot, premises);
+  }
 
   /// Pops the best live candidate (skipping stale/L-hit entries into R).
   /// Returns nullopt when the queue is drained.
@@ -89,8 +117,6 @@ class CandidateQueue {
   /// failed post conditions) — the paper's move into R_r.
   void MarkRedundant(const Candidate& c);
 
-  bool Empty();
-  size_t QueueSize() const { return heap_.size(); }
   /// Live (non-stale, non-fired) candidates currently in Q — the
   /// candidate-set size the choice audit reports.
   size_t LiveSize() const { return live_count_; }
@@ -99,6 +125,12 @@ class CandidateQueue {
   /// that cannot hold equal-cost entries; called only in audit mode.
   size_t CountLiveEqualCost(const Value& cost) const;
   const CandidateQueueStats& stats() const { return stats_; }
+
+  /// Charges the heap, slab and class table to `budget` (which must
+  /// outlive the queue), now and whenever one of them grows.
+  void set_memory_budget(MemoryBudget* budget);
+  /// Bytes held by the queue's storage (capacities).
+  size_t ApproxBytes() const;
 
   /// Attaches a tracer for sampled push/pop/lazy-delete instant events;
   /// `tag` prefixes event names (e.g. "q0" -> "q0.push"). Null detaches.
@@ -110,36 +142,86 @@ class CandidateQueue {
  private:
   struct HeapEntry {
     Value cost;
-    uint64_t tie;  // perturbed seq
-    uint64_t seq;
-    Value key;
-    std::vector<Value> snapshot;
-    std::vector<ProvPremise> premises;
+    uint64_t tie;  // Tie(seq): a bijection, so it also identifies seq
+    uint32_t cls;
+    uint32_t slot;  // snapshot slab slot
   };
+  struct ClassState {
+    Value cost;              // the authoritative entry's cost
+    uint64_t seq : 62;       // the authoritative entry; others are stale
+    uint64_t queued : 1;     // the authoritative entry is still in Q
+    uint64_t fired : 1;      // in L (or FD-dead, in merge mode)
+  };
+  // Children of heap slot i are kArity * i + 1 .. kArity * i + kArity:
+  // half the depth of a binary heap, and a sibling group is 96
+  // contiguous bytes.
+  static constexpr size_t kArity = 4;
 
-  /// True when a comes after b in pop order (std::priority_queue keeps
-  /// the "largest"; we invert so the best pops first).
-  bool After(const HeapEntry& a, const HeapEntry& b) const;
+  /// The tie-break key of insertion number `seq` — Mix64 is a bijection,
+  /// so distinct seqs never tie.
+  uint64_t Tie(uint64_t seq) const {
+    return tie_seed_ ? Mix64(seq ^ tie_seed_) : seq;
+  }
 
+  /// Three-way semantic cost order, inline for ints.
+  int CompareCost(Value a, Value b) const {
+    if (a == b) return 0;
+    if (a.is_int() && b.is_int()) {
+      return static_cast<int64_t>(a.bits()) < static_cast<int64_t>(b.bits())
+                 ? -1
+                 : 1;
+    }
+    return store_->Compare(a, b);
+  }
+  /// True when a comes after b in pop order.
+  bool After(const HeapEntry& a, const HeapEntry& b) const {
+    if (order_ != Order::kFifo) {
+      const int c = CompareCost(a.cost, b.cost);
+      if (c != 0) return order_ == Order::kMin ? c > 0 : c < 0;
+    }
+    return a.tie > b.tie;
+  }
+  bool Live(const HeapEntry& e) const {
+    const ClassState& c = classes_[e.cls];
+    return !c.fired && Tie(c.seq) == e.tie;
+  }
+
+  void SiftUp(size_t i);
+  void SiftDown(size_t i);
+  /// Removes heap_[0], restoring heap order.
+  void RemoveTop();
   void SkimDead();
   std::optional<Candidate> PopLinear();
-  bool EntryLive(const HeapEntry& e) const;
+  /// Hands out a popped entry: frees its slot and class queue position.
+  Candidate Take(const HeapEntry& e);
+  uint32_t AcquireSlot();
+  /// Re-charges the budget when a capacity changed.
+  void Recharge();
 
   const ValueStore* store_;
   Order order_;
   bool merge_;
   uint64_t tie_seed_;
   bool linear_scan_;
+  bool shaped_ = false;  // widths fixed by the first push
+  uint32_t snapshot_width_ = 0;
   uint64_t next_seq_ = 0;
   size_t live_count_ = 0;  // authoritative (non-stale, non-fired) entries
 
-  std::vector<HeapEntry> heap_;  // binary heap managed manually
-  // Live-entry registry: congruence key -> seq of the authoritative
-  // entry. A popped entry whose seq mismatches is stale (superseded).
-  std::unordered_map<Value, uint64_t, ValueHash> live_;
-  std::unordered_map<Value, Value, ValueHash> live_cost_;
-  std::unordered_set<Value, ValueHash> fired_;  // L
+  std::vector<HeapEntry> heap_;  // kArity-ary heap, lazy deletion
+  FlatTable class_index_;        // congruence key -> class id
+  std::vector<ClassState> classes_;  // by class id
+  // Snapshot slab: slot s holds snapshot_width_ values at s * width.
+  std::vector<Value> slab_;
+  size_t num_slots_ = 0;
+  std::vector<uint32_t> free_slots_;
+  // Premises by slot (provenance mode only; empty otherwise).
+  std::vector<std::vector<ProvPremise>> premises_;
+  size_t premise_bytes_ = 0;  // capacity held by premises_' elements
+
   CandidateQueueStats stats_;
+  MemoryBudget* budget_ = nullptr;
+  size_t charged_ = 0;
   Tracer* tracer_ = nullptr;
   std::string trace_tag_;
 

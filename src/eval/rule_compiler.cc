@@ -88,6 +88,30 @@ bool EvalTerm(const std::vector<CTerm>& pool, uint32_t t,
   return false;
 }
 
+bool EvalTermComponents(const std::vector<CTerm>& pool, uint32_t t,
+                        const BindingFrame& frame, ValueStore* store,
+                        std::vector<Value>* out) {
+  // Variables (the common component) are read inline.
+  const auto eval = [&](uint32_t term) {
+    const CTerm& ct = pool[term];
+    Value v;
+    if (ct.kind == CTerm::Kind::kVar) {
+      if (!frame.IsBound(ct.var_slot)) return false;
+      v = frame.Get(ct.var_slot);
+    } else if (!EvalTerm(pool, term, frame, store, &v)) {
+      return false;
+    }
+    out->push_back(v);
+    return true;
+  };
+  const CTerm& ct = pool[t];
+  if (ct.kind != CTerm::Kind::kConstruct) return eval(t);
+  for (uint32_t arg : ct.args) {
+    if (!eval(arg)) return false;
+  }
+  return true;
+}
+
 bool MatchTerm(const std::vector<CTerm>& pool, uint32_t t, Value v,
                BindingFrame* frame, ValueStore* store) {
   const CTerm& ct = pool[t];

@@ -57,6 +57,23 @@ struct CTerm {
 bool EvalTerm(const std::vector<CTerm>& pool, uint32_t t,
               const BindingFrame& frame, ValueStore* store, Value* out);
 
+/// Evaluates pool[t] one level flattened, appending to `out`: a
+/// constructor term (a choice goal's tuple, say) yields its evaluated
+/// arguments, any other term its one value. For a fixed term two
+/// evaluations are equal iff their components are, so callers can hash
+/// and compare components instead of interning the term. Returns false
+/// exactly when EvalTerm would.
+bool EvalTermComponents(const std::vector<CTerm>& pool, uint32_t t,
+                        const BindingFrame& frame, ValueStore* store,
+                        std::vector<Value>* out);
+/// The number of values EvalTermComponents appends for pool[t].
+inline uint32_t TermComponentCount(const std::vector<CTerm>& pool,
+                                   uint32_t t) {
+  return pool[t].kind == CTerm::Kind::kConstruct
+             ? static_cast<uint32_t>(pool[t].args.size())
+             : 1;
+}
+
 /// Matches value `v` against pool[t]: unbound variables bind (recorded on
 /// the frame's trail), bound ones compare, constructors destructure, and
 /// arithmetic subterms evaluate-and-compare. Returns false on mismatch

@@ -5,6 +5,8 @@
 #include <set>
 
 #include "api/engine.h"
+#include "greedy/matching.h"
+#include "workload/graph_gen.h"
 
 namespace gdlog {
 namespace {
@@ -126,6 +128,23 @@ TEST(Choice, StatsCountChosenTuples) {
   EXPECT_EQ(qs->inserted, 4u);   // all takes tuples become candidates
   EXPECT_EQ(qs->fired, 2u);      // two admissible firings
   EXPECT_EQ(qs->redundant, 2u);  // two FD-blocked candidates
+}
+
+TEST(Choice, MatchingInternsNothingPerCandidate) {
+  // Congruence keys and the tuple-valued FD side W of next's synthesized
+  // choice(I, W) / choice(W, I) are hashed by their components, so the
+  // γ path adds no terms to the ValueStore: the count after a run is the
+  // same for a small and a large arc set.
+  auto terms_after_run = [](uint32_t nodes, uint32_t arcs) -> size_t {
+    auto result = GreedyMatching(BipartiteGraph(nodes, nodes, arcs));
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) return 0;
+    EXPECT_GT(result->arcs.size(), 0u);
+    return result->engine->store().num_terms();
+  };
+  const size_t small = terms_after_run(100, 500);
+  const size_t large = terms_after_run(800, 4000);
+  EXPECT_EQ(small, large);
 }
 
 TEST(Choice, RewrittenProgramTextMentionsChosen) {

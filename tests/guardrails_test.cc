@@ -14,6 +14,9 @@
 #include "analysis/diagnostics.h"
 #include "api/engine.h"
 #include "common/guardrails.h"
+#include "greedy/graph.h"
+#include "greedy/matching.h"
+#include "workload/graph_gen.h"
 
 namespace gdlog {
 namespace {
@@ -162,6 +165,84 @@ TEST(Guardrails, MemoryBudgetStopsRunawayRun) {
   EXPECT_EQ(engine->outcome().reason, TerminationReason::kMemoryLimit);
   EXPECT_GE(engine->outcome().peak_memory_bytes, 1u << 20);
   EXPECT_GT(engine->Query("c", 1).size(), 0u);
+}
+
+TEST(Guardrails, MemoryBudgetSeesTheCandidateQueue) {
+  // Example 7 matching over AddFact'ed arcs: every arc becomes a live
+  // candidate at round 0. The (R,Q,L) queue and FD memo are charged to
+  // the run's MemoryBudget, so a cap the EDB fits under but the queue
+  // does not stops the run with GD204 — and the partial state answers.
+  const Graph graph = BipartiteGraph(2000, 2000, 20000);
+  auto load = [&graph](Engine* engine) {
+    ASSERT_TRUE(engine->LoadProgram(kMatchingProgram).ok());
+    GraphLoadOptions arcs;
+    arcs.both_directions = false;
+    ASSERT_TRUE(LoadGraphEdges(engine, graph, arcs).ok());
+  };
+  Engine probe;
+  load(&probe);
+  const size_t edb_bytes = probe.tracked_memory_bytes();
+  // A queue entry costs at least a 32-byte heap entry plus its snapshot
+  // and class row; half of that per arc stays below the queue's charge.
+  const size_t queue_floor = graph.edges.size() * 48;
+
+  EngineOptions options;
+  options.limits.max_memory_bytes = edb_bytes + queue_floor;
+  Engine engine(options);
+  load(&engine);
+  EXPECT_EQ(engine.tracked_memory_bytes(), edb_bytes);
+  const Status st = engine.Run();
+  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
+  EXPECT_EQ(DiagCodeOfStatus(st), diag::kMemoryLimit);
+  EXPECT_EQ(engine.outcome().reason, TerminationReason::kMemoryLimit);
+  EXPECT_GE(engine.outcome().peak_memory_bytes, edb_bytes + queue_floor);
+  // The stop came before the greedy loop ran to its end.
+  ASSERT_NE(engine.stats(), nullptr);
+  EXPECT_LT(engine.stats()->gamma_firings, graph.edges.size() / 10);
+  EXPECT_GE(engine.Query("matching", 4).size(), 1u);  // the seed at least
+  EXPECT_EQ(engine.Query("g", 3).size(), graph.edges.size());
+}
+
+TEST(Guardrails, AllocFaultsInTheGammaPathAreGracefulOom) {
+  // The queue, the FD memo and the extremum filter charge their growth to
+  // the MemoryBudget, so an injected allocation failure can fire inside a
+  // candidate push or an FD commit. Sweep the trigger over every growth
+  // event of a matching load and run: each stop is a graceful OOM that
+  // leaves the engine queryable.
+  const Graph graph = BipartiteGraph(40, 40, 300);
+  GraphLoadOptions arcs;
+  arcs.both_directions = false;
+  uint64_t load_hits = 0, total_hits = 0;
+  {
+    EngineOptions options;
+    options.faults = "alloc@1000000";  // armed, never reached: counts hits
+    Engine engine(options);
+    ASSERT_TRUE(engine.LoadProgram(kMatchingProgram).ok());
+    ASSERT_TRUE(LoadGraphEdges(&engine, graph, arcs).ok());
+    load_hits = engine.fault_injector()->hits(FaultInjector::kAlloc);
+    ASSERT_TRUE(engine.Run().ok());
+    total_hits = engine.fault_injector()->hits(FaultInjector::kAlloc);
+  }
+  ASSERT_GT(total_hits, load_hits);
+  uint64_t queryable_stops = 0;
+  for (uint64_t k = load_hits + 1; k <= total_hits; ++k) {
+    EngineOptions options;
+    options.faults = "alloc@" + std::to_string(k);
+    Engine engine(options);
+    ASSERT_TRUE(engine.LoadProgram(kMatchingProgram).ok());
+    ASSERT_TRUE(LoadGraphEdges(&engine, graph, arcs).ok());
+    const Status st = engine.Run();
+    EXPECT_EQ(st.code(), StatusCode::kOutOfMemory) << "alloc@" << k;
+    // A failure while compiling (before the fixpoint driver exists)
+    // leaves no run behind; one during evaluation keeps it queryable.
+    if (!engine.has_run()) continue;
+    ++queryable_stops;
+    EXPECT_EQ(engine.Query("g", 3).size(), graph.edges.size())
+        << "alloc@" << k;
+    EXPECT_GE(engine.Query("matching", 4).size(), 1u) << "alloc@" << k;
+    EXPECT_TRUE(engine.RunReport().ok()) << "alloc@" << k;
+  }
+  EXPECT_GT(queryable_stops, 0u);
 }
 
 TEST(Guardrails, StageLimitStopsStagedProgram) {

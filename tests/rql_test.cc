@@ -3,7 +3,37 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <map>
+#include <new>
+#include <set>
+
+#include "common/guardrails.h"
 #include "common/rng.h"
+
+// Counts global operator new calls, so a test can bound the allocations
+// of a stretch of queue operations.
+namespace {
+size_t g_allocations = 0;
+}  // namespace
+
+// GCC treats the replaced operator new as the builtin and flags the
+// free() in the matching replaced delete as a mismatch.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(size_t n) {
+  ++g_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace gdlog {
 namespace {
@@ -149,6 +179,300 @@ TEST_F(RqlTest, LargeVolumeHeapProperty) {
     ++popped;
   }
   EXPECT_EQ(popped, 5000u);
+}
+
+TEST_F(RqlTest, PoppedSnapshotSurvivesUntilNextPush) {
+  // Slots are recycled: after the first round every push reuses the slot
+  // a pop released. A popped view must stay intact across later pops
+  // and only be invalidated by the next Push.
+  CandidateQueue q(&store_, CandidateQueue::Order::kMin, /*merge=*/false);
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 3; ++i) {
+      const int64_t k = round * 10 + i;
+      q.Push(Value::Int(k), Key(k), Snap(k, 100 + k));
+    }
+    auto a = q.Pop();
+    auto b = q.Pop();
+    auto c = q.Pop();
+    ASSERT_TRUE(a && b && c);
+    EXPECT_FALSE(q.Pop().has_value());
+    const int64_t k = round * 10;
+    EXPECT_EQ(a->snapshot[0].AsInt(), k);
+    EXPECT_EQ(a->snapshot[1].AsInt(), 100 + k);
+    EXPECT_EQ(b->snapshot[0].AsInt(), k + 1);
+    EXPECT_EQ(b->snapshot[1].AsInt(), 101 + k);
+    EXPECT_EQ(c->snapshot[0].AsInt(), k + 2);
+    EXPECT_EQ(c->snapshot[1].AsInt(), 102 + k);
+  }
+}
+
+TEST_F(RqlTest, MemoryChargeTracksGrowthAndIsReleased) {
+  MemoryBudget budget;
+  {
+    CandidateQueue q(&store_, CandidateQueue::Order::kMin, /*merge=*/true);
+    q.set_memory_budget(&budget);
+    const size_t empty = budget.used();
+    size_t last = empty;
+    for (int64_t i = 0; i < 5000; ++i) {
+      const Value key[2] = {Value::Int(i % 97), Value::Int(i)};
+      const Value snap[3] = {key[0], key[1], Value::Int(i * 7)};
+      q.Push(Value::Int(i * 7 % 1000), key, snap);
+      EXPECT_GE(budget.used(), last);  // charges only grow while pushing
+      last = budget.used();
+    }
+    EXPECT_GT(budget.used(), empty + 5000 * 3 * sizeof(Value));
+    EXPECT_EQ(budget.used(), q.ApproxBytes());
+    while (q.Pop()) {
+    }
+    EXPECT_EQ(budget.used(), q.ApproxBytes());
+  }
+  EXPECT_EQ(budget.used(), 0u);
+  EXPECT_GT(budget.peak(), 0u);
+}
+
+TEST_F(RqlTest, PushPopAllocateOnlyOnGrowth) {
+  // 100k candidates through push, pop and a redundant/fired mark each:
+  // the only allocations are the amortized growth of the heap, slab,
+  // free list and class table — a few dozen, not one per candidate.
+  constexpr int64_t kN = 100000;
+  CandidateQueue q(&store_, CandidateQueue::Order::kMin, /*merge=*/true,
+                   /*tie_seed=*/12345);
+  const size_t before = g_allocations;
+  for (int64_t i = 0; i < kN; ++i) {
+    const Value key[2] = {Value::Int(i % 1000), Value::Int(i / 1000)};
+    const Value snap[3] = {key[0], key[1], Value::Int(i)};
+    q.Push(Value::Int((i * 7919) % 5000), key, snap);
+    if (i % 3 == 2) {
+      auto c = q.Pop();
+      ASSERT_TRUE(c.has_value());
+      if (c->seq % 2 == 0) {
+        q.MarkFired(*c);
+      } else {
+        q.MarkRedundant(*c);
+      }
+    }
+  }
+  while (auto c = q.Pop()) q.MarkRedundant(*c);
+  EXPECT_LT(g_allocations - before, 200u);
+  EXPECT_EQ(q.stats().inserted, static_cast<uint64_t>(kN));
+}
+
+// ---------------------------------------------------------------------------
+// Randomized differential test against a naive list model of the paper's
+// insertion rule (Section 6):
+//   * a candidate whose class is in L goes to R without consuming a seq;
+//   * otherwise it consumes a seq (the tie-break input), then
+//     - full mode: an exact duplicate of a seen key goes to R;
+//     - merge mode: a congruent candidate that is no better than its
+//       class's authoritative entry goes to R, a better one supersedes it
+//       (the old entry goes stale, to be skipped at pop);
+//   * pop returns the best live entry by (cost, tie); dead entries that
+//     order before it are skimmed into R on the way (all of them at
+//     drain); the linear-scan ablation skims only at drain.
+// ---------------------------------------------------------------------------
+
+class ModelQueue {
+ public:
+  using Order = CandidateQueue::Order;
+  struct Entry {
+    Value cost;
+    uint64_t tie;
+    uint64_t seq;
+    std::vector<Value> key;
+    std::vector<Value> snapshot;
+    bool dead = false;
+  };
+
+  ModelQueue(const ValueStore* store, Order order, bool merge,
+             uint64_t tie_seed, bool linear)
+      : store_(store),
+        order_(order),
+        merge_(merge),
+        tie_seed_(tie_seed),
+        linear_(linear) {}
+
+  void Push(Value cost, const std::vector<Value>& key,
+            const std::vector<Value>& snapshot) {
+    ++stats_.inserted;
+    if (l_.count(key)) {
+      ++stats_.merged;
+      return;
+    }
+    const uint64_t seq = next_seq_++;
+    auto cls = class_cost_.find(key);
+    if (cls != class_cost_.end()) {
+      ++stats_.merged;
+      if (!merge_) return;
+      const int c = store_->Compare(cost, cls->second);
+      if (!(order_ == Order::kMin ? c < 0 : c > 0)) return;
+      for (Entry& e : entries_) {
+        if (!e.dead && e.key == key) e.dead = true;
+      }
+    }
+    class_cost_[key] = cost;
+    entries_.push_back(
+        {cost, tie_seed_ ? Mix64(seq ^ tie_seed_) : seq, seq, key, snapshot});
+    stats_.max_queue = std::max(stats_.max_queue, LiveSize());
+  }
+
+  std::optional<Entry> Pop() {
+    int best = -1;
+    for (size_t i = 0; i < entries_.size(); ++i) {
+      if (entries_[i].dead) continue;
+      if (best < 0 || Before(entries_[i], entries_[best])) {
+        best = static_cast<int>(i);
+      }
+    }
+    if (best < 0) {
+      stats_.redundant += entries_.size();
+      entries_.clear();
+      return std::nullopt;
+    }
+    Entry out = entries_[best];
+    entries_.erase(entries_.begin() + best);
+    if (!linear_) {
+      // Heap mode: dead entries ordered before the popped one surfaced
+      // at the top first.
+      const size_t n = entries_.size();
+      std::erase_if(entries_, [&](const Entry& e) {
+        return e.dead && Before(e, out);
+      });
+      stats_.redundant += n - entries_.size();
+    }
+    return out;
+  }
+
+  void MarkFired(const Entry& e) {
+    ++stats_.fired;
+    l_.insert(e.key);
+  }
+  void MarkRedundant(const Entry& e) {
+    ++stats_.redundant;
+    if (merge_) l_.insert(e.key);
+  }
+
+  size_t LiveSize() const {
+    return std::count_if(entries_.begin(), entries_.end(),
+                         [](const Entry& e) { return !e.dead; });
+  }
+  size_t CountLiveEqualCost(Value cost) const {
+    return std::count_if(entries_.begin(), entries_.end(), [&](const Entry& e) {
+      return !e.dead && store_->Compare(e.cost, cost) == 0;
+    });
+  }
+  const CandidateQueueStats& stats() const { return stats_; }
+
+ private:
+  bool Before(const Entry& a, const Entry& b) const {
+    if (order_ != Order::kFifo) {
+      const int c = store_->Compare(a.cost, b.cost);
+      if (c != 0) return order_ == Order::kMin ? c < 0 : c > 0;
+    }
+    return a.tie < b.tie;
+  }
+
+  const ValueStore* store_;
+  Order order_;
+  bool merge_;
+  uint64_t tie_seed_;
+  bool linear_;
+  uint64_t next_seq_ = 0;
+  std::vector<Entry> entries_;  // Q plus stale entries not yet skimmed
+  std::set<std::vector<Value>> l_;
+  std::map<std::vector<Value>, Value> class_cost_;  // authoritative cost
+  CandidateQueueStats stats_;
+};
+
+void ExpectSameStats(const CandidateQueueStats& a, const CandidateQueueStats& b,
+                     const std::string& where) {
+  EXPECT_EQ(a.inserted, b.inserted) << where;
+  EXPECT_EQ(a.merged, b.merged) << where;
+  EXPECT_EQ(a.redundant, b.redundant) << where;
+  EXPECT_EQ(a.fired, b.fired) << where;
+  EXPECT_EQ(a.max_queue, b.max_queue) << where;
+}
+
+TEST_F(RqlTest, RandomStreamsMatchNaiveModel) {
+  using Order = CandidateQueue::Order;
+  // A few symbol costs exercise the ValueStore::Compare fallback.
+  const Value syms[2] = {store_.MakeSymbol("p"), store_.MakeSymbol("q")};
+  int config = 0;
+  for (const bool merge : {true, false}) {
+    for (const Order order : {Order::kMin, Order::kMax, Order::kFifo}) {
+      for (const uint64_t tie_seed : {uint64_t{0}, uint64_t{12345}}) {
+        for (const bool linear : {false, true}) {
+          const std::string where = "merge=" + std::to_string(merge) +
+                                    " order=" +
+                                    std::to_string(static_cast<int>(order)) +
+                                    " seed=" + std::to_string(tie_seed) +
+                                    " linear=" + std::to_string(linear);
+          Rng rng(1000 + config++);
+          CandidateQueue q(&store_, order, merge, tie_seed, linear);
+          ModelQueue m(&store_, order, merge, tie_seed, linear);
+          int64_t pushes = 0;
+          for (int step = 0; step < 3000; ++step) {
+            const std::string at = where + " step=" + std::to_string(step);
+            if (rng.NextBounded(5) < 3) {
+              const int64_t k = rng.NextInt(0, 11);
+              const int64_t c = rng.NextInt(0, 5);
+              const Value cost =
+                  rng.NextBounded(10) == 0 ? syms[c % 2] : Value::Int(c);
+              // Full mode keys a candidate by its whole snapshot (so
+              // exact duplicates recur); merge mode by a two-column
+              // class key, with a unique snapshot per push.
+              std::vector<Value> snap, key;
+              if (merge) {
+                key = {Value::Int(k % 4), Value::Int(k / 4)};
+                snap = {key[0], key[1], cost, Value::Int(pushes)};
+              } else {
+                snap = {Value::Int(k), cost};
+                key = snap;
+              }
+              ++pushes;
+              q.Push(cost, key, snap);
+              m.Push(cost, key, snap);
+            } else {
+              auto got = q.Pop();
+              auto want = m.Pop();
+              ASSERT_EQ(got.has_value(), want.has_value()) << at;
+              if (got) {
+                EXPECT_EQ(got->cost, want->cost) << at;
+                EXPECT_EQ(got->seq, want->seq) << at;
+                ASSERT_TRUE(std::equal(got->snapshot.begin(),
+                                       got->snapshot.end(),
+                                       want->snapshot.begin(),
+                                       want->snapshot.end()))
+                    << at;
+                EXPECT_EQ(q.CountLiveEqualCost(got->cost),
+                          m.CountLiveEqualCost(want->cost))
+                    << at;
+                if (rng.NextBounded(2) == 0) {
+                  q.MarkFired(*got);
+                  m.MarkFired(*want);
+                } else {
+                  q.MarkRedundant(*got);
+                  m.MarkRedundant(*want);
+                }
+              }
+            }
+            ASSERT_EQ(q.LiveSize(), m.LiveSize()) << at;
+            ExpectSameStats(q.stats(), m.stats(), at);
+          }
+          // Drain: every stale entry is accounted for.
+          while (auto got = q.Pop()) {
+            auto want = m.Pop();
+            ASSERT_TRUE(want.has_value()) << where;
+            EXPECT_EQ(got->seq, want->seq) << where;
+            q.MarkRedundant(*got);
+            m.MarkRedundant(*want);
+          }
+          EXPECT_FALSE(m.Pop().has_value()) << where;
+          EXPECT_EQ(q.LiveSize(), 0u) << where;
+          ExpectSameStats(q.stats(), m.stats(), where + " drained");
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

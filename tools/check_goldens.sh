@@ -14,6 +14,12 @@
 # executes (micro-ops, probe keys, fused filters, rejection reasons).
 # The disassembly is pointer-free and deterministic for a fixed program.
 #
+# Finally runs `gdlog_shell --choices --seed K` over the shipped programs
+# at seeds 0 and 2 and diffs the model plus its choice-audit trail
+# against tests/goldens/<name>.seed<K>.choices. This pins which stable
+# model each seed picks: any drift in candidate order, tie-breaking, or
+# audit counts shows up here even when both backends agree.
+#
 #   tools/check_goldens.sh BUILD_DIR            check; exit 1 on drift
 #   tools/check_goldens.sh BUILD_DIR --update   refresh the goldens
 set -u
@@ -66,5 +72,24 @@ for f in programs/*.dl tests/fixtures/vm_reject_*.dl; do
     echo "GOLDEN DRIFT: $f vs $golden"
     fail=1
   fi
+done
+
+# Chosen-model goldens: the model and choice audit per seed.
+for f in programs/*.dl; do
+  name=$(basename "$f" .dl)
+  for seed in 0 2; do
+    golden="tests/goldens/$name.seed$seed.choices"
+    out=$("$SHELL_BIN" "$f" --choices --seed "$seed" 2>/dev/null) || true
+    if [ "$MODE" = "--update" ]; then
+      printf '%s\n' "$out" > "$golden"
+      echo "updated $golden"
+    elif [ ! -f "$golden" ]; then
+      echo "MISSING GOLDEN: $golden (run tools/check_goldens.sh $BUILD_DIR --update)"
+      fail=1
+    elif ! printf '%s\n' "$out" | diff -u "$golden" -; then
+      echo "GOLDEN DRIFT: $f --seed $seed vs $golden"
+      fail=1
+    fi
+  done
 done
 exit $fail
