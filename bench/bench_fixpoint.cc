@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <string>
-#include <unordered_set>
 
 #include <unistd.h>
 
@@ -115,116 +114,6 @@ void PrintSeminaiveAblation() {
   table.Print();
 }
 
-/// Eval-phase seconds (median over `reps` fresh engines) of `program`
-/// under one evaluation backend. Parse/load are untimed: E16 isolates
-/// the rule-match hot loop that the bytecode VM replaces (docs/VM.md);
-/// the fixpoint outputs are cross-checked against `expect` tuples.
-double MedianEvalSeconds(EvalBackend backend, const char* program,
-                         const std::function<void(Engine&)>& add_facts,
-                         const char* head, uint32_t head_arity,
-                         size_t* expect, int reps = 7) {
-  std::vector<double> secs;
-  for (int r = 0; r < reps; ++r) {
-    EngineOptions opts;
-    opts.eval.backend = backend;
-    Engine e(opts);
-    GDLOG_CHECK(e.LoadProgram(program).ok());
-    add_facts(e);
-    GDLOG_CHECK(e.Run().ok());
-    const size_t got = e.Query(head, head_arity).size();
-    if (*expect == SIZE_MAX) {
-      *expect = got;  // first run of the pair records the oracle count
-    } else {
-      GDLOG_CHECK_EQ(got, *expect);  // backends must agree
-    }
-    secs.push_back(static_cast<double>(e.phase_times().eval_ns) * 1e-9);
-  }
-  std::sort(secs.begin(), secs.end());
-  return secs[secs.size() / 2];
-}
-
-/// E16 workload 1 — the E9 Horn-join substrate: oriented triangle
-/// enumeration (e = 20n random edges), probe-bound like the TC delta
-/// join, with the order filters the VM fuses into the scan loops.
-constexpr char kTriangleProgram[] = R"(
-  tri(X, Y, Z) <- e(X, Y), X < Y, e(Y, Z), Y < Z, e(Z, X).
-)";
-
-void AddTriangleFacts(Engine& e, uint32_t n) {
-  Rng rng(7);
-  const uint32_t target = 20 * n;
-  std::unordered_set<uint64_t> seen;
-  while (seen.size() < target) {
-    const uint32_t a = rng.NextBounded(n);
-    const uint32_t b = rng.NextBounded(n);
-    if (a == b || !seen.insert((uint64_t{a} << 32) | b).second) continue;
-    GDLOG_CHECK(e.AddFact("e", {Value::Int(a), Value::Int(b)}).ok());
-  }
-}
-
-/// E16 workload 2 — the E13 Prim substrate: one frontier-expansion
-/// round (candidate = cheap edge out of the tree), scan/filter-bound
-/// with a fused cost filter and a negated membership probe.
-constexpr char kCandidateProgram[] = R"(
-  cand(X, Y, C) <- frontier(X), e(X, Y, C), C < 200, not tree(Y).
-)";
-
-void AddCandidateFacts(Engine& e, uint32_t n) {
-  Rng rng(11);
-  for (uint32_t x = 0; x < n; ++x) {
-    GDLOG_CHECK(e.AddFact("frontier", {Value::Int(x)}).ok());
-    if (x % 2 == 0) {
-      GDLOG_CHECK(e.AddFact("tree", {Value::Int(x)}).ok());
-    }
-  }
-  for (uint32_t x = 0; x < n; ++x) {
-    for (uint32_t d = 0; d < 64; ++d) {
-      GDLOG_CHECK(e.AddFact("e", {Value::Int(x), Value::Int(rng.NextBounded(n)),
-                                  Value::Int(rng.NextBounded(1000))}).ok());
-    }
-  }
-}
-
-/// E16: backend ablation — the rule-match hot loops of E9 (Horn join)
-/// and E13 (Prim candidate selection) under the interpreter vs the
-/// bytecode VM (docs/VM.md). Inserts and storage are shared between
-/// backends, so the loop-heavy shapes isolate what the VM changes; the
-/// speedup columns are ratios and never gate (tools/bench_compare.py).
-/// Sizes keep the probe working set cache-resident: past that, both
-/// backends hit the same memory-latency floor and the ablation measures
-/// the cache, not the loop.
-void PrintBackendAblation() {
-  bench::ExperimentTable table(
-      "E16: backend ablation — interpreter vs bytecode VM on the E9/E13 "
-      "rule-match hot loops (oriented-triangle join at n=200·s, Prim "
-      "candidate filter at n=1000·s; eval phase only)",
-      "s",
-      {"tri_interp_ms", "tri_vm_ms", "tri_interp_over_vm",
-       "cand_interp_ms", "cand_vm_ms", "cand_interp_over_vm"});
-  for (uint32_t s : {1u, 2u, 4u}) {
-    const uint32_t tri_n = 200 * s;
-    size_t tri_expect = SIZE_MAX;
-    const auto tri_facts = [tri_n](Engine& e) { AddTriangleFacts(e, tri_n); };
-    const double ti = MedianEvalSeconds(EvalBackend::kInterp, kTriangleProgram,
-                                        tri_facts, "tri", 3, &tri_expect);
-    const double tv = MedianEvalSeconds(EvalBackend::kVm, kTriangleProgram,
-                                        tri_facts, "tri", 3, &tri_expect);
-    const uint32_t cand_n = 1000 * s;
-    size_t cand_expect = SIZE_MAX;
-    const auto cand_facts = [cand_n](Engine& e) {
-      AddCandidateFacts(e, cand_n);
-    };
-    const double ci = MedianEvalSeconds(EvalBackend::kInterp,
-                                        kCandidateProgram, cand_facts, "cand",
-                                        3, &cand_expect);
-    const double cv = MedianEvalSeconds(EvalBackend::kVm, kCandidateProgram,
-                                        cand_facts, "cand", 3, &cand_expect);
-    table.AddRow(s, {ti * 1e3, tv * 1e3, ti / tv, ci * 1e3, cv * 1e3,
-                     ci / cv});
-  }
-  table.Print();
-}
-
 /// Chain TC with the EDB routed through a durable store (WAL + fsync
 /// policy). The durable run pays one WAL append per edge; the fixpoint
 /// itself is identical, so the delta against the in-memory run is the
@@ -317,7 +206,6 @@ int main(int argc, char** argv) {
   gdlog::bench::InitBenchReport(&argc, argv);
   gdlog::PrintExperimentTable();
   gdlog::PrintSeminaiveAblation();
-  gdlog::PrintBackendAblation();
   gdlog::PrintDurabilityOverhead();
   if (gdlog::bench::JsonReportEnabled()) gdlog::RecordInstrumentedRun();
   benchmark::Initialize(&argc, argv);

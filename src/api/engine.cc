@@ -10,7 +10,6 @@
 #include "ast/printer.h"
 #include "common/build_info.h"
 #include "common/logging.h"
-#include "eval/ir/ir.h"
 #include "obs/json.h"
 #include "parser/parser.h"
 
@@ -720,21 +719,6 @@ const FixpointStats* Engine::stats() const {
   return driver_ ? &driver_->stats() : nullptr;
 }
 
-const ir::LoweringReport* Engine::VmCoverage() const {
-  return driver_ ? driver_->vm_coverage() : nullptr;
-}
-
-Result<std::string> Engine::PlanDump() const {
-  if (!driver_) {
-    return Status::InvalidArgument("PlanDump requires Run()");
-  }
-  // Lower afresh rather than reusing the driver's program: the dump is
-  // identical either way (lowering is deterministic), and this keeps the
-  // dump available under the interpreter backend too.
-  const ir::ProgramIR lowered = ir::LowerProgram(driver_->rules(), *catalog_);
-  return ir::Disassemble(lowered, *catalog_, *store_);
-}
-
 const CandidateQueueStats* Engine::QueueStats(int gamma_index) const {
   return driver_ ? driver_->QueueStats(gamma_index) : nullptr;
 }
@@ -776,8 +760,6 @@ Result<std::string> Engine::RunReport() const {
   w.Key("use_join_planner").Bool(options_.eval.use_join_planner);
   w.Key("use_cardinality_priors").Bool(options_.eval.use_cardinality_priors);
   w.Key("static_analysis").Bool(options_.static_analysis);
-  w.Key("backend").String(
-      options_.eval.backend == EvalBackend::kVm ? "vm" : "interp");
   w.Key("provenance").Bool(options_.provenance);
   w.Key("obs_enabled").Bool(options_.obs.enabled);
   w.Key("obs_sample_every").UInt(options_.obs.sample_every);
@@ -970,24 +952,6 @@ Result<std::string> Engine::RunReport() const {
       w.EndArray();
       w.EndObject();
     }
-  }
-
-  // Bytecode-backend lowering coverage (eval.backend = vm): how many
-  // rules ran on the VM and why the rest fell back to the interpreter.
-  if (const ir::LoweringReport* cov = driver_->vm_coverage()) {
-    w.Key("vm").BeginObject();
-    w.Key("rules_total").UInt(cov->rules_total);
-    w.Key("rules_lowered").UInt(cov->rules_lowered);
-    w.Key("fallbacks").BeginArray();
-    for (const ir::LoweringReport::Rejection& rej : cov->rejections) {
-      w.BeginObject();
-      w.Key("rule").UInt(rej.rule_index);
-      w.Key("head").String(rej.head);
-      w.Key("reason").String(rej.reason);
-      w.EndObject();
-    }
-    w.EndArray();
-    w.EndObject();
   }
 
   // Lint summary, same code scheme as the standalone diagnostics JSON

@@ -311,19 +311,6 @@ class Engine {
   /// before Run or when EngineOptions::static_analysis is off.
   const absint::AnalysisResult* absint() const { return absint_.get(); }
 
-  /// VM lowering coverage from the last Run (how many rules run on the
-  /// bytecode backend, and why the rest fell back to the interpreter).
-  /// Null before Run or when eval.backend is not kVm.
-  const ir::LoweringReport* VmCoverage() const;
-
-  /// Disassembly of the compiled rules lowered to the bytecode IR (shell
-  /// `--dump-plan`, `.plan` goldens): one block per rule with its emit
-  /// ops and per-plan scan/probe/filter levels, plus the rejection list.
-  /// Deterministic for a given program + options. Call after Run — the
-  /// dump reflects the exact plans the run executed, whichever backend
-  /// ran them.
-  Result<std::string> PlanDump() const;
-
   /// Inferred predicate signatures, one per line (shell `.types`).
   /// Reuses the Run-time analysis when available, otherwise analyzes the
   /// loaded program against the current EDB on demand.

@@ -32,24 +32,6 @@ class BindingFrame {
     trail_.push_back(slot);
   }
 
-  /// Scratch fast path (eval/vm): writes a slot without the checked
-  /// invariant or the trail. The caller guarantees the slot is unbound
-  /// here (the VM's lowering proves it statically) and clears it itself
-  /// on every exit path, so Bind/UndoTo never observe a stale scratch
-  /// slot.
-  void BindScratch(uint32_t slot, Value v) {
-    slots_[slot] = v;
-    bound_[slot] = true;
-  }
-  void ClearScratch(uint32_t slot) { bound_[slot] = false; }
-
-  /// Pure-slot fast path (eval/vm): value write only, no bound flag.
-  /// Legal only when the executing plan provably never evaluates a
-  /// term against the frame (no EvalTerm/MatchTerm reachable — see
-  /// vm::PlanCode::pure_slots): nothing reads IsBound, so the flag can
-  /// stay false throughout and there is nothing to clear on row exit.
-  void BindValueOnly(uint32_t slot, Value v) { slots_[slot] = v; }
-
   /// Current trail depth; pass to UndoTo to unwind.
   size_t Mark() const { return trail_.size(); }
 

@@ -5,8 +5,6 @@
 #include <unordered_map>
 
 #include "common/logging.h"
-#include "eval/ir/ir.h"
-#include "eval/vm/vm.h"
 
 namespace gdlog {
 
@@ -111,44 +109,6 @@ FixpointDriver::FixpointDriver(Catalog* catalog, ValueStore* store,
     exec_.set_provenance_trail(&prov_trail_);
     audit_ = std::make_unique<ChoiceAuditTrail>();
   }
-  if (options_.backend == EvalBackend::kVm) {
-    // Lower once, after rules_ reached its final address (the IR and
-    // the compiled program alias its plans), and charge the program to
-    // the run's memory budget like any other evaluation structure.
-    vm_ir_ = std::make_unique<ir::ProgramIR>(
-        ir::LowerProgram(rules_, *catalog_));
-    vm_code_ = std::make_unique<vm::ProgramCode>(
-        vm::Compile(*vm_ir_, *catalog_));
-    exec_.set_vm_program(vm_code_.get());
-    Charge(&vm_charged_, vm_code_->MemoryBytes());
-  }
-  // Backend visibility (gdlog_vm_* in the Prometheus export): which
-  // executor runs the rules, how many rules the bytecode backend
-  // lowered, and why the rest fell back to the interpreter. Published
-  // at setup — lowering already happened — so a live /metrics scrape
-  // sees the series mid-run, not only after PublishMetrics.
-  if (obs_.metrics != nullptr) {
-    MetricsRegistry& m = *obs_.metrics;
-    m.GetGauge("vm.backend",
-               {{"backend",
-                 options_.backend == EvalBackend::kVm ? "vm" : "interp"}})
-        ->Set(1);
-    if (const ir::LoweringReport* cov = vm_coverage(); cov != nullptr) {
-      m.GetGauge("vm.rules_total")
-          ->Set(static_cast<int64_t>(cov->rules_total));
-      m.GetGauge("vm.rules_lowered")
-          ->Set(static_cast<int64_t>(cov->rules_lowered));
-      for (const ir::LoweringReport::Rejection& rej : cov->rejections) {
-        m.GetCounter("vm.rules_rejected", {{"reason", rej.reason}})->Add(1);
-      }
-    }
-  }
-}
-
-FixpointDriver::~FixpointDriver() = default;
-
-const ir::LoweringReport* FixpointDriver::vm_coverage() const {
-  return vm_ir_ == nullptr ? nullptr : &vm_ir_->report;
 }
 
 Status FixpointDriver::Run() {

@@ -40,21 +40,6 @@
 
 namespace gdlog {
 
-namespace ir {
-struct LoweringReport;
-struct ProgramIR;
-}  // namespace ir
-namespace vm {
-struct ProgramCode;
-}  // namespace vm
-
-/// Rule-execution backend (EvalOptions::backend, shell --backend).
-enum class EvalBackend : uint8_t {
-  kInterp,  // tree-walking interpreter — the differential oracle
-  kVm,      // bytecode VM (eval/ir lowering + eval/vm execution);
-            // rejected rule shapes fall back to the interpreter per rule
-};
-
 struct EvalOptions {
   /// Perturbs equal-cost / FIFO candidate ordering; different seeds
   /// explore different stable models. 0 = deterministic program order.
@@ -81,11 +66,6 @@ struct EvalOptions {
   /// planning stays deterministic. Off = the priors ablation baseline.
   /// No effect when use_join_planner is off.
   bool use_cardinality_priors = true;
-  /// Which executor runs rule plans. Both backends are bit-identical
-  /// (model, stats, audit trail, provenance) — the differential fleet in
-  /// tests/differential_test.cc enforces it. The interpreter stays the
-  /// default and the oracle.
-  EvalBackend backend = EvalBackend::kInterp;
 };
 
 struct FixpointStats {
@@ -133,8 +113,6 @@ class FixpointDriver {
                  const StageAnalysis* analysis,
                  std::vector<CompiledRule> rules, EvalOptions options,
                  ObsContext obs = {}, RunGuard* guard = nullptr);
-  // Out-of-line: members hold forward-declared ir/vm types.
-  ~FixpointDriver();
 
   /// Evaluates the whole program to its (choice) fixpoint, or to the
   /// first guard stop. Statistics are valid either way.
@@ -161,10 +139,6 @@ class FixpointDriver {
   /// The choice-audit trail (one entry per γ firing), or nullptr when
   /// the catalog's provenance column is off.
   const ChoiceAuditTrail* choice_audit() const { return audit_.get(); }
-
-  /// Lowering coverage of the bytecode backend (how many rules run on
-  /// the VM, and why the rest fell back), or nullptr under kInterp.
-  const ir::LoweringReport* vm_coverage() const;
 
   /// Sums candidate-queue statistics over every gamma rule.
   CandidateQueueStats AggregateQueueStats() const;
@@ -288,13 +262,6 @@ class FixpointDriver {
   std::vector<ProvPremise> prov_trail_;
   std::unique_ptr<ChoiceAuditTrail> audit_;
   size_t audit_charged_ = 0;  // MemoryBudget charge for the trail
-
-  // Bytecode backend (null under kInterp): the lowered IR (owns the
-  // coverage report and op lists) and the executable program compiled
-  // from it.
-  std::unique_ptr<ir::ProgramIR> vm_ir_;
-  std::unique_ptr<vm::ProgramCode> vm_code_;
-  size_t vm_charged_ = 0;  // MemoryBudget charge for the program
 };
 
 }  // namespace gdlog

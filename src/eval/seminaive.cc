@@ -1,7 +1,6 @@
 #include "eval/seminaive.h"
 
 #include "common/logging.h"
-#include "eval/vm/vm.h"
 #include "obs/metrics.h"
 
 namespace gdlog {
@@ -223,29 +222,10 @@ bool PlanExecutor::RunFrom(
   return true;
 }
 
-vm::ExecCtx PlanExecutor::VmCtx() {
-  vm::ExecCtx ctx;
-  ctx.catalog = catalog_;
-  ctx.store = store_;
-  ctx.stats = &stats_;
-  ctx.goal_stats = goal_stats_;
-  ctx.trail = trail_;
-  return ctx;
-}
-
 bool PlanExecutor::Enumerate(
     const CompiledRule& rule, const std::vector<CompiledLiteral>& plan,
     uint32_t delta_occurrence, BindingFrame* frame,
     const std::function<bool(BindingFrame&)>& on_solution) {
-  // Bytecode dispatch: lowered plans run on the VM. Never under a
-  // negation oracle — the stable-model checker's ground membership
-  // semantics stay with the interpreter.
-  if (vm_ != nullptr && oracle_ == nullptr) {
-    if (const vm::PlanCode* code = vm_->Find(&plan)) {
-      return vm::ExecutePlan(*code, delta_occurrence, frame, VmCtx(),
-                             on_solution);
-    }
-  }
   return RunFrom(rule, plan, 0, delta_occurrence, frame, on_solution);
 }
 
@@ -260,39 +240,6 @@ bool PlanExecutor::BuildHead(const CompiledRule& rule,
     out->push_back(v);
   }
   return true;
-}
-
-size_t PlanExecutor::ApplyRuleVm(const CompiledRule& rule,
-                                 const vm::PlanCode& code,
-                                 const vm::RuleCode& rcode,
-                                 uint32_t delta_occurrence,
-                                 size_t* attempted) {
-  // The VM emit path: head tuples land in one flat buffer (no
-  // per-solution allocation), buffered like the interpreter so index
-  // iterators stay valid and recursive rules see a stable head window.
-  std::vector<Value> pending;
-  std::vector<std::vector<ProvPremise>> pending_prov;
-  BindingFrame frame(rule.num_slots);
-  size_t emitted = 0;
-  vm::ExecuteEmit(code, rcode, delta_occurrence, &frame, VmCtx(), &pending,
-                  trail_ != nullptr ? &pending_prov : nullptr, &emitted);
-  if (attempted != nullptr) *attempted = emitted;
-  size_t inserted = 0;
-  Relation& head_rel = catalog_->relation(rule.head_pred);
-  const size_t arity = rule.head_terms.size();
-  for (size_t i = 0; i < emitted; ++i) {
-    const auto res =
-        head_rel.Insert(TupleView(pending.data() + i * arity, arity));
-    if (res.inserted) {
-      ++inserted;
-      ++stats_.inserts;
-      if (trail_ != nullptr) {
-        head_rel.Annotate(res.row, rule.rule_index, pending_prov[i].data(),
-                          pending_prov[i].size());
-      }
-    }
-  }
-  return inserted;
 }
 
 size_t PlanExecutor::ApplyRule(const CompiledRule& rule,
@@ -311,13 +258,6 @@ size_t PlanExecutor::ApplyRule(const CompiledRule& rule,
        delta_occurrence >= rule.delta_plans.size())
           ? rule.generator
           : rule.delta_plans[delta_occurrence];
-  if (vm_ != nullptr && oracle_ == nullptr) {
-    const vm::PlanCode* code = vm_->Find(&plan);
-    const vm::RuleCode* rcode = vm_->FindRule(&rule);
-    if (code != nullptr && rcode != nullptr) {
-      return ApplyRuleVm(rule, *code, *rcode, delta_occurrence, attempted);
-    }
-  }
   Enumerate(rule, plan, delta_occurrence, &frame,
             [&](BindingFrame& f) {
               std::vector<Value> head;

@@ -25,13 +25,6 @@ namespace gdlog {
 
 class Histogram;
 
-namespace vm {
-struct ProgramCode;
-struct PlanCode;
-struct RuleCode;
-struct ExecCtx;
-}  // namespace vm
-
 struct ExecStats {
   uint64_t solutions = 0;   // complete body bindings enumerated
   uint64_t inserts = 0;     // new head tuples
@@ -81,13 +74,6 @@ class PlanExecutor {
   }
   std::vector<ProvPremise>* provenance_trail() { return trail_; }
 
-  /// Installs a compiled bytecode program (EvalOptions::backend = vm).
-  /// Plans found in it run on the VM; plans the lowering rejected — and
-  /// every plan while a negation oracle is installed — keep running on
-  /// the interpreter. The program is shared, immutable, and not owned.
-  void set_vm_program(const vm::ProgramCode* program) { vm_ = program; }
-  const vm::ProgramCode* vm_program() const { return vm_; }
-
   /// Enumerates all solutions of `plan` extending `frame`, invoking
   /// `on_solution` for each; the callback returns false to abort the
   /// enumeration. Returns false iff aborted.
@@ -126,14 +112,6 @@ class PlanExecutor {
   bool RunCompare(const CompiledRule& rule, const CompiledCompare& cmp,
                   BindingFrame* frame);
 
-  /// The execution context handed to the VM: this executor's own
-  /// counters and trail, so both backends are indistinguishable to
-  /// callers.
-  vm::ExecCtx VmCtx();
-  size_t ApplyRuleVm(const CompiledRule& rule, const vm::PlanCode& code,
-                     const vm::RuleCode& rcode, uint32_t delta_occurrence,
-                     size_t* attempted);
-
   Catalog* catalog_;
   ValueStore* store_;
   NegationOracle oracle_;
@@ -141,7 +119,6 @@ class PlanExecutor {
 
   std::vector<std::vector<GoalStats>>* goal_stats_ = nullptr;
   std::vector<ProvPremise>* trail_ = nullptr;
-  const vm::ProgramCode* vm_ = nullptr;
 };
 
 }  // namespace gdlog

@@ -40,7 +40,7 @@ class Index {
   /// Callers must re-verify column equality on the full tuple (hash
   /// collisions are possible); MatchIterator exposes the raw chain.
   /// Inline: one iterator is constructed per probe, squarely on the
-  /// join hot path of both evaluation backends.
+  /// join hot path.
   class MatchIterator {
    public:
     MatchIterator(const Index* index, uint64_t hash)
@@ -71,8 +71,7 @@ class Index {
   };
 
   /// Hash of a probe key (one Value per indexed column, in order).
-  /// Inline: this sits on the probe hot path of both evaluation
-  /// backends.
+  /// Inline: this sits on the probe hot path.
   static uint64_t HashKey(TupleView key) {
     uint64_t h = 0xabcdef0123456789ull ^ key.size();
     for (Value v : key) h = HashCombine(h, v.Hash());

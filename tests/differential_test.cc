@@ -1,9 +1,11 @@
 // Differential harness: every shipped programs/ example must produce the
 // same model (bit-identical, same insertion order, same choice
-// decisions) with and without the join planner and on both rule
-// backends, and every greedy wrapper's computed cost must equal its
-// procedural baseline — so an evaluation bug cannot hide behind "still a
-// valid stable model".
+// decisions) with and without the join planner and with and without
+// provenance, the hand-derived fixture models must come out under both
+// seminaive and naive evaluation, and every greedy wrapper's computed
+// cost must equal its procedural baseline — so an evaluation bug cannot
+// hide behind "still a valid stable model".
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -13,7 +15,6 @@
 
 #include "api/engine.h"
 #include "baselines/dijkstra.h"
-#include "eval/ir/ir.h"
 #include "baselines/heapsort.h"
 #include "baselines/huffman.h"
 #include "baselines/kruskal.h"
@@ -77,14 +78,27 @@ std::vector<std::string> RunProgram(const std::string& text) {
 
 class ProgramDifferential : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(ProgramDifferential, PlannerPreservesTheModel) {
+TEST_P(ProgramDifferential, PlannerAndProvenancePreserveTheModel) {
+  // The planner only reorders goals and provenance only annotates rows:
+  // on the shipped programs every combination, including planner off
+  // with provenance on, must derive the default run's tuples in the
+  // default run's order.
   const std::string text = ReadFileOrDie(ProgramPath(GetParam()));
-  EngineOptions unplanned;
-  unplanned.eval.use_join_planner = false;
-  Engine e(unplanned);
-  ASSERT_TRUE(e.LoadProgram(text).ok());
-  ASSERT_TRUE(e.Run().ok());
-  EXPECT_EQ(DumpModel(e), RunProgram(text)) << GetParam();
+  const std::vector<std::string> expected = RunProgram(text);
+  ASSERT_FALSE(expected.empty());
+  for (bool planner : {true, false}) {
+    for (bool provenance : {false, true}) {
+      EngineOptions opts;
+      opts.eval.use_join_planner = planner;
+      opts.provenance = provenance;
+      Engine e(opts);
+      ASSERT_TRUE(e.LoadProgram(text).ok());
+      ASSERT_TRUE(e.Run().ok());
+      EXPECT_EQ(DumpModel(e), expected)
+          << GetParam() << " planner=" << planner
+          << " provenance=" << provenance;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Programs, ProgramDifferential,
@@ -92,104 +106,40 @@ INSTANTIATE_TEST_SUITE_P(Programs, ProgramDifferential,
                                            "huffman.dl", "kruskal.dl",
                                            "prim.dl", "sort.dl"));
 
-// -- Cross-backend fleet: bytecode VM vs interpreter oracle -------------
+// -- Fixtures with hand-derived models -----------------------------------
 //
-// The interpreter is the semantics oracle for the VM: for every shipped
-// program, every combination of backend × join-planner × provenance must
-// produce the default interpreter's model bit-identically (same tuples,
-// same insertion order), and with provenance on, the choice-audit trails
-// must pick the same winners for the same reasons.
+// The only inputs with a negated conjunction nested inside another one
+// and with a 65-literal body. Their models are worked out by hand in the
+// fixture headers; both seminaive and naive evaluation must reach them.
 
-EngineOptions BackendOpts(EvalBackend backend, bool planner,
-                          bool provenance) {
-  EngineOptions opts;
-  opts.eval.backend = backend;
-  opts.eval.use_join_planner = planner;
-  opts.provenance = provenance;
-  return opts;
-}
-
-class BackendDifferential : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(BackendDifferential, VmModelBitIdenticalToInterpreterEverywhere) {
-  const std::string text = ReadFileOrDie(ProgramPath(GetParam()));
-  Engine oracle(BackendOpts(EvalBackend::kInterp, true, false));
-  ASSERT_TRUE(oracle.LoadProgram(text).ok());
-  ASSERT_TRUE(oracle.Run().ok());
-  EXPECT_EQ(oracle.VmCoverage(), nullptr) << "interp run reported VM coverage";
-  const std::vector<std::string> expected = DumpModel(oracle);
-  ASSERT_FALSE(expected.empty());
-  for (bool planner : {true, false}) {
-    for (bool provenance : {false, true}) {
-      const auto label = [&](const char* backend) {
-        std::ostringstream os;
-        os << GetParam() << " backend=" << backend << " planner=" << planner
-           << " provenance=" << provenance;
-        return os.str();
-      };
-      Engine interp(BackendOpts(EvalBackend::kInterp, planner, provenance));
-      ASSERT_TRUE(interp.LoadProgram(text).ok());
-      ASSERT_TRUE(interp.Run().ok());
-      EXPECT_EQ(DumpModel(interp), expected) << label("interp");
-
-      Engine vm(BackendOpts(EvalBackend::kVm, planner, provenance));
-      ASSERT_TRUE(vm.LoadProgram(text).ok());
-      ASSERT_TRUE(vm.Run().ok());
-      EXPECT_EQ(DumpModel(vm), expected) << label("vm");
-      // The sweep must actually exercise the bytecode: a lowering
-      // regression that rejected every rule would silently turn this
-      // fleet into interp-vs-interp.
-      ASSERT_NE(vm.VmCoverage(), nullptr) << label("vm");
-      EXPECT_GT(vm.VmCoverage()->rules_lowered, 0u) << label("vm");
-    }
+std::vector<std::string> SortedRows(const Engine& e, const char* pred) {
+  std::vector<std::string> rows;
+  for (const auto& tuple : e.Query(pred, 1)) {
+    rows.push_back(e.store().ToString(tuple[0]));
   }
+  std::sort(rows.begin(), rows.end());
+  return rows;
 }
 
-TEST_P(BackendDifferential, ChoiceAuditWinnersMatchInterpreter) {
-  const std::string text = ReadFileOrDie(ProgramPath(GetParam()));
-  Engine interp(BackendOpts(EvalBackend::kInterp, true, true));
-  ASSERT_TRUE(interp.LoadProgram(text).ok());
-  ASSERT_TRUE(interp.Run().ok());
-  auto expected = interp.ChoiceAuditText();
-  ASSERT_TRUE(expected.ok());
-  Engine vm(BackendOpts(EvalBackend::kVm, true, true));
-  ASSERT_TRUE(vm.LoadProgram(text).ok());
-  ASSERT_TRUE(vm.Run().ok());
-  auto got = vm.ChoiceAuditText();
-  ASSERT_TRUE(got.ok());
-  // Full-text equality: same firings in the same order, same winners,
-  // same candidate-set sizes, pops, ties and rejection tallies — the VM
-  // must not merely reach the same model but make the same decisions for
-  // the same reasons.
-  EXPECT_EQ(*got, *expected) << GetParam() << " audit diverged";
-}
+TEST(FixtureModels, NestedNotAndWideRuleMatchHandDerivedModels) {
+  using Rows = std::vector<std::string>;
+  for (bool seminaive : {true, false}) {
+    EngineOptions opts;
+    opts.eval.use_seminaive = seminaive;
+    const std::string dir = std::string(GDLOG_SOURCE_DIR) + "/tests/fixtures/";
 
-INSTANTIATE_TEST_SUITE_P(Programs, BackendDifferential,
-                         ::testing::Values("course_assignment.dl",
-                                           "huffman.dl", "kruskal.dl",
-                                           "prim.dl", "sort.dl"));
+    Engine nested(opts);
+    ASSERT_TRUE(nested.LoadProgram(ReadFileOrDie(dir + "nested_not.dl")).ok());
+    ASSERT_TRUE(nested.Run().ok());
+    EXPECT_EQ(SortedRows(nested, "blocked"), (Rows{"1", "3"})) << seminaive;
+    EXPECT_EQ(SortedRows(nested, "reach"), (Rows{"0", "1", "2", "3"}))
+        << seminaive;
 
-TEST(BackendFallback, RejectedRulesFallBackToInterpreterAndAgree) {
-  // Mixed programs: one rule trips a lowering limit (nested negated
-  // conjunction / literal cap) and must keep interpreting, while its
-  // neighbors run on the VM — one engine, both executors, one model.
-  for (const char* name :
-       {"vm_reject_nested_not.dl", "vm_reject_wide_rule.dl"}) {
-    const std::string text = ReadFileOrDie(std::string(GDLOG_SOURCE_DIR) +
-                                           "/tests/fixtures/" + name);
-    Engine interp(BackendOpts(EvalBackend::kInterp, true, false));
-    ASSERT_TRUE(interp.LoadProgram(text).ok()) << name;
-    ASSERT_TRUE(interp.Run().ok()) << name;
-    Engine vm(BackendOpts(EvalBackend::kVm, true, false));
-    ASSERT_TRUE(vm.LoadProgram(text).ok()) << name;
-    ASSERT_TRUE(vm.Run().ok()) << name;
-    EXPECT_EQ(DumpModel(vm), DumpModel(interp)) << name;
-    ASSERT_NE(vm.VmCoverage(), nullptr) << name;
-    EXPECT_FALSE(vm.VmCoverage()->rejections.empty())
-        << name << " no longer trips the lowering limit it documents";
-    EXPECT_GT(vm.VmCoverage()->rules_lowered, 0u) << name;
-    EXPECT_LT(vm.VmCoverage()->rules_lowered, vm.VmCoverage()->rules_total)
-        << name;
+    Engine wide(opts);
+    ASSERT_TRUE(wide.LoadProgram(ReadFileOrDie(dir + "wide_rule.dl")).ok());
+    ASSERT_TRUE(wide.Run().ok());
+    EXPECT_EQ(SortedRows(wide, "big"), (Rows{"1"})) << seminaive;
+    EXPECT_EQ(SortedRows(wide, "narrow"), (Rows{"1"})) << seminaive;
   }
 }
 

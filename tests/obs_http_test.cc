@@ -162,7 +162,6 @@ TEST(ObsHttp, MetricsServePrometheusContentType) {
   EXPECT_NE(body.find("gdlog_engine_uptime_seconds"), std::string::npos);
   EXPECT_NE(body.find("gdlog_engine_run_state{state=\"completed\"} 1"),
             std::string::npos);
-  EXPECT_NE(body.find("gdlog_vm_backend"), std::string::npos);
   // The server's own request counter appears once a scrape happened.
   const std::string again = BodyOf(Get(engine->obs_http_port(), "/metrics"));
   EXPECT_NE(again.find("gdlog_http_requests_total{path=\"/metrics\""),

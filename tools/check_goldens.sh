@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Golden static-analysis and plan-disassembly outputs.
+# Golden static-analysis, compiled-plan and chosen-model outputs.
 #
 # Runs `gdlog_shell --lint-json` over every shipped program and every
 # lint fixture and diffs the output against the checked-in goldens in
@@ -8,17 +8,19 @@
 # real behavior change — either a regression or an intentional analyzer
 # improvement that must be re-blessed with --update.
 #
-# Additionally runs `gdlog_shell --dump-plan` over the shipped programs
-# and diffs the bytecode-lowering disassembly against
-# tests/goldens/<name>.plan — the reviewable record of what the VM
-# executes (micro-ops, probe keys, fused filters, rejection reasons).
-# The disassembly is pointer-free and deterministic for a fixed program.
+# Additionally runs `gdlog_shell --explain-analyze` over the shipped
+# programs and diffs the model plus the EXPLAIN ANALYZE table against
+# tests/goldens/<name>.explain. For each rule the table lists every goal
+# in plan order with its bound-column count, the planner's estimate,
+# and the probes, rows and matches the run saw, so it pins the compiled
+# plans' goal order and probe columns. Counts are deterministic for a
+# fixed program; the table carries no timings.
 #
 # Finally runs `gdlog_shell --choices --seed K` over the shipped programs
 # at seeds 0 and 2 and diffs the model plus its choice-audit trail
 # against tests/goldens/<name>.seed<K>.choices. This pins which stable
 # model each seed picks: any drift in candidate order, tie-breaking, or
-# audit counts shows up here even when both backends agree.
+# audit counts shows up here even when the model set is unchanged.
 #
 #   tools/check_goldens.sh BUILD_DIR            check; exit 1 on drift
 #   tools/check_goldens.sh BUILD_DIR --update   refresh the goldens
@@ -54,14 +56,15 @@ for f in programs/*.dl tests/fixtures/*.dl; do
   fi
 done
 
-# Plan disassembly goldens: shipped programs only (fixtures exist to
-# exercise diagnostics; their plans are incidental). The vm_reject
-# fixtures are the exception — their whole point is the lowering
-# fallback they document, so pin their disassembly too.
-for f in programs/*.dl tests/fixtures/vm_reject_*.dl; do
+# EXPLAIN ANALYZE goldens: shipped programs, plus the two fixtures whose
+# rule shapes no shipped program has (a nested negated conjunction and
+# a 65-literal body). The other fixtures exercise diagnostics; their
+# plans are incidental.
+for f in programs/*.dl tests/fixtures/nested_not.dl \
+         tests/fixtures/wide_rule.dl; do
   name=$(basename "$f" .dl)
-  golden="tests/goldens/$name.plan"
-  out=$("$SHELL_BIN" "$f" --dump-plan 2>/dev/null) || true
+  golden="tests/goldens/$name.explain"
+  out=$("$SHELL_BIN" "$f" --explain-analyze 2>/dev/null) || true
   if [ "$MODE" = "--update" ]; then
     printf '%s\n' "$out" > "$golden"
     echo "updated $golden"

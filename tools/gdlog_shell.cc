@@ -31,11 +31,6 @@
 //   --trace PATH         record a phase timeline, write Chrome trace JSON
 //   --no-merge           disable congruence merging ((R,Q,L) ablation)
 //   --linear-least       naive linear-scan retrieval instead of the heap
-//   --backend NAME       evaluation backend: interp (default) | vm (bytecode;
-//                        bit-identical results, rejected rule shapes fall
-//                        back to the interpreter — see docs/VM.md)
-//   --dump-plan          run, then print only the bytecode disassembly of the
-//                        compiled rules (the `.plan` golden format) and exit
 //   --no-planner         parser-order joins (cost-based planner ablation)
 //   --no-absint          skip abstract interpretation (types/intervals/bounds)
 //   --no-priors          planner ignores analysis row bounds (ablation)
@@ -49,6 +44,10 @@
 //                        from a previous run are replayed on open
 //   --fsync POLICY       WAL fsync policy: always | batch | off
 //   --checkpoint-every N snapshot automatically every N logged mutations
+//
+// Numeric values must be base-10 integers in range; a malformed one is a
+// usage error (exit 2), so `--max-tuples 0x10` never silently disables
+// the cap.
 //
 // A run stopped by a limit (or by SIGINT) is a *bounded stop*: the shell
 // prints the termination reason plus whatever partial results were asked
@@ -79,6 +78,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -89,6 +89,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -235,7 +236,6 @@ void Usage(const char* argv0) {
                "[--explain-analyze] [--json-report] [--metrics-out PATH] "
                "[--serve-obs PORT] [--serve-linger-ms N] [--progress] "
                "[--trace PATH] [--no-merge] [--linear-least] "
-               "[--backend interp|vm] [--dump-plan] "
                "[--no-planner] [--no-absint] [--no-priors] "
                "[--deadline-ms N] [--max-tuples N] [--max-stages N] "
                "[--max-memory-mb N] [--faults SPEC] "
@@ -249,6 +249,27 @@ struct Query {
   std::string pred;
   uint32_t arity = 0;
 };
+
+/// Parses `text` as a base-10 integer in [0, max]. The whole string must
+/// be digits: no sign, base prefix, spaces or trailing characters.
+bool ParseUint(std::string_view text, uint64_t* out,
+               uint64_t max = UINT64_MAX) {
+  uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v > max) return false;
+  *out = v;
+  return true;
+}
+
+/// ParseUint for a batch flag's value; prints `bad FLAG VALUE` on error.
+bool ParseFlagUint(const std::string& flag, const char* value, uint64_t* out,
+                   uint64_t max = UINT64_MAX) {
+  if (ParseUint(value, out, max)) return true;
+  std::fprintf(stderr, "bad %s %s (want an integer in 0..%llu)\n",
+               flag.c_str(), value, static_cast<unsigned long long>(max));
+  return false;
+}
 
 bool ParseQuerySpec(const std::string& spec, Query* q) {
   const auto slash = spec.find('/');
@@ -571,9 +592,14 @@ int RunInteractive(gdlog::EngineOptions options) {
         if (sh.engine) sh.Reload();
         continue;
       }
+      uint64_t port = 0;
+      if (!arg1.empty() && !ParseUint(arg1, &port, UINT16_MAX)) {
+        std::printf("error: bad .serve port '%s' (want 0..65535)\n",
+                    arg1.c_str());
+        continue;
+      }
       sh.options.obs_http.enabled = true;
-      sh.options.obs_http.port = static_cast<uint16_t>(
-          arg1.empty() ? 0 : std::strtoul(arg1.c_str(), nullptr, 10));
+      sh.options.obs_http.port = static_cast<uint16_t>(port);
       // The server lives inside the engine, so rebuild to (re)bind.
       if (!sh.Reload()) continue;
       if (sh.engine->obs_server() == nullptr) {
@@ -587,7 +613,11 @@ int RunInteractive(gdlog::EngineOptions options) {
                   sh.options.obs_http.bind_address.c_str(),
                   sh.engine->obs_http_port());
     } else if (cmd == ".seed") {
-      sh.options.eval.choice_seed = std::strtoull(arg1.c_str(), nullptr, 10);
+      if (!ParseUint(arg1, &sh.options.eval.choice_seed)) {
+        std::printf("error: bad .seed '%s' (want a base-10 integer)\n",
+                    arg1.c_str());
+        continue;
+      }
       if (!sh.program_text.empty()) sh.Reload();
     } else if (cmd == ".run") {
       if (!sh.engine && !sh.program_text.empty()) sh.Reload();
@@ -792,7 +822,7 @@ int main(int argc, char** argv) {
   bool report = false, rewrite = false, verify = false, stats = false;
   bool json_report = false, interactive = false;
   bool lint = false, lint_json = false, explain_analyze = false;
-  bool choices = false, dump_plan = false;
+  bool choices = false;
   std::vector<std::string> why_targets, why_dot_targets;
   std::string metrics_out;
   bool progress_ticker = false;
@@ -809,7 +839,7 @@ int main(int argc, char** argv) {
       }
       queries.push_back(q);
     } else if (arg == "--seed" && i + 1 < argc) {
-      options.eval.choice_seed = std::strtoull(argv[++i], nullptr, 10);
+      if (!ParseFlagUint(arg, argv[++i], &options.eval.choice_seed)) return 2;
     } else if (arg == "--trace" && i + 1 < argc) {
       options.obs.enabled = true;
       options.obs.trace_path = argv[++i];
@@ -844,11 +874,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--metrics-out" && i + 1 < argc) {
       metrics_out = argv[++i];
     } else if (arg == "--serve-obs" && i + 1 < argc) {
+      uint64_t port = 0;
+      if (!ParseFlagUint(arg, argv[++i], &port, UINT16_MAX)) return 2;
       options.obs_http.enabled = true;
-      options.obs_http.port =
-          static_cast<uint16_t>(std::strtoul(argv[++i], nullptr, 10));
+      options.obs_http.port = static_cast<uint16_t>(port);
     } else if (arg == "--serve-linger-ms" && i + 1 < argc) {
-      serve_linger_ms = std::strtoull(argv[++i], nullptr, 10);
+      if (!ParseFlagUint(arg, argv[++i], &serve_linger_ms)) return 2;
     } else if (arg == "--progress") {
       progress_ticker = true;
     } else if (arg == "--interactive" || arg == "-i") {
@@ -857,19 +888,6 @@ int main(int argc, char** argv) {
       options.eval.use_merge_congruence = false;
     } else if (arg == "--linear-least") {
       options.eval.use_priority_queue = false;
-    } else if (arg == "--backend" && i + 1 < argc) {
-      const std::string name = argv[++i];
-      if (name == "interp") {
-        options.eval.backend = gdlog::EvalBackend::kInterp;
-      } else if (name == "vm") {
-        options.eval.backend = gdlog::EvalBackend::kVm;
-      } else {
-        std::fprintf(stderr, "bad --backend %s (want interp|vm)\n",
-                     name.c_str());
-        return 2;
-      }
-    } else if (arg == "--dump-plan") {
-      dump_plan = true;
     } else if (arg == "--no-planner") {
       options.eval.use_join_planner = false;
     } else if (arg == "--no-absint") {
@@ -877,14 +895,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-priors") {
       options.eval.use_cardinality_priors = false;
     } else if (arg == "--deadline-ms" && i + 1 < argc) {
-      options.limits.deadline_ms = std::strtoull(argv[++i], nullptr, 10);
+      if (!ParseFlagUint(arg, argv[++i], &options.limits.deadline_ms)) return 2;
     } else if (arg == "--max-tuples" && i + 1 < argc) {
-      options.limits.max_tuples = std::strtoull(argv[++i], nullptr, 10);
+      if (!ParseFlagUint(arg, argv[++i], &options.limits.max_tuples)) return 2;
     } else if (arg == "--max-stages" && i + 1 < argc) {
-      options.limits.max_stages = std::strtoull(argv[++i], nullptr, 10);
+      if (!ParseFlagUint(arg, argv[++i], &options.limits.max_stages)) return 2;
     } else if (arg == "--max-memory-mb" && i + 1 < argc) {
-      options.limits.max_memory_bytes =
-          std::strtoull(argv[++i], nullptr, 10) * 1024 * 1024;
+      // Bounded so the byte count cannot wrap.
+      uint64_t mb = 0;
+      if (!ParseFlagUint(arg, argv[++i], &mb, UINT64_MAX >> 20)) return 2;
+      options.limits.max_memory_bytes = mb << 20;
     } else if (arg == "--faults" && i + 1 < argc) {
       options.faults = argv[++i];
     } else if (arg == "--db-dir" && i + 1 < argc) {
@@ -892,8 +912,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--fsync" && i + 1 < argc) {
       options.durability.fsync = argv[++i];
     } else if (arg == "--checkpoint-every" && i + 1 < argc) {
-      options.durability.checkpoint_every =
-          std::strtoull(argv[++i], nullptr, 10);
+      if (!ParseFlagUint(arg, argv[++i],
+                         &options.durability.checkpoint_every)) {
+        return 2;
+      }
     } else if (arg[0] == '-') {
       Usage(argv[0]);
       return 2;
@@ -973,19 +995,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "evaluation failed: %s\n", st.ToString().c_str());
       return 1;
     }
-  }
-
-  if (dump_plan) {
-    // Golden-format dump: only the disassembly, nothing else, so the
-    // output diffs cleanly against tests/goldens/*.plan.
-    auto r = engine.PlanDump();
-    if (!r.ok()) {
-      std::fprintf(stderr, "dump-plan error: %s\n",
-                   r.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("%s", r->c_str());
-    return bounded_stop ? 3 : 0;
   }
 
   if (queries.empty()) {

@@ -62,8 +62,8 @@ assert "version" in doc["build"]
 EOF
 
 # The live scrape must be a valid exposition with the run-state gauges,
-# the vm series, the server's own request counter (the healthz above
-# already landed), and real histogram series — mid-run.
+# the server's own request counter (the healthz above already landed),
+# and real histogram series — mid-run.
 curl -sSf -D "$OUT_DIR/metrics_headers.txt" "$BASE/metrics" \
   > "$OUT_DIR/metrics_live.prom"
 grep -qi 'Content-Type: text/plain; version=0.0.4' \
@@ -72,7 +72,6 @@ python3 "$CHECK" "$OUT_DIR/metrics_live.prom" \
   --require gdlog_build_info \
   --require gdlog_engine_uptime_seconds \
   --require gdlog_engine_run_state \
-  --require gdlog_vm_backend \
   --require gdlog_http_requests_total \
   --min-histograms 2
 grep -q 'gdlog_engine_run_state{state="running"} 1' \
