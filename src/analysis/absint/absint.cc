@@ -49,35 +49,11 @@ int MaxRank(TypeSet t) {
   return -1;  // empty: vacuous
 }
 
-// Structural key of a ground fact row, for counting distinct facts
-// without a ValueStore (interned Values compare by bits).
-void FactKey(const TermNode& t, std::string* out) {
-  switch (t.kind) {
-    case TermKind::kConstant:
-      out->append("c");
-      out->append(std::to_string(t.constant.bits()));
-      break;
-    case TermKind::kVariable:
-      out->append("v");
-      out->append(t.name);
-      break;
-    case TermKind::kCompound:
-      out->append(t.name);
-      out->append("(");
-      for (const TermNode& a : t.args) {
-        FactKey(a, out);
-        out->append(",");
-      }
-      out->append(")");
-      break;
-  }
-}
-
 struct PredState {
   std::string name;
   uint32_t arity = 0;
   std::vector<AbstractValue> cols;
-  uint64_t base_rows = 0;  // exact EDB / program-fact rows
+  uint64_t base_rows = 0;  // exact EDB rows
   uint64_t hi = 0;         // current row upper bound
   bool populated = false;
   bool edb_seeded = false;
@@ -152,7 +128,6 @@ class Analyzer {
   AnalysisResult Run() {
     CollectPredicates();
     SeedFromCatalog();
-    SeedFromFacts();
     Fixpoint();
     AnalysisResult result;
     result.rounds = rounds_;
@@ -207,45 +182,6 @@ class Analyzer {
         const TupleView t = rel.Row(static_cast<RowId>(row));
         for (uint32_t j = 0; j < ps.arity; ++j) {
           ps.cols[j] = ps.cols[j].Join(AVOfValue(t[j]));
-        }
-      }
-    }
-  }
-
-  void SeedFromFacts() {
-    std::map<std::string, std::set<std::string>> distinct;
-    for (const Rule& r : expanded_.rules) {
-      if (!r.is_fact()) continue;
-      auto it = states_.find(KeyOf(r.head));
-      if (it == states_.end()) continue;
-      PredState& ps = it->second;
-      // When a catalog is present its row count already includes the
-      // program facts Engine::Run loaded; only the column lattice still
-      // needs the AST view (cheap, and a no-op after the row scan).
-      const bool count_rows = !ps.edb_seeded;
-      for (size_t j = 0; j < r.head.args.size(); ++j) {
-        const TermNode& a = r.head.args[j];
-        AbstractValue v = AbstractValue::Top();
-        if (a.is_const()) {
-          v = AVOfValue(a.constant);
-        } else if (a.is_compound()) {
-          // Engine::Run grounds fact arguments without evaluating
-          // arithmetic: every compound interns as a term.
-          v = AbstractValue::OfKind(ValueKind::kTerm);
-        }
-        ps.cols[j] = ps.cols[j].Join(v);
-      }
-      ps.populated = true;
-      if (count_rows) {
-        std::string key;
-        for (const TermNode& a : r.head.args) {
-          FactKey(a, &key);
-          key.append(";");
-        }
-        auto& rows = distinct[KeyOf(r.head)];
-        if (rows.insert(std::move(key)).second) {
-          ps.base_rows += 1;
-          ps.hi = CardAdd(ps.hi, 1);
         }
       }
     }
@@ -636,7 +572,7 @@ class Analyzer {
       const std::string head = KeyOf(rule.head);
       auto it = states_.find(head);
       if (it != states_.end()) it->second.rules_total += 1;
-      sink.SetRule(static_cast<int>(ri), &rule, head);
+      sink.SetRule(static_cast<int>(surface_.ClauseOf(ri)), &rule, head);
       BodyCtx ctx;
       ctx.sink = &sink;
       AnalyzeBody(rule, &ctx);
@@ -700,7 +636,7 @@ class Analyzer {
               "witness set is always a singleton and the choice never "
               "actually chooses");
           d.predicate = KeyOf(rule.head);
-          d.rule_index = static_cast<int>(ri);
+          d.rule_index = static_cast<int>(surface_.ClauseOf(ri));
           d.loc = lit.loc.valid() ? lit.loc : rule.loc;
           out->push_back(std::move(d));
         }
@@ -712,7 +648,7 @@ class Analyzer {
             "extremum and no stage post-condition, a candidate that "
             "respects the recorded choices is never rejected");
         d.predicate = KeyOf(rule.head);
-        d.rule_index = static_cast<int>(ri);
+        d.rule_index = static_cast<int>(surface_.ClauseOf(ri));
         d.loc = rule.loc;
         out->push_back(std::move(d));
       }
@@ -810,14 +746,26 @@ AnalysisResult AnalyzeProgram(const Program& surface, const Program& expanded,
 }
 
 AnalysisResult Analyze(const Program& surface, const AnalysisOptions& opts) {
+  // Without a catalog, the program's own fact batches fill a scratch one.
+  Catalog facts;
+  AnalysisOptions o = opts;
+  if (o.catalog == nullptr) {
+    for (const FactBatch& b : surface.facts) {
+      Relation& rel = facts.relation(facts.Ensure(b.predicate, b.arity));
+      for (size_t i = 0; i < b.count; ++i) {
+        rel.Insert(TupleView(b.rows.data() + i * b.arity, b.arity));
+      }
+    }
+    o.catalog = &facts;
+  }
   Result<Program> expanded = ExpandNext(surface);
   if (expanded.ok()) {
-    return AnalyzeProgram(surface, expanded.value(), opts);
+    return AnalyzeProgram(surface, expanded.value(), o);
   }
   // Expansion failures carry their own GD1xx diagnostics elsewhere; the
   // surface program still analyzes soundly (next() binds its stage
   // variable to a nonnegative int).
-  return AnalyzeProgram(surface, surface, opts);
+  return AnalyzeProgram(surface, surface, o);
 }
 
 void AnalysisToJson(const AnalysisResult& r, JsonWriter* w) {

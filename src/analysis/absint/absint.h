@@ -13,10 +13,11 @@
 //     overflow (GD013), and a comparison whose operand ranges cannot
 //     overlap proves the rule body unsatisfiable (GD012).
 //   * cardinality analysis   — [lo, hi] row-count bounds per predicate:
-//     exact for EDB relations (scanned from the catalog when one is
-//     supplied), derived for IDB predicates as the saturating product of
-//     body bounds, widened to +inf on recursion. Finite upper bounds are
-//     fed to JoinPlanner as priors (see Engine::Run).
+//     exact for EDB relations (scanned from the catalog, where the
+//     engine puts a program's inline facts at load), derived for IDB
+//     predicates as the saturating product of body bounds, widened to
+//     +inf on recursion. Finite upper bounds are fed to JoinPlanner as
+//     priors (see Engine::Run).
 //   * choice determinism     — a determined-variable closure over each
 //     surface rule's equalities detects choice goals whose witness set
 //     is provably a singleton (GD310) and choice rules whose
@@ -47,9 +48,9 @@ class JsonWriter;  // obs/json.h
 namespace absint {
 
 struct AnalysisOptions {
-  // EDB statistics source. When null only program-text facts seed the
-  // analysis (the standalone --lint path); Engine::Run passes its
-  // catalog so AddFact rows are visible.
+  // EDB statistics source: the catalog's rows seed the EDB lattices,
+  // and nothing else does. The engine passes its own, which holds the
+  // program's inline facts and the AddFact rows.
   const Catalog* catalog = nullptr;
   // Relations larger than this are summarized as top types / full
   // intervals (the row count stays exact) instead of being scanned.
@@ -94,9 +95,10 @@ struct AnalysisResult {
 AnalysisResult AnalyzeProgram(const Program& surface, const Program& expanded,
                               const AnalysisOptions& opts = {});
 
-/// Convenience for callers holding only the surface program (shell lint,
-/// fuzzer): expands next() internally and falls back to analyzing the
-/// surface program when expansion fails.
+/// Convenience for callers holding only the surface program (fuzzer,
+/// tests): expands next() internally and falls back to analyzing the
+/// surface program when expansion fails. Without a catalog in `opts`,
+/// the program's fact batches are loaded into a scratch one.
 AnalysisResult Analyze(const Program& surface, const AnalysisOptions& opts = {});
 
 /// Renders the "analysis" JSON object: {"rounds": N, "predicates":

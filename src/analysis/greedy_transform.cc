@@ -287,6 +287,7 @@ Result<GreedyTransformResult> PropagateExtremaIntoChoice(
   out.stage_predicate = pc->pred;
   out.stage_arity = pc->arity;
   out.cost_position = pc->cost_pos;
+  out.transformed.facts = program.facts;
   for (size_t ri = 0; ri < program.rules.size(); ++ri) {
     if (ri == pc->least_rule || ri == pc->most_rule || ri == acc_index) {
       continue;  // post-conditions and accumulator are dissolved

@@ -129,7 +129,7 @@ class Linter {
   Diagnostic AtRule(std::string_view code, std::string message, uint32_t ri,
                     SourceLoc loc) {
     Diagnostic d = MakeDiagnostic(code, std::move(message));
-    d.rule_index = static_cast<int>(ri);
+    d.rule_index = static_cast<int>(program_.ClauseOf(ri));
     d.loc = loc.valid() ? loc : program_.rules[ri].loc;
     const Literal& head = program_.rules[ri].head;
     d.predicate = PredKey(head.predicate, head.args.size());
@@ -356,10 +356,11 @@ class Linter {
     std::map<std::string, std::set<uint32_t>> arities;
     for (uint32_t ri = 0; ri < program_.rules.size(); ++ri) {
       const Rule& r = program_.rules[ri];
+      const int clause = static_cast<int>(program_.ClauseOf(ri));
       PredUse& head = preds[PredKey(r.head.predicate, r.head.args.size())];
       if (!head.defined) {
         head.defined = true;
-        head.def_rule = static_cast<int>(ri);
+        head.def_rule = clause;
         head.def_loc = r.head.loc;
       }
       if (!r.is_fact()) head.rule_defined = true;
@@ -370,7 +371,7 @@ class Linter {
           PredUse& u = preds[PredKey(l.predicate, l.args.size())];
           if (!u.used) {
             u.used = true;
-            u.use_rule = static_cast<int>(ri);
+            u.use_rule = clause;
             u.use_loc = l.loc;
           }
           arities[l.predicate].insert(static_cast<uint32_t>(l.args.size()));
@@ -378,6 +379,17 @@ class Linter {
         for (const Literal& inner : l.body) visit(inner);
       };
       for (const Literal& l : r.body) visit(l);
+    }
+    // Ground facts define their predicates from the batch: its first
+    // clause, unless a rule comes earlier.
+    for (const FactBatch& b : program_.facts) {
+      PredUse& head = preds[PredKey(b.predicate, b.arity)];
+      if (!head.defined || static_cast<int>(b.first_clause) < head.def_rule) {
+        head.defined = true;
+        head.def_rule = static_cast<int>(b.first_clause);
+        head.def_loc = b.loc;
+      }
+      arities[b.predicate].insert(b.arity);
     }
 
     std::set<std::string> roots;
@@ -523,8 +535,9 @@ class Linter {
         d.predicate = PredKey(g.name(cl.members[0]), g.arity(cl.members[0]));
       }
       if (!cl.rules.empty()) {
-        d.rule_index = static_cast<int>(cl.rules[0]);
-        d.loc = program_.rules[cl.rules[0]].loc;
+        const CliqueClause first = FirstCliqueClause(program_, a, cl);
+        d.rule_index = static_cast<int>(first.clause);
+        d.loc = first.loc;
       }
       const std::string cycle = FormatCycle(g, scc);
       if (!cycle.empty()) d.notes.push_back(cycle);

@@ -99,9 +99,11 @@ Result<Program> ExpandNext(const Program& program) {
               r.head.predicate));
     }
     // Build: p(_..., I1), I = I1 + 1, choice(I, W), choice(W, I).
+    // Fresh variables carry the rule's clause number, as --rewrite shows.
     Rule nr;
     nr.head = r.head;
-    const std::string prev_var = "S$" + std::to_string(ri);
+    const std::string clause = std::to_string(program.ClauseOf(ri));
+    const std::string prev_var = "S$" + clause;
     std::vector<TermNode> prev_args;
     std::vector<TermNode> w_elems;
     for (size_t j = 0; j < r.head.args.size(); ++j) {
@@ -109,7 +111,7 @@ Result<Program> ExpandNext(const Program& program) {
         prev_args.push_back(TermNode::Var(prev_var));
       } else {
         prev_args.push_back(
-            TermNode::Var("A$" + std::to_string(ri) + "_" + std::to_string(j)));
+            TermNode::Var("A$" + clause + "_" + std::to_string(j)));
         w_elems.push_back(r.head.args[j]);
       }
     }

@@ -126,6 +126,13 @@ class OrderConstraints {
   bool closed_ = true;
 };
 
+/// The order-constraint node of integer constant `v`: "#<v>".
+std::string IntKey(int64_t v) {
+  std::string key = std::to_string(v);
+  key.insert(key.begin(), '#');
+  return key;
+}
+
 /// Key for a term usable as an order-constraint node: a variable's name,
 /// or "#<int>" for integer constants. Returns false for anything else.
 bool TermKey(const TermNode& t, std::string* key, OrderConstraints* oc) {
@@ -134,7 +141,7 @@ bool TermKey(const TermNode& t, std::string* key, OrderConstraints* oc) {
     return true;
   }
   if (t.is_const() && t.constant.is_int()) {
-    *key = "#" + std::to_string(t.constant.AsInt());
+    *key = IntKey(t.constant.AsInt());
     if (oc) oc->AddConstant(*key, t.constant.AsInt());
     return true;
   }
@@ -236,8 +243,7 @@ void AddComparisonEdges(const Literal& lit, OrderConstraints* oc) {
 /// constant stage arguments (e.g. the 0 in exit rules) participate.
 void RegisterConstants(const TermNode& t, OrderConstraints* oc) {
   if (t.is_const() && t.constant.is_int()) {
-    oc->AddConstant("#" + std::to_string(t.constant.AsInt()),
-                    t.constant.AsInt());
+    oc->AddConstant(IntKey(t.constant.AsInt()), t.constant.AsInt());
   }
   for (const TermNode& a : t.args) RegisterConstants(a, oc);
 }
@@ -357,6 +363,27 @@ void CollectOccurrences(const std::vector<Literal>& body,
 // ---------------------------------------------------------------------------
 // Main analysis
 // ---------------------------------------------------------------------------
+
+CliqueClause FirstCliqueClause(const Program& program,
+                               const StageAnalysis& analysis,
+                               const CliqueStageInfo& clique) {
+  CliqueClause first;
+  first.clause = UINT32_MAX;
+  for (uint32_t ri : clique.rules) {
+    if (program.ClauseOf(ri) < first.clause) {
+      first = {program.ClauseOf(ri), program.rules[ri].loc};
+    }
+  }
+  for (const FactBatch& b : program.facts) {
+    const PredIndex p = analysis.graph->Lookup(b.predicate, b.arity);
+    if (p == kNoPred || b.first_clause >= first.clause) continue;
+    if (std::find(clique.members.begin(), clique.members.end(), p) !=
+        clique.members.end()) {
+      first = {b.first_clause, b.loc};
+    }
+  }
+  return first;
+}
 
 Result<StageAnalysis> AnalyzeStages(const Program& program,
                                     const StageAnalysisOptions& options) {
@@ -592,7 +619,8 @@ Result<StageAnalysis> AnalyzeStages(const Program& program,
                       oc.Proves(occ.key, head_key, need_strict);
         if (!proven) {
           const std::string msg =
-              "rule " + std::to_string(ri) + " for " + cr.head.predicate +
+              "rule " + std::to_string(program.ClauseOf(ri)) + " for " +
+              cr.head.predicate +
               ": stage argument of body goal " + occ.where +
               (need_strict ? " not provably < " : " not provably <= ") +
               "head stage argument";

@@ -110,6 +110,17 @@ struct StageAnalysisOptions {
   bool allow_relaxed_flat_rules = true;
 };
 
+/// The first source clause defining a member of `clique` — a rule, or a
+/// ground fact of a member predicate — which diagnostics about the
+/// clique point at.
+struct CliqueClause {
+  uint32_t clause = 0;
+  SourceLoc loc;
+};
+CliqueClause FirstCliqueClause(const Program& program,
+                               const StageAnalysis& analysis,
+                               const CliqueStageInfo& clique);
+
 /// Runs the full analysis on `program` (original surface form, with
 /// next/choice/least goals in place). Fails only on structural errors
 /// (malformed next goals, conflicting stage positions, mixed rule kinds,

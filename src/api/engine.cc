@@ -153,6 +153,14 @@ Status OomStatus() {
                              "] allocation failed");
 }
 
+// Inserts an EDB row, annotated as asserted when provenance is on.
+void InsertEdbRow(Relation& rel, TupleView tuple) {
+  const auto res = rel.Insert(tuple);
+  if (res.inserted && rel.provenance_enabled()) {
+    rel.Annotate(res.row, Relation::kEdbRule, nullptr, 0);
+  }
+}
+
 }  // namespace
 
 void Engine::OpenDurability() {
@@ -187,11 +195,7 @@ void Engine::OpenDurability() {
       const PredicateId id = catalog_->Ensure(r.name, r.arity);
       Relation& rel = catalog_->relation(id);
       for (size_t row = 0; row < r.num_rows; ++row) {
-        const TupleView tuple(r.rows.data() + row * r.arity, r.arity);
-        const auto res = rel.Insert(tuple);
-        if (res.inserted && rel.provenance_enabled()) {
-          rel.Annotate(res.row, Relation::kEdbRule, nullptr, 0);
-        }
+        InsertEdbRow(rel, TupleView(r.rows.data() + row * r.arity, r.arity));
       }
     }
   } catch (const std::bad_alloc&) {
@@ -267,29 +271,61 @@ Status Engine::LoadProgramAst(Program program) {
     if (recorder_) recorder_->Record(FlightEventKind::kFaultInjected, 1);
     return InjectedFault(FaultInjector::kAnalyze);
   }
-  const uint64_t t0 = WallNowNs();
-  auto analyzed = [&] {
-    TraceSpan span(tracer_.get(), "analyze", "engine");
-    return AnalyzeStages(program, options_.stage);
-  }();
-  phase_times_.analyze_ns += WallNowNs() - t0;
-  GDLOG_RETURN_IF_ERROR(analyzed.status());
-  StageAnalysis analysis = std::move(*analyzed);
-  for (uint32_t scc = 0; scc < analysis.cliques.size(); ++scc) {
-    const CliqueStageInfo& cl = analysis.cliques[scc];
-    if (cl.cls != CliqueClass::kRejected) continue;
-    Diagnostic d = MakeDiagnostic(
-        cl.code.empty() ? std::string_view(diag::kNotStageStratified)
-                        : std::string_view(cl.code),
-        cl.diagnostic);
-    if (!cl.rules.empty()) {
-      d.rule_index = static_cast<int>(cl.rules[0]);
-      d.loc = program.rules[cl.rules[0]].loc;
+  try {
+    program.SplitGroundFacts(store_.get());
+    const uint64_t t0 = WallNowNs();
+    auto analyzed = [&] {
+      TraceSpan span(tracer_.get(), "analyze", "engine");
+      return AnalyzeStages(program, options_.stage);
+    }();
+    phase_times_.analyze_ns += WallNowNs() - t0;
+    GDLOG_RETURN_IF_ERROR(analyzed.status());
+    for (const CliqueStageInfo& cl : analyzed->cliques) {
+      if (cl.cls != CliqueClass::kRejected) continue;
+      Diagnostic d = MakeDiagnostic(
+          cl.code.empty() ? std::string_view(diag::kNotStageStratified)
+                          : std::string_view(cl.code),
+          cl.diagnostic);
+      if (!cl.rules.empty()) {
+        const CliqueClause first = FirstCliqueClause(program, *analyzed, cl);
+        d.rule_index = static_cast<int>(first.clause);
+        d.loc = first.loc;
+      }
+      return DiagnosticToStatus(d);
     }
-    return DiagnosticToStatus(d);
+    // The facts count as parsing: they are the part of the program text
+    // that is data. A failed insert leaves no program loaded, so the
+    // load can be retried; rows already in are skipped then.
+    if (!program.facts.empty()) {
+      const uint64_t t1 = WallNowNs();
+      const Status st = [&] {
+        TraceSpan span(tracer_.get(), "load_facts", "engine");
+        return LoadFacts(program);
+      }();
+      phase_times_.parse_ns += WallNowNs() - t1;
+      if (durable_) PublishDurabilityMetrics();
+      GDLOG_RETURN_IF_ERROR(st);
+    }
+    program_ = std::make_unique<Program>(std::move(program));
+    analysis_ = std::make_unique<StageAnalysis>(std::move(*analyzed));
+    return Status::OK();
+  } catch (const std::bad_alloc&) {
+    return OomStatus();
   }
-  program_ = std::make_unique<Program>(std::move(program));
-  analysis_ = std::make_unique<StageAnalysis>(std::move(analysis));
+}
+
+Status Engine::LoadFacts(const Program& program) {
+  for (const FactBatch& b : program.facts) {
+    Relation& rel = catalog_->relation(catalog_->Ensure(b.predicate, b.arity));
+    for (size_t i = 0; i < b.count; ++i) {
+      const TupleView tuple(b.rows.data() + i * b.arity, b.arity);
+      if (durable_) {
+        GDLOG_RETURN_IF_ERROR(LogAndInsert(b.predicate, rel, tuple));
+      } else {
+        InsertEdbRow(rel, tuple);
+      }
+    }
+  }
   return Status::OK();
 }
 
@@ -305,59 +341,57 @@ Status Engine::AddFact(std::string_view predicate, std::vector<Value> args) {
   if (ran_) return Status::InvalidArgument("cannot add facts after Run");
   GDLOG_RETURN_IF_ERROR(durability_status_);
   try {
-    const auto arity = static_cast<uint32_t>(args.size());
-    const PredicateId id = catalog_->Ensure(predicate, arity);
+    const PredicateId id =
+        catalog_->Ensure(predicate, static_cast<uint32_t>(args.size()));
     Relation& rel = catalog_->relation(id);
-    if (durable_) {
-      // Dedup before logging so the WAL never carries duplicate adds
-      // (which keeps retract-by-first-match exact on replay). In-memory
-      // engines skip the extra probe — Insert dedups on its own.
-      if (rel.Contains(TupleView(args))) return Status::OK();
-      try {
-        // Write-ahead: the fact must be logged before it becomes
-        // visible. On append failure nothing is applied — at worst the
-        // log carries a torn tail the next recovery drops. Failures
-        // after the append (budget, auto-checkpoint) do not fail the
-        // add: the fact is already durable, and failing here would make
-        // the caller retry past the dedup probe and log it twice.
-        Status st = durable_->LogCreateRelation(predicate, arity);
-        if (st.ok()) {
-          st = durable_->LogAddFact(predicate, arity, TupleView(args));
-        }
-        RecordDeferredDurabilityError();
-        if (!st.ok()) {
-          if (recorder_) {
-            recorder_->Record(FlightEventKind::kDurabilityError,
-                              DiagCodeNumber(st));
-          }
-          return st;
-        }
-        const auto res = rel.Insert(TupleView(args));
-        if (res.inserted && rel.provenance_enabled()) {
-          rel.Annotate(res.row, Relation::kEdbRule, nullptr, 0);
-        }
-      } catch (const std::bad_alloc&) {
-        // Between the WAL append and the relation insert there is no
-        // safe failure point: the fact may be durable yet absent from
-        // the session, and a retried add would pass the dedup probe and
-        // duplicate it in the log. Latch durability instead.
-        durability_status_ = Status::RuntimeError(
-            "[GD210] durable store '" + durable_->dir() +
-            "' out of sync with the session after an allocation failure; "
-            "reopen to recover");
-        return OomStatus();
-      }
-      PublishDurabilityMetrics();
+    if (!durable_) {
+      InsertEdbRow(rel, TupleView(args));
       return Status::OK();
     }
-    const auto res = rel.Insert(TupleView(args));
-    if (res.inserted && rel.provenance_enabled()) {
-      rel.Annotate(res.row, Relation::kEdbRule, nullptr, 0);
-    }
-    return Status::OK();
+    GDLOG_RETURN_IF_ERROR(LogAndInsert(predicate, rel, TupleView(args)));
   } catch (const std::bad_alloc&) {
     return OomStatus();
   }
+  PublishDurabilityMetrics();
+  return Status::OK();
+}
+
+Status Engine::LogAndInsert(std::string_view predicate, Relation& rel,
+                            TupleView tuple) {
+  // Dedup before logging so the WAL never carries duplicate adds
+  // (which keeps retract-by-first-match exact on replay). In-memory
+  // engines skip the extra probe — Insert dedups on its own.
+  if (rel.Contains(tuple)) return Status::OK();
+  try {
+    // Write-ahead: the fact must be logged before it becomes visible.
+    // On append failure nothing is applied — at worst the log carries a
+    // torn tail the next recovery drops. Failures after the append
+    // (budget, auto-checkpoint) do not fail the add: the fact is
+    // already durable, and failing here would make the caller retry
+    // past the dedup probe and log it twice.
+    Status st = durable_->LogCreateRelation(predicate, rel.arity());
+    if (st.ok()) st = durable_->LogAddFact(predicate, rel.arity(), tuple);
+    RecordDeferredDurabilityError();
+    if (!st.ok()) {
+      if (recorder_) {
+        recorder_->Record(FlightEventKind::kDurabilityError,
+                          DiagCodeNumber(st));
+      }
+      return st;
+    }
+    InsertEdbRow(rel, tuple);
+  } catch (const std::bad_alloc&) {
+    // Between the WAL append and the relation insert there is no safe
+    // failure point: the fact may be durable yet absent from the
+    // engine's relation, and a retried add would pass the dedup probe
+    // and duplicate it in the log. Latch durability instead.
+    durability_status_ = Status::RuntimeError(
+        "[GD210] durable store '" + durable_->dir() +
+        "' out of sync with the engine after an allocation failure; "
+        "reopen to recover");
+    return OomStatus();
+  }
+  return Status::OK();
 }
 
 Status Engine::RetractFact(std::string_view predicate,
@@ -432,68 +466,6 @@ Status Engine::SyncDurability() {
   }
   PublishDurabilityMetrics();
   return st;
-}
-
-namespace {
-
-Result<Value> GroundValue(const TermNode& t, ValueStore* store) {
-  switch (t.kind) {
-    case TermKind::kConstant:
-      return t.constant;
-    case TermKind::kVariable:
-      return Status::InvalidArgument("fact contains variable " + t.name);
-    case TermKind::kCompound: {
-      std::vector<Value> args;
-      for (const TermNode& a : t.args) {
-        GDLOG_ASSIGN_OR_RETURN(Value v, GroundValue(a, store));
-        args.push_back(v);
-      }
-      if (t.is_tuple()) return store->MakeTuple(args);
-      return store->MakeTerm(t.name, args);
-    }
-  }
-  return Status::Internal("unreachable");
-}
-
-}  // namespace
-
-Status Engine::LoadProgramDurable(std::string_view text) {
-  GDLOG_RETURN_IF_ERROR(faults_status_);
-  GDLOG_RETURN_IF_ERROR(durability_status_);
-  try {
-    const uint64_t t0 = WallNowNs();
-    auto parsed = [&] {
-      TraceSpan span(tracer_.get(), "parse", "engine");
-      return ParseProgram(store_.get(), text);
-    }();
-    phase_times_.parse_ns += WallNowNs() - t0;
-    GDLOG_RETURN_IF_ERROR(parsed.status());
-    // Split inline facts from rules: rules load as the program, facts
-    // go through AddFact so the WAL sees them (in program order, which
-    // recovery then reproduces exactly).
-    Program rules;
-    std::vector<Rule> facts;
-    for (Rule& r : parsed->rules) {
-      if (r.is_fact()) {
-        facts.push_back(std::move(r));
-      } else {
-        rules.rules.push_back(std::move(r));
-      }
-    }
-    GDLOG_RETURN_IF_ERROR(LoadProgramAst(std::move(rules)));
-    for (const Rule& f : facts) {
-      std::vector<Value> tuple;
-      tuple.reserve(f.head.args.size());
-      for (const TermNode& t : f.head.args) {
-        GDLOG_ASSIGN_OR_RETURN(Value v, GroundValue(t, store_.get()));
-        tuple.push_back(v);
-      }
-      GDLOG_RETURN_IF_ERROR(AddFact(f.head.predicate, std::move(tuple)));
-    }
-    return Status::OK();
-  } catch (const std::bad_alloc&) {
-    return OomStatus();
-  }
 }
 
 Status Engine::Run() {
@@ -603,24 +575,7 @@ void Engine::PublishRunArtifacts() {
 }
 
 Status Engine::RunInner() {
-  // Load program facts.
-  for (const Rule& r : program_->rules) {
-    if (!r.is_fact()) continue;
-    std::vector<Value> tuple;
-    for (const TermNode& t : r.head.args) {
-      GDLOG_ASSIGN_OR_RETURN(Value v, GroundValue(t, store_.get()));
-      tuple.push_back(v);
-    }
-    const PredicateId id = catalog_->Ensure(
-        r.head.predicate, static_cast<uint32_t>(r.head.args.size()));
-    Relation& rel = catalog_->relation(id);
-    const auto res = rel.Insert(TupleView(tuple));
-    if (res.inserted && rel.provenance_enabled()) {
-      rel.Annotate(res.row, Relation::kEdbRule, nullptr, 0);
-    }
-  }
-
-  // Everything present now (user facts + program facts) seeds the
+  // Everything present now (program facts + AddFact rows) seeds the
   // stable-model checker's reduct; relations created during compilation
   // default to zero seeds.
   seed_watermarks_.assign(catalog_->size(), 0);
@@ -1217,6 +1172,7 @@ Status Engine::WriteMetricsText(const std::string& path) const {
 Result<std::string> Engine::RewrittenProgramText() const {
   if (!program_) return Status::InvalidArgument("no program loaded");
   GDLOG_ASSIGN_OR_RETURN(Program full, FullSemanticExpansion(*program_));
+  full.facts = program_->facts;
   return ProgramToString(*store_, full);
 }
 
@@ -1244,7 +1200,7 @@ Result<std::string> Engine::AnalysisReport() const {
     if (!cl.diagnostic.empty()) out += "\n  note: " + cl.diagnostic;
     out += "\n";
     for (uint32_t ri : cl.rules) {
-      out += "  rule " + std::to_string(ri) + ": ";
+      out += "  rule " + std::to_string(program_->ClauseOf(ri)) + ": ";
       switch (a.rule_info[ri].kind) {
         case RuleKind::kExit:
           out += "exit";
@@ -1273,14 +1229,9 @@ Result<LintResult> Engine::Lint(const LintOptions& options) const {
   // emptiness, choice determinism), keeping the combined list sorted the
   // same way the structural lints are.
   if (options_.static_analysis) {
-    const absint::AnalysisResult* ai = absint_.get();
-    absint::AnalysisResult local;
-    if (ai == nullptr) {
-      local = ComputeAbsint();
-      ai = &local;
-    }
+    GDLOG_ASSIGN_OR_RETURN(absint::AnalysisResult ai, StaticAnalysis());
     result.diagnostics.insert(result.diagnostics.end(),
-                              ai->diagnostics.begin(), ai->diagnostics.end());
+                              ai.diagnostics.begin(), ai.diagnostics.end());
     SortDiagnostics(&result.diagnostics);
     result.counts = CountDiagnostics(result.diagnostics);
   }
@@ -1290,20 +1241,22 @@ Result<LintResult> Engine::Lint(const LintOptions& options) const {
 absint::AnalysisResult Engine::ComputeAbsint() const {
   absint::AnalysisOptions aopts;
   aopts.catalog = catalog_.get();
-  if (analysis_) {
-    return absint::AnalyzeProgram(*program_, analysis_->expanded, aopts);
-  }
-  return absint::Analyze(*program_, aopts);
+  return absint::AnalyzeProgram(*program_, analysis_->expanded, aopts);
 }
 
-Result<std::string> Engine::TypeSignaturesText() const {
+Result<absint::AnalysisResult> Engine::StaticAnalysis() const {
   if (!program_) return Status::InvalidArgument("no program loaded");
   if (!options_.static_analysis) {
     return Status::InvalidArgument(
         "static analysis disabled: set EngineOptions::static_analysis");
   }
-  if (absint_) return absint::SignaturesText(*absint_);
-  return absint::SignaturesText(ComputeAbsint());
+  if (absint_) return *absint_;
+  return ComputeAbsint();
+}
+
+Result<std::string> Engine::TypeSignaturesText() const {
+  GDLOG_ASSIGN_OR_RETURN(absint::AnalysisResult ai, StaticAnalysis());
+  return absint::SignaturesText(ai);
 }
 
 Result<StableCheckResult> Engine::VerifyStableModel() const {
@@ -1329,10 +1282,10 @@ Result<StableCheckResult> Engine::VerifyStableModel() const {
 std::vector<std::string> Engine::RuleTexts() const {
   std::vector<std::string> texts;
   if (!program_) return texts;
-  texts.reserve(program_->rules.size());
-  for (const Rule& r : program_->rules) {
-    texts.push_back(r.is_fact() ? std::string()
-                                : RuleToString(*store_, r));
+  for (size_t ri = 0; ri < program_->rules.size(); ++ri) {
+    const uint32_t clause = program_->ClauseOf(ri);
+    if (texts.size() <= clause) texts.resize(clause + 1);
+    texts[clause] = RuleToString(*store_, program_->rules[ri]);
   }
   return texts;
 }
@@ -1373,22 +1326,15 @@ Result<std::pair<PredicateId, RowId>> Engine::ResolveWhyTarget(
     // A ground atom: parse it as a one-fact program.
     GDLOG_ASSIGN_OR_RETURN(Program p,
                            ParseProgram(store_.get(), target + "."));
-    if (p.rules.size() != 1 || !p.rules[0].is_fact()) {
+    if (!p.rules.empty() || p.facts.size() != 1 || p.facts[0].count != 1) {
       return Status::InvalidArgument("expected one ground atom: " + target);
     }
-    const Rule& fact = p.rules[0];
-    std::vector<Value> tuple;
-    for (const TermNode& t : fact.head.args) {
-      GDLOG_ASSIGN_OR_RETURN(Value v, GroundValue(t, store_.get()));
-      tuple.push_back(v);
-    }
-    const PredicateId id = catalog_->Lookup(
-        fact.head.predicate, static_cast<uint32_t>(tuple.size()));
+    const FactBatch& fact = p.facts[0];
+    const PredicateId id = catalog_->Lookup(fact.predicate, fact.arity);
     if (id == kNoPredicate) {
-      return Status::InvalidArgument("unknown predicate: " +
-                                     fact.head.predicate);
+      return Status::InvalidArgument("unknown predicate: " + fact.predicate);
     }
-    const RowId row = catalog_->relation(id).Find(TupleView(tuple));
+    const RowId row = catalog_->relation(id).Find(TupleView(fact.rows));
     if (row == kNoRow) {
       return Status::InvalidArgument("tuple not in the model: " + target);
     }

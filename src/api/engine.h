@@ -108,7 +108,7 @@ struct EngineOptions {
 /// compile/eval are always collected (four clock pairs per run); the
 /// saturate/gamma split inside eval requires obs.enabled.
 struct EnginePhaseTimes {
-  uint64_t parse_ns = 0;
+  uint64_t parse_ns = 0;  // includes inserting the program's inline facts
   uint64_t analyze_ns = 0;
   uint64_t absint_ns = 0;
   uint64_t compile_ns = 0;
@@ -155,27 +155,31 @@ class Engine {
   Value Sym(std::string_view name) { return store_->MakeSymbol(name); }
   Value Nil() { return Value::Nil(); }
 
-  /// Parses and analyzes a program. Fails on parse errors, structural
-  /// stage errors, and rejected cliques (recursion through negation that
-  /// is not stage-stratified).
+  /// Parses and analyzes a program, then inserts its inline facts into
+  /// the catalog. Fails on parse errors, structural stage errors, and
+  /// rejected cliques (recursion through negation that is not
+  /// stage-stratified). The ground facts never become rules: the parser
+  /// turns them into relation rows (program()->facts), and they enter
+  /// the catalog here, at load, through AddFact's insert path — ahead of
+  /// any later AddFact rows, WAL-logged when durability is on, and
+  /// retractable before Run like any other EDB tuple. Reloading a
+  /// program against a recovered database logs nothing new: every fact
+  /// is already there. The insert is timed as part of the parse phase.
   Status LoadProgram(std::string_view text);
-  /// Same, from an already-built AST.
+  /// Same, from an already-built AST. Ground facts left among its rules
+  /// (a programmatically built program has them there) move to its
+  /// fact batches first, keeping their clause numbers.
   Status LoadProgramAst(Program program);
-  /// Like LoadProgram, but routes the program's inline facts through
-  /// AddFact so that with durability on they are WAL-logged like any
-  /// other EDB edit (plain LoadProgram treats inline facts as part of
-  /// the program text, invisible to the durable store). Equivalent to
-  /// LoadProgram when durability is off, except that the facts no
-  /// longer appear in program()->rules.
-  Status LoadProgramDurable(std::string_view text);
 
   /// Adds an EDB tuple before Run. With durability on, the fact is
   /// WAL-logged before it is applied (write-ahead); a logging failure
   /// leaves the in-memory state unchanged.
   Status AddFact(std::string_view predicate, std::vector<Value> args);
 
-  /// Removes an asserted EDB tuple before Run (NotFound when absent).
-  /// WAL-logged like AddFact when durability is on.
+  /// Removes an EDB tuple before Run (NotFound when absent): one added
+  /// by AddFact, or one of the program's inline facts, which are in the
+  /// catalog from LoadProgram on. WAL-logged like AddFact when
+  /// durability is on.
   Status RetractFact(std::string_view predicate, std::vector<Value> args);
 
   /// Durable-store control (InvalidArgument when durability is off).
@@ -311,6 +315,12 @@ class Engine {
   /// before Run or when EngineOptions::static_analysis is off.
   const absint::AnalysisResult* absint() const { return absint_.get(); }
 
+  /// The abstract-interpretation result for the loaded program: Run's
+  /// when Run computed one, otherwise a fresh analysis against the
+  /// current catalog, whose rows (inline facts included) seed the EDB
+  /// lattices. Requires a loaded program and static_analysis.
+  Result<absint::AnalysisResult> StaticAnalysis() const;
+
   /// Inferred predicate signatures, one per line (shell `.types`).
   /// Reuses the Run-time analysis when available, otherwise analyzes the
   /// loaded program against the current EDB on demand.
@@ -380,11 +390,18 @@ class Engine {
   /// Records one flight-recorder event of the run in flight, stamped with
   /// the driver's counters (zero before it exists) and tracked memory.
   void RecordRunEvent(FlightEventKind kind, int64_t a0, int64_t a1);
-  /// Rendered program rules indexed by rule index (facts stay empty).
+  /// Rendered program rules indexed by clause number (facts stay empty).
   std::vector<std::string> RuleTexts() const;
   /// Runs the abstract interpreter on the loaded program against the
   /// current catalog contents.
   absint::AnalysisResult ComputeAbsint() const;
+  /// AddFact's durable insert path for one row of `rel`: skips a row
+  /// already present, else logs it and then inserts it.
+  Status LogAndInsert(std::string_view predicate, Relation& rel,
+                      TupleView tuple);
+  /// Inserts every row of the program's fact batches through AddFact's
+  /// insert path, one Catalog::Ensure per predicate.
+  Status LoadFacts(const Program& program);
 
   EngineOptions options_;
   // Guardrails. Declared before the stores: members destroy in reverse
@@ -418,8 +435,8 @@ class Engine {
   std::chrono::steady_clock::time_point start_time_;
   std::atomic<EngineRunState> run_state_{EngineRunState::kIdle};
   EnginePhaseTimes phase_times_;
-  // Rows present per relation before evaluation started (user facts +
-  // program facts) — the reduct seeds for VerifyStableModel.
+  // Rows present per relation before evaluation started (program facts
+  // and AddFact rows) — the reduct seeds for VerifyStableModel.
   std::vector<size_t> seed_watermarks_;
   bool ran_ = false;
   // The live endpoint is declared LAST: its worker threads read the

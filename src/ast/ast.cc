@@ -126,6 +126,81 @@ bool Rule::has_extrema() const {
   });
 }
 
+void Program::AddFact(std::string_view predicate, std::span<const Value> row,
+                      uint32_t clause, SourceLoc loc, size_t* batch_hint) {
+  const auto arity = static_cast<uint32_t>(row.size());
+  auto matches = [&](size_t b) {
+    return b < facts.size() && facts[b].arity == arity &&
+           facts[b].predicate == predicate;
+  };
+  size_t b = *batch_hint;
+  if (!matches(b)) {
+    b = 0;
+    while (b < facts.size() && !matches(b)) ++b;
+    if (b == facts.size()) {
+      FactBatch& nb = facts.emplace_back();
+      nb.predicate = std::string(predicate);
+      nb.arity = arity;
+      nb.first_clause = clause;
+      nb.loc = loc;
+    }
+    *batch_hint = b;
+  }
+  FactBatch& batch = facts[b];
+  batch.rows.insert(batch.rows.end(), row.begin(), row.end());
+  ++batch.count;
+}
+
+bool Program::AddGroundFact(const Rule& rule, uint32_t clause,
+                            ValueStore* store, size_t* batch_hint) {
+  if (!rule.is_fact()) return false;
+  std::vector<Value> row;
+  row.reserve(rule.head.args.size());
+  for (const TermNode& t : rule.head.args) {
+    Result<Value> v = GroundValue(t, store);
+    if (!v.ok()) return false;
+    row.push_back(*v);
+  }
+  AddFact(rule.head.predicate, row, clause, rule.loc, batch_hint);
+  return true;
+}
+
+void Program::SplitGroundFacts(ValueStore* store) {
+  if (std::none_of(rules.begin(), rules.end(),
+                   [](const Rule& r) { return r.is_fact(); })) {
+    return;
+  }
+  std::vector<Rule> kept;
+  std::vector<uint32_t> kept_clauses;
+  size_t hint = 0;
+  for (size_t ri = 0; ri < rules.size(); ++ri) {
+    if (AddGroundFact(rules[ri], ClauseOf(ri), store, &hint)) continue;
+    kept_clauses.push_back(ClauseOf(ri));
+    kept.push_back(std::move(rules[ri]));
+  }
+  rules = std::move(kept);
+  rule_clauses = std::move(kept_clauses);
+}
+
+Result<Value> GroundValue(const TermNode& t, ValueStore* store) {
+  switch (t.kind) {
+    case TermKind::kConstant:
+      return t.constant;
+    case TermKind::kVariable:
+      return Status::InvalidArgument("fact contains variable " + t.name);
+    case TermKind::kCompound: {
+      std::vector<Value> args;
+      for (const TermNode& a : t.args) {
+        GDLOG_ASSIGN_OR_RETURN(Value v, GroundValue(a, store));
+        args.push_back(v);
+      }
+      if (t.is_tuple()) return store->MakeTuple(args);
+      return store->MakeTerm(t.name, args);
+    }
+  }
+  return Status::Internal("unreachable");
+}
+
 std::vector<Program::PredicateRef> Program::AllPredicates() const {
   std::vector<PredicateRef> out;
   auto add = [&out](const std::string& name, uint32_t arity) {
@@ -145,6 +220,7 @@ std::vector<Program::PredicateRef> Program::AllPredicates() const {
     visit(r.head);
     for (const Literal& l : r.body) visit(l);
   }
+  for (const FactBatch& b : facts) add(b.predicate, b.arity);
   return out;
 }
 

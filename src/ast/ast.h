@@ -1,7 +1,8 @@
 // Abstract syntax for the choice-Datalog language of the paper.
 //
-// A program is a list of rules; a fact is a rule with empty body and
-// ground head. Rule bodies mix:
+// A program is a list of rules plus its ground facts, kept as relation
+// rows (FactBatch); a rule with an empty body and a non-ground head
+// stays a rule. Rule bodies mix:
 //
 //   * positive / negated atoms            g(X,Y,C), not visited(Y)
 //   * negated conjunctions                not (subtree(X,L), L < I)
@@ -18,9 +19,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/status.h"
 #include "value/value.h"
 
 namespace gdlog {
@@ -225,10 +229,53 @@ struct Rule {
   bool has_extrema() const;
 };
 
+/// The ground facts of one predicate, as relation rows: `count` rows of
+/// `arity` values each, stored back to back in `rows`, in source order.
+struct FactBatch {
+  std::string predicate;
+  uint32_t arity = 0;
+  size_t count = 0;
+  std::vector<Value> rows;
+  // Source clause number and location of the predicate's first fact.
+  uint32_t first_clause = 0;
+  SourceLoc loc;
+};
+
+/// A program's clauses, split by kind. Ground facts are data: they live
+/// in `facts`, one batch per predicate, and the engine inserts them into
+/// its relations at load. Everything else, including a fact with a
+/// variable in it, is a rule. Facts and rules share one clause
+/// numbering, in source order; it is the rule number users see.
 struct Program {
   std::vector<Rule> rules;
+  // Source clause number of rules[i], or empty when rules[i] is clause i.
+  std::vector<uint32_t> rule_clauses;
+  // In order of each predicate's first fact.
+  std::vector<FactBatch> facts;
 
-  /// All predicate name/arity pairs appearing anywhere in the program.
+  /// Source clause number of rules[ri].
+  uint32_t ClauseOf(size_t ri) const {
+    return rule_clauses.empty() ? static_cast<uint32_t>(ri)
+                                : rule_clauses[ri];
+  }
+
+  /// Appends one fact as clause `clause`, starting its predicate's batch
+  /// on first sight. `batch_hint` caches the last batch used.
+  void AddFact(std::string_view predicate, std::span<const Value> row,
+               uint32_t clause, SourceLoc loc, size_t* batch_hint);
+  /// AddFact for a parsed clause: true when `rule` has no body and a
+  /// ground head (interned with GroundValue); false, with nothing
+  /// added, when it is a rule.
+  bool AddGroundFact(const Rule& rule, uint32_t clause, ValueStore* store,
+                     size_t* batch_hint);
+
+  /// Moves every ground fact out of `rules` into `facts` (interning
+  /// compound arguments with GroundValue), keeping clause numbers. A
+  /// programmatically built program arrives with its facts as rules.
+  void SplitGroundFacts(ValueStore* store);
+
+  /// All predicate name/arity pairs appearing anywhere in the program:
+  /// rule predicates first, then fact-only ones.
   struct PredicateRef {
     std::string name;
     uint32_t arity;
@@ -236,6 +283,12 @@ struct Program {
   };
   std::vector<PredicateRef> AllPredicates() const;
 };
+
+/// The value of a ground term: constants as they are, and compounds
+/// interned as terms (tuples as tuples), arithmetic included — a fact
+/// stores `1 + 2` as the term +(1, 2), it does not evaluate it. Fails
+/// with InvalidArgument on a variable.
+Result<Value> GroundValue(const TermNode& t, ValueStore* store);
 
 /// Appends the names of all variables in `lit` (including those under
 /// NotExists and inside meta-goal tuples) to `out`.

@@ -48,6 +48,20 @@ void PrintTerm(const ValueStore& store, const TermNode& t, std::ostream& out,
   }
 }
 
+/// A stored value as a ground term, so that a fact prints like the
+/// clause it came from: +(1, 2) as `1 + 2`, tuples in parentheses.
+TermNode GroundTerm(const ValueStore& store, Value v) {
+  if (!v.is_term()) return TermNode::Const(v);
+  std::vector<TermNode> args;
+  for (Value a : store.TermArgs(v.AsTermId())) {
+    args.push_back(GroundTerm(store, a));
+  }
+  if (store.IsTuple(v)) return TermNode::Tuple(std::move(args));
+  return TermNode::Compound(
+      std::string(store.SymbolName(store.TermFunctor(v.AsTermId()))),
+      std::move(args));
+}
+
 void PrintLiteral(const ValueStore& store, const Literal& l,
                   std::ostream& out) {
   switch (l.kind) {
@@ -140,6 +154,16 @@ std::string RuleToString(const ValueStore& store, const Rule& r) {
 
 std::string ProgramToString(const ValueStore& store, const Program& p) {
   std::ostringstream out;
+  for (const FactBatch& b : p.facts) {
+    for (size_t i = 0; i < b.count; ++i) {
+      std::vector<TermNode> args;
+      for (uint32_t j = 0; j < b.arity; ++j) {
+        args.push_back(GroundTerm(store, b.rows[i * b.arity + j]));
+      }
+      PrintLiteral(store, Literal::Atom(b.predicate, std::move(args)), out);
+      out << ".\n";
+    }
+  }
   for (const Rule& r : p.rules) out << RuleToString(store, r) << "\n";
   return out.str();
 }

@@ -14,6 +14,7 @@ namespace gdlog {
 std::string TermToString(const ValueStore& store, const TermNode& t);
 std::string LiteralToString(const ValueStore& store, const Literal& l);
 std::string RuleToString(const ValueStore& store, const Rule& r);
+/// The ground facts, batch by batch, then the rules.
 std::string ProgramToString(const ValueStore& store, const Program& p);
 
 }  // namespace gdlog

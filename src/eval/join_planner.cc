@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+
+#include "common/hash.h"
 
 namespace gdlog {
 
@@ -22,13 +23,26 @@ RelationEstimate JoinPlanner::ScanRelation(const Relation& rel,
     est.distinct.assign(rel.arity(), d);
     return est;
   }
-  std::unordered_set<uint64_t> seen;
+  // Exact distinct counts per column, in one open-addressing set of
+  // Value bits sized for the relation and cleared per column. No Value
+  // has tag 7, so all-ones marks an empty slot.
+  constexpr uint64_t kEmpty = ~uint64_t{0};
+  size_t cap = 16;
+  while (cap < 2 * rel.size()) cap <<= 1;
+  std::vector<uint64_t> slots;
   for (uint32_t c = 0; c < rel.arity(); ++c) {
-    seen.clear();
+    slots.assign(cap, kEmpty);
+    size_t distinct = 0;
     for (RowId r = 0; r < rel.size(); ++r) {
-      seen.insert(rel.Row(r)[c].bits());
+      const uint64_t bits = rel.Row(r)[c].bits();
+      size_t i = Mix64(bits) & (cap - 1);
+      while (slots[i] != kEmpty && slots[i] != bits) i = (i + 1) & (cap - 1);
+      if (slots[i] == kEmpty) {
+        slots[i] = bits;
+        ++distinct;
+      }
     }
-    est.distinct[c] = static_cast<double>(std::max<size_t>(1, seen.size()));
+    est.distinct[c] = static_cast<double>(std::max<size_t>(1, distinct));
   }
   return est;
 }

@@ -170,12 +170,13 @@ class RuleCompiler {
         catalog_(catalog),
         store_(store),
         planner_(planner),
+        rule_pos_(rule_index),
         head_params_bound_(head_params_bound) {
-    out_.rule_index = rule_index;
+    out_.rule_index = program.ClauseOf(rule_index);
   }
 
   Result<CompiledRule> Compile() {
-    const RuleStageInfo& info = analysis_.rule_info[out_.rule_index];
+    const RuleStageInfo& info = analysis_.rule_info[rule_pos_];
     out_.is_next = info.kind == RuleKind::kNext;
     out_.head_stage_pos = info.head_stage_pos;
 
@@ -1042,6 +1043,7 @@ class RuleCompiler {
   PredIndex head_pred_index_ = kNoPred;
   uint32_t head_scc_ = 0;
   bool in_subplan_ = false;
+  uint32_t rule_pos_;  // index into program_.rules
   bool head_params_bound_ = false;
 };
 
@@ -1059,7 +1061,14 @@ Result<std::vector<CompiledRule>> CompileProgram(
   }
   int gamma_counter = 0;
   for (uint32_t ri = 0; ri < program.rules.size(); ++ri) {
-    if (program.rules[ri].is_fact()) continue;  // loaded directly
+    if (program.rules[ri].is_fact()) {
+      // Ground facts load as rows; a fact still here has a variable,
+      // and GroundValue says which.
+      for (const TermNode& t : program.rules[ri].head.args) {
+        GDLOG_RETURN_IF_ERROR(GroundValue(t, store).status());
+      }
+      continue;
+    }
     const bool head_bound =
         options.head_params_bound &&
         options.head_params_bound(program.rules[ri].head.predicate);

@@ -136,7 +136,7 @@ struct ChoiceSpec {
 };
 
 struct CompiledRule {
-  uint32_t rule_index = 0;        // position in the analyzed Program
+  uint32_t rule_index = 0;        // source clause number (ClauseOf)
   PredicateId head_pred = kNoPredicate;
   std::vector<uint32_t> head_terms;
   uint32_t head_arity = 0;

@@ -4,6 +4,11 @@
 // and the keywords not/nil/choice/least/most/next/mod/min/max), variables
 // (uppercase or `_` start), integers, double-quoted strings, and
 // punctuation. Comments: `%` and `//` to end of line, `/* ... */`.
+//
+// The lexer streams: the parser pulls one token at a time, so a program
+// is never held as a token vector. At each clause start the parser first
+// asks for a raw-character scan of a ground fact over constants, which
+// is how bulk fact data loads without tokens or an AST.
 #ifndef GDLOG_PARSER_LEXER_H_
 #define GDLOG_PARSER_LEXER_H_
 
@@ -13,6 +18,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "value/value.h"
 
 namespace gdlog {
 
@@ -37,16 +43,82 @@ enum class TokenKind : uint8_t {
   kStar,
   kSlash,
   kEof,
+  kError,     // the lexer failed; its status says why and where
 };
 
 std::string_view TokenKindName(TokenKind k);
 
 struct Token {
-  TokenKind kind;
+  TokenKind kind = TokenKind::kEof;
   std::string text;   // identifier / variable / string content
   int64_t int_value = 0;
   int line = 1;
   int column = 1;
+};
+
+/// One ground fact over constants, as ScanGroundFact found it. Symbol
+/// names point into the source; nothing is interned yet.
+struct ScannedFact {
+  struct Arg {
+    bool is_symbol = false;
+    Value value;              // the integer or nil when !is_symbol
+    std::string_view symbol;  // the symbol's name when is_symbol
+  };
+  std::string_view predicate;
+  int line = 1;
+  int column = 1;
+  std::vector<Arg> args;  // reused across scans
+};
+
+class Lexer {
+ public:
+  explicit Lexer(std::string_view src) : src_(src) {}
+
+  /// Lexes the next token (kEof at the end of input), or returns a
+  /// ParseError naming the offending line/column.
+  Status Next(Token* tok);
+
+  /// At a clause start, scans `p.` or `p(c1, ..., cn).` where every ci
+  /// is an integer in Value's inline range (optionally negated), a
+  /// lowercase symbol, nil, or a string without escapes. On success the
+  /// lexer stands after the '.'. Anything else — a rule, a fact with a
+  /// variable, tuple, functor or arithmetic argument, an escape, or an
+  /// error — returns false with the lexer where it was, for the parser
+  /// to take token by token.
+  bool ScanGroundFact(ScannedFact* fact);
+
+ private:
+  struct Mark {
+    size_t pos;
+    int line;
+    int column;
+  };
+  Mark Save() const { return {pos_, line_, column_}; }
+  void Restore(Mark m) {
+    pos_ = m.pos;
+    line_ = m.line;
+    column_ = m.column;
+  }
+
+  bool AtEnd() const { return pos_ >= src_.size(); }
+  char Peek(size_t ahead = 0) const {
+    return pos_ + ahead < src_.size() ? src_[pos_ + ahead] : '\0';
+  }
+  char Advance();
+  Status Error(const std::string& what) const;
+  Status SkipWhitespaceAndComments();
+  Status LexInteger(Token* tok);
+  void LexWord(Token* tok);
+  Status LexString(Token* tok);
+  Status LexPunct(Token* tok);
+  // ScanGroundFact helpers: each consumes one item or returns false.
+  std::string_view ScanIdent();
+  bool ScanConstant(ScannedFact::Arg* arg);
+
+  std::string_view src_;
+  size_t pos_ = 0;
+  int line_ = 1;
+  int column_ = 1;
 };
 
 /// Tokenizes `source` completely (appending a kEof token), or returns a

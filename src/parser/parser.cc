@@ -41,16 +41,34 @@ ComparisonOp ToComparisonOp(TokenKind k) {
 
 class Parser {
  public:
-  Parser(ValueStore* store, std::vector<Token> tokens)
-      : store_(store), tokens_(std::move(tokens)) {}
+  Parser(ValueStore* store, std::string_view source)
+      : store_(store), lexer_(source) {}
 
+  // Clauses are numbered in source order, facts and rules alike. A
+  // ground fact over constants goes straight from characters to a row
+  // of its predicate's batch; any other clause is parsed token by
+  // token, and if it turns out to be a ground fact it becomes a row
+  // all the same.
   Result<Program> ParseProgram() {
     Program prog;
-    while (!Check(TokenKind::kEof)) {
+    size_t batch = 0;
+    for (uint32_t clause = 0;; ++clause) {
+      if (lexer_.ScanGroundFact(&scanned_)) {
+        row_.clear();
+        for (const ScannedFact::Arg& a : scanned_.args) {
+          row_.push_back(a.is_symbol ? store_->MakeSymbol(a.symbol)
+                                     : a.value);
+        }
+        prog.AddFact(scanned_.predicate, row_, clause,
+                     SourceLoc{scanned_.line, scanned_.column}, &batch);
+        continue;
+      }
+      if (Check(TokenKind::kEof)) return prog;
       GDLOG_ASSIGN_OR_RETURN(Rule rule, ParseOneRule());
+      if (prog.AddGroundFact(rule, clause, store_, &batch)) continue;
       prog.rules.push_back(std::move(rule));
+      prog.rule_clauses.push_back(clause);
     }
-    return prog;
   }
 
   Result<Rule> ParseSingleRule() {
@@ -62,17 +80,32 @@ class Parser {
   }
 
  private:
-  const Token& Peek() const { return tokens_[pos_]; }
-  const Token& Previous() const { return tokens_[pos_ - 1]; }
-  bool Check(TokenKind k) const { return Peek().kind == k; }
+  // Tokens are lexed on demand, so that at a clause start none is
+  // pending and the lexer can try its raw fact scan. A lexer failure
+  // becomes a kError token, which matches nothing; the parser reports
+  // it through Error() when it gets stuck there.
+  const Token& Peek() {
+    if (!have_tok_) {
+      const Status st = lexer_.Next(&tok_);
+      if (!st.ok()) {
+        lex_error_ = st;
+        tok_.kind = TokenKind::kError;
+      }
+      have_tok_ = true;
+    }
+    return tok_;
+  }
+  void Advance() { have_tok_ = tok_.kind == TokenKind::kError; }
+  bool Check(TokenKind k) { return Peek().kind == k; }
   bool Match(TokenKind k) {
     if (!Check(k)) return false;
-    ++pos_;
+    Advance();
     return true;
   }
 
-  Status Error(const std::string& what) const {
+  Status Error(const std::string& what) {
     const Token& t = Peek();
+    if (t.kind == TokenKind::kError) return lex_error_;
     return Status::ParseError(what + " at line " + std::to_string(t.line) +
                               ", column " + std::to_string(t.column) +
                               " (found " +
@@ -125,7 +158,7 @@ class Parser {
     if (Check(TokenKind::kIdent)) {
       const std::string& word = Peek().text;
       if (word == "not") {
-        ++pos_;
+        Advance();
         if (Match(TokenKind::kLParen)) {
           GDLOG_ASSIGN_OR_RETURN(std::vector<Literal> conj, ParseBody());
           GDLOG_RETURN_IF_ERROR(
@@ -141,7 +174,7 @@ class Parser {
         return ParseAtom(/*negated=*/true);
       }
       if (word == "choice") {
-        ++pos_;
+        Advance();
         GDLOG_RETURN_IF_ERROR(Expect(TokenKind::kLParen, "after 'choice'"));
         GDLOG_ASSIGN_OR_RETURN(TermNode left, ParseExpr());
         GDLOG_RETURN_IF_ERROR(
@@ -153,7 +186,7 @@ class Parser {
       }
       if (word == "least" || word == "most") {
         const bool is_least = word == "least";
-        ++pos_;
+        Advance();
         GDLOG_RETURN_IF_ERROR(Expect(TokenKind::kLParen, "after extremum"));
         GDLOG_ASSIGN_OR_RETURN(TermNode cost, ParseExpr());
         TermNode group = TermNode::Tuple({});
@@ -166,14 +199,14 @@ class Parser {
                         : Literal::Most(std::move(cost), std::move(group));
       }
       if (word == "next") {
-        ++pos_;
+        Advance();
         GDLOG_RETURN_IF_ERROR(Expect(TokenKind::kLParen, "after 'next'"));
         if (!Check(TokenKind::kVariable)) {
           return Error("next(...) takes a single variable");
         }
         TermNode var = TermNode::Var(Peek().text == "_" ? FreshAnonymous()
                                                         : Peek().text);
-        ++pos_;
+        Advance();
         GDLOG_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "to close 'next('"));
         return Literal::Next(std::move(var));
       }
@@ -184,7 +217,7 @@ class Parser {
     GDLOG_ASSIGN_OR_RETURN(TermNode expr, ParseExpr());
     if (IsComparisonToken(Peek().kind)) {
       const ComparisonOp op = ToComparisonOp(Peek().kind);
-      ++pos_;
+      Advance();
       GDLOG_ASSIGN_OR_RETURN(TermNode rhs, ParseExpr());
       return Literal::Comparison(op, std::move(expr), std::move(rhs));
     }
@@ -206,7 +239,7 @@ class Parser {
     }
     const SourceLoc loc = LocOf(Peek());
     std::string name = Peek().text;
-    ++pos_;
+    Advance();
     std::vector<TermNode> args;
     if (Match(TokenKind::kLParen)) {
       if (!Check(TokenKind::kRParen)) {
@@ -228,7 +261,7 @@ class Parser {
     GDLOG_ASSIGN_OR_RETURN(TermNode lhs, ParseMul());
     while (Check(TokenKind::kPlus) || Check(TokenKind::kMinus)) {
       const std::string op = Check(TokenKind::kPlus) ? "+" : "-";
-      ++pos_;
+      Advance();
       GDLOG_ASSIGN_OR_RETURN(TermNode rhs, ParseMul());
       std::vector<TermNode> args;
       args.push_back(std::move(lhs));
@@ -242,7 +275,7 @@ class Parser {
   Result<TermNode> ParseMul() {
     GDLOG_ASSIGN_OR_RETURN(TermNode lhs, ParsePrimary());
     for (;;) {
-      std::string op;
+      const char* op = nullptr;
       if (Check(TokenKind::kStar)) {
         op = "*";
       } else if (Check(TokenKind::kSlash)) {
@@ -252,7 +285,7 @@ class Parser {
       } else {
         break;
       }
-      ++pos_;
+      Advance();
       GDLOG_ASSIGN_OR_RETURN(TermNode rhs, ParsePrimary());
       std::vector<TermNode> args;
       args.push_back(std::move(lhs));
@@ -265,7 +298,7 @@ class Parser {
   Result<TermNode> ParsePrimary() {
     if (Check(TokenKind::kInteger)) {
       const int64_t v = Peek().int_value;
-      ++pos_;
+      Advance();
       return TermNode::Const(Value::Int(v));
     }
     if (Match(TokenKind::kMinus)) {
@@ -280,18 +313,18 @@ class Parser {
     }
     if (Check(TokenKind::kVariable)) {
       std::string name = Peek().text;
-      ++pos_;
+      Advance();
       if (name == "_") name = FreshAnonymous();
       return TermNode::Var(std::move(name));
     }
     if (Check(TokenKind::kString)) {
       TermNode t = TermNode::Const(store_->MakeSymbol(Peek().text));
-      ++pos_;
+      Advance();
       return t;
     }
     if (Check(TokenKind::kIdent)) {
       std::string name = Peek().text;
-      ++pos_;
+      Advance();
       if (name == "nil") return TermNode::Const(Value::Nil());
       if (Match(TokenKind::kLParen)) {
         std::vector<TermNode> args;
@@ -323,21 +356,23 @@ class Parser {
   }
 
   ValueStore* store_;
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
+  Lexer lexer_;
+  Token tok_;
+  bool have_tok_ = false;
+  Status lex_error_;
+  ScannedFact scanned_;
+  std::vector<Value> row_;
   int anon_counter_ = 0;
 };
 
 }  // namespace
 
 Result<Program> ParseProgram(ValueStore* store, std::string_view source) {
-  GDLOG_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(source));
-  return Parser(store, std::move(tokens)).ParseProgram();
+  return Parser(store, source).ParseProgram();
 }
 
 Result<Rule> ParseRule(ValueStore* store, std::string_view source) {
-  GDLOG_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(source));
-  return Parser(store, std::move(tokens)).ParseSingleRule();
+  return Parser(store, source).ParseSingleRule();
 }
 
 }  // namespace gdlog

@@ -629,6 +629,42 @@ TEST(EngineDurability, DuplicateAddsAreNotLoggedTwice) {
   RemoveTree(dir);
 }
 
+TEST(EngineDurability, InlineFactsAreLoggedAndReloadLogsNothing) {
+  const std::string dir = TempDbDir("engine-inline");
+  const std::string text = std::string(kTc) + "edge(0, 1). edge(1, 2).\n";
+  {
+    Engine e{Durable(dir)};
+    ASSERT_TRUE(e.LoadProgram(text).ok());
+    // One create-relation record and one record per fact.
+    EXPECT_EQ(e.durable()->stats().wal_appends, 3u);
+    // In the catalog from load on: retractable before Run.
+    ASSERT_TRUE(e.RetractFact("edge", {Value::Int(1), Value::Int(2)}).ok());
+    ASSERT_TRUE(e.Run().ok());
+    EXPECT_EQ(e.Query("tc", 2).size(), 1u);
+  }
+  // Reloading the same text against the recovered database: the fact
+  // that survived is already there, and the retracted one comes back.
+  Engine e{Durable(dir)};
+  ASSERT_TRUE(e.durability_status().ok());
+  EXPECT_EQ(e.Query("edge", 2).size(), 1u);
+  ASSERT_TRUE(e.LoadProgram(text).ok());
+  EXPECT_EQ(e.durable()->stats().wal_appends, 1u);
+  EXPECT_EQ(e.Query("edge", 2).size(), 2u);
+  RemoveTree(dir);
+  // And a second reload appends nothing at all.
+  const std::string dir2 = TempDbDir("engine-inline-idem");
+  {
+    Engine first{Durable(dir2)};
+    ASSERT_TRUE(first.LoadProgram(text).ok());
+  }
+  Engine again{Durable(dir2)};
+  ASSERT_TRUE(again.LoadProgram(text).ok());
+  EXPECT_EQ(again.durable()->stats().wal_appends, 0u);
+  ASSERT_TRUE(again.Run().ok());
+  EXPECT_EQ(again.Query("tc", 2).size(), 3u);
+  RemoveTree(dir2);
+}
+
 TEST(EngineDurability, CheckpointRotatesAndSurvivesReopen) {
   const std::string dir = TempDbDir("engine-ckpt");
   {
@@ -807,10 +843,10 @@ class DurabilityChaos : public ::testing::TestWithParam<const char*> {};
 TEST_P(DurabilityChaos, CrashRecoveryIsBitIdentical) {
   const std::string text = ReadFileOrDie(ProgramPath(GetParam()));
 
-  // Reference: uninterrupted, in-memory, same fact-insertion path the
-  // durable engines use (inline facts through AddFact).
+  // Reference: uninterrupted and in-memory. Inline facts load on the
+  // same path with or without durability.
   Engine ref{EngineOptions{}};
-  ASSERT_TRUE(ref.LoadProgramDurable(text).ok());
+  ASSERT_TRUE(ref.LoadProgram(text).ok());
   ASSERT_TRUE(ref.Run().ok());
   const std::vector<std::string> expected = DumpModel(ref);
   ASSERT_FALSE(expected.empty());
@@ -823,7 +859,7 @@ TEST_P(DurabilityChaos, CrashRecoveryIsBitIdentical) {
     EngineOptions o;
     o.durability.dir = dir;
     Engine e(o);
-    ASSERT_TRUE(e.LoadProgramDurable(text).ok());
+    ASSERT_TRUE(e.LoadProgram(text).ok());
     ASSERT_TRUE(e.Run().ok());
     EXPECT_EQ(DumpModel(e), expected) << GetParam() << " (durable, no crash)";
     total_appends = e.durable()->stats().wal_appends;
@@ -843,7 +879,7 @@ TEST_P(DurabilityChaos, CrashRecoveryIsBitIdentical) {
       o.durability.dir = dir;
       o.faults = "wal.append@" + std::to_string(k);
       Engine dying(o);
-      const Status st = dying.LoadProgramDurable(text);
+      const Status st = dying.LoadProgram(text);
       ASSERT_FALSE(st.ok()) << GetParam() << " append " << k
                             << " did not tear";
       EXPECT_EQ(DiagCodeOfStatus(st), diag::kWalError) << "k=" << k;
@@ -856,7 +892,7 @@ TEST_P(DurabilityChaos, CrashRecoveryIsBitIdentical) {
         << revived.durability_status().ToString();
     EXPECT_TRUE(revived.durable()->recovery().wal_tail_dropped)
         << "k=" << k;
-    ASSERT_TRUE(revived.LoadProgramDurable(text).ok()) << "k=" << k;
+    ASSERT_TRUE(revived.LoadProgram(text).ok()) << "k=" << k;
     ASSERT_TRUE(revived.Run().ok()) << "k=" << k;
     EXPECT_EQ(DumpModel(revived), expected)
         << GetParam() << " diverged after a crash at WAL append " << k;

@@ -43,9 +43,11 @@ TEST(GreedyTransform, ProducesExampleSevenShape) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->stage_predicate, "matching");
   EXPECT_EQ(result->cost_position, 2);
-  // The post-condition pair and the accumulator are gone; the seed and
-  // the greedy next rule remain.
-  ASSERT_EQ(result->transformed.rules.size(), 2u);
+  // The post-condition pair and the accumulator are gone; the seed fact
+  // and the greedy next rule remain.
+  ASSERT_EQ(result->transformed.rules.size(), 1u);
+  ASSERT_EQ(result->transformed.facts.size(), 1u);
+  EXPECT_EQ(result->transformed.facts[0].predicate, "matching");
   const std::string text = ProgramToString(store, result->transformed);
   EXPECT_EQ(text.find("opt_matching"), std::string::npos);
   EXPECT_EQ(text.find("new_arc"), std::string::npos);

@@ -291,6 +291,10 @@ TEST(Lint, GD011RelaxedStratificationNote) {
   const Diagnostic& d = FindCode(r, diag::kRelaxedStratification);
   EXPECT_EQ(d.severity, DiagSeverity::kNote);
   EXPECT_TRUE(r.clean());  // note, not error: Run() accepts this program
+  // It points at the clique's first clause, the seed fact, although the
+  // fact loads as a row and not as a rule.
+  EXPECT_EQ(d.rule_index, 0);
+  EXPECT_EQ(d.loc, (SourceLoc{2, 5}));
 }
 
 TEST(Lint, GD011NotFiredForStrictStageCliques) {

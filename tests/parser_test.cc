@@ -77,9 +77,18 @@ TEST(Parser, FactAndRule) {
     path(X, Z) <- path(X, Y), edge(Y, Z).
   )");
   ASSERT_TRUE(prog.ok()) << prog.status().ToString();
-  ASSERT_EQ(prog->rules.size(), 3u);
-  EXPECT_TRUE(prog->rules[0].is_fact());
-  EXPECT_FALSE(prog->rules[1].is_fact());
+  // The fact is a row of edge/2's batch, not a rule; clauses keep their
+  // source numbers.
+  ASSERT_EQ(prog->facts.size(), 1u);
+  EXPECT_EQ(prog->facts[0].predicate, "edge");
+  EXPECT_EQ(prog->facts[0].count, 1u);
+  EXPECT_EQ(prog->facts[0].rows,
+            (std::vector<Value>{Value::Int(1), Value::Int(2)}));
+  EXPECT_EQ(prog->facts[0].first_clause, 0u);
+  ASSERT_EQ(prog->rules.size(), 2u);
+  EXPECT_FALSE(prog->rules[0].is_fact());
+  EXPECT_EQ(prog->ClauseOf(0), 1u);
+  EXPECT_EQ(prog->ClauseOf(1), 2u);
 }
 
 TEST(Parser, MetaGoals) {
@@ -165,7 +174,8 @@ TEST(Parser, NegativeNumbers) {
   ValueStore store;
   auto prog = ParseProgram(&store, "p(-5).");
   ASSERT_TRUE(prog.ok());
-  EXPECT_EQ(prog->rules[0].head.args[0].constant.AsInt(), -5);
+  ASSERT_EQ(prog->facts.size(), 1u);
+  EXPECT_EQ(prog->facts[0].rows[0].AsInt(), -5);
 }
 
 class RoundTripTest : public ::testing::TestWithParam<const char*> {};

@@ -74,9 +74,9 @@ TEST(StageAnalysis, PrimIsStageStratified) {
   // Stage arguments: prm at 3, new_g at 3.
   EXPECT_EQ(a.stage_arg[a.graph->Lookup("prm", 4)], 3);
   EXPECT_EQ(a.stage_arg[a.graph->Lookup("new_g", 4)], 3);
-  // Rule kinds: fact (exit), next, flat.
-  EXPECT_EQ(a.rule_info[1].kind, RuleKind::kNext);
-  EXPECT_EQ(a.rule_info[2].kind, RuleKind::kFlat);
+  // Rule kinds: next, flat. The seed fact is a row, not a rule.
+  EXPECT_EQ(a.rule_info[0].kind, RuleKind::kNext);
+  EXPECT_EQ(a.rule_info[1].kind, RuleKind::kFlat);
 }
 
 TEST(StageAnalysis, PrimWithGlobalLeastLosesStratification) {

@@ -22,6 +22,11 @@
 # model each seed picks: any drift in candidate order, tie-breaking, or
 # audit counts shows up here even when the model set is unchanged.
 #
+# The seed-0 run is repeated with a durable database (--db-dir, a fresh
+# temporary directory per program) and diffed against the same golden:
+# the inline facts then travel through the WAL, and the model, the
+# audit and its rule numbers must not notice.
+#
 #   tools/check_goldens.sh BUILD_DIR            check; exit 1 on drift
 #   tools/check_goldens.sh BUILD_DIR --update   refresh the goldens
 set -u
@@ -95,4 +100,21 @@ for f in programs/*.dl; do
     fi
   done
 done
+
+# The same chosen models with a durable database. Checked only; the
+# in-memory run above is what --update blesses.
+if [ "$MODE" != "--update" ]; then
+  for f in programs/*.dl; do
+    name=$(basename "$f" .dl)
+    golden="tests/goldens/$name.seed0.choices"
+    db=$(mktemp -d)
+    out=$("$SHELL_BIN" "$f" --choices --seed 0 --db-dir "$db" 2>/dev/null) ||
+      true
+    rm -rf "$db"
+    if ! printf '%s\n' "$out" | diff -u "$golden" -; then
+      echo "GOLDEN DRIFT: $f --seed 0 --db-dir vs $golden"
+      fail=1
+    fi
+  done
+fi
 exit $fail

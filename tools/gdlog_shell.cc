@@ -370,9 +370,11 @@ void PrintStats(const gdlog::Engine& engine) {
 /// Lints `text` without evaluating it; returns 0 when error-free.
 /// `queries` (pred/arity specs) become the lint's query roots. When the
 /// program loads, diagnostics include the abstract interpreter's
-/// findings and the JSON output carries the inferred signatures under
-/// "analysis"; a program that fails to load falls back to the
-/// structural linter alone (which reports the load failure too).
+/// findings and the JSON output carries the engine's inferred
+/// signatures under "analysis", seeded from its catalog (which holds
+/// the inline facts); a program that fails to load falls back to the
+/// structural linter alone, over the parsed rules and fact batches
+/// (which reports the load failure too).
 int RunLint(const std::string& name, const std::string& text,
             const std::vector<Query>& queries,
             const gdlog::EngineOptions& options, bool json) {
@@ -404,11 +406,8 @@ int RunLint(const std::string& name, const std::string& text,
     w.BeginObject();
     gdlog::DiagnosticsJsonContents(lr->diagnostics, name, &w);
     w.Key("analysis");
-    if (options.static_analysis) {
-      gdlog::absint::AnalysisOptions aopts;
-      const gdlog::absint::AnalysisResult ar = gdlog::absint::AnalyzeProgram(
-          *engine.program(), engine.analysis()->expanded, aopts);
-      gdlog::absint::AnalysisToJson(ar, &w);
+    if (auto ar = engine.StaticAnalysis(); ar.ok()) {
+      gdlog::absint::AnalysisToJson(*ar, &w);
     } else {
       w.Null();
     }
@@ -445,11 +444,7 @@ struct Shell {
       return false;
     }
     if (program_text.empty()) return true;  // recovered EDB only
-    // A durable engine loads inline facts through AddFact so they
-    // traverse the WAL (see Engine::LoadProgramDurable).
-    const gdlog::Status st = options.durability.dir.empty()
-                                 ? engine->LoadProgram(program_text)
-                                 : engine->LoadProgramDurable(program_text);
+    const gdlog::Status st = engine->LoadProgram(program_text);
     if (!st.ok()) {
       std::printf("error: %s\n", st.ToString().c_str());
       engine.reset();
@@ -950,11 +945,7 @@ int main(int argc, char** argv) {
     // resolve an ephemeral port and scrape mid-run.
     AnnounceObsEndpoint(engine);
   }
-  // With a durable database the inline facts must traverse the WAL, so
-  // they are loaded via AddFact rather than as program text.
-  gdlog::Status st = options.durability.dir.empty()
-                         ? engine.LoadProgram(text.str())
-                         : engine.LoadProgramDurable(text.str());
+  gdlog::Status st = engine.LoadProgram(text.str());
   if (!st.ok()) {
     std::fprintf(stderr, "%s: %s\n", path, st.ToString().c_str());
     return 1;
