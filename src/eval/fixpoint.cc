@@ -322,6 +322,8 @@ void FixpointDriver::EvalAggregate(const CompiledRule& rule) {
   };
   std::unordered_map<Value, Group, ValueHash> groups;
   BindingFrame frame(rule.num_slots);
+  // Copied into a group only when it is kept.
+  std::vector<Value> head(rule.head_arity);
   exec_.Enumerate(rule, rule.generator, CompiledScan::kNoOccurrence, &frame,
                   [&](BindingFrame& f) {
                     Value cost, group;
@@ -331,8 +333,7 @@ void FixpointDriver::EvalAggregate(const CompiledRule& rule) {
                                   &group)) {
                       return true;  // untyped binding: contributes nothing
                     }
-                    std::vector<Value> head;
-                    if (!exec_.BuildHead(rule, f, &head)) return true;
+                    if (!exec_.BuildHead(rule, f, head.data())) return true;
                     auto [it, fresh] = groups.try_emplace(group);
                     Group& g = it->second;
                     const int c =
@@ -343,10 +344,10 @@ void FixpointDriver::EvalAggregate(const CompiledRule& rule) {
                       g.best = cost;
                       g.heads.clear();
                       g.provs.clear();
-                      g.heads.push_back(std::move(head));
+                      g.heads.push_back(head);
                       if (prov_) g.provs.push_back(prov_trail_);
                     } else if (c == 0) {
-                      g.heads.push_back(std::move(head));
+                      g.heads.push_back(head);
                       if (prov_) g.provs.push_back(prov_trail_);
                     }
                     return true;
@@ -378,12 +379,8 @@ void FixpointDriver::InsertCandidates(GammaState* g,
   const uint64_t t0 = obs_enabled_ ? ObsNowNs() : 0;
   const uint64_t pushed_before = g->queue->stats().inserted;
   gen_frame_.Reset(rule.num_slots);
-  const std::vector<CompiledLiteral>& plan =
-      (delta_occurrence == CompiledScan::kNoOccurrence ||
-       delta_occurrence >= rule.delta_plans.size())
-          ? rule.generator
-          : rule.delta_plans[delta_occurrence];
-  exec_.Enumerate(rule, plan, delta_occurrence, &gen_frame_,
+  exec_.Enumerate(rule, PlanFor(rule, delta_occurrence), delta_occurrence,
+                  &gen_frame_,
                   [this, g](BindingFrame& f) {
                     PushCandidate(g, f);
                     return true;
@@ -605,7 +602,8 @@ size_t FixpointDriver::DrainChoiceRule(GammaState* g) {
     // term fails to evaluate (untyped binding, e.g. arithmetic over a
     // symbol) derives nothing and must not burn the choice.
     std::vector<Value>& head = head_buf_;
-    if (!exec_.BuildHead(rule, frame, &head)) {
+    head.resize(rule.head_arity);
+    if (!exec_.BuildHead(rule, frame, head.data())) {
       ++rej_post;
       g->queue->MarkRedundant(*cand);
       continue;
@@ -664,21 +662,16 @@ bool FixpointDriver::TryFireNext(CliqueCtx* ctx, GammaState* g,
   RestoreSnapshot(rule, cand.snapshot, &fire_frame_);
   fire_frame_.Bind(rule.stage_slot, Value::Int(ctx->stage_counter));
 
-  // The callback captures two pointers, so std::function holds it
-  // without allocating.
-  struct Attempt {
-    const CompiledRule* rule;
-    ChoiceAuditEntry* audit;
-    bool fired = false;
-    bool saw_solution = false;
-  } at{&rule, audit};
+  bool fired = false;
+  bool saw_solution = false;
   std::vector<Value>& head = head_buf_;
+  head.resize(rule.head_arity);
   exec_.Enumerate(rule, rule.post, CompiledScan::kNoOccurrence, &fire_frame_,
-                  [this, &at](BindingFrame& f) {
-                    at.saw_solution = true;
-                    if (!choice_.Admissible(*at.rule, f)) {
+                  [&](BindingFrame& f) {
+                    saw_solution = true;
+                    if (!choice_.Admissible(rule, f)) {
                       if (inadmissible_ != nullptr) inadmissible_->Add(1);
-                      if (at.audit != nullptr) ++at.audit->rejected_fd;
+                      if (audit != nullptr) ++audit->rejected_fd;
                       return true;
                     }
                     if (admissible_ != nullptr) admissible_->Add(1);
@@ -687,18 +680,17 @@ bool FixpointDriver::TryFireNext(CliqueCtx* ctx, GammaState* g,
                     // Commit — a solution whose head term fails to
                     // evaluate derives nothing and must not burn the
                     // choice.
-                    if (!exec_.BuildHead(*at.rule, f, &head_buf_)) {
-                      if (at.audit != nullptr) ++at.audit->rejected_post;
+                    if (!exec_.BuildHead(rule, f, head.data())) {
+                      if (audit != nullptr) ++audit->rejected_post;
                       return true;
                     }
-                    choice_.Commit(*at.rule, f);
+                    choice_.Commit(rule, f);
                     // The firing's post premises; the trail pops back to
                     // empty as the enumeration unwinds, so copy here.
                     if (prov_) post_prov_ = prov_trail_;
-                    at.fired = true;
+                    fired = true;
                     return false;  // one firing per γ
                   });
-  const bool fired = at.fired;
   if (fired) {
     RuleProfile& prof = profiles_[rule.rule_index];
     Relation& head_rel = catalog_->relation(rule.head_pred);
@@ -738,7 +730,7 @@ bool FixpointDriver::TryFireNext(CliqueCtx* ctx, GammaState* g,
     Record(FlightEventKind::kStage, static_cast<int64_t>(rule.rule_index),
            stage);
   } else {
-    if (audit != nullptr && !at.saw_solution) ++audit->rejected_post;
+    if (audit != nullptr && !saw_solution) ++audit->rejected_post;
     Record(FlightEventKind::kChoiceReject,
            static_cast<int64_t>(rule.rule_index),
            static_cast<int64_t>(g->queue->LiveSize()));

@@ -226,6 +226,7 @@ class RuleCompiler {
     }
     for (const TermNode& t : rule_.head.args) {
       out_.head_terms.push_back(CompileTerm(t));
+      out_.head_ops.push_back(ReadOpOf(out_.head_terms.back()));
     }
 
     // Extremum bookkeeping.
@@ -293,6 +294,64 @@ class RuleCompiler {
     }
     out_.pool.push_back(std::move(ct));
     return static_cast<uint32_t>(out_.pool.size() - 1);
+  }
+
+  /// The read op for pool[t], whose variables the plan has bound.
+  TermOp ReadOpOf(uint32_t t) const {
+    const CTerm& ct = out_.pool[t];
+    TermOp op;
+    switch (ct.kind) {
+      case CTerm::Kind::kVar:
+        op.kind = TermOp::Kind::kSlot;
+        op.index = ct.var_slot;
+        break;
+      case CTerm::Kind::kConst:
+        op.kind = TermOp::Kind::kConst;
+        op.constant = ct.constant;
+        break;
+      default:
+        op.kind = TermOp::Kind::kTerm;
+        op.index = t;
+    }
+    return op;
+  }
+
+  /// Resolves a scan's probe-key and column ops; `bound` holds the slots
+  /// bound before the scan runs. A variable's first occurrence binds,
+  /// later ones check; functor and arithmetic columns match through
+  /// MatchTerm, which binds their new variables on the trail.
+  void ResolveScanOps(CompiledScan* scan,
+                      const std::unordered_set<uint32_t>& bound) const {
+    for (uint32_t col : scan->bound_cols) {
+      scan->key_ops.push_back(ReadOpOf(scan->arg_terms[col]));
+    }
+    std::unordered_set<uint32_t> local;  // bound by earlier columns
+    std::vector<TermOp> in_order;
+    for (uint32_t col = 0; col < scan->arg_terms.size(); ++col) {
+      const uint32_t t = scan->arg_terms[col];
+      const CTerm& ct = out_.pool[t];
+      TermOp op = ReadOpOf(t);
+      op.col = col;
+      if (op.kind == TermOp::Kind::kConst ||
+          (op.kind == TermOp::Kind::kSlot && bound.count(ct.var_slot))) {
+        scan->col_ops.push_back(op);  // depends on nothing in this row
+        continue;
+      }
+      if (op.kind == TermOp::Kind::kTerm) {
+        scan->has_term_op = true;
+        std::vector<uint32_t> slots;
+        CollectSlots(t, &slots);
+        for (uint32_t s : slots) {
+          if (!bound.count(s)) local.insert(s);
+        }
+      } else if (local.insert(ct.var_slot).second) {
+        op.kind = TermOp::Kind::kBind;
+        scan->bind_slots.push_back(ct.var_slot);
+      }
+      in_order.push_back(op);
+    }
+    scan->col_ops.insert(scan->col_ops.end(), in_order.begin(),
+                         in_order.end());
   }
 
   /// True when pool[t] contains an arithmetic node.
@@ -737,6 +796,7 @@ class RuleCompiler {
       Relation& rel = catalog_->relation(scan.pred);
       scan.index_id = static_cast<int>(rel.EnsureIndex(scan.bound_cols));
     }
+    ResolveScanOps(&scan, bound);
 
     if (!lit.negated) {
       // New bindings from unbound columns.
@@ -771,6 +831,8 @@ class RuleCompiler {
     cmp.op = lit.op;
     cmp.lhs = CompileTerm(lit.args[0]);
     cmp.rhs = CompileTerm(lit.args[1]);
+    cmp.lhs_op = ReadOpOf(cmp.lhs);
+    cmp.rhs_op = ReadOpOf(cmp.rhs);
 
     const auto bound = VisibleBound(in_post);
     const bool lhs_bound = TermBound(cmp.lhs, bound);
@@ -785,7 +847,7 @@ class RuleCompiler {
       if (!lhs_bound && rhs_bound && l.kind == CTerm::Kind::kVar) {
         cmp.is_assignment = true;
         cmp.assign_slot = l.var_slot;
-        cmp.value_term = cmp.rhs;
+        cmp.value_op = cmp.rhs_op;
         if (in_subplan_) {
           subplan_bound_.insert(l.var_slot);
         } else {
@@ -797,7 +859,7 @@ class RuleCompiler {
       if (!rhs_bound && lhs_bound && r.kind == CTerm::Kind::kVar) {
         cmp.is_assignment = true;
         cmp.assign_slot = r.var_slot;
-        cmp.value_term = cmp.lhs;
+        cmp.value_op = cmp.lhs_op;
         if (in_subplan_) {
           subplan_bound_.insert(r.var_slot);
         } else {
@@ -867,6 +929,7 @@ class RuleCompiler {
       Relation& rel = catalog_->relation(scan.pred);
       scan.index_id = static_cast<int>(rel.EnsureIndex(scan.bound_cols));
     }
+    ResolveScanOps(&scan, bound);
     if (!lit.negated) {
       std::vector<uint32_t> slots;
       for (uint32_t t : scan.arg_terms) CollectSlots(t, &slots);

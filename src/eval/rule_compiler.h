@@ -81,6 +81,42 @@ inline uint32_t TermComponentCount(const std::vector<CTerm>& pool,
 bool MatchTerm(const std::vector<CTerm>& pool, uint32_t t, Value v,
                BindingFrame* frame, ValueStore* store);
 
+/// A term resolved at compile time against the slots its plan has bound
+/// where it runs. Read ops (probe keys, comparison operands, heads) are
+/// kSlot, kConst or kTerm; a scan's column ops add kBind, and there
+/// kSlot and kConst compare the column instead of producing a value.
+struct TermOp {
+  enum class Kind : uint8_t {
+    kBind,   // column: first occurrence of a variable; store the value
+    kSlot,   // a variable the plan has bound: read, or compare the column
+    kConst,  // a constant: read, or compare the column
+    kTerm,   // a functor or arithmetic term: EvalTerm / MatchTerm
+  };
+  Kind kind = Kind::kConst;
+  uint32_t col = 0;    // column ops: the column matched
+  uint32_t index = 0;  // kBind/kSlot: the slot; kTerm: the pool index
+  Value constant;      // kConst
+};
+
+/// Reads a kSlot/kConst/kTerm op under `frame`; false exactly when
+/// EvalTerm would fail on the term (an arithmetic failure for kTerm).
+inline bool ReadOp(const std::vector<CTerm>& pool, const TermOp& op,
+                   const BindingFrame& frame, ValueStore* store, Value* out) {
+  switch (op.kind) {
+    case TermOp::Kind::kSlot:
+#ifndef NDEBUG
+      GDLOG_CHECK(frame.IsBound(op.index)) << "read of an unbound slot";
+#endif
+      *out = frame.Get(op.index);
+      return true;
+    case TermOp::Kind::kConst:
+      *out = op.constant;
+      return true;
+    default:
+      return EvalTerm(pool, op.index, frame, store, out);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Compiled literals
 // ---------------------------------------------------------------------------
@@ -91,6 +127,16 @@ struct CompiledScan {
   std::vector<uint32_t> bound_cols;  // columns evaluable before the scan
   int index_id = -1;                 // relation index; -1 = full scan
   bool negated = false;
+  // Read ops for the probe key, one per bound column, in bound_cols order.
+  std::vector<TermOp> key_ops;
+  // One op per column. Checks of slots bound before the scan and of
+  // constants come first; binds, checks of slots this scan binds, and
+  // general terms follow in column order.
+  std::vector<TermOp> col_ops;
+  // Slots the kBind ops bind (flagged once per scan invocation).
+  std::vector<uint32_t> bind_slots;
+  // Some column is a kTerm op, so a row may push trail entries.
+  bool has_term_op = false;
   // Among positive same-clique atoms of this plan: occurrence number used
   // for seminaive delta variants; kNoOccurrence otherwise.
   static constexpr uint32_t kNoOccurrence = UINT32_MAX;
@@ -106,11 +152,12 @@ struct CompiledScan {
 struct CompiledCompare {
   ComparisonOp op = ComparisonOp::kEq;
   uint32_t lhs = 0, rhs = 0;  // pool indices
+  TermOp lhs_op, rhs_op;      // read ops for lhs and rhs
   // kEq with one statically-unbound side that is a bare variable becomes
   // an assignment of the evaluated other side.
   bool is_assignment = false;
   uint32_t assign_slot = 0;
-  uint32_t value_term = 0;  // term to evaluate when assigning
+  TermOp value_op;  // the other side's read op, evaluated when assigning
 };
 
 struct CompiledLiteral {
@@ -139,6 +186,7 @@ struct CompiledRule {
   uint32_t rule_index = 0;        // source clause number (ClauseOf)
   PredicateId head_pred = kNoPredicate;
   std::vector<uint32_t> head_terms;
+  std::vector<TermOp> head_ops;  // read ops for head_terms
   uint32_t head_arity = 0;
 
   std::vector<CTerm> pool;

@@ -7,6 +7,19 @@
 // an any-match refutation, NotExists literals run their subplan to the
 // first solution.
 //
+// The walk is specialized per compiled rule without generating code:
+//   * Scans run the column ops the compiler resolved (bind a slot, check
+//     a slot, check a constant, or match a functor/arithmetic term), so a
+//     plain variable costs a store or a compare per row, with no trail
+//     entry and no bound-flag test. The probe key is hashed as its read
+//     ops evaluate; it is never materialized.
+//   * The continuation of each goal is a template parameter, so the
+//     per-row path makes no indirect call and builds no closure object;
+//     the one indirect call left is Enumerate's per-solution callback.
+//   * ApplyRule keeps its scratch across calls (one frame and one flat
+//     buffer of arity-wide head rows) and inserts the rows with
+//     Relation::InsertBatch, so it allocates only when a buffer grows.
+//
 // Delta windowing implements the seminaive refinement: pass
 // `delta_occurrence = d` to evaluate the variant where the d-th positive
 // same-clique atom reads only the delta window, earlier ones read the
@@ -15,6 +28,7 @@
 #define GDLOG_EVAL_SEMINAIVE_H_
 
 #include <functional>
+#include <type_traits>
 #include <utility>
 
 #include "eval/binding.h"
@@ -41,6 +55,36 @@ struct GoalStats {
   uint64_t matches = 0;  // rows matching every term (join fan-out)
   Histogram* fanout = nullptr;  // per-probe match count distribution
 };
+
+/// A non-owning reference to a solution callback: `bool(BindingFrame&)`,
+/// returning false to stop the enumeration. Unlike std::function it never
+/// allocates; the referenced callable must outlive the call it is passed
+/// to (a lambda written in the argument list does).
+class SolutionFn {
+ public:
+  template <typename F, typename = std::enable_if_t<!std::is_same_v<
+                            std::decay_t<F>, SolutionFn>>>
+  SolutionFn(F&& f)  // NOLINT(google-explicit-constructor)
+      : obj_(const_cast<void*>(static_cast<const void*>(&f))),
+        call_([](void* obj, BindingFrame& frame) -> bool {
+          return (*static_cast<std::remove_reference_t<F>*>(obj))(frame);
+        }) {}
+
+  bool operator()(BindingFrame& frame) const { return call_(obj_, frame); }
+
+ private:
+  void* obj_;
+  bool (*call_)(void*, BindingFrame&);
+};
+
+/// The plan a rule runs under `delta_occurrence`: its delta-first plan
+/// for a delta variant (the Δ atom leads), else the generator.
+inline const std::vector<CompiledLiteral>& PlanFor(const CompiledRule& rule,
+                                                   uint32_t delta_occurrence) {
+  return delta_occurrence < rule.delta_plans.size()
+             ? rule.delta_plans[delta_occurrence]
+             : rule.generator;
+}
 
 class PlanExecutor {
  public:
@@ -76,11 +120,12 @@ class PlanExecutor {
 
   /// Enumerates all solutions of `plan` extending `frame`, invoking
   /// `on_solution` for each; the callback returns false to abort the
-  /// enumeration. Returns false iff aborted.
+  /// enumeration. Returns false iff aborted. Re-entrant: a callback or
+  /// the negation oracle may enumerate again on this executor.
   bool Enumerate(const CompiledRule& rule,
                  const std::vector<CompiledLiteral>& plan,
                  uint32_t delta_occurrence, BindingFrame* frame,
-                 const std::function<bool(BindingFrame&)>& on_solution);
+                 SolutionFn on_solution);
 
   /// Evaluates a plain rule (no meta behavior) into its head relation.
   /// Returns the number of new tuples; when `attempted` is non-null it
@@ -89,10 +134,11 @@ class PlanExecutor {
   size_t ApplyRule(const CompiledRule& rule, uint32_t delta_occurrence,
                    size_t* attempted = nullptr);
 
-  /// Builds the head tuple under `frame` into `out`. Returns false if a
-  /// head term fails to evaluate (engine bug for compiled rules).
+  /// Builds the head tuple under `frame` into the rule.head_arity values
+  /// at `out`. Returns false if a head term fails to evaluate (an untyped
+  /// binding, e.g. arithmetic over a symbol).
   bool BuildHead(const CompiledRule& rule, const BindingFrame& frame,
-                 std::vector<Value>* out);
+                 Value* out);
 
   ExecStats& stats() { return stats_; }
   const ExecStats& stats() const { return stats_; }
@@ -100,14 +146,24 @@ class PlanExecutor {
   Catalog* catalog() { return catalog_; }
 
  private:
-  bool RunFrom(const CompiledRule& rule,
-               const std::vector<CompiledLiteral>& plan, size_t idx,
-               uint32_t delta_occurrence, BindingFrame* frame,
-               const std::function<bool(BindingFrame&)>& on_solution);
+  /// Enumerates the plan suffix [lit, end), handing each solution to
+  /// `sink` (a callable `bool(BindingFrame&)`).
+  template <typename Sink>
+  bool Walk(const CompiledRule& rule, const CompiledLiteral* lit,
+            const CompiledLiteral* end, uint32_t delta_occurrence,
+            BindingFrame* frame, Sink& sink);
 
+  /// Runs one scan, calling `next()` (a callable `bool()`) for each
+  /// matching row of a positive scan, or once if a negated scan finds no
+  /// witness.
+  template <typename Next>
   bool RunScan(const CompiledRule& rule, const CompiledScan& scan,
-               uint32_t delta_occurrence, BindingFrame* frame,
-               const std::function<bool()>& on_match);
+               uint32_t delta_occurrence, BindingFrame* frame, Next& next);
+
+  /// Runs a scan's column ops on one row; false on a mismatch (the
+  /// caller unwinds any trail entries a kTerm op pushed).
+  bool MatchRow(const CompiledRule& rule, const CompiledScan& scan,
+                const Value* row, BindingFrame* frame);
 
   bool RunCompare(const CompiledRule& rule, const CompiledCompare& cmp,
                   BindingFrame* frame);
@@ -119,6 +175,14 @@ class PlanExecutor {
 
   std::vector<std::vector<GoalStats>>* goal_stats_ = nullptr;
   std::vector<ProvPremise>* trail_ = nullptr;
+
+  // ApplyRule's scratch: the frame, the pending head rows (head_arity
+  // values each, back to back) and, with provenance, their premises.
+  // Each call moves them out and back, so a nested call starts empty and
+  // a throw in mid-batch leaves nothing behind.
+  BindingFrame apply_frame_;
+  std::vector<Value> pending_rows_;
+  std::vector<ProvPremise> pending_prov_;
 };
 
 }  // namespace gdlog

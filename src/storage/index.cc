@@ -11,10 +11,10 @@ Index::Index(std::vector<uint32_t> columns) : columns_(std::move(columns)) {
 }
 
 uint64_t Index::HashRowKey(TupleView tuple) const {
-  uint64_t h = 0xabcdef0123456789ull ^ columns_.size();
+  uint64_t h = KeyHashSeed(columns_.size());
   for (uint32_t c : columns_) {
     GDLOG_CHECK_LT(c, tuple.size());
-    h = HashCombine(h, tuple[c].Hash());
+    h = KeyHashStep(h, tuple[c]);
   }
   return h;
 }
@@ -41,14 +41,21 @@ void Index::Link(uint32_t entry, size_t slot) {
   tails_[slot] = entry;
 }
 
-void Index::Insert(RowId row, TupleView tuple) {
+bool Index::Insert(RowId row, TupleView tuple) {
   const uint64_t h = HashRowKey(tuple);
   const auto entry = static_cast<uint32_t>(rows_.size());
+  // rows_, hashes_ and next_ grow in lockstep from empty, so their
+  // capacities are always equal.
+  bool grew = rows_.size() == rows_.capacity();
   rows_.push_back(row);
   hashes_.push_back(h);
   next_.push_back(kNoRow);
   Link(entry, h & bucket_mask_);
-  if (rows_.size() * 10 > buckets_.size() * 7) Rehash(buckets_.size() * 2);
+  if (rows_.size() * 10 > buckets_.size() * 7) {
+    Rehash(buckets_.size() * 2);
+    grew = true;
+  }
+  return grew;
 }
 
 }  // namespace gdlog

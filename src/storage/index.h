@@ -34,7 +34,8 @@ class Index {
   const std::vector<uint32_t>& columns() const { return columns_; }
 
   /// Registers `row` (whose full tuple is `tuple`) under its key columns.
-  void Insert(RowId row, TupleView tuple);
+  /// Returns true when a capacity grew (so ApproxBytes changed).
+  bool Insert(RowId row, TupleView tuple);
 
   /// Iterates the chain of candidate rows whose key hash matches `key`.
   /// Callers must re-verify column equality on the full tuple (hash
@@ -73,9 +74,15 @@ class Index {
   /// Hash of a probe key (one Value per indexed column, in order).
   /// Inline: this sits on the probe hot path.
   static uint64_t HashKey(TupleView key) {
-    uint64_t h = 0xabcdef0123456789ull ^ key.size();
-    for (Value v : key) h = HashCombine(h, v.Hash());
+    uint64_t h = KeyHashSeed(key.size());
+    for (Value v : key) h = KeyHashStep(h, v);
     return h;
+  }
+  /// HashKey in steps, for a caller that evaluates the key one column at
+  /// a time: start from KeyHashSeed(n) and fold in each value in order.
+  static uint64_t KeyHashSeed(size_t n) { return 0xabcdef0123456789ull ^ n; }
+  static uint64_t KeyHashStep(uint64_t h, Value v) {
+    return HashCombine(h, v.Hash());
   }
 
   /// Extracts this index's key hash from a full tuple.

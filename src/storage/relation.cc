@@ -1,5 +1,7 @@
 #include "storage/relation.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace gdlog {
@@ -20,9 +22,9 @@ void Relation::RehashSet(size_t new_bucket_count) {
   }
 }
 
-Relation::InsertResult Relation::Insert(TupleView tuple) {
-  GDLOG_CHECK_EQ(tuple.size(), arity_);
-  const uint64_t h = HashTuple(tuple);
+template <bool kMayAlias>
+[[gnu::always_inline]] inline Relation::InsertResult Relation::InsertHashed(
+    TupleView tuple, uint64_t h) {
   size_t slot = h & set_mask_;
   while (set_buckets_[slot] != kNoRow) {
     const RowId r = set_buckets_[slot];
@@ -32,26 +34,69 @@ Relation::InsertResult Relation::Insert(TupleView tuple) {
     slot = (slot + 1) & set_mask_;
   }
   const auto row = static_cast<RowId>(num_rows_);
-  // `tuple` may alias data_ (copying a row of this relation); stage it
-  // locally so the potentially-reallocating insert is safe.
-  Value local[16];
-  std::vector<Value> heap_local;
-  TupleView staged = tuple;
-  if (tuple.size() <= 16) {
-    for (size_t i = 0; i < tuple.size(); ++i) local[i] = tuple[i];
-    staged = TupleView(local, tuple.size());
+  // The budget is charged only when some capacity grows: ApproxBytes
+  // counts capacities, so no other insert can change it.
+  bool grew = data_.capacity() - data_.size() < arity_ ||
+              row_hashes_.size() == row_hashes_.capacity();
+  if constexpr (kMayAlias) {
+    // `tuple` may alias data_ (copying a row of this relation); stage it
+    // locally so the potentially-reallocating insert is safe.
+    Value local[16];
+    std::vector<Value> heap_local;
+    TupleView staged = tuple;
+    if (tuple.size() <= 16) {
+      for (size_t i = 0; i < tuple.size(); ++i) local[i] = tuple[i];
+      staged = TupleView(local, tuple.size());
+    } else {
+      heap_local.assign(tuple.begin(), tuple.end());
+      staged = TupleView(heap_local.data(), heap_local.size());
+    }
+    data_.insert(data_.end(), staged.begin(), staged.end());
   } else {
-    heap_local.assign(tuple.begin(), tuple.end());
-    staged = TupleView(heap_local.data(), heap_local.size());
+    data_.insert(data_.end(), tuple.begin(), tuple.end());
   }
-  data_.insert(data_.end(), staged.begin(), staged.end());
   row_hashes_.push_back(h);
   ++num_rows_;
   set_buckets_[slot] = row;
-  if (num_rows_ * 10 > set_buckets_.size() * 7) RehashSet(set_buckets_.size() * 2);
-  for (auto& idx : indices_) idx->Insert(row, Row(row));
-  RecountMemory();
+  if (num_rows_ * 10 > set_buckets_.size() * 7) {
+    RehashSet(set_buckets_.size() * 2);
+    grew = true;
+  }
+  for (auto& idx : indices_) grew |= idx->Insert(row, Row(row));
+  if (grew) RecountMemory();
   return {row, true};
+}
+
+Relation::InsertResult Relation::Insert(TupleView tuple) {
+  GDLOG_CHECK_EQ(tuple.size(), arity_);
+  return InsertHashed</*kMayAlias=*/true>(tuple, HashTuple(tuple));
+}
+
+void Relation::InsertBatch(const Value* rows, size_t num_rows,
+                           uint64_t* inserted) {
+  // Rows are hashed a chunk at a time, then inserted in order while the
+  // dedup bucket of the row kAhead positions later is prefetched.
+  constexpr size_t kChunk = 64;
+  constexpr size_t kAhead = 8;
+  uint64_t hashes[kChunk];
+  for (size_t base = 0; base < num_rows; base += kChunk) {
+    const size_t n = std::min(kChunk, num_rows - base);
+    const Value* chunk = rows + base * arity_;
+    for (size_t i = 0; i < n; ++i) {
+      hashes[i] = HashTuple(TupleView(chunk + i * arity_, arity_));
+    }
+    for (size_t i = 0; i < std::min(kAhead, n); ++i) {
+      __builtin_prefetch(&set_buckets_[hashes[i] & set_mask_]);
+    }
+    for (size_t i = 0; i < n; ++i) {
+      if (i + kAhead < n) {
+        __builtin_prefetch(&set_buckets_[hashes[i + kAhead] & set_mask_]);
+      }
+      *inserted += InsertHashed</*kMayAlias=*/false>(
+                       TupleView(chunk + i * arity_, arity_), hashes[i])
+                       .inserted;
+    }
+  }
 }
 
 bool Relation::Retract(TupleView tuple) {

@@ -10,6 +10,12 @@
 //   [delta_end, size)        "new"   — facts derived in the current round
 //
 // AdvanceEpoch() rolls new into delta and delta into old.
+//
+// Rows arrive one at a time (Insert: AddFact, the inline-fact load, a γ
+// firing) or as the buffered heads of one rule application
+// (InsertBatch), which hashes a chunk of rows before inserting any so
+// that each row's dedup bucket can be prefetched a few rows ahead. Both
+// paths charge the MemoryBudget only when an insert grows a capacity.
 #ifndef GDLOG_STORAGE_RELATION_H_
 #define GDLOG_STORAGE_RELATION_H_
 
@@ -48,6 +54,15 @@ class Relation {
     bool inserted;
   };
   InsertResult Insert(TupleView tuple);
+
+  /// Inserts `num_rows` rows of arity() values each, stored back to back
+  /// in `rows` (which must not point into this relation), in order: row
+  /// ids, duplicate elimination and budget charges are exactly those of
+  /// one Insert per row. Hashing rows ahead of their inserts lets the
+  /// dedup probes overlap. Bumps `*inserted` once per new row as its
+  /// insert returns, so after a budget fault in mid-batch it counts the
+  /// rows added before the faulting insert.
+  void InsertBatch(const Value* rows, size_t num_rows, uint64_t* inserted);
 
   /// Removes a tuple, preserving the insertion order of the others.
   /// Only valid before evaluation starts (no indices built, watermarks
@@ -124,12 +139,18 @@ class Relation {
 
   // -- Memory accounting ---------------------------------------------------
   /// Charges row storage, the dedup set, and indices to `budget` (which
-  /// must outlive the relation); growth is re-counted on every insert.
+  /// must outlive the relation). An insert re-counts only when it grows
+  /// some capacity; ApproxBytes counts capacities, so the charge always
+  /// equals ApproxBytes().
   void set_memory_budget(MemoryBudget* budget);
   /// Approximate heap footprint of this relation.
   size_t ApproxBytes() const;
 
  private:
+  /// Insert with the content hash `h` already computed. kMayAlias:
+  /// `tuple` may point into data_ and is staged before the append.
+  template <bool kMayAlias>
+  InsertResult InsertHashed(TupleView tuple, uint64_t h);
   void RehashSet(size_t new_bucket_count);
   void RecountMemory();
 

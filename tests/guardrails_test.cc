@@ -245,6 +245,64 @@ TEST(Guardrails, AllocFaultsInTheGammaPathAreGracefulOom) {
   EXPECT_GT(queryable_stops, 0u);
 }
 
+TEST(Guardrails, AllocFaultInsideARuleBatchCountsTheRowsItAdded) {
+  // Each seminaive round inserts a rule's buffered heads one after the
+  // other, and any of those inserts may grow a capacity and trip the
+  // alloc probe. Sweep the trigger over every growth of a transitive
+  // closure run, with and without provenance: the OOM event's tuple
+  // count must cover every tc row the stopped run added, save the one
+  // whose own insert tripped the probe (it is stored, but its Insert
+  // never returns to be counted).
+  constexpr const char* kTc = R"(
+    tc(X, Y) <- e(X, Y).
+    tc(X, Z) <- tc(X, Y), e(Y, Z).
+  )";
+  for (const bool provenance : {false, true}) {
+    auto make = [&](const std::string& faults) {
+      EngineOptions options;
+      options.faults = faults;
+      options.provenance = provenance;
+      auto engine = std::make_unique<Engine>(options);
+      EXPECT_TRUE(engine->LoadProgram(kTc).ok());
+      for (int64_t i = 0; i < 60; ++i) {
+        EXPECT_TRUE(
+            engine->AddFact("e", {engine->Int(i), engine->Int(i + 1)}).ok());
+        EXPECT_TRUE(
+            engine->AddFact("e", {engine->Int(i), engine->Int(i + 3)}).ok());
+      }
+      return engine;
+    };
+    uint64_t load_hits = 0, total_hits = 0;
+    {
+      auto engine = make("alloc@1000000");  // armed, never reached
+      load_hits = engine->fault_injector()->hits(FaultInjector::kAlloc);
+      ASSERT_TRUE(engine->Run().ok());
+      total_hits = engine->fault_injector()->hits(FaultInjector::kAlloc);
+    }
+    ASSERT_GT(total_hits, load_hits);
+    uint64_t stops_with_rows = 0;
+    for (uint64_t k = load_hits + 1; k <= total_hits; ++k) {
+      auto engine = make("alloc@" + std::to_string(k));
+      EXPECT_EQ(engine->Run().code(), StatusCode::kOutOfMemory)
+          << "alloc@" << k;
+      if (!engine->has_run()) continue;
+      ASSERT_NE(engine->flight_recorder(), nullptr);
+      const auto events = engine->flight_recorder()->Snapshot();
+      const auto oom = std::find_if(
+          events.rbegin(), events.rend(), [](const FlightRecorder::Event& e) {
+            return e.kind == FlightEventKind::kOom;
+          });
+      ASSERT_NE(oom, events.rend()) << "alloc@" << k;
+      const size_t rows = engine->Query("tc", 2).size();
+      EXPECT_LE(oom->run.tuples, rows);
+      EXPECT_GE(oom->run.tuples + 1, rows)
+          << "alloc@" << k << " provenance=" << provenance;
+      if (rows > 0) ++stops_with_rows;
+    }
+    EXPECT_GT(stops_with_rows, 10u);
+  }
+}
+
 TEST(Guardrails, StageLimitStopsStagedProgram) {
   RunLimits limits;
   limits.max_stages = 5;

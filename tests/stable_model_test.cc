@@ -135,6 +135,53 @@ TEST(StableModel, ChecksLeastSemantics) {
   EXPECT_FALSE(check->stable);
 }
 
+// A negated atom with an anonymous variable is existentially quantified:
+// the checker tests it against the fixed model as the negated
+// conjunction not (e(_, X)), not as a membership test of a non-ground
+// tuple.
+constexpr char kAnonymousNegation[] = R"(
+  e(1, 2). e(2, 3). e(3, 1). e(4, 5).
+  src(1). src(4).
+  p(X) <- src(X), not e(_, X).
+)";
+
+TEST(StableModel, AcceptsNegatedAtomWithAnonymousVariable) {
+  Engine e;
+  ASSERT_TRUE(e.LoadProgram(kAnonymousNegation).ok());
+  ASSERT_TRUE(e.Run().ok());
+  const auto p = e.Query("p", 1);
+  ASSERT_EQ(p.size(), 1u);
+  EXPECT_EQ(p[0][0], Value::Int(4));
+  auto check = e.VerifyStableModel();
+  ASSERT_TRUE(check.ok()) << check.status().ToString();
+  EXPECT_TRUE(check->stable) << check->diagnostic;
+}
+
+TEST(StableModel, RejectsModelViolatingAnonymousNegation) {
+  // p(1) is unsupported: e(3, 1) enters 1.
+  ValueStore store;
+  auto prog = ParseProgram(&store, kAnonymousNegation);
+  ASSERT_TRUE(prog.ok());
+  Catalog model;
+  const PredicateId e = model.Ensure("e", 2);
+  const PredicateId src = model.Ensure("src", 1);
+  const PredicateId p = model.Ensure("p", 1);
+  for (auto [a, b] : {std::pair{1, 2}, {2, 3}, {3, 1}, {4, 5}}) {
+    std::vector<Value> row{Value::Int(a), Value::Int(b)};
+    model.relation(e).Insert(TupleView(row));
+  }
+  for (int x : {1, 4}) {
+    std::vector<Value> row{Value::Int(x)};
+    model.relation(src).Insert(TupleView(row));
+    model.relation(p).Insert(TupleView(row));
+  }
+  std::vector<size_t> watermarks{4, 2, 0};
+  auto check = CheckStableModel(*prog, model, &store, {}, watermarks);
+  ASSERT_TRUE(check.ok()) << check.status().ToString();
+  EXPECT_FALSE(check->stable);
+  EXPECT_EQ(check->diagnostic, "in model but not re-derived: p(1)");
+}
+
 TEST(StableModel, ReportsFactCounts) {
   Engine e;
   ASSERT_TRUE(e.LoadProgram("p(1). q(X) <- p(X).").ok());

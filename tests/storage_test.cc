@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/guardrails.h"
 #include "storage/catalog.h"
 #include "storage/index.h"
 #include "storage/relation.h"
@@ -64,6 +65,92 @@ TEST(Relation, RowViewMatchesInsertion) {
   const auto res = rel.Insert(TupleView(row));
   const TupleView view = rel.Row(res.row);
   EXPECT_TRUE(TupleEquals(view, TupleView(row)));
+}
+
+TEST(Relation, BudgetChargedOnGrowthOnly) {
+  // An insert re-counts the budget only when it grows a capacity. Across
+  // 10k inserts (several rehashes of the dedup set and of each index),
+  // with 0, 1 and 2 indices, the charge must still equal ApproxBytes()
+  // after every insert, and the alloc probe must fire once per growing
+  // insert, exactly as when every insert re-counted.
+  for (size_t num_indices = 0; num_indices <= 2; ++num_indices) {
+    SCOPED_TRACE(num_indices);
+    auto injector = FaultInjector::Parse("alloc@1000000000");
+    ASSERT_TRUE(injector.ok());
+    MemoryBudget budget;
+    budget.set_fault_injector(&*injector);
+    Relation rel("r", 2);
+    // Rows and indices grow in step from empty. Retracting some rows
+    // first leaves the row storage larger than the indices built next,
+    // so some inserts grow an index and nothing else.
+    for (int64_t i = 0; i < 100; ++i) rel.Insert(TupleView(Row2(-1, i)));
+    for (int64_t i = 0; i < 100; i += 3) rel.Retract(TupleView(Row2(-1, i)));
+    if (num_indices >= 1) rel.EnsureIndex({0});
+    if (num_indices >= 2) rel.EnsureIndex({1, 0});
+    rel.set_memory_budget(&budget);
+    const uint64_t hits_before = injector->hits(FaultInjector::kAlloc);
+    uint64_t growing_inserts = 0;
+    for (int64_t i = 0; i < 10000; ++i) {
+      const size_t bytes_before = rel.ApproxBytes();
+      // Every fourth insert repeats a row: dedup hits grow nothing.
+      const int64_t k = i % 4 == 3 ? i - 1 : i;
+      rel.Insert(TupleView(Row2(k / 7, k)));
+      if (rel.ApproxBytes() != bytes_before) ++growing_inserts;
+      ASSERT_EQ(budget.used(), rel.ApproxBytes()) << "after insert " << i;
+    }
+    EXPECT_GT(growing_inserts, 10u);
+    EXPECT_EQ(injector->hits(FaultInjector::kAlloc) - hits_before,
+              growing_inserts);
+  }
+}
+
+TEST(Relation, InsertBatchMatchesInsertRowByRow) {
+  // A batch with duplicates inside it and against earlier rows, long
+  // enough to span several hash chunks and rehashes: same rows in the
+  // same order, same index contents and the same budget charges as one
+  // Insert per row.
+  std::vector<Value> batch;
+  for (int64_t i = 0; i < 3000; ++i) {
+    const std::vector<Value> row = Row2(i % 1200, (i * 7) % 5);
+    batch.insert(batch.end(), row.begin(), row.end());
+  }
+  auto injector_a = FaultInjector::Parse("alloc@1000000000");
+  auto injector_b = FaultInjector::Parse("alloc@1000000000");
+  ASSERT_TRUE(injector_a.ok() && injector_b.ok());
+  MemoryBudget budget_a, budget_b;
+  budget_a.set_fault_injector(&*injector_a);
+  budget_b.set_fault_injector(&*injector_b);
+  Relation a("a", 2), b("b", 2);
+  for (Relation* rel : {&a, &b}) {
+    rel->EnsureIndex({1});
+    for (int64_t i = 0; i < 100; ++i) rel->Insert(TupleView(Row2(i, i % 5)));
+  }
+  a.set_memory_budget(&budget_a);
+  b.set_memory_budget(&budget_b);
+  size_t inserted_a = 0;
+  for (size_t i = 0; i < batch.size() / 2; ++i) {
+    inserted_a += a.Insert(TupleView(batch.data() + 2 * i, 2)).inserted;
+  }
+  uint64_t inserted_b = 0;
+  b.InsertBatch(batch.data(), batch.size() / 2, &inserted_b);
+  EXPECT_EQ(inserted_b, inserted_a);
+  ASSERT_EQ(b.size(), a.size());
+  for (RowId row = 0; row < a.size(); ++row) {
+    ASSERT_TRUE(TupleEquals(a.Row(row), b.Row(row))) << "row " << row;
+  }
+  for (int64_t v = 0; v < 5; ++v) {
+    std::vector<Value> key{Value::Int(v)};
+    auto ia = a.index(0).Probe(Index::HashKey(TupleView(key)));
+    auto ib = b.index(0).Probe(Index::HashKey(TupleView(key)));
+    for (RowId ra = ia.Next(), rb = ib.Next(); ra != kNoRow || rb != kNoRow;
+         ra = ia.Next(), rb = ib.Next()) {
+      ASSERT_EQ(ra, rb) << "key " << v;
+    }
+  }
+  EXPECT_EQ(budget_b.used(), b.ApproxBytes());
+  EXPECT_EQ(budget_b.used(), budget_a.used());
+  EXPECT_EQ(injector_b->hits(FaultInjector::kAlloc),
+            injector_a->hits(FaultInjector::kAlloc));
 }
 
 TEST(Index, ProbeFindsAllMatches) {

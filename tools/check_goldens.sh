@@ -61,12 +61,12 @@ for f in programs/*.dl tests/fixtures/*.dl; do
   fi
 done
 
-# EXPLAIN ANALYZE goldens: shipped programs, plus the two fixtures whose
-# rule shapes no shipped program has (a nested negated conjunction and
-# a 65-literal body). The other fixtures exercise diagnostics; their
-# plans are incidental.
+# EXPLAIN ANALYZE goldens: shipped programs, plus the three fixtures
+# whose rule shapes no shipped program has (a nested negated conjunction,
+# a 65-literal body, and one rule per kind of compiled scan column). The
+# other fixtures exercise diagnostics; their plans are incidental.
 for f in programs/*.dl tests/fixtures/nested_not.dl \
-         tests/fixtures/wide_rule.dl; do
+         tests/fixtures/wide_rule.dl tests/fixtures/column_ops.dl; do
   name=$(basename "$f" .dl)
   golden="tests/goldens/$name.explain"
   out=$("$SHELL_BIN" "$f" --explain-analyze 2>/dev/null) || true
