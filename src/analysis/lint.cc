@@ -235,9 +235,11 @@ class Linter {
                           std::set<std::string>* flagged) {
     const VarSet bound = BoundVars(body, outer);
     auto flag_unbound = [&](const TermNode& t, std::string_view code,
-                            const std::string& context, SourceLoc loc) {
+                            const std::string& context, SourceLoc loc,
+                            bool skip_anonymous = false) {
       for (const std::string& v : DistinctVarsOf(t)) {
         if (bound.count(v) != 0) continue;
+        if (skip_anonymous && IsAnonymousVariable(v)) continue;
         if (!flagged->insert(std::string(code) + ":" + v).second) continue;
         Emit(AtRule(code,
                     "variable " + v + " in " + context +
@@ -249,9 +251,12 @@ class Linter {
       switch (l.kind) {
         case LiteralKind::kAtom:
           if (l.negated) {
+            // An anonymous variable is local to its negated goal:
+            // not e(_, X) holds when no e(Y, X) exists for any Y.
             for (const TermNode& a : l.args) {
               flag_unbound(a, diag::kUnsafeBodyVar,
-                           "negated goal not " + l.predicate, l.loc);
+                           "negated goal not " + l.predicate, l.loc,
+                           /*skip_anonymous=*/true);
             }
           }
           break;

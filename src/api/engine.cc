@@ -501,6 +501,7 @@ Status Engine::Run() {
     // tracked structures throw only from growth paths that leave them
     // readable, so whatever partial state exists is safe to report.
     guard_->ForceReason(TerminationReason::kOom);
+    if (driver_) driver_->FlushMetrics();
     RecordRunEvent(FlightEventKind::kOom, static_cast<int64_t>(budget_.used()),
                    static_cast<int64_t>(budget_.peak()));
     st = Status::OutOfMemory(std::string("[") +
@@ -638,7 +639,8 @@ Status Engine::RunInner() {
   driver_ = std::make_unique<FixpointDriver>(
       catalog_.get(), store_.get(), analysis_.get(), std::move(*compiled),
       options_.eval,
-      ObsContext{metrics_, tracer_.get(), recorder_.get()},
+      ObsContext{metrics_, tracer_.get(), recorder_.get(),
+                 options_.obs.sample_every},
       guard_.get());
   const uint64_t eval_t0 = WallNowNs();
   const Status eval_status = [&] {

@@ -12,6 +12,13 @@ std::string SourceLoc::ToString() const {
   return "line " + std::to_string(line) + ", column " + std::to_string(column);
 }
 
+bool IsAnonymousVariable(std::string_view name) {
+  return name.size() > kAnonymousVarPrefix.size() &&
+         name.substr(0, kAnonymousVarPrefix.size()) == kAnonymousVarPrefix &&
+         std::all_of(name.begin() + kAnonymousVarPrefix.size(), name.end(),
+                     [](char c) { return c >= '0' && c <= '9'; });
+}
+
 bool IsArithmeticFunctor(const std::string& name) {
   return name == "+" || name == "-" || name == "*" || name == "/" ||
          name == "mod" || name == "min" || name == "max";

@@ -97,6 +97,13 @@ struct TermNode {
 /// True for the functors evaluated as arithmetic rather than constructed.
 bool IsArithmeticFunctor(const std::string& name);
 
+/// The parser renames each anonymous "_" apart as this prefix followed
+/// by a per-rule counter ("_G0", "_G1", ...).
+inline constexpr std::string_view kAnonymousVarPrefix = "_G";
+/// True for a name of that form: the parser's name for an anonymous "_"
+/// (a variable the program itself spells _G<n> reads the same).
+bool IsAnonymousVariable(std::string_view name);
+
 /// Appends the names of all variables in `t` (with repeats) to `out`.
 void CollectVariables(const TermNode& t, std::vector<std::string>* out);
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <unordered_map>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -22,12 +24,14 @@ FixpointDriver::FixpointDriver(Catalog* catalog, ValueStore* store,
       choice_(store),
       obs_(obs),
       obs_enabled_(obs.enabled()),
+      sample_every_(std::max<uint32_t>(1, obs.sample_every)),
       guard_(guard) {
   uint32_t max_rule = 0;
   for (const CompiledRule& r : rules_) {
     max_rule = std::max(max_rule, r.rule_index);
   }
   profiles_.resize(rules_.empty() ? 0 : max_rule + 1);
+  apply_timers_.resize(profiles_.size());
   for (const CompiledRule& r : rules_) {
     RuleProfile& p = profiles_[r.rule_index];
     const Relation& head = catalog_->relation(r.head_pred);
@@ -82,25 +86,27 @@ FixpointDriver::FixpointDriver(Catalog* catalog, ValueStore* store,
   }
   choice_.set_memory_budget(budget);
   // EXPLAIN ANALYZE: per-goal cardinality counters, one row per rule,
-  // with a shared lock-free fan-out histogram per goal. Sized (and thus
-  // enabled in the executor) only when metrics are on.
+  // each goal staging the fan-out of its probes for the registry's
+  // goal.fanout histogram. Sized (and thus enabled in the executor) only
+  // when metrics are on.
   goal_stats_.resize(profiles_.size());
   if (obs_.metrics != nullptr) {
     for (const CompiledRule& r : rules_) {
       auto& row = goal_stats_[r.rule_index];
       row.resize(r.num_goals);
       for (uint32_t g = 0; g < r.num_goals; ++g) {
-        row[g].fanout = obs_.metrics->GetHistogram(
+        row[g].fanout = HistogramStage(obs_.metrics->GetHistogram(
             "goal.fanout",
             {{"rule", profiles_[r.rule_index].head + "#" +
                           std::to_string(r.rule_index)},
-             {"goal", std::to_string(g)}});
+             {"goal", std::to_string(g)}}));
       }
     }
     exec_.set_goal_stats(&goal_stats_);
-    delta_rows_hist_ = obs_.metrics->GetHistogram("seminaive.delta_rows");
-    pops_per_fire_hist_ =
-        obs_.metrics->GetHistogram("choice.pops_per_fire");
+    delta_rows_ =
+        HistogramStage(obs_.metrics->GetHistogram("seminaive.delta_rows"));
+    pops_per_fire_ =
+        HistogramStage(obs_.metrics->GetHistogram("choice.pops_per_fire"));
     admissible_ = obs_.metrics->GetCounter("choice.admissible");
     inadmissible_ = obs_.metrics->GetCounter("choice.inadmissible");
   }
@@ -138,6 +144,17 @@ Status FixpointDriver::Run() {
   return st;
 }
 
+void FixpointDriver::FlushMetrics() noexcept {
+  if (obs_.metrics == nullptr) return;
+  admissible_->Add(std::exchange(admissible_staged_, 0));
+  inadmissible_->Add(std::exchange(inadmissible_staged_, 0));
+  delta_rows_.Flush();
+  pops_per_fire_.Flush();
+  for (std::vector<GoalStats>& row : goal_stats_) {
+    for (GoalStats& gs : row) gs.fanout.Flush();
+  }
+}
+
 Status FixpointDriver::GuardCheck(std::string_view probe) {
   if (guard_ == nullptr) return Status::OK();
   GuardCounters c;
@@ -165,15 +182,18 @@ uint64_t FixpointDriver::ObsNowNs() const {
           .count());
 }
 
+uint32_t FixpointDriver::ApplyWeight(const CompiledRule& rule) {
+  return obs_enabled_ ? apply_timers_[rule.rule_index].Next(sample_every_)
+                      : 0;
+}
+
 void FixpointDriver::RecordApply(RuleProfile* prof, uint64_t start_ns,
-                                 const char* cat) {
+                                 uint32_t weight, const char* cat) {
   const uint64_t end_ns = ObsNowNs();
   const uint64_t dur = end_ns - start_ns;
-  prof->wall_ns += dur;
-  if (prof->latency != nullptr) {
-    prof->latency->Observe(static_cast<double>(dur));
-  }
-  if (obs_.tracer != nullptr && obs_.tracer->Sample()) {
+  prof->wall_ns += dur * weight;
+  if (prof->latency != nullptr) prof->latency->Record(dur);
+  if (obs_.tracer != nullptr) {
     obs_.tracer->Complete(prof->head, cat, start_ns, end_ns);
   }
 }
@@ -202,12 +222,24 @@ RunCounters FixpointDriver::run_counters() const {
 }
 
 void FixpointDriver::Record(FlightEventKind kind, int64_t a0, int64_t a1) {
+  // Parallel to thinned_events_.
+  static constexpr FlightEventKind kThinned[] = {
+      FlightEventKind::kRound, FlightEventKind::kStage,
+      FlightEventKind::kGammaFire, FlightEventKind::kChoiceReject};
+  for (size_t i = 0; i < std::size(kThinned); ++i) {
+    if (kind != kThinned[i]) continue;
+    const uint64_t n = ++thinned_events_[i];
+    if (n > kEventsInFull && n % kEventThinning != 0) return;
+    if (kind != FlightEventKind::kChoiceReject) FlushMetrics();
+    break;
+  }
   if (obs_.recorder != nullptr) {
     obs_.recorder->Record(kind, a0, a1, run_counters());
   }
 }
 
 void FixpointDriver::PublishMetrics() {
+  FlushMetrics();
   MetricsRegistry& m = *obs_.metrics;
   m.GetCounter("fixpoint.saturation_rounds")->Add(stats_.saturation_rounds);
   m.GetCounter("fixpoint.gamma_firings")->Add(stats_.gamma_firings);
@@ -299,18 +331,20 @@ void FixpointDriver::EvalPlain(const CompiledRule& rule,
                                uint32_t delta_occurrence) {
   RuleProfile& prof = profiles_[rule.rule_index];
   ++prof.invocations;
-  const uint64_t t0 = obs_enabled_ ? ObsNowNs() : 0;
+  const uint32_t weight = ApplyWeight(rule);
+  const uint64_t t0 = weight != 0 ? ObsNowNs() : 0;
   size_t attempted = 0;
   const size_t n = exec_.ApplyRule(rule, delta_occurrence, &attempted);
   prof.tuples += n;
   prof.dedup_hits += attempted - n;
-  if (obs_enabled_) RecordApply(&prof, t0, "rule");
+  if (weight != 0) RecordApply(&prof, t0, weight, "rule");
 }
 
 void FixpointDriver::EvalAggregate(const CompiledRule& rule) {
   RuleProfile& prof = profiles_[rule.rule_index];
   ++prof.invocations;
-  const uint64_t t0 = obs_enabled_ ? ObsNowNs() : 0;
+  const uint32_t weight = ApplyWeight(rule);
+  const uint64_t t0 = weight != 0 ? ObsNowNs() : 0;
   // Enumerate the full body; keep, per group value, the extremum cost and
   // every head tuple achieving it (ties all survive, as least/most keep
   // every binding with no strictly better one).
@@ -368,7 +402,7 @@ void FixpointDriver::EvalAggregate(const CompiledRule& rule) {
       }
     }
   }
-  if (obs_enabled_) RecordApply(&prof, t0, "rule");
+  if (weight != 0) RecordApply(&prof, t0, weight, "rule");
 }
 
 void FixpointDriver::InsertCandidates(GammaState* g,
@@ -376,7 +410,8 @@ void FixpointDriver::InsertCandidates(GammaState* g,
   const CompiledRule& rule = *g->rule;
   RuleProfile& prof = profiles_[rule.rule_index];
   ++prof.invocations;
-  const uint64_t t0 = obs_enabled_ ? ObsNowNs() : 0;
+  const uint32_t weight = ApplyWeight(rule);
+  const uint64_t t0 = weight != 0 ? ObsNowNs() : 0;
   const uint64_t pushed_before = g->queue->stats().inserted;
   gen_frame_.Reset(rule.num_slots);
   exec_.Enumerate(rule, PlanFor(rule, delta_occurrence), delta_occurrence,
@@ -386,7 +421,7 @@ void FixpointDriver::InsertCandidates(GammaState* g,
                     return true;
                   });
   prof.candidates += g->queue->stats().inserted - pushed_before;
-  if (obs_enabled_) RecordApply(&prof, t0, "rule");
+  if (weight != 0) RecordApply(&prof, t0, weight, "rule");
 }
 
 void FixpointDriver::PushCandidate(GammaState* g, const BindingFrame& f) {
@@ -444,6 +479,8 @@ Status FixpointDriver::EvalClique(uint32_t scc) {
     return Status::OK();
   }
 
+  PlanSweeps(&ctx);
+
   // Round 0: full evaluation of every rule.
   GDLOG_RETURN_IF_ERROR(GuardCheck(FaultInjector::kEvalSaturate));
   for (const CompiledRule* r : ctx.plain) {
@@ -454,14 +491,97 @@ Status FixpointDriver::EvalClique(uint32_t scc) {
     InsertCandidates(g, CompiledScan::kNoOccurrence);
   }
 
-  // Alternate Q∞ and γ until neither makes progress.
+  const uint64_t loop_t0 = obs_enabled_ ? ObsNowNs() : 0;
+  const uint64_t saturate_ns_before = stats_.saturate_ns;
+  const Status loop_status = StageLoop(&ctx);
+  if (obs_enabled_) {
+    // γ time is the remainder: the loop's wall time less the (sampled)
+    // time of the Saturate calls it made.
+    const uint64_t loop_ns = ObsNowNs() - loop_t0;
+    const uint64_t saturate_ns = stats_.saturate_ns - saturate_ns_before;
+    stats_.gamma_ns += loop_ns > saturate_ns ? loop_ns - saturate_ns : 0;
+  }
+  FlushMetrics();
+  GDLOG_RETURN_IF_ERROR(loop_status);
+
+  clique_span.AddArg("relations", static_cast<int64_t>(ctx.relations.size()));
+  clique_span.AddArg("stages", ctx.stage_counter);
+  for (PredicateId id : ctx.relations) catalog_->relation(id).SealEpoch();
+  return Status::OK();
+}
+
+namespace {
+
+/// Appends the relation of every scan in `plan`, NotExists subplans
+/// included.
+void AddScannedPreds(const std::vector<CompiledLiteral>& plan,
+                     std::vector<PredicateId>* out) {
+  for (const CompiledLiteral& lit : plan) {
+    if (lit.kind == CompiledLiteral::Kind::kScan) out->push_back(lit.scan.pred);
+    AddScannedPreds(lit.sub, out);
+  }
+}
+
+/// Appends every relation a goal of `rule` reads: its generator (and so
+/// its delta variants) and, unless `generator_only`, its post plan.
+void AddReadPreds(const CompiledRule& rule, bool generator_only,
+                  std::vector<PredicateId>* out) {
+  AddScannedPreds(rule.generator, out);
+  if (!generator_only) AddScannedPreds(rule.post, out);
+}
+
+bool Has(const std::vector<PredicateId>& ids, PredicateId id) {
+  return std::find(ids.begin(), ids.end(), id) != ids.end();
+}
+
+}  // namespace
+
+void FixpointDriver::PlanSweeps(CliqueCtx* ctx) const {
+  std::vector<PredicateId> flat_reads;      // by a flat or aggregate rule
+  std::vector<PredicateId> saturate_reads;  // by a rule Saturate evaluates
+  std::vector<PredicateId> non_flat_heads;  // aggregate and γ heads
+  std::vector<PredicateId> gamma_heads;
+  for (const CompiledRule* r : ctx->plain) {
+    AddReadPreds(*r, /*generator_only=*/false, &flat_reads);
+    if (r->recursive) AddReadPreds(*r, false, &saturate_reads);
+  }
+  for (const CompiledRule* r : ctx->aggregate) {
+    AddReadPreds(*r, /*generator_only=*/false, &flat_reads);
+    if (r->recompute_full) AddReadPreds(*r, false, &saturate_reads);
+    non_flat_heads.push_back(r->head_pred);
+  }
+  for (const GammaState* g : ctx->gammas) {
+    // Saturate runs a γ rule's generator only; its post plan runs at a
+    // firing, over full windows.
+    if (g->rule->recursive) {
+      AddReadPreds(*g->rule, /*generator_only=*/true, &saturate_reads);
+    }
+    non_flat_heads.push_back(g->rule->head_pred);
+    gamma_heads.push_back(g->rule->head_pred);
+  }
+  for (const CompiledRule* r : ctx->plain) {
+    const PredicateId head = r->head_pred;
+    if (!Has(non_flat_heads, head) && !Has(flat_reads, head) &&
+        !Has(ctx->chained, head)) {
+      ctx->chained.push_back(head);
+    }
+  }
+  ctx->firing_feeds_saturate =
+      std::any_of(gamma_heads.begin(), gamma_heads.end(),
+                  [&](PredicateId id) { return Has(saturate_reads, id); });
+}
+
+Status FixpointDriver::StageLoop(CliqueCtx* ctx) {
+  const DependencyGraph& graph = *analysis_->graph;
+  GDLOG_RETURN_IF_ERROR(Saturate(ctx));
+  // Alternate γ and Q∞ until γ fires nothing.
   for (;;) {
-    GDLOG_RETURN_IF_ERROR(Saturate(&ctx));
-    if (ctx.has_next && ctx.stage_counter == 0) {
+    if (ctx->has_next && ctx->stage_counter == 0) {
       // Initialize the stage counter past every stage value the exit
-      // rules produced (e.g. prm(nil, a, 0, 0) puts 0 in play).
+      // rules (or a non-next choice rule's firings) produced, e.g.
+      // prm(nil, a, 0, 0) puts 0 in play.
       int64_t max_stage = -1;
-      for (PredicateId id : ctx.relations) {
+      for (PredicateId id : ctx->relations) {
         const Relation& rel = catalog_->relation(id);
         const PredIndex p = graph.Lookup(rel.name(), rel.arity());
         const int pos = analysis_->stage_arg[p];
@@ -471,21 +591,19 @@ Status FixpointDriver::EvalClique(uint32_t scc) {
           if (v.is_int()) max_stage = std::max(max_stage, v.AsInt());
         }
       }
-      ctx.stage_counter = max_stage + 1;
+      ctx->stage_counter = max_stage + 1;
     }
     GDLOG_RETURN_IF_ERROR(GuardCheck(FaultInjector::kEvalGamma));
-    if (!GammaPhase(&ctx)) break;
+    if (!GammaPhase(ctx)) return Status::OK();
+    if (ctx->firing_feeds_saturate) GDLOG_RETURN_IF_ERROR(Saturate(ctx));
   }
-
-  clique_span.AddArg("relations", static_cast<int64_t>(ctx.relations.size()));
-  clique_span.AddArg("stages", ctx.stage_counter);
-  for (PredicateId id : ctx.relations) catalog_->relation(id).SealEpoch();
-  return Status::OK();
 }
 
 Status FixpointDriver::Saturate(CliqueCtx* ctx) {
   TraceSpan span(obs_.tracer, "Saturate", "fixpoint");
-  const uint64_t t0 = obs_enabled_ ? ObsNowNs() : 0;
+  const uint32_t weight =
+      obs_enabled_ ? saturate_timer_.Next(sample_every_) : 0;
+  const uint64_t t0 = weight != 0 ? ObsNowNs() : 0;
   const uint64_t rounds_before = stats_.saturation_rounds;
   Status guard_status = Status::OK();
   for (;;) {
@@ -496,9 +614,7 @@ Status FixpointDriver::Saturate(CliqueCtx* ctx) {
       if (d > 0) {
         any_delta = true;
         delta_total += d;
-        if (delta_rows_hist_ != nullptr) {
-          delta_rows_hist_->Record(static_cast<uint64_t>(d));
-        }
+        delta_rows_.Record(d);
       }
     }
     if (!any_delta) break;
@@ -521,6 +637,15 @@ Status FixpointDriver::Saturate(CliqueCtx* ctx) {
     for (const CompiledRule* r : ctx->aggregate) {
       if (r->recompute_full) EvalAggregate(*r);
     }
+    // Chained deltas: the rows the flat rules just appended feed the
+    // generators in this sweep (no rule that ran before reads them).
+    for (PredicateId id : ctx->chained) {
+      const size_t d = catalog_->relation(id).ExtendDelta();
+      if (d > 0) {
+        delta_total += d;
+        delta_rows_.Record(d);
+      }
+    }
     for (GammaState* g : ctx->gammas) {
       if (!g->rule->recursive) continue;
       if (seminaive) {
@@ -536,7 +661,7 @@ Status FixpointDriver::Saturate(CliqueCtx* ctx) {
   }
   span.AddArg("rounds",
               static_cast<int64_t>(stats_.saturation_rounds - rounds_before));
-  if (obs_enabled_) stats_.saturate_ns += ObsNowNs() - t0;
+  if (weight != 0) stats_.saturate_ns += (ObsNowNs() - t0) * weight;
   return guard_status;
 }
 
@@ -589,7 +714,7 @@ size_t FixpointDriver::DrainChoiceRule(GammaState* g) {
       }
     }
     if (!choice_.Admissible(rule, frame)) {
-      if (inadmissible_ != nullptr) inadmissible_->Add(1);
+      ++inadmissible_staged_;
       ++rej_fd;
       Record(FlightEventKind::kChoiceReject,
              static_cast<int64_t>(rule.rule_index),
@@ -597,7 +722,7 @@ size_t FixpointDriver::DrainChoiceRule(GammaState* g) {
       g->queue->MarkRedundant(*cand);
       continue;
     }
-    if (admissible_ != nullptr) admissible_->Add(1);
+    ++admissible_staged_;
     // Build the head before committing the FD: a candidate whose head
     // term fails to evaluate (untyped binding, e.g. arithmetic over a
     // symbol) derives nothing and must not burn the choice.
@@ -625,7 +750,7 @@ size_t FixpointDriver::DrainChoiceRule(GammaState* g) {
     g->queue->MarkFired(*cand);
     ++stats_.gamma_firings;
     ++prof.firings;
-    if (pops_per_fire_hist_ != nullptr) pops_per_fire_hist_->Record(pops);
+    pops_per_fire_.Record(pops);
     Record(FlightEventKind::kGammaFire, static_cast<int64_t>(rule.rule_index),
            static_cast<int64_t>(stats_.gamma_firings));
     if (obs_.tracer != nullptr && obs_.tracer->Sample()) {
@@ -670,11 +795,11 @@ bool FixpointDriver::TryFireNext(CliqueCtx* ctx, GammaState* g,
                   [&](BindingFrame& f) {
                     saw_solution = true;
                     if (!choice_.Admissible(rule, f)) {
-                      if (inadmissible_ != nullptr) inadmissible_->Add(1);
+                      ++inadmissible_staged_;
                       if (audit != nullptr) ++audit->rejected_fd;
                       return true;
                     }
-                    if (admissible_ != nullptr) admissible_->Add(1);
+                    ++admissible_staged_;
                     // Build now, insert after: the post plan may hold
                     // index iterators on the head relation. Build before
                     // Commit — a solution whose head term fails to
@@ -741,7 +866,6 @@ bool FixpointDriver::TryFireNext(CliqueCtx* ctx, GammaState* g,
 
 bool FixpointDriver::GammaPhase(CliqueCtx* ctx) {
   TraceSpan span(obs_.tracer, "GammaPhase", "fixpoint");
-  const uint64_t t0 = obs_enabled_ ? ObsNowNs() : 0;
   bool fired = false;
   // Non-next choice rules: one firing, then back to saturation.
   for (GammaState* g : ctx->gammas) {
@@ -765,9 +889,7 @@ bool FixpointDriver::GammaPhase(CliqueCtx* ctx) {
         if (TryFireNext(ctx, g, *cand,
                         audit_ != nullptr ? &entry : nullptr)) {
           fired = true;
-          if (pops_per_fire_hist_ != nullptr) {
-            pops_per_fire_hist_->Record(pops);
-          }
+          pops_per_fire_.Record(pops);
           if (audit_ != nullptr) {
             entry.rule_index = g->rule->rule_index;
             entry.gamma_index = g->rule->gamma_index;
@@ -785,7 +907,6 @@ bool FixpointDriver::GammaPhase(CliqueCtx* ctx) {
       if (fired) break;
     }
   }
-  if (obs_enabled_) stats_.gamma_ns += ObsNowNs() - t0;
   return fired;
 }
 

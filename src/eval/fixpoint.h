@@ -4,9 +4,9 @@
 // Cliques are saturated in dependency order (stratum by stratum). Within
 // a clique the driver alternates:
 //
-//   Saturate (Q∞)  — seminaive rounds over the clique's flat rules; new
-//                    tuples also flow into the gamma rules' candidate
-//                    queues (the paper's insertion into D_r);
+//   Saturate (Q∞)  — seminaive rounds (sweeps) over the clique's flat
+//                    rules; new tuples also flow into the gamma rules'
+//                    candidate queues (the paper's insertion into D_r);
 //   GammaPhase (γ) — non-next choice rules drain every admissible
 //                    candidate (each drain step is a γ application whose
 //                    interleaving with Q∞ is immaterial because their
@@ -18,6 +18,22 @@
 // The loop ends when γ produces nothing. For stage-stratified programs
 // this computes a stable model (Theorem 1); each Pop/fire is O(log |Q|),
 // giving the Section 6 complexity bounds.
+//
+// A stage costs what Section 6 charges it, decided once per clique:
+//   * Chained deltas. A relation that only flat rules write and only γ
+//     generators read (Prim's new_g, Huffman's feasible) has its delta
+//     widened over each sweep's own appends before the generators run,
+//     so its rows reach Q in the sweep that derives them: Prim runs one
+//     sweep per stage, not two. A relation on a flat cycle keeps
+//     round-by-round deltas.
+//   * No empty rounds. When no rule Saturate evaluates reads a relation
+//     a γ rule writes (sort, matching), a firing derives nothing for
+//     Saturate, and the loop fires without saturating in between.
+//   * Observability off the per-firing path. Rule applications and
+//     Saturate calls are timed by sampling; FD outcomes, pops per firing,
+//     delta sizes and goal fan-outs are counted in plain fields and
+//     flushed into the registry in batches; per-round and per-firing
+//     flight events are thinned. Final counts stay exact.
 #ifndef GDLOG_EVAL_FIXPOINT_H_
 #define GDLOG_EVAL_FIXPOINT_H_
 
@@ -78,7 +94,9 @@ struct FixpointStats {
   uint64_t guard_checks = 0;          // limit/cancel polls performed
   uint64_t peak_memory_bytes = 0;     // MemoryBudget high-water (0 = untracked)
   // Wall time split between the two alternating phases; collected only
-  // when observability is enabled (0 otherwise).
+  // when observability is enabled (0 otherwise). saturate_ns sums the
+  // sampled Saturate calls, each weighted by the calls it stands for;
+  // gamma_ns is the remainder of the cliques' stage loops.
   uint64_t saturate_ns = 0;
   uint64_t gamma_ns = 0;
   ExecStats exec;
@@ -87,7 +105,9 @@ struct FixpointStats {
 
 /// Per-rule evaluation profile, indexed by CompiledRule::rule_index.
 /// Counts are always maintained (they are O(1) per rule application);
-/// wall_ns is collected only when observability is enabled.
+/// wall_ns is collected only when observability is enabled, from the
+/// sampled applications (see ObsOptions::sample_every), each weighted
+/// by the applications it stands for.
 struct RuleProfile {
   std::string head;            // "pred/arity"; empty = no compiled rule
   const char* kind = "";       // "plain" | "aggregate" | "gamma" | "next"
@@ -98,7 +118,7 @@ struct RuleProfile {
   uint64_t dedup_hits = 0;     // head tuples rejected as duplicates
   uint64_t candidates = 0;     // queue insertions (gamma rules only)
   uint64_t wall_ns = 0;
-  Histogram* latency = nullptr;  // per-application latency (metrics mode)
+  Histogram* latency = nullptr;  // sampled application latency (metrics)
 };
 
 class FixpointDriver {
@@ -142,6 +162,15 @@ class FixpointDriver {
 
   /// Sums candidate-queue statistics over every gamma rule.
   CandidateQueueStats AggregateQueueStats() const;
+
+  /// Publishes the counters and histograms staged on the evaluation
+  /// thread (choice.admissible/inadmissible, choice.pops_per_fire,
+  /// seminaive.delta_rows, goal.fanout) into the metrics registry. The
+  /// driver calls it at each clique's end, when Run returns (a bounded
+  /// stop included) and at each kept round, stage or gamma-fire event;
+  /// Engine calls it after an allocation failure unwinds Run. No-op
+  /// without metrics.
+  void FlushMetrics() noexcept;
   /// Queue statistics of one gamma rule (by gamma index); nullptr if the
   /// index has no queue.
   const CandidateQueueStats* QueueStats(int gamma_index) const;
@@ -162,11 +191,49 @@ class FixpointDriver {
     std::vector<const CompiledRule*> aggregate;  // extrema, non-gamma
     std::vector<GammaState*> gammas;
     std::vector<PredicateId> relations;  // clique head relations
+    // Chained deltas: relations only flat rules write and no flat or
+    // aggregate rule reads, so only γ generators do. Each sweep widens
+    // their delta over the rows its flat rules appended before the
+    // generators run, so those rows reach Q in the same sweep.
+    std::vector<PredicateId> chained;
+    // Some rule Saturate evaluates reads a relation a γ rule writes.
+    // When none does, a firing derives nothing Saturate could see, and
+    // the stage loop fires without saturating in between.
+    bool firing_feeds_saturate = false;
     int64_t stage_counter = 0;
     bool has_next = false;
   };
 
+  /// Decides which calls of one timed site read the clock: each of the
+  /// first kWarmup calls, then one call in `period`. Next() returns the
+  /// number of calls the current one stands for, or 0 if it is untimed.
+  class TimerSampler {
+   public:
+    static constexpr uint32_t kWarmup = 16;
+    uint32_t Next(uint32_t period) {
+      if (warmup_ > 0) {
+        --warmup_;
+        return 1;
+      }
+      if (skip_ > 0) {
+        --skip_;
+        return 0;
+      }
+      skip_ = period - 1;
+      return period;
+    }
+
+   private:
+    uint32_t warmup_ = kWarmup;
+    uint32_t skip_ = 0;
+  };
+
   Status EvalClique(uint32_t scc);
+  /// Fills ctx->chained and ctx->firing_feeds_saturate from the reads
+  /// and writes of the clique's rules.
+  void PlanSweeps(CliqueCtx* ctx) const;
+  /// Alternates Saturate and γ until γ fires nothing or the guard trips.
+  Status StageLoop(CliqueCtx* ctx);
   /// Polls the guard (no-op OK when no guard is installed). `probe` names
   /// the boundary for fault injection.
   Status GuardCheck(std::string_view probe);
@@ -201,9 +268,13 @@ class FixpointDriver {
   /// Clock for profile timing: tracer time when tracing (so spans and
   /// profiles share an epoch), raw steady_clock otherwise.
   uint64_t ObsNowNs() const;
-  /// Closes one timed rule application: profile wall time, latency
-  /// histogram, and a sampled trace span.
-  void RecordApply(RuleProfile* prof, uint64_t start_ns, const char* cat);
+  /// The weight of this application of `rule` under its TimerSampler:
+  /// the applications it stands for, or 0 when it is not timed.
+  uint32_t ApplyWeight(const CompiledRule& rule);
+  /// Closes one timed rule application of weight `weight`: profile wall
+  /// time, latency histogram, and a trace span.
+  void RecordApply(RuleProfile* prof, uint64_t start_ns, uint32_t weight,
+                   const char* cat);
   /// Appends an audit entry and re-charges the trail to the MemoryBudget.
   void AddAuditEntry(ChoiceAuditEntry entry);
   /// Moves `*charged` to `bytes` in the run's MemoryBudget (no-op
@@ -212,7 +283,13 @@ class FixpointDriver {
   /// Publishes end-of-run totals into the metrics registry.
   void PublishMetrics();
   /// Records one flight-recorder event stamped with run_counters().
+  /// round, stage, gamma-fire and choice-reject events are thinned: the
+  /// first kEventsInFull of each kind in a run are kept, then one in
+  /// kEventThinning. A kept round, stage or gamma-fire event first
+  /// flushes the staged metrics, so live /metrics moves mid-clique.
   void Record(FlightEventKind kind, int64_t a0, int64_t a1);
+  static constexpr uint64_t kEventsInFull = 256;
+  static constexpr uint64_t kEventThinning = 64;
 
   Catalog* catalog_;
   ValueStore* store_;
@@ -240,17 +317,26 @@ class FixpointDriver {
 
   ObsContext obs_;
   bool obs_enabled_ = false;  // == obs_.enabled(), cached for the hot path
+  uint32_t sample_every_ = 1;  // obs_.sample_every, at least 1
   RunGuard* guard_ = nullptr;
   std::vector<RuleProfile> profiles_;  // by rule_index
+  std::vector<TimerSampler> apply_timers_;  // by rule_index
+  TimerSampler saturate_timer_;
 
   // EXPLAIN ANALYZE actuals, indexed [rule_index][goal_id]; rows are
   // sized (enabling counting) only when metrics are on.
   std::vector<std::vector<GoalStats>> goal_stats_;
-  // Cached metric handles (null when metrics are off).
-  Histogram* delta_rows_hist_ = nullptr;   // per-relation delta rows/round
-  Histogram* pops_per_fire_hist_ = nullptr;  // choice pops per γ firing
-  Counter* admissible_ = nullptr;          // candidates passing Admissible
-  Counter* inadmissible_ = nullptr;        // candidates rejected by FDs
+  // Metrics counted in plain fields on the evaluation thread and
+  // published by FlushMetrics; the handles are null when metrics are off.
+  uint64_t admissible_staged_ = 0;    // candidates passing Admissible
+  uint64_t inadmissible_staged_ = 0;  // candidates rejected by FDs
+  Counter* admissible_ = nullptr;
+  Counter* inadmissible_ = nullptr;
+  HistogramStage delta_rows_;     // per-relation delta rows per round
+  HistogramStage pops_per_fire_;  // choice pops per γ firing
+  // Per thinned kind (round, stage, gamma-fire, choice-reject, in that
+  // order): events offered to Record so far in this run.
+  uint64_t thinned_events_[4] = {};
   bool trip_recorded_ = false;  // the guard trip reached the recorder
 
   // Provenance: on iff the catalog's provenance column is (Engine enables

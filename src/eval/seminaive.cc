@@ -146,6 +146,7 @@ bool PlanExecutor::RunScan(const CompiledRule& rule, const CompiledScan& scan,
     for (const TermOp& op : scan.key_ops) {
       Value v;
       if (!ReadOp(rule.pool, op, *frame, store_, &v)) {
+        if (gs != nullptr) gs->fanout.Record(0);  // a probe matching nothing
         return !scan.negated ? true : next();
       }
       key_hash = Index::KeyHashStep(key_hash, v);
@@ -202,7 +203,7 @@ bool PlanExecutor::RunScan(const CompiledRule& rule, const CompiledScan& scan,
     if (aborted) return true;
     return next();
   }
-  if (gs != nullptr && gs->fanout != nullptr) gs->fanout->Record(probe_matches);
+  if (gs != nullptr) gs->fanout.Record(probe_matches);
   return !aborted;
 }
 

@@ -33,11 +33,10 @@
 
 #include "eval/binding.h"
 #include "eval/rule_compiler.h"
+#include "obs/metrics.h"
 #include "storage/catalog.h"
 
 namespace gdlog {
-
-class Histogram;
 
 struct ExecStats {
   uint64_t solutions = 0;   // complete body bindings enumerated
@@ -46,14 +45,15 @@ struct ExecStats {
 };
 
 /// Actual per-goal cardinality counters for EXPLAIN ANALYZE, accumulated
-/// by RunScan for positive scans carrying a goal_id. Counters are plain
-/// (each executor writes its own table); the fan-out histogram, when
-/// set, is a shared registry metric.
+/// by RunScan for positive scans carrying a goal_id. Everything is plain
+/// (each executor writes its own table): the fan-out distribution is
+/// staged here, one observation per probe, and its owner flushes it into
+/// the registry's goal.fanout histogram.
 struct GoalStats {
   uint64_t probes = 0;   // scan invocations (outer-binding probes)
   uint64_t rows = 0;     // rows touched (window rows / index postings)
   uint64_t matches = 0;  // rows matching every term (join fan-out)
-  Histogram* fanout = nullptr;  // per-probe match count distribution
+  HistogramStage fanout;  // per-probe match count distribution
 };
 
 /// A non-owning reference to a solution callback: `bool(BindingFrame&)`,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <map>
 
 #include "obs/json.h"
@@ -26,6 +27,34 @@ uint64_t Histogram::BucketUpperEdge(size_t i) {
   const size_t shift = k / (kSubBuckets / 2) + 1;
   const uint64_t sub = k % (kSubBuckets / 2) + kSubBuckets / 2;
   return ((sub + 1) << shift) - 1;
+}
+
+void Histogram::AddSmall(const uint64_t (&counts)[kSubBuckets]) noexcept {
+  uint64_t n = 0, sum = 0, lo = UINT64_MAX, hi = 0;
+  for (uint64_t v = 0; v < kSubBuckets; ++v) {
+    if (counts[v] == 0) continue;
+    counts_[v].fetch_add(counts[v], std::memory_order_relaxed);
+    n += counts[v];
+    sum += v * counts[v];
+    lo = std::min(lo, v);
+    hi = v;
+  }
+  if (n == 0) return;
+  count_.fetch_add(n, std::memory_order_relaxed);
+  sum_.fetch_add(sum, std::memory_order_relaxed);
+  uint64_t cur = min_.load(std::memory_order_relaxed);
+  while (lo < cur &&
+         !min_.compare_exchange_weak(cur, lo, std::memory_order_relaxed)) {
+  }
+  cur = max_.load(std::memory_order_relaxed);
+  while (hi > cur &&
+         !max_.compare_exchange_weak(cur, hi, std::memory_order_relaxed)) {
+  }
+}
+
+void HistogramStage::Flush() noexcept {
+  if (target_ != nullptr) target_->AddSmall(small_);
+  std::fill(std::begin(small_), std::end(small_), 0);
 }
 
 std::vector<Histogram::Bucket> Histogram::NonZeroBuckets() const {

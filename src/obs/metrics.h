@@ -3,11 +3,14 @@
 //
 // Handles returned by the registry are stable for its lifetime, so hot
 // paths resolve a metric once and then pay a single atomic add per
-// event. Registration (the Get* calls) is mutex-guarded; recording
-// through a handle is lock-free (relaxed atomics), so any number of
-// threads (the evaluator, HTTP scrapes) may touch the same counter or
-// histogram concurrently without losing updates. The registry is always on by default (ObsOptions::metrics_enabled);
-// see docs/OBSERVABILITY.md for the bucket scheme and naming conventions.
+// event; the evaluator's per-probe and per-firing distributions stage
+// small values in a plain HistogramStage and publish them in batches.
+// Registration (the Get* calls) is mutex-guarded; recording through a
+// handle is lock-free (relaxed atomics), so any number of threads (the
+// evaluator, HTTP scrapes) may touch the same counter or histogram
+// concurrently without losing updates. The registry is always on by
+// default (ObsOptions::metrics_enabled); see docs/OBSERVABILITY.md for
+// the bucket scheme and naming conventions.
 #ifndef GDLOG_OBS_METRICS_H_
 #define GDLOG_OBS_METRICS_H_
 
@@ -89,6 +92,12 @@ class Histogram {
     }
   }
 
+  /// Records a batch staged on one thread (HistogramStage): counts[v]
+  /// observations of each value v < kSubBuckets, whose buckets are
+  /// exact. The count, sum, min and max move as by that many Record
+  /// calls, at the atomic cost of one.
+  void AddSmall(const uint64_t (&counts)[kSubBuckets]) noexcept;
+
   /// Legacy double entry point: clamps negatives to 0 and records.
   void Observe(double v) noexcept {
     Record(v <= 0 ? 0
@@ -128,6 +137,31 @@ class Histogram {
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> min_{UINT64_MAX};
   std::atomic<uint64_t> max_{0};
+};
+
+/// Plain staging for one Histogram, written and flushed by one thread: a
+/// value below Histogram::kSubBuckets bumps its exact per-value slot, a
+/// larger one is recorded into the histogram at once. Flush() publishes
+/// the slots through Histogram::AddSmall and clears them, so a hot path
+/// pays a plain increment per observation and the atomics once per
+/// flush. With a null target every observation is dropped.
+class HistogramStage {
+ public:
+  explicit HistogramStage(Histogram* target = nullptr) : target_(target) {}
+
+  void Record(uint64_t v) {
+    if (v < Histogram::kSubBuckets) {
+      ++small_[v];
+    } else if (target_ != nullptr) {
+      target_->Record(v);
+    }
+  }
+
+  void Flush() noexcept;
+
+ private:
+  Histogram* target_;
+  uint64_t small_[Histogram::kSubBuckets] = {};
 };
 
 /// Point-in-time copy of every metric's value, comparable across time:

@@ -141,7 +141,10 @@ struct ObsOptions {
   /// completion (Engine::WriteTrace can re-export it elsewhere).
   std::string trace_path;
   /// Sampling period for high-frequency trace events (per-candidate γ
-  /// fires, queue push/pop/lazy-delete). 1 = record everything.
+  /// fires, queue push/pop/lazy-delete) and for the evaluator's timers:
+  /// a rule application or Saturate call is timed for the first 16
+  /// calls of its site, then one call in `sample_every`, weighted by
+  /// the period. 1 = record and time everything.
   uint32_t sample_every = 16;
   /// External registry to record into (not owned; must outlive the
   /// Engine). Null = the engine owns a private registry. Lets callers
@@ -167,6 +170,7 @@ struct ObsContext {
   MetricsRegistry* metrics = nullptr;
   Tracer* tracer = nullptr;
   FlightRecorder* recorder = nullptr;
+  uint32_t sample_every = 16;  // ObsOptions::sample_every
   bool enabled() const { return metrics != nullptr || tracer != nullptr; }
 };
 

@@ -119,7 +119,7 @@ class Parser {
   }
 
   std::string FreshAnonymous() {
-    return "_G" + std::to_string(anon_counter_++);
+    return std::string(kAnonymousVarPrefix) + std::to_string(anon_counter_++);
   }
 
   static SourceLoc LocOf(const Token& t) { return SourceLoc{t.line, t.column}; }

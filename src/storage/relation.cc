@@ -204,6 +204,12 @@ size_t Relation::AdvanceEpoch() {
   return delta_end_ - delta_begin_;
 }
 
+size_t Relation::ExtendDelta() {
+  const size_t added = num_rows_ - delta_end_;
+  delta_end_ = static_cast<RowId>(num_rows_);
+  return added;
+}
+
 void Relation::SealEpoch() {
   delta_begin_ = static_cast<RowId>(num_rows_);
   delta_end_ = delta_begin_;

@@ -9,7 +9,9 @@
 //   [delta_begin, delta_end) "delta" — facts derived in the last round
 //   [delta_end, size)        "new"   — facts derived in the current round
 //
-// AdvanceEpoch() rolls new into delta and delta into old.
+// AdvanceEpoch() rolls new into delta and delta into old. ExtendDelta()
+// widens the delta over the new rows within a round (delta_end = size),
+// for a relation whose readers in that round all run after its writers.
 //
 // Rows arrive one at a time (Insert: AddFact, the inline-fact load, a γ
 // firing) or as the buffered heads of one rule application
@@ -91,6 +93,10 @@ class Relation {
   /// Rolls [delta_end, size) into the delta window and the previous delta
   /// into old. Returns the new delta's size.
   size_t AdvanceEpoch();
+  /// Moves delta_end to size: the rows appended since the last
+  /// AdvanceEpoch join the current delta instead of the next one.
+  /// Returns how many joined.
+  size_t ExtendDelta();
   /// Makes every current row "old" and empties the delta (used when a
   /// stratum is saturated before the next stratum starts).
   void SealEpoch();

@@ -84,6 +84,27 @@ TEST(Lint, GD002UnsafeNegatedGoalVariable) {
   EXPECT_NE(d.message.find("Z"), std::string::npos);
 }
 
+TEST(Lint, GD002NotFiredForAnonymousVariableInNegatedGoal) {
+  // not e(_, X): no edge enters X from anywhere. The anonymous variable
+  // needs no positive binding (tests/fixtures/neg_anon.dl).
+  const LintResult r =
+      Lint("p(X) <- src(X), not e(_, X).\ne(1, 2).\nsrc(1).\n");
+  EXPECT_FALSE(HasCode(r, diag::kUnsafeBodyVar))
+      << RenderDiagnostics(r.diagnostics, "");
+}
+
+TEST(Lint, GD002StillFiredForNamedVariableBesideAnonymous) {
+  // Z appears only in the negated goal; the anonymous one beside it is
+  // not reported, and the parser's name for it never leaks.
+  const LintResult r =
+      Lint("p(X) <- src(X), not e(_, X, Z).\ne(1, 2, 3).\nsrc(1).\n");
+  const Diagnostic& d = FindCode(r, diag::kUnsafeBodyVar);
+  EXPECT_NE(d.message.find("variable Z"), std::string::npos) << d.message;
+  for (const Diagnostic& other : r.diagnostics) {
+    EXPECT_EQ(other.message.find("_G"), std::string::npos) << other.message;
+  }
+}
+
 TEST(Lint, GD002NotFiredWhenNotExistsBindsLocally) {
   // Z is bound inside the NotExists conjunction by its own positive atom.
   const LintResult r = Lint(R"(

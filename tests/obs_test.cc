@@ -149,6 +149,33 @@ TEST(Histogram, ObserveClampsNegativesAndHugeDoubles) {
   EXPECT_GE(h.max(), 1ull << 62);
 }
 
+TEST(Histogram, StagedBatchEqualsRecordingEachValue) {
+  // A stage flushed twice, with a value too large for the exact buckets
+  // in between, against the same observations recorded one by one.
+  const uint64_t values[] = {3, 0, 31, 3, 32, 7, 1000, 3, 5};
+  Histogram direct, staged;
+  HistogramStage stage(&staged);
+  for (size_t i = 0; i < std::size(values); ++i) {
+    direct.Record(values[i]);
+    stage.Record(values[i]);
+    if (i == 3) stage.Flush();
+  }
+  EXPECT_EQ(staged.count(), 6u);  // 32 and 1000 recorded at once
+  stage.Flush();
+  stage.Flush();  // an empty flush adds nothing
+  EXPECT_EQ(staged.count(), direct.count());
+  EXPECT_EQ(staged.sum(), direct.sum());
+  EXPECT_EQ(staged.min(), direct.min());
+  EXPECT_EQ(staged.max(), direct.max());
+  const auto a = direct.NonZeroBuckets();
+  const auto b = staged.NonZeroBuckets();
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].upper, b[i].upper);
+    EXPECT_EQ(a[i].count, b[i].count);
+  }
+}
+
 TEST(Metrics, HandlesAreStableAndKeyedByLabels) {
   MetricsRegistry reg;
   Counter* a = reg.GetCounter("rule.firings", {{"rule", "p/1"}});

@@ -17,10 +17,12 @@
 # fixed program; the table carries no timings.
 #
 # Finally runs `gdlog_shell --choices --seed K` over the shipped programs
-# at seeds 0 and 2 and diffs the model plus its choice-audit trail
-# against tests/goldens/<name>.seed<K>.choices. This pins which stable
-# model each seed picks: any drift in candidate order, tie-breaking, or
-# audit counts shows up here even when the model set is unchanged.
+# and tests/fixtures/stage_flat_cycle.dl (a stage clique with a flat
+# cycle beside a relation only its next rule reads) at seeds 0 and 2
+# and diffs the model plus its choice-audit trail against
+# tests/goldens/<name>.seed<K>.choices. This pins which stable model each
+# seed picks: any drift in candidate order, tie-breaking, or audit
+# counts shows up here even when the model set is unchanged.
 #
 # The seed-0 run is repeated with a durable database (--db-dir, a fresh
 # temporary directory per program) and diffed against the same golden:
@@ -83,7 +85,8 @@ for f in programs/*.dl tests/fixtures/nested_not.dl \
 done
 
 # Chosen-model goldens: the model and choice audit per seed.
-for f in programs/*.dl; do
+CHOICE_PROGRAMS="programs/*.dl tests/fixtures/stage_flat_cycle.dl"
+for f in $CHOICE_PROGRAMS; do
   name=$(basename "$f" .dl)
   for seed in 0 2; do
     golden="tests/goldens/$name.seed$seed.choices"
@@ -104,7 +107,7 @@ done
 # The same chosen models with a durable database. Checked only; the
 # in-memory run above is what --update blesses.
 if [ "$MODE" != "--update" ]; then
-  for f in programs/*.dl; do
+  for f in $CHOICE_PROGRAMS; do
     name=$(basename "$f" .dl)
     golden="tests/goldens/$name.seed0.choices"
     db=$(mktemp -d)
