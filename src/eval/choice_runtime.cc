@@ -39,42 +39,62 @@ int ChoiceRuntime::Register(const CompiledRule& rule) {
   RuleMemo& memo = memos_[rule.gamma_index];
   memo.goals.clear();
   for (const ChoiceSpec& spec : rule.choices) {
-    memo.goals.emplace_back(TermComponentCount(rule.pool, spec.left_term),
-                            TermComponentCount(rule.pool, spec.right_term));
+    memo.goals.emplace_back(static_cast<uint32_t>(spec.left_ops.size()),
+                            static_cast<uint32_t>(spec.right_ops.size()));
+    left_.resize(std::max(left_.size(), spec.left_ops.size()));
+    right_.resize(std::max(right_.size(), spec.right_ops.size()));
   }
   memo.chosen_width = static_cast<uint32_t>(rule.chosen_slots.size());
   Recharge();
   return rule.gamma_index;
 }
 
-bool ChoiceRuntime::EvalPair(const CompiledRule& rule, const ChoiceSpec& spec,
+namespace {
+
+/// Reads one side's components into `out`.
+bool ReadSide(const CompiledRule& rule, const std::vector<TermOp>& ops,
+              const BindingFrame& frame, ValueStore* store, Value* out) {
+  for (size_t i = 0; i < ops.size(); ++i) {
+    if (!ReadOp(rule.pool, ops[i], frame, store, &out[i])) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+bool ChoiceRuntime::ReadPair(const CompiledRule& rule, const ChoiceSpec& spec,
                              const BindingFrame& frame) {
-  left_.clear();
-  right_.clear();
-  return EvalTermComponents(rule.pool, spec.left_term, frame, store_,
-                            &left_) &&
-         EvalTermComponents(rule.pool, spec.right_term, frame, store_,
-                            &right_);
+  return ReadSide(rule, spec.left_ops, frame, store_, left_.data()) &&
+         ReadSide(rule, spec.right_ops, frame, store_, right_.data());
+}
+
+bool ChoiceRuntime::Satisfies(const CompiledRule& rule, const FlatTable& fd,
+                              size_t g, const BindingFrame& frame) {
+  const ChoiceSpec& spec = rule.choices[g];
+  if (!ReadPair(rule, spec, frame)) {
+    // A choice pair that fails to evaluate (an arithmetic term that
+    // overflowed, say) has no FD witness; treat the candidate as
+    // inadmissible rather than aborting — the queue marks it redundant
+    // and moves on.
+    return false;
+  }
+  const uint32_t id = fd.Find({left_.data(), spec.left_ops.size()});
+  if (id == FlatTable::kNotFound) return true;
+  const std::span<const Value> chosen = fd.Values(id);
+  return std::equal(chosen.begin(), chosen.end(), right_.begin());
 }
 
 bool ChoiceRuntime::Admissible(const CompiledRule& rule,
                                const BindingFrame& frame) {
-  RuleMemo& memo = memos_[rule.gamma_index];
-  for (size_t g = 0; g < rule.choices.size(); ++g) {
-    if (!EvalPair(rule, rule.choices[g], frame)) {
-      // A choice pair that fails to evaluate (unbound variable, or an
-      // arithmetic term that overflowed) has no FD witness; treat the
-      // candidate as inadmissible rather than aborting — the queue marks
-      // it redundant and moves on.
-      return false;
-    }
-    const FlatTable& fd = memo.goals[g];
-    const uint32_t id = fd.Find(left_);
-    if (id == FlatTable::kNotFound) continue;
-    const std::span<const Value> chosen = fd.Values(id);
-    if (!std::equal(chosen.begin(), chosen.end(), right_.begin(),
-                    right_.end())) {
-      return false;
+  const RuleMemo& memo = memos_[rule.gamma_index];
+  // A pure conjunction, so the order only sets its cost: the rule's own
+  // goals, which do the rejecting, before the two next synthesizes.
+  for (const bool from_next : {false, true}) {
+    for (size_t g = 0; g < rule.choices.size(); ++g) {
+      if (rule.choices[g].from_next == from_next &&
+          !Satisfies(rule, memo.goals[g], g, frame)) {
+        return false;
+      }
     }
   }
   return true;
@@ -85,14 +105,17 @@ void ChoiceRuntime::Commit(const CompiledRule& rule,
   RuleMemo& memo = memos_[rule.gamma_index];
   bool grew = false;
   for (size_t g = 0; g < rule.choices.size(); ++g) {
-    const bool ok = EvalPair(rule, rule.choices[g], frame);
+    const ChoiceSpec& spec = rule.choices[g];
+    const bool ok = ReadPair(rule, spec, frame);
     GDLOG_CHECK(ok);
     FlatTable& fd = memo.goals[g];
     const size_t before = fd.ApproxBytes();
     bool inserted = false;
-    const uint32_t id = fd.Insert(left_, &inserted);
+    const uint32_t id =
+        fd.Insert({left_.data(), spec.left_ops.size()}, &inserted);
     if (inserted) {
-      std::copy(right_.begin(), right_.end(), fd.Values(id).begin());
+      std::copy_n(right_.begin(), spec.right_ops.size(),
+                  fd.Values(id).begin());
     }
     grew |= fd.ApproxBytes() != before;
   }

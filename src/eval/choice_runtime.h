@@ -8,10 +8,13 @@
 // value (left→right only: the FD is checked from its left side). A
 // tuple-valued side — the W of next's synthesized choice(I, W) and
 // choice(W, I), or a compound key such as choice((X, C), Y) — is stored
-// as its evaluated components, so a check interns nothing. A candidate
-// firing is admissible iff for every goal the table either lacks L or
-// maps it to exactly R; firing commits all pairs and records the chosen$
-// tuple for the stable-model checker.
+// as its components, each read from the firing's slots by the read op
+// the compiler resolved (ChoiceSpec::left_ops/right_ops), so a check
+// interns nothing. A candidate firing is admissible iff for every goal
+// the table either lacks L or maps it to exactly R. The rule's own goals
+// are checked first: next's choice(I, W) never rejects (I is a fresh
+// stage) and choice(W, I) rarely does. Firing commits all pairs and
+// records the chosen$ tuple for the stable-model checker.
 #ifndef GDLOG_EVAL_CHOICE_RUNTIME_H_
 #define GDLOG_EVAL_CHOICE_RUNTIME_H_
 
@@ -64,15 +67,21 @@ class ChoiceRuntime {
     std::vector<Value> chosen;  // chosen$ tuples, chosen_width each
   };
 
-  /// Evaluates goal `spec`'s sides into left_ / right_.
-  bool EvalPair(const CompiledRule& rule, const ChoiceSpec& spec,
+  /// Reads goal `spec`'s side components into left_ / right_; false
+  /// when a general term fails to evaluate.
+  bool ReadPair(const CompiledRule& rule, const ChoiceSpec& spec,
                 const BindingFrame& frame);
+  /// True when goal `g`'s FD table lacks the firing's left side or maps
+  /// it to exactly its right side.
+  bool Satisfies(const CompiledRule& rule, const FlatTable& fd, size_t g,
+                 const BindingFrame& frame);
   size_t ApproxBytes() const;
   void Recharge();
 
   ValueStore* store_;
   std::vector<RuleMemo> memos_;  // by gamma_index
-  std::vector<Value> left_, right_;  // scratch components
+  // Scratch components, sized by Register for the widest side.
+  std::vector<Value> left_, right_;
   MemoryBudget* budget_ = nullptr;
   size_t charged_ = 0;
 };

@@ -576,11 +576,14 @@ Status FixpointDriver::StageLoop(CliqueCtx* ctx) {
   GDLOG_RETURN_IF_ERROR(Saturate(ctx));
   // Alternate γ and Q∞ until γ fires nothing.
   for (;;) {
-    if (ctx->has_next && ctx->stage_counter == 0) {
+    if (ctx->has_next && !ctx->stage_seeded) {
       // Initialize the stage counter past every stage value the exit
       // rules (or a non-next choice rule's firings) produced, e.g.
-      // prm(nil, a, 0, 0) puts 0 in play.
-      int64_t max_stage = -1;
+      // prm(nil, a, 0, 0) puts 0 in play. Until some stage value is in
+      // play, no next rule fires: a next rule's stage I needs a
+      // predecessor S = I - 1 in the stable model.
+      bool seen = false;
+      int64_t max_stage = 0;
       for (PredicateId id : ctx->relations) {
         const Relation& rel = catalog_->relation(id);
         const PredIndex p = graph.Lookup(rel.name(), rel.arity());
@@ -588,10 +591,15 @@ Status FixpointDriver::StageLoop(CliqueCtx* ctx) {
         if (pos < 0) continue;
         for (RowId row = 0; row < rel.size(); ++row) {
           const Value v = rel.Row(row)[pos];
-          if (v.is_int()) max_stage = std::max(max_stage, v.AsInt());
+          if (!v.is_int()) continue;
+          max_stage = seen ? std::max(max_stage, v.AsInt()) : v.AsInt();
+          seen = true;
         }
       }
-      ctx->stage_counter = max_stage + 1;
+      if (seen) {
+        ctx->stage_counter = max_stage + 1;
+        ctx->stage_seeded = true;
+      }
     }
     GDLOG_RETURN_IF_ERROR(GuardCheck(FaultInjector::kEvalGamma));
     if (!GammaPhase(ctx)) return Status::OK();
@@ -791,31 +799,37 @@ bool FixpointDriver::TryFireNext(CliqueCtx* ctx, GammaState* g,
   bool saw_solution = false;
   std::vector<Value>& head = head_buf_;
   head.resize(rule.head_arity);
-  exec_.Enumerate(rule, rule.post, CompiledScan::kNoOccurrence, &fire_frame_,
-                  [&](BindingFrame& f) {
-                    saw_solution = true;
-                    if (!choice_.Admissible(rule, f)) {
-                      ++inadmissible_staged_;
-                      if (audit != nullptr) ++audit->rejected_fd;
-                      return true;
-                    }
-                    ++admissible_staged_;
-                    // Build now, insert after: the post plan may hold
-                    // index iterators on the head relation. Build before
-                    // Commit — a solution whose head term fails to
-                    // evaluate derives nothing and must not burn the
-                    // choice.
-                    if (!exec_.BuildHead(rule, f, head.data())) {
-                      if (audit != nullptr) ++audit->rejected_post;
-                      return true;
-                    }
-                    choice_.Commit(rule, f);
-                    // The firing's post premises; the trail pops back to
-                    // empty as the enumeration unwinds, so copy here.
-                    if (prov_) post_prov_ = prov_trail_;
-                    fired = true;
-                    return false;  // one firing per γ
-                  });
+  auto fire = [&](BindingFrame& f) {
+    saw_solution = true;
+    if (!choice_.Admissible(rule, f)) {
+      ++inadmissible_staged_;
+      if (audit != nullptr) ++audit->rejected_fd;
+      return true;
+    }
+    ++admissible_staged_;
+    // Build now, insert after: the post plan may hold index iterators on
+    // the head relation. Build before Commit — a solution whose head
+    // term fails to evaluate derives nothing and must not burn the
+    // choice.
+    if (!exec_.BuildHead(rule, f, head.data())) {
+      if (audit != nullptr) ++audit->rejected_post;
+      return true;
+    }
+    choice_.Commit(rule, f);
+    // The firing's post premises; the trail pops back to empty as the
+    // enumeration unwinds, so copy here.
+    if (prov_) post_prov_ = prov_trail_;
+    fired = true;
+    return false;  // one firing per γ
+  };
+  if (rule.post.empty()) {
+    // The restored snapshot and the stage are the one solution.
+    ++exec_.stats().solutions;
+    fire(fire_frame_);
+  } else {
+    exec_.Enumerate(rule, rule.post, CompiledScan::kNoOccurrence,
+                    &fire_frame_, fire);
+  }
   if (fired) {
     RuleProfile& prof = profiles_[rule.rule_index];
     Relation& head_rel = catalog_->relation(rule.head_pred);
@@ -875,8 +889,8 @@ bool FixpointDriver::GammaPhase(CliqueCtx* ctx) {
       break;
     }
   }
-  // Next rules: exactly one firing.
-  if (!fired) {
+  // Next rules: exactly one firing, once a stage is in play.
+  if (!fired && ctx->stage_seeded) {
     for (GammaState* g : ctx->gammas) {
       if (!g->rule->is_next) continue;
       uint64_t pops = 0;

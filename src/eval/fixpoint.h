@@ -7,13 +7,17 @@
 //   Saturate (Q∞)  — seminaive rounds (sweeps) over the clique's flat
 //                    rules; new tuples also flow into the gamma rules'
 //                    candidate queues (the paper's insertion into D_r);
-//   GammaPhase (γ) — non-next choice rules drain every admissible
-//                    candidate (each drain step is a γ application whose
-//                    interleaving with Q∞ is immaterial because their
+//   GammaPhase (γ) — a non-next choice rule fires at most one
+//                    candidate per phase (its queue is popped until one
+//                    passes its extremum filter and choice FDs; the
+//                    interleaving with Q∞ is immaterial because
 //                    saturation adds only candidates, never invalidates
-//                    them); next rules fire exactly ONE candidate — the
-//                    best live queue entry passing its post conditions
-//                    and choice FDs — then the stage counter advances.
+//                    them); when none fires, a next rule fires exactly
+//                    ONE candidate — the best live queue entry passing
+//                    its post conditions and choice FDs — then the stage
+//                    counter advances. Next rules wait until some stage
+//                    value is in play, since a stage I needs its
+//                    predecessor I - 1.
 //
 // The loop ends when γ produces nothing. For stage-stratified programs
 // this computes a stable model (Theorem 1); each Pop/fire is O(log |Q|),
@@ -201,6 +205,9 @@ class FixpointDriver {
     // the stage loop fires without saturating in between.
     bool firing_feeds_saturate = false;
     int64_t stage_counter = 0;
+    // Some stage value is in play (a seed fact, or a non-next choice
+    // rule's firing); next rules fire only once it is.
+    bool stage_seeded = false;
     bool has_next = false;
   };
 

@@ -28,7 +28,8 @@ void CandidateQueue::set_memory_budget(MemoryBudget* budget) {
 }
 
 size_t CandidateQueue::ApproxBytes() const {
-  return heap_.capacity() * sizeof(HeapEntry) + class_index_.ApproxBytes() +
+  return (heap_.capacity() + run_.capacity()) * sizeof(HeapEntry) +
+         class_index_.ApproxBytes() +
          classes_.capacity() * sizeof(ClassState) +
          slab_.capacity() * sizeof(Value) +
          free_slots_.capacity() * sizeof(uint32_t) +
@@ -91,7 +92,7 @@ void CandidateQueue::Push(Value cost, std::span<const Value> key,
     premise_bytes_ += (p.capacity() - before) * sizeof(ProvPremise);
   }
   heap_.push_back(HeapEntry{cost, Tie(seq), cls, slot});
-  if (!linear_scan_) SiftUp(heap_.size() - 1);
+  if (!linear_scan_) ++pending_;  // placed at the next Pop
   stats_.max_queue = std::max(stats_.max_queue, live_count_);
   Recharge();
   if (tracer_ != nullptr) TraceOp(".push");
@@ -148,13 +149,23 @@ void CandidateQueue::RemoveTop() {
   if (!heap_.empty()) SiftDown(0);
 }
 
-void CandidateQueue::SkimDead() {
-  while (!heap_.empty() && !Live(heap_[0])) {
-    ++stats_.redundant;
-    if (tracer_ != nullptr) TraceOp(".lazy_delete");
-    free_slots_.push_back(heap_[0].slot);
-    RemoveTop();
+void CandidateQueue::PlacePending() {
+  const size_t sifted = heap_.size() - pending_;
+  pending_ = 0;
+  if (sifted == 0 && run_pos_ == run_.size() &&
+      heap_.size() >= kRunMin) {
+    // The run takes over the heap's storage (and the heap the drained
+    // run's), so no second |Q|-sized array is ever allocated.
+    std::sort(heap_.begin(), heap_.end(),
+              [this](const HeapEntry& a, const HeapEntry& b) {
+                return After(b, a);
+              });
+    run_.swap(heap_);
+    run_pos_ = 0;
+    heap_.clear();
+    return;
   }
+  for (size_t i = sifted; i < heap_.size(); ++i) SiftUp(i);
 }
 
 Candidate CandidateQueue::Take(const HeapEntry& e) {
@@ -175,19 +186,40 @@ Candidate CandidateQueue::Take(const HeapEntry& e) {
 
 std::optional<Candidate> CandidateQueue::Pop() {
   if (linear_scan_) return PopLinear();
-  SkimDead();
-  if (heap_.empty()) return std::nullopt;
-  const HeapEntry top = heap_[0];
-  RemoveTop();
-  if (!heap_.empty()) {
-    // The next pop reads the new top's class state and the caller then
-    // reads its snapshot: start both loads while this candidate is
+  if (pending_ > 0) PlacePending();
+  for (;;) {
+    const bool in_run = run_pos_ < run_.size();
+    if (!in_run && heap_.empty()) return std::nullopt;
+    // The earlier of the two sides; a dead entry is skimmed into R only
+    // when it orders before every live one, as in a heap alone.
+    const bool from_run =
+        in_run && (heap_.empty() || !After(run_[run_pos_], heap_[0]));
+    HeapEntry e;
+    if (from_run) {
+      e = run_[run_pos_++];
+    } else {
+      e = heap_[0];
+      RemoveTop();
+    }
+    if (!Live(e)) {
+      ++stats_.redundant;
+      if (tracer_ != nullptr) TraceOp(".lazy_delete");
+      free_slots_.push_back(e.slot);
+      continue;
+    }
+    // The next pop reads the next entry's class state and the caller
+    // then reads its snapshot: start both loads while this candidate is
     // being checked.
-    __builtin_prefetch(&classes_[heap_[0].cls]);
-    __builtin_prefetch(slab_.data() +
-                       static_cast<size_t>(heap_[0].slot) * snapshot_width_);
+    const HeapEntry* next = run_pos_ < run_.size() ? &run_[run_pos_]
+                            : !heap_.empty()      ? &heap_[0]
+                                                  : nullptr;
+    if (next != nullptr) {
+      __builtin_prefetch(&classes_[next->cls]);
+      __builtin_prefetch(slab_.data() +
+                         static_cast<size_t>(next->slot) * snapshot_width_);
+    }
+    return Take(e);
   }
-  return Take(top);
 }
 
 std::optional<Candidate> CandidateQueue::PopLinear() {
@@ -210,26 +242,40 @@ std::optional<Candidate> CandidateQueue::PopLinear() {
 }
 
 size_t CandidateQueue::CountLiveEqualCost(const Value& cost) const {
-  if (heap_.empty()) return 0;
+  const auto live_equal = [&](const HeapEntry& e) {
+    return Live(e) && CompareCost(e.cost, cost) == 0;
+  };
+  size_t n = 0;
+  const auto run_begin = run_.begin() + static_cast<ptrdiff_t>(run_pos_);
   if (linear_scan_ || order_ == Order::kFifo) {
-    // FIFO heaps order by seq, not cost, so there is nothing to prune;
-    // the linear ablation has no heap order at all.
-    size_t n = 0;
-    for (const HeapEntry& e : heap_) {
-      if (Live(e) && CompareCost(e.cost, cost) == 0) ++n;
-    }
-    return n;
+    // FIFO order is by seq, not cost, so there is nothing to prune; the
+    // linear ablation has no order at all.
+    n += std::count_if(heap_.begin(), heap_.end(), live_equal);
+    return n + std::count_if(run_begin, run_.end(), live_equal);
   }
-  // Min/max heap: walk from the root, pruning any subtree whose root is
+  // The run is in cost order: its equal-cost entries are one range.
+  const auto better = [&](const HeapEntry& e) {
+    const int c = CompareCost(e.cost, cost);
+    return order_ == Order::kMin ? c < 0 : c > 0;
+  };
+  for (auto it = std::partition_point(run_begin, run_.end(), better);
+       it != run_.end() && CompareCost(it->cost, cost) == 0; ++it) {
+    if (Live(*it)) ++n;
+  }
+  // Pending entries are not heap-ordered yet.
+  const size_t sifted = heap_.size() - pending_;
+  n += std::count_if(heap_.begin() + static_cast<ptrdiff_t>(sifted),
+                     heap_.end(), live_equal);
+  // The heap: walk from the root, pruning any subtree whose root is
   // already strictly worse than `cost` (its descendants are worse still).
   // Stale entries may be better than `cost`, so "better" roots are
   // traversed without being counted.
-  size_t n = 0;
+  if (sifted == 0) return n;
   std::vector<size_t> stack{0};
   while (!stack.empty()) {
     const size_t i = stack.back();
     stack.pop_back();
-    if (i >= heap_.size()) continue;
+    if (i >= sifted) continue;
     const int c = CompareCost(heap_[i].cost, cost);
     const bool worse = order_ == Order::kMin ? c > 0 : c < 0;
     if (worse) continue;

@@ -21,15 +21,28 @@
 // Layout: flat, and nothing is interned. A FlatTable keyed by the key's
 // components maps each congruence class to a dense id; per-class state
 // (authoritative seq and cost, queued and L flags; 16 bytes) sits in one
-// array. Q is a 4-ary heap of 24-byte POD entries {cost, tie, class,
-// slot} with lazy deletion: a superseded entry stays in the heap and is
-// skipped when it surfaces (its tie no longer matches its class's seq).
+// array. Q holds 24-byte POD entries {cost, tie, class, slot} in two
+// sorted structures: a 4-ary heap, and a run — an array sorted in pop
+// order and read through a cursor. Both use lazy deletion: a superseded
+// entry stays where it is and is skipped when it surfaces (its tie no
+// longer matches its class's seq). Push appends to the heap array
+// without sifting; the next Pop places the pending entries. A batch of
+// at least kRunMin pending entries, pushed onto an empty heap after the
+// last run drained, is sorted into the next run (matching, sort and
+// activity selection put every candidate in Q before the first
+// retrieval); any other batch is sifted into the heap. Pop takes the
+// earlier of the run's cursor and the heap's top, skimming a dead entry
+// only from the earlier side. Both sides order by cost, then Tie(seq), a
+// total order, so the pops and the skims are those of the heap alone.
 // Snapshots have a fixed width per queue and live in a slab whose slots
 // are recycled after pop.
 //
-// Complexity: insertion and pop are O(log |Q|) plus O(1) hash work —
-// the bound Section 6 assumes. Neither allocates except when the heap,
-// the slab, or the class table grows (amortized O(1)).
+// Complexity: insertion is O(1) plus O(1) hash work. Placing a batch of
+// k entries costs O(k log k) as a run or O(k log |Q|) as sifts, and a
+// pop costs O(log |Q|) from the heap or O(1) from the run — within the
+// bound Section 6 assumes. Nothing allocates except when the heap (or
+// the run, whose storage it trades with the heap), the slab, or the
+// class table grows (amortized O(1)).
 #ifndef GDLOG_EVAL_RQL_H_
 #define GDLOG_EVAL_RQL_H_
 
@@ -77,6 +90,9 @@ struct CandidateQueueStats {
 class CandidateQueue {
  public:
   enum class Order : uint8_t { kMin, kMax, kFifo };
+  /// The fewest pending entries Pop sorts into a run instead of sifting
+  /// them into the heap.
+  static constexpr size_t kRunMin = 256;
 
   /// `merge` selects congruence-merge insertion; `tie_seed` perturbs
   /// equal-cost (and FIFO) ordering to explore different stable models
@@ -121,8 +137,9 @@ class CandidateQueue {
   /// candidate-set size the choice audit reports.
   size_t LiveSize() const { return live_count_; }
   /// Live candidates whose cost compares equal to `cost` — the audit's
-  /// tie count. O(|heap|) worst case, but heap order prunes subtrees
-  /// that cannot hold equal-cost entries; called only in audit mode.
+  /// tie count. O(|Q|) worst case, but heap order prunes subtrees and
+  /// run order bounds the range that can hold equal-cost entries;
+  /// called only in audit mode.
   size_t CountLiveEqualCost(const Value& cost) const;
   const CandidateQueueStats& stats() const { return stats_; }
 
@@ -190,7 +207,9 @@ class CandidateQueue {
   void SiftDown(size_t i);
   /// Removes heap_[0], restoring heap order.
   void RemoveTop();
-  void SkimDead();
+  /// Sorts the pending entries into a new run when they qualify (see
+  /// the file comment), else sifts them into the heap.
+  void PlacePending();
   std::optional<Candidate> PopLinear();
   /// Hands out a popped entry: frees its slot and class queue position.
   Candidate Take(const HeapEntry& e);
@@ -208,7 +227,13 @@ class CandidateQueue {
   uint64_t next_seq_ = 0;
   size_t live_count_ = 0;  // authoritative (non-stale, non-fired) entries
 
-  std::vector<HeapEntry> heap_;  // kArity-ary heap, lazy deletion
+  // A kArity-ary heap over [0, size - pending_); the pending_ entries
+  // after it were pushed since the last pop and are not yet placed.
+  std::vector<HeapEntry> heap_;
+  size_t pending_ = 0;
+  // The run: entries in pop order; [run_pos_, size) are still in Q.
+  std::vector<HeapEntry> run_;
+  size_t run_pos_ = 0;
   FlatTable class_index_;        // congruence key -> class id
   std::vector<ClassState> classes_;  // by class id
   // Snapshot slab: slot s holds snapshot_width_ values at s * width.
@@ -227,9 +252,11 @@ class CandidateQueue {
 
   void TraceOp(const char* op) {
     if (tracer_ != nullptr && tracer_->Sample()) {
-      tracer_->Instant(trace_tag_ + op, "queue",
-                       {{"live", static_cast<int64_t>(live_count_)},
-                        {"heap", static_cast<int64_t>(heap_.size())}});
+      tracer_->Instant(
+          trace_tag_ + op, "queue",
+          {{"live", static_cast<int64_t>(live_count_)},
+           {"heap", static_cast<int64_t>(heap_.size())},
+           {"run", static_cast<int64_t>(run_.size() - run_pos_)}});
     }
   }
 };

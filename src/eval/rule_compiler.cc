@@ -316,6 +316,16 @@ class RuleCompiler {
     return op;
   }
 
+  /// The read ops of pool[t]'s components, as EvalTermComponents
+  /// flattens it.
+  std::vector<TermOp> ComponentOpsOf(uint32_t t) const {
+    const CTerm& ct = out_.pool[t];
+    if (ct.kind != CTerm::Kind::kConstruct) return {ReadOpOf(t)};
+    std::vector<TermOp> ops;
+    for (uint32_t arg : ct.args) ops.push_back(ReadOpOf(arg));
+    return ops;
+  }
+
   /// Resolves a scan's probe-key and column ops; `bound` holds the slots
   /// bound before the scan runs. A variable's first occurrence binds,
   /// later ones check; functor and arithmetic columns match through
@@ -951,6 +961,8 @@ class RuleCompiler {
       ChoiceSpec spec;
       spec.left_term = CompileTerm(left);
       spec.right_term = CompileTerm(right);
+      spec.left_ops = ComponentOpsOf(spec.left_term);
+      spec.right_ops = ComponentOpsOf(spec.right_term);
       spec.from_next = from_next;
       out_.choices.push_back(spec);
       CollectVariables(left, &chosen_vars);

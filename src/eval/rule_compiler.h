@@ -175,6 +175,11 @@ struct CompiledLiteral {
 struct ChoiceSpec {
   uint32_t left_term = 0;   // CTerm (tuples for compound keys)
   uint32_t right_term = 0;
+  // One read op per side component, flattened as EvalTermComponents
+  // flattens: a constructor's arguments are the components, any other
+  // term is one. Every slot they read is bound at the firing.
+  std::vector<TermOp> left_ops;
+  std::vector<TermOp> right_ops;
   // True for the two FD goals synthesized by next expansion,
   // choice(I, W) and choice(W, I). The latter is what bounds the number
   // of γ firings (each W value fires at most once — the termination

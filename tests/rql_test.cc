@@ -7,7 +7,10 @@
 #include <cstdlib>
 #include <map>
 #include <new>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/guardrails.h"
 #include "common/rng.h"
@@ -255,6 +258,33 @@ TEST_F(RqlTest, PushPopAllocateOnlyOnGrowth) {
   while (auto c = q.Pop()) q.MarkRedundant(*c);
   EXPECT_LT(g_allocations - before, 200u);
   EXPECT_EQ(q.stats().inserted, static_cast<uint64_t>(kN));
+
+  // Burst-then-drain cycles: each burst is sorted into a run, which
+  // takes over the heap's storage while the heap takes the drained
+  // run's. Once both have grown to the burst, only the class table
+  // grows (every burst brings fresh classes).
+  constexpr int64_t kBurst = 20000;
+  size_t cycles_before = 0;
+  for (int64_t cycle = 0; cycle < 6; ++cycle) {
+    if (cycle == 2) cycles_before = g_allocations;
+    for (int64_t i = 0; i < kBurst; ++i) {
+      const int64_t k = kN + cycle * kBurst + i;
+      const Value key[2] = {Value::Int(k % 1000), Value::Int(k / 1000)};
+      const Value snap[3] = {key[0], key[1], Value::Int(k)};
+      q.Push(Value::Int((k * 7919) % 5000), key, snap);
+    }
+    int64_t popped = 0;
+    while (auto c = q.Pop()) {
+      ++popped;
+      if (c->seq % 2 == 0) {
+        q.MarkFired(*c);
+      } else {
+        q.MarkRedundant(*c);
+      }
+    }
+    EXPECT_EQ(popped, kBurst);
+  }
+  EXPECT_LT(g_allocations - cycles_before, 12u);
 }
 
 // ---------------------------------------------------------------------------
@@ -394,6 +424,7 @@ void ExpectSameStats(const CandidateQueueStats& a, const CandidateQueueStats& b,
 
 TEST_F(RqlTest, RandomStreamsMatchNaiveModel) {
   using Order = CandidateQueue::Order;
+  constexpr int64_t kRunMin = CandidateQueue::kRunMin;
   // A few symbol costs exercise the ValueStore::Compare fallback.
   const Value syms[2] = {store_.MakeSymbol("p"), store_.MakeSymbol("q")};
   int config = 0;
@@ -410,63 +441,106 @@ TEST_F(RqlTest, RandomStreamsMatchNaiveModel) {
           CandidateQueue q(&store_, order, merge, tie_seed, linear);
           ModelQueue m(&store_, order, merge, tie_seed, linear);
           int64_t pushes = 0;
-          for (int step = 0; step < 3000; ++step) {
-            const std::string at = where + " step=" + std::to_string(step);
-            if (rng.NextBounded(5) < 3) {
-              const int64_t k = rng.NextInt(0, 11);
-              const int64_t c = rng.NextInt(0, 5);
-              const Value cost =
-                  rng.NextBounded(10) == 0 ? syms[c % 2] : Value::Int(c);
-              // Full mode keys a candidate by its whole snapshot (so
-              // exact duplicates recur); merge mode by a two-column
-              // class key, with a unique snapshot per push.
-              std::vector<Value> snap, key;
-              if (merge) {
-                key = {Value::Int(k % 4), Value::Int(k / 4)};
-                snap = {key[0], key[1], cost, Value::Int(pushes)};
-              } else {
-                snap = {Value::Int(k), cost};
-                key = snap;
-              }
-              ++pushes;
-              q.Push(cost, key, snap);
-              m.Push(cost, key, snap);
+          int steps = 0;
+          std::string at;
+          // Pushes a candidate whose key is drawn from [base, base + span)
+          // and returns its cost. Full mode keys a candidate by its whole
+          // snapshot (so exact duplicates recur); merge mode by a
+          // two-column class key, with a unique snapshot per push.
+          const auto push = [&](int64_t base, int64_t span) {
+            const int64_t k = base + rng.NextInt(0, span - 1);
+            const int64_t c = rng.NextInt(0, 5);
+            const Value cost =
+                rng.NextBounded(10) == 0 ? syms[c % 2] : Value::Int(c);
+            std::vector<Value> snap, key;
+            if (merge) {
+              key = {Value::Int(k % 4), Value::Int(k / 4)};
+              snap = {key[0], key[1], cost, Value::Int(pushes)};
             } else {
-              auto got = q.Pop();
-              auto want = m.Pop();
-              ASSERT_EQ(got.has_value(), want.has_value()) << at;
-              if (got) {
-                EXPECT_EQ(got->cost, want->cost) << at;
-                EXPECT_EQ(got->seq, want->seq) << at;
-                ASSERT_TRUE(std::equal(got->snapshot.begin(),
-                                       got->snapshot.end(),
-                                       want->snapshot.begin(),
-                                       want->snapshot.end()))
-                    << at;
-                EXPECT_EQ(q.CountLiveEqualCost(got->cost),
-                          m.CountLiveEqualCost(want->cost))
-                    << at;
-                if (rng.NextBounded(2) == 0) {
-                  q.MarkFired(*got);
-                  m.MarkFired(*want);
-                } else {
-                  q.MarkRedundant(*got);
-                  m.MarkRedundant(*want);
-                }
-              }
+              snap = {Value::Int(k), cost};
+              key = snap;
             }
-            ASSERT_EQ(q.LiveSize(), m.LiveSize()) << at;
-            ExpectSameStats(q.stats(), m.stats(), at);
-          }
-          // Drain: every stale entry is accounted for.
-          while (auto got = q.Pop()) {
+            ++pushes;
+            q.Push(cost, key, snap);
+            m.Push(cost, key, snap);
+            return cost;
+          };
+          // Pops both queues and marks the popped candidate fired or
+          // redundant; returns its cost, or nullopt once Q is drained.
+          const auto pop = [&]() -> std::optional<Value> {
+            auto got = q.Pop();
             auto want = m.Pop();
-            ASSERT_TRUE(want.has_value()) << where;
-            EXPECT_EQ(got->seq, want->seq) << where;
-            q.MarkRedundant(*got);
-            m.MarkRedundant(*want);
+            EXPECT_EQ(got.has_value(), want.has_value()) << at;
+            if (!got || !want) return std::nullopt;
+            EXPECT_EQ(got->cost, want->cost) << at;
+            EXPECT_EQ(got->seq, want->seq) << at;
+            EXPECT_TRUE(std::equal(got->snapshot.begin(), got->snapshot.end(),
+                                   want->snapshot.begin(),
+                                   want->snapshot.end()))
+                << at;
+            if (rng.NextBounded(2) == 0) {
+              q.MarkFired(*got);
+              m.MarkFired(*want);
+            } else {
+              q.MarkRedundant(*got);
+              m.MarkRedundant(*want);
+            }
+            return got->cost;
+          };
+          // One push or pop, then the same stats, live size and tie count
+          // as the model. Returns false when a pop found Q drained.
+          const auto step = [&](bool is_push, int64_t base, int64_t span) {
+            at = where + " step=" + std::to_string(steps++);
+            Value cost = Value::Int(0);
+            bool popped = false;
+            if (is_push) {
+              cost = push(base, span);
+            } else if (const auto c = pop()) {
+              cost = *c;
+              popped = true;
+            }
+            EXPECT_EQ(q.LiveSize(), m.LiveSize()) << at;
+            EXPECT_EQ(q.CountLiveEqualCost(cost), m.CountLiveEqualCost(cost))
+                << at;
+            ExpectSameStats(q.stats(), m.stats(), at);
+            return is_push || popped;
+          };
+          const auto drain = [&] {
+            while (step(false, 0, 0)) {
+            }
+          };
+          // A burst of n pushes with no pop between them, over a fresh
+          // key range twice as wide: most are placed, a few supersede.
+          int64_t base = 100;  // above the mixed phases' keys
+          const auto burst = [&](int64_t n) {
+            for (int64_t i = 0; i < n; ++i) step(true, base, 2 * n);
+            base += 2 * n;
+          };
+          // Mixed: a few pushes between pops, over 12 keys, so entries go
+          // stale and classes recur.
+          const auto mixed = [&] {
+            for (int i = 0; i < 600; ++i) step(rng.NextBounded(5) < 3, 0, 12);
+          };
+          mixed();
+          drain();
+          // A burst onto an empty queue becomes a run; half of it is
+          // consumed while pushes of its keys (superseding entries in the
+          // run) arrive in the heap.
+          const int64_t n = 2 * kRunMin + rng.NextInt(0, kRunMin / 2);
+          burst(n);
+          for (int64_t i = 0; i < n; ++i) {
+            step(rng.NextBounded(4) == 0, base - 2 * n, 2 * n);
           }
-          EXPECT_FALSE(m.Pop().has_value()) << where;
+          // A second burst while the run is half consumed goes to the
+          // heap. A third, after everything drained, is a new run, left a
+          // third consumed when the mixed phase resumes.
+          burst(n);
+          drain();
+          burst(n);
+          for (int64_t i = 0; i < n / 3; ++i) step(false, 0, 0);
+          mixed();
+          // Drain: every stale entry is accounted for.
+          drain();
           EXPECT_EQ(q.LiveSize(), 0u) << where;
           ExpectSameStats(q.stats(), m.stats(), where + " drained");
         }

@@ -8,6 +8,8 @@
 //   * Sort and Example 7 matching have no flat rule a firing could feed,
 //     so the loop fires without saturating: one round in all, for the
 //     seed fact.
+//   * A next rule fires only once some stage value is in play: its stage
+//     I needs a predecessor I - 1.
 //   * round, stage, gamma-fire and choice-reject events are kept one by
 //     one for the first 256 of each kind in a run, then one in 64.
 //   * choice.pops_per_fire, choice.admissible/inadmissible and goal.fanout
@@ -113,6 +115,32 @@ TEST(StageLoop, MatchingRunsOneRound) {
   const FixpointStats& s = *result->engine->stats();
   EXPECT_GT(s.gamma_firings, 50u);
   EXPECT_EQ(s.saturation_rounds, 1u);
+}
+
+TEST(StageLoop, NextRuleWaitsForAStageValue) {
+  // No fact or rule puts a stage value in sp, so the rewriting's
+  // sp(_, _, S), I = S + 1 never holds: the only stable model leaves sp
+  // empty, and the next rule must not fire.
+  constexpr char kUnseeded[] = R"(
+    sp(X, C, I) <- next(I), p(X, C), least(C, I).
+    p(a, 5). p(b, 2). p(c, 9).
+  )";
+  Engine unseeded;
+  ASSERT_TRUE(unseeded.LoadProgram(kUnseeded).ok());
+  ASSERT_TRUE(unseeded.Run().ok());
+  EXPECT_TRUE(unseeded.Query("sp", 3).empty());
+  EXPECT_EQ(unseeded.stats()->gamma_firings, 0u);
+  auto check = unseeded.VerifyStableModel();
+  ASSERT_TRUE(check.ok()) << check.status().ToString();
+  EXPECT_TRUE(check->stable) << check->diagnostic;
+
+  // A seed fact puts stage 0 in play, and all three fire after it.
+  Engine seeded;
+  ASSERT_TRUE(seeded.LoadProgram(std::string(kUnseeded) + "sp(nil, 0, 0).")
+                  .ok());
+  ASSERT_TRUE(seeded.Run().ok());
+  EXPECT_EQ(seeded.Query("sp", 3).size(), 4u);
+  EXPECT_EQ(seeded.stats()->gamma_firings, 3u);
 }
 
 TEST(StageLoop, LongRunKeepsThinnedEventsAndExactTermination) {

@@ -17,12 +17,22 @@
 # fixed program; the table carries no timings.
 #
 # Finally runs `gdlog_shell --choices --seed K` over the shipped programs
-# and tests/fixtures/stage_flat_cycle.dl (a stage clique with a flat
-# cycle beside a relation only its next rule reads) at seeds 0 and 2
-# and diffs the model plus its choice-audit trail against
-# tests/goldens/<name>.seed<K>.choices. This pins which stable model each
-# seed picks: any drift in candidate order, tie-breaking, or audit
-# counts shows up here even when the model set is unchanged.
+# and three fixtures at seeds 0 and 2 and diffs the model plus its
+# choice-audit trail against tests/goldens/<name>.seed<K>.choices. The
+# fixtures are tests/fixtures/stage_flat_cycle.dl (a stage clique with a
+# flat cycle beside a relation only its next rule reads), match_bulk.dl
+# (a 300-arc matching whose candidates all reach Q before the first
+# retrieval, so the queue pops them from one sorted run) and
+# choice_sides.dl (one choice goal per side shape). This pins which
+# stable model each seed picks: any drift in candidate order,
+# tie-breaking, or audit counts shows up here even when the model set is
+# unchanged.
+#
+# Each of those runs is repeated with --linear-least and with
+# --provenance and diffed against the same golden. The linear ablation
+# finds each retrieval by a scan, sharing neither the heap nor the run,
+# so it is an oracle for pop order; provenance must not change what is
+# chosen. (--no-merge changes the audit's counts, so it is not checked.)
 #
 # The seed-0 run is repeated with a durable database (--db-dir, a fresh
 # temporary directory per program) and diffed against the same golden:
@@ -85,7 +95,8 @@ for f in programs/*.dl tests/fixtures/nested_not.dl \
 done
 
 # Chosen-model goldens: the model and choice audit per seed.
-CHOICE_PROGRAMS="programs/*.dl tests/fixtures/stage_flat_cycle.dl"
+CHOICE_PROGRAMS="programs/*.dl tests/fixtures/stage_flat_cycle.dl
+  tests/fixtures/match_bulk.dl tests/fixtures/choice_sides.dl"
 for f in $CHOICE_PROGRAMS; do
   name=$(basename "$f" .dl)
   for seed in 0 2; do
@@ -104,9 +115,24 @@ for f in $CHOICE_PROGRAMS; do
   done
 done
 
-# The same chosen models with a durable database. Checked only; the
-# in-memory run above is what --update blesses.
+# The same chosen models by the linear ablation and with provenance, and
+# with a durable database. Checked only; the default in-memory run above
+# is what --update blesses.
 if [ "$MODE" != "--update" ]; then
+  for f in $CHOICE_PROGRAMS; do
+    name=$(basename "$f" .dl)
+    for seed in 0 2; do
+      golden="tests/goldens/$name.seed$seed.choices"
+      for flag in --linear-least --provenance; do
+        out=$("$SHELL_BIN" "$f" --choices --seed "$seed" "$flag" \
+          2>/dev/null) || true
+        if ! printf '%s\n' "$out" | diff -u "$golden" -; then
+          echo "GOLDEN DRIFT: $f --seed $seed $flag vs $golden"
+          fail=1
+        fi
+      done
+    done
+  done
   for f in $CHOICE_PROGRAMS; do
     name=$(basename "$f" .dl)
     golden="tests/goldens/$name.seed0.choices"
