@@ -153,12 +153,31 @@ Status OomStatus() {
                              "] allocation failed");
 }
 
-// Inserts an EDB row, annotated as asserted when provenance is on.
-void InsertEdbRow(Relation& rel, TupleView tuple) {
-  const auto res = rel.Insert(tuple);
-  if (res.inserted && rel.provenance_enabled()) {
-    rel.Annotate(res.row, Relation::kEdbRule, nullptr, 0);
+// Appends `n` EDB rows of rel.arity() values, stored back to back in
+// `rows` (which must not point into `rel`), and annotates the new ones
+// as asserted when provenance is on. A batch reserves first, so only the
+// reserve can grow (and trip the "alloc" probe) before any row is in; a
+// single row does not reserve, so per-row loads grow geometrically
+// instead of to an exact fit.
+void AppendEdbRows(Relation& rel, const Value* rows, size_t n) {
+  if (n > 1) rel.Reserve(n);
+  const size_t first = rel.size();
+  auto annotate = [&rel, first] {
+    if (!rel.provenance_enabled()) return;
+    for (size_t r = first; r < rel.size(); ++r) {
+      rel.Annotate(static_cast<RowId>(r), Relation::kEdbRule, nullptr, 0);
+    }
+  };
+  uint64_t inserted = 0;
+  try {
+    rel.InsertBatch(rows, n, &inserted);
+  } catch (const std::bad_alloc&) {
+    // A budget fault is raised after the row that grew a capacity is
+    // stored. Annotate it too: a retry skips it as present.
+    annotate();
+    throw;
   }
+  annotate();
 }
 
 }  // namespace
@@ -170,7 +189,7 @@ void Engine::OpenDurability() {
     durability_status_ = policy.status();
     return;
   }
-  durable_ = std::make_unique<DurableStore>();
+  auto durable = std::make_unique<DurableStore>();
   DurableStore::Options dopts;
   dopts.dir = options_.durability.dir;
   dopts.fsync = *policy;
@@ -178,30 +197,30 @@ void Engine::OpenDurability() {
   dopts.checkpoint_every = options_.durability.checkpoint_every;
   dopts.injector = injector_.get();
   dopts.budget = &budget_;
-  const Status st = durable_->Open(dopts, store_.get());
+  const Status st = durable->Open(dopts, store_.get());
   if (!st.ok()) {
     durability_status_ = st;
     if (recorder_) {
       recorder_->Record(FlightEventKind::kDurabilityError,
                         DiagCodeNumber(st));
     }
-    durable_.reset();
     return;
   }
   // Replay the recovered EDB into the catalog so the engine starts with
-  // exactly the facts that were durable at the last crash/close.
+  // exactly the facts that were durable at the last crash/close. The
+  // rows take the one EDB load path; the store is attached only after
+  // the replay, so that path inserts them without logging them again.
   try {
-    for (const DurableStore::EdbRelation& r : durable_->relations()) {
-      const PredicateId id = catalog_->Ensure(r.name, r.arity);
-      Relation& rel = catalog_->relation(id);
-      for (size_t row = 0; row < r.num_rows; ++row) {
-        InsertEdbRow(rel, TupleView(r.rows.data() + row * r.arity, r.arity));
-      }
+    for (const DurableStore::EdbRelation& r : durable->relations()) {
+      Relation& rel = catalog_->relation(catalog_->Ensure(r.name, r.arity));
+      GDLOG_CHECK(InsertEdbRows(r.name, rel, r.rows.data(), r.num_rows).ok());
     }
   } catch (const std::bad_alloc&) {
+    durable_ = std::move(durable);
     durability_status_ = OomStatus();
     return;
   }
+  durable_ = std::move(durable);
   const DurableStore::RecoveryInfo& rec = durable_->recovery();
   if (recorder_ && rec.opened_existing) {
     recorder_->Record(FlightEventKind::kRecovery,
@@ -293,16 +312,16 @@ Status Engine::LoadProgramAst(Program program) {
       }
       return DiagnosticToStatus(d);
     }
-    // The facts count as parsing: they are the part of the program text
-    // that is data. A failed insert leaves no program loaded, so the
-    // load can be retried; rows already in are skipped then.
+    // The facts load as data, timed as the load phase. A failed insert
+    // leaves no program loaded, so the load can be retried; rows
+    // already in are skipped then.
     if (!program.facts.empty()) {
       const uint64_t t1 = WallNowNs();
       const Status st = [&] {
         TraceSpan span(tracer_.get(), "load_facts", "engine");
         return LoadFacts(program);
       }();
-      phase_times_.parse_ns += WallNowNs() - t1;
+      phase_times_.load_ns += WallNowNs() - t1;
       if (durable_) PublishDurabilityMetrics();
       GDLOG_RETURN_IF_ERROR(st);
     }
@@ -317,14 +336,21 @@ Status Engine::LoadProgramAst(Program program) {
 Status Engine::LoadFacts(const Program& program) {
   for (const FactBatch& b : program.facts) {
     Relation& rel = catalog_->relation(catalog_->Ensure(b.predicate, b.arity));
-    for (size_t i = 0; i < b.count; ++i) {
-      const TupleView tuple(b.rows.data() + i * b.arity, b.arity);
-      if (durable_) {
-        GDLOG_RETURN_IF_ERROR(LogAndInsert(b.predicate, rel, tuple));
-      } else {
-        InsertEdbRow(rel, tuple);
-      }
-    }
+    GDLOG_RETURN_IF_ERROR(
+        InsertEdbRows(b.predicate, rel, b.rows.data(), b.count));
+  }
+  return Status::OK();
+}
+
+Status Engine::InsertEdbRows(std::string_view predicate, Relation& rel,
+                             const Value* rows, size_t n) {
+  if (!durable_) {
+    AppendEdbRows(rel, rows, n);
+    return Status::OK();
+  }
+  for (size_t i = 0; i < n; ++i) {
+    GDLOG_RETURN_IF_ERROR(LogAndInsert(
+        predicate, rel, TupleView(rows + i * rel.arity(), rel.arity())));
   }
   return Status::OK();
 }
@@ -338,22 +364,58 @@ void Engine::RecordDeferredDurabilityError() {
 }
 
 Status Engine::AddFact(std::string_view predicate, std::vector<Value> args) {
+  return AddFactRow(predicate, args);
+}
+
+Status Engine::AddFact(std::string_view predicate,
+                       std::initializer_list<Value> args) {
+  return AddFactRow(predicate, TupleView(args.begin(), args.size()));
+}
+
+Status Engine::AddFactRow(std::string_view predicate, TupleView row) {
   if (ran_) return Status::InvalidArgument("cannot add facts after Run");
   GDLOG_RETURN_IF_ERROR(durability_status_);
   try {
-    const PredicateId id =
-        catalog_->Ensure(predicate, static_cast<uint32_t>(args.size()));
-    Relation& rel = catalog_->relation(id);
-    if (!durable_) {
-      InsertEdbRow(rel, TupleView(args));
-      return Status::OK();
-    }
-    GDLOG_RETURN_IF_ERROR(LogAndInsert(predicate, rel, TupleView(args)));
+    Relation& rel = catalog_->relation(
+        catalog_->Ensure(predicate, static_cast<uint32_t>(row.size())));
+    GDLOG_RETURN_IF_ERROR(InsertEdbRows(predicate, rel, row.data(), 1));
   } catch (const std::bad_alloc&) {
     return OomStatus();
   }
   PublishDurabilityMetrics();
   return Status::OK();
+}
+
+Status Engine::AddFacts(std::string_view predicate, uint32_t arity,
+                        std::span<const Value> rows) {
+  if (ran_) return Status::InvalidArgument("cannot add facts after Run");
+  GDLOG_RETURN_IF_ERROR(durability_status_);
+  if (arity == 0 || rows.size() % arity != 0) {
+    return Status::InvalidArgument(
+        "AddFacts: " + std::to_string(rows.size()) +
+        " values are not a whole number of rows of arity " +
+        std::to_string(arity));
+  }
+  if (rows.empty()) return Status::OK();
+  const uint64_t t0 = WallNowNs();
+  Status st;
+  try {
+    TraceSpan span(tracer_.get(), "load_facts", "engine");
+    Relation& rel = catalog_->relation(catalog_->Ensure(predicate, arity));
+    // Rows taken from this very relation (Find exposes them) would move
+    // under the reserve; they are all present anyway, but copy them.
+    std::vector<Value> own;
+    if (rel.Holds(rows.data())) {
+      own.assign(rows.begin(), rows.end());
+      rows = own;
+    }
+    st = InsertEdbRows(predicate, rel, rows.data(), rows.size() / arity);
+  } catch (const std::bad_alloc&) {
+    st = OomStatus();
+  }
+  phase_times_.load_ns += WallNowNs() - t0;
+  if (st.ok()) PublishDurabilityMetrics();
+  return st;
 }
 
 Status Engine::LogAndInsert(std::string_view predicate, Relation& rel,
@@ -379,7 +441,7 @@ Status Engine::LogAndInsert(std::string_view predicate, Relation& rel,
       }
       return st;
     }
-    InsertEdbRow(rel, tuple);
+    AppendEdbRows(rel, tuple.data(), 1);
   } catch (const std::bad_alloc&) {
     // Between the WAL append and the relation insert there is no safe
     // failure point: the fact may be durable yet absent from the
@@ -757,6 +819,7 @@ Result<std::string> Engine::RunReport() const {
 
   w.Key("phases").BeginObject();
   w.Key("parse_ms").Double(NsToMs(phase_times_.parse_ns));
+  w.Key("load_ms").Double(NsToMs(phase_times_.load_ns));
   w.Key("analyze_ms").Double(NsToMs(phase_times_.analyze_ns));
   w.Key("absint_ms").Double(NsToMs(phase_times_.absint_ns));
   w.Key("compile_ms").Double(NsToMs(phase_times_.compile_ns));

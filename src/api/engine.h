@@ -9,7 +9,8 @@
 //                        least(C, I), choice(Y, X).
 //     new_g(X, Y, C, J) <- prm(_, X, _, J), g(X, Y, C).
 //   )");
-//   engine.AddFact("g", {...});         // EDB tuples
+//   engine.AddFact("g", {...});         // one EDB tuple
+//   engine.AddFacts("g", 3, rows);      // or many, back to back
 //   st = engine.Run();                  // choice fixpoint
 //   auto mst = engine.Query("prm", 4);  // one stable model's prm facts
 //
@@ -21,7 +22,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -104,11 +107,13 @@ struct EngineOptions {
   bool provenance = false;
 };
 
-/// Wall time of the coarse engine phases, nanoseconds. Parse/analyze/
-/// compile/eval are always collected (four clock pairs per run); the
-/// saturate/gamma split inside eval requires obs.enabled.
+/// Wall time of the coarse engine phases, nanoseconds. Parse/load/
+/// analyze/compile/eval are always collected (one clock pair per phase
+/// and per AddFacts call; AddFact reads no clock); the saturate/gamma
+/// split inside eval requires obs.enabled.
 struct EnginePhaseTimes {
-  uint64_t parse_ns = 0;  // includes inserting the program's inline facts
+  uint64_t parse_ns = 0;
+  uint64_t load_ns = 0;  // inserting the inline facts and AddFacts rows
   uint64_t analyze_ns = 0;
   uint64_t absint_ns = 0;
   uint64_t compile_ns = 0;
@@ -160,11 +165,12 @@ class Engine {
   /// rejected cliques (recursion through negation that is not
   /// stage-stratified). The ground facts never become rules: the parser
   /// turns them into relation rows (program()->facts), and they enter
-  /// the catalog here, at load, through AddFact's insert path — ahead of
-  /// any later AddFact rows, WAL-logged when durability is on, and
-  /// retractable before Run like any other EDB tuple. Reloading a
-  /// program against a recovered database logs nothing new: every fact
-  /// is already there. The insert is timed as part of the parse phase.
+  /// the catalog here, at load, one batch per predicate through the EDB
+  /// load path AddFacts takes — ahead of any later AddFact rows,
+  /// WAL-logged when durability is on, and retractable before Run like
+  /// any other EDB tuple. Reloading a program against a recovered
+  /// database logs nothing new: every fact is already there. The insert
+  /// is timed as the load phase (phase_times().load_ns).
   Status LoadProgram(std::string_view text);
   /// Same, from an already-built AST. Ground facts left among its rules
   /// (a programmatically built program has them there) move to its
@@ -173,8 +179,25 @@ class Engine {
 
   /// Adds an EDB tuple before Run. With durability on, the fact is
   /// WAL-logged before it is applied (write-ahead); a logging failure
-  /// leaves the in-memory state unchanged.
+  /// leaves the in-memory state unchanged. AddFacts' one-row case; a
+  /// braced row (`AddFact("g", {u, v, w})`) takes the initializer_list
+  /// overload and allocates nothing unless the relation grows.
   Status AddFact(std::string_view predicate, std::vector<Value> args);
+  Status AddFact(std::string_view predicate,
+                 std::initializer_list<Value> args);
+
+  /// Adds rows.size() / arity EDB tuples of predicate/arity before Run,
+  /// stored back to back in `rows`, in order — the same rows, order and
+  /// dedup as one AddFact per row, in one batch: the relation reserves
+  /// room for all of them once. With durability on, each row is
+  /// WAL-logged before it is applied, as AddFact does. A failure in
+  /// mid-batch (an allocation failure, a WAL error) leaves a prefix of
+  /// the rows in; retrying the call skips that prefix. `rows` may come
+  /// from this engine's own relations (Find). Fails with
+  /// InvalidArgument when `arity` is 0 or does not divide rows.size(),
+  /// and after Run. Timed into phase_times().load_ns.
+  Status AddFacts(std::string_view predicate, uint32_t arity,
+                  std::span<const Value> rows);
 
   /// Removes an EDB tuple before Run (NotFound when absent): one added
   /// by AddFact, or one of the program's inline facts, which are in the
@@ -395,12 +418,23 @@ class Engine {
   /// Runs the abstract interpreter on the loaded program against the
   /// current catalog contents.
   absint::AnalysisResult ComputeAbsint() const;
-  /// AddFact's durable insert path for one row of `rel`: skips a row
-  /// already present, else logs it and then inserts it.
+  /// The one way EDB rows enter storage (AddFact, AddFacts, the inline
+  /// facts, WAL replay): inserts `n` rows of rel.arity() values, back to
+  /// back in `rows` (not pointing into `rel`), in order. In memory, the
+  /// relation reserves room for a batch of n > 1 once, then inserts it
+  /// with InsertBatch; with provenance on, new rows are annotated as
+  /// asserted. With the durable store attached, each row goes through
+  /// LogAndInsert. A failure in mid-batch leaves a prefix of the rows.
+  Status InsertEdbRows(std::string_view predicate, Relation& rel,
+                       const Value* rows, size_t n);
+  /// The durable insert of one row of `rel`: skips a row already
+  /// present, else logs it and then inserts it.
   Status LogAndInsert(std::string_view predicate, Relation& rel,
                       TupleView tuple);
-  /// Inserts every row of the program's fact batches through AddFact's
-  /// insert path, one Catalog::Ensure per predicate.
+  /// AddFact for one row held anywhere but in the engine's relations.
+  Status AddFactRow(std::string_view predicate, TupleView row);
+  /// Inserts every row of the program's fact batches, one
+  /// InsertEdbRows call per predicate.
   Status LoadFacts(const Program& program);
 
   EngineOptions options_;

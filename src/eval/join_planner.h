@@ -12,8 +12,10 @@
 // relation contents at compile time (the engine loads EDB facts before
 // compiling, so base relations carry real cardinalities; IDB relations
 // are still empty and get a neutral default that ranks them after
-// comparably-bound EDB scans). Estimates are computed once per predicate
-// and cached, so planning is deterministic for a given database.
+// comparably-bound EDB scans). |R| is taken on a predicate's first
+// estimate; a column's distinct values are counted only when a plan
+// first binds that column, over the first |R| rows. Both are cached, so
+// planning is deterministic for a given database.
 #ifndef GDLOG_EVAL_JOIN_PLANNER_H_
 #define GDLOG_EVAL_JOIN_PLANNER_H_
 
@@ -29,7 +31,9 @@ namespace gdlog {
 /// Cardinality statistics for one relation.
 struct RelationEstimate {
   double rows = 0;
-  std::vector<double> distinct;  // per column, each >= 1
+  // Per column, each >= 1; 0 in the planner's cache for a column no
+  // EstimateScanRows has bound yet (not counted).
+  std::vector<double> distinct;
   bool from_data = false;        // computed from actual rows (vs default)
   bool from_prior = false;       // seeded from a static-analysis bound
 };
@@ -52,7 +56,9 @@ class JoinPlanner {
  public:
   explicit JoinPlanner(const Catalog* catalog) : catalog_(catalog) {}
 
-  /// Statistics for `pred`, computed on first use and cached.
+  /// Statistics for `pred`, taken on first use and cached: the row
+  /// count at once, each column's distinct count when EstimateScanRows
+  /// first binds it (0 until then).
   const RelationEstimate& Estimate(PredicateId pred);
 
   /// Seeds the estimate cache for `pred` with a static-analysis row
@@ -64,15 +70,18 @@ class JoinPlanner {
   void SetPrior(PredicateId pred, uint64_t row_bound);
 
   /// Estimated matching rows for a scan of `pred` with `bound_cols`
-  /// bound to values.
+  /// bound to values. Counts the distinct values of each bound column
+  /// not counted before, and reads no other column.
   double EstimateScanRows(PredicateId pred,
                           const std::vector<uint32_t>& bound_cols);
 
-  /// Exact statistics from the relation's current contents. Distinct
-  /// counts scan every row; relations larger than `max_scan_rows` fall
-  /// back to sqrt(rows) per column to bound compile time.
+  /// Exact statistics from the relation's current contents, every
+  /// column counted. Distinct counts scan every row; relations larger
+  /// than `max_scan_rows` fall back to sqrt(rows) per column to bound
+  /// compile time.
+  static constexpr size_t kMaxScanRows = size_t{1} << 20;
   static RelationEstimate ScanRelation(const Relation& rel,
-                                       size_t max_scan_rows = 1u << 20);
+                                       size_t max_scan_rows = kMaxScanRows);
 
   /// The independence-model estimate over precomputed statistics.
   static double ScanRows(const RelationEstimate& est,
@@ -85,6 +94,16 @@ class JoinPlanner {
   static constexpr double kDefaultDistinct = 16.0;
 
  private:
+  /// The cached estimate of `pred`, made by RowsOf on first use.
+  RelationEstimate& Entry(PredicateId pred);
+  /// The row count and defaults of ScanRelation, with the distinct count
+  /// of each column to be counted left at 0.
+  static RelationEstimate RowsOf(const Relation& rel,
+                                 size_t max_scan_rows = kMaxScanRows);
+  /// Distinct values (at least 1) of column `col` over the first `rows`
+  /// rows.
+  static double CountDistinct(const Relation& rel, uint32_t col, size_t rows);
+
   const Catalog* catalog_;
   std::unordered_map<PredicateId, RelationEstimate> cache_;
 };

@@ -21,11 +21,11 @@ struct GraphLoadOptions {
   std::optional<uint32_t> exclude_target;
 };
 
-/// Loads g/3 edge facts.
+/// Loads g/3 edge facts, in edge order, with one AddFacts call.
 Status LoadGraphEdges(Engine* engine, const Graph& graph,
                       const GraphLoadOptions& options = {});
 
-/// Loads node/1 facts for every node id.
+/// Loads node/1 facts for every node id, with one AddFacts call.
 Status LoadGraphNodes(Engine* engine, const Graph& graph);
 
 }  // namespace gdlog

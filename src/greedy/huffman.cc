@@ -46,10 +46,12 @@ Result<DeclarativeHuffman> HuffmanTree(
     const EngineOptions& options) {
   auto engine = std::make_unique<Engine>(options);
   GDLOG_RETURN_IF_ERROR(engine->LoadProgram(kHuffmanProgram));
+  std::vector<Value> rows;
+  rows.reserve(2 * frequencies.size());
   for (const auto& [name, freq] : frequencies) {
-    GDLOG_RETURN_IF_ERROR(
-        engine->AddFact("letter", {engine->Sym(name), Value::Int(freq)}));
+    rows.insert(rows.end(), {engine->Sym(name), Value::Int(freq)});
   }
+  GDLOG_RETURN_IF_ERROR(engine->AddFacts("letter", 2, rows));
   GDLOG_RETURN_IF_ERROR(engine->Run());
 
   DeclarativeHuffman out;

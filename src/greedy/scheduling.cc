@@ -15,10 +15,12 @@ Result<DeclarativeSchedule> SelectActivities(
     const EngineOptions& options) {
   auto engine = std::make_unique<Engine>(options);
   GDLOG_RETURN_IF_ERROR(engine->LoadProgram(kSchedulingProgram));
+  std::vector<Value> rows;
+  rows.reserve(2 * jobs.size());
   for (const auto& [start, finish] : jobs) {
-    GDLOG_RETURN_IF_ERROR(
-        engine->AddFact("job", {Value::Int(start), Value::Int(finish)}));
+    rows.insert(rows.end(), {Value::Int(start), Value::Int(finish)});
   }
+  GDLOG_RETURN_IF_ERROR(engine->AddFacts("job", 2, rows));
   GDLOG_RETURN_IF_ERROR(engine->Run());
 
   DeclarativeSchedule out;

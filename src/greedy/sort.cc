@@ -14,10 +14,12 @@ Result<DeclarativeSortResult> SortRelation(
     const EngineOptions& options) {
   auto engine = std::make_unique<Engine>(options);
   GDLOG_RETURN_IF_ERROR(engine->LoadProgram(kSortProgram));
+  std::vector<Value> facts;
+  facts.reserve(2 * tuples.size());
   for (const auto& [id, cost] : tuples) {
-    GDLOG_RETURN_IF_ERROR(
-        engine->AddFact("p", {Value::Int(id), Value::Int(cost)}));
+    facts.insert(facts.end(), {Value::Int(id), Value::Int(cost)});
   }
+  GDLOG_RETURN_IF_ERROR(engine->AddFacts("p", 2, facts));
   GDLOG_RETURN_IF_ERROR(engine->Run());
 
   DeclarativeSortResult out;

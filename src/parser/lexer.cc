@@ -1,7 +1,5 @@
 #include "parser/lexer.h"
 
-#include <cctype>
-
 #include "analysis/diagnostics.h"
 #include "value/value.h"
 
@@ -55,35 +53,99 @@ std::string_view TokenKindName(TokenKind k) {
   return "?";
 }
 
-char Lexer::Advance() {
-  const char c = src_[pos_++];
-  if (c == '\n') {
-    ++line_;
-    column_ = 1;
-  } else {
-    ++column_;
-  }
-  return c;
+namespace {
+
+// ASCII character classes, the sets <cctype> has in the C locale. A
+// byte outside ASCII is in none of them.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+bool IsUpper(char c) { return c >= 'A' && c <= 'Z'; }
+bool IsLower(char c) { return c >= 'a' && c <= 'z'; }
+bool IsWordChar(char c) {
+  return IsLower(c) || IsUpper(c) || IsDigit(c) || c == '_';
 }
 
-Status Lexer::Error(const std::string& what) const {
-  return Status::ParseError(what + " at line " + std::to_string(line_) +
-                            ", column " + std::to_string(column_));
+// Significant digits of the largest literal magnitude: any longer run
+// of digits (after leading zeros) is out of range, and any run this long
+// fits in 64 bits.
+constexpr size_t kMaxIntDigits = 19;
+static_assert(static_cast<uint64_t>(Value::kMaxInt) <
+              10'000'000'000'000'000'000u);
+
+}  // namespace
+
+Status Lexer::Error(const std::string& what, int line, int column) const {
+  return Status::ParseError(what + " at line " + std::to_string(line) +
+                            ", column " + std::to_string(column));
+}
+
+bool Lexer::SkipBlankRun() {
+  const char* const s = src_.data();
+  const size_t n = src_.size();
+  size_t p = pos_;
+  for (;;) {
+    while (p < n && IsSpace(s[p])) {
+      if (s[p] == '\n') NewLine(p);
+      ++p;
+    }
+    if (p == n) break;
+    if (s[p] == '%' || (s[p] == '/' && p + 1 < n && s[p + 1] == '/')) {
+      // To the end of the line; the newline is whitespace.
+      while (p < n && s[p] != '\n') ++p;
+      continue;
+    }
+    if (s[p] == '/' && p + 1 < n && s[p + 1] == '*') {
+      const Mark open{p, line_, line_start_};
+      for (p += 2; p + 1 < n && !(s[p] == '*' && s[p + 1] == '/'); ++p) {
+        if (s[p] == '\n') NewLine(p);
+      }
+      if (p + 1 >= n) {
+        Restore(open);  // unterminated: stand at its "/*"
+        return false;
+      }
+      p += 2;
+      continue;
+    }
+    break;
+  }
+  pos_ = p;
+  return true;
+}
+
+bool Lexer::ScanDigits(int64_t* value) {
+  const char* const s = src_.data();
+  const size_t n = src_.size();
+  size_t p = pos_;
+  while (p < n && s[p] == '0') ++p;
+  const size_t first = p;
+  // Past kMaxIntDigits digits the sum may wrap, but then the length
+  // alone puts the literal out of range.
+  uint64_t v = 0;
+  for (; p < n && IsDigit(s[p]); ++p) v = v * 10 + (s[p] - '0');
+  pos_ = p;
+  if (p - first > kMaxIntDigits || v > static_cast<uint64_t>(Value::kMaxInt)) {
+    return false;
+  }
+  *value = static_cast<int64_t>(v);
+  return true;
 }
 
 Status Lexer::Next(Token* tok) {
-  GDLOG_RETURN_IF_ERROR(SkipWhitespaceAndComments());
   tok->text.clear();
   tok->int_value = 0;
+  const bool closed = SkipBlank();
   tok->line = line_;
-  tok->column = column_;
+  tok->column = Column();
+  if (!closed) {
+    return Error("unterminated block comment", tok->line, tok->column);
+  }
   if (AtEnd()) {
     tok->kind = TokenKind::kEof;
     return Status::OK();
   }
   const char c = Peek();
-  if (std::isdigit(static_cast<unsigned char>(c))) return LexInteger(tok);
-  if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+  if (IsDigit(c)) return LexInteger(tok);
+  if (IsLower(c) || IsUpper(c) || c == '_') {
     LexWord(tok);
     return Status::OK();
   }
@@ -91,69 +153,38 @@ Status Lexer::Next(Token* tok) {
   return LexPunct(tok);
 }
 
-Status Lexer::SkipWhitespaceAndComments() {
-  for (;;) {
-    while (!AtEnd() && std::isspace(static_cast<unsigned char>(Peek()))) {
-      Advance();
-    }
-    if (Peek() == '%' || (Peek() == '/' && Peek(1) == '/')) {
-      while (!AtEnd() && Peek() != '\n') Advance();
-      continue;
-    }
-    if (Peek() == '/' && Peek(1) == '*') {
-      Advance();
-      Advance();
-      while (!AtEnd() && !(Peek() == '*' && Peek(1) == '/')) Advance();
-      if (AtEnd()) return Error("unterminated block comment");
-      Advance();
-      Advance();
-      continue;
-    }
-    return Status::OK();
-  }
-}
-
 Status Lexer::LexInteger(Token* tok) {
   tok->kind = TokenKind::kInteger;
-  int64_t v = 0;
-  bool overflow = false;
-  while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) {
-    const int d = Advance() - '0';
-    if (v > (INT64_MAX - d) / 10) overflow = true;
-    if (!overflow) v = v * 10 + d;
-  }
   // Checked against Value's inline-int payload (61 bits), not int64:
   // a literal the lexer accepts must be representable downstream, or
   // Value::Int would hit its range invariant.
-  if (overflow || !Value::IntInRange(v)) {
+  if (!ScanDigits(&tok->int_value)) {
     return Error(std::string("[") + std::string(diag::kIntLiteralRange) +
-                 "] integer literal out of range (inline ints span [" +
-                 std::to_string(Value::kMinInt) + ", " +
-                 std::to_string(Value::kMaxInt) + "])");
+                     "] integer literal out of range (inline ints span [" +
+                     std::to_string(Value::kMinInt) + ", " +
+                     std::to_string(Value::kMaxInt) + "])",
+                 tok->line, tok->column);
   }
-  tok->int_value = v;
   return Status::OK();
 }
 
 void Lexer::LexWord(Token* tok) {
   const size_t start = pos_;
-  while (!AtEnd() && (std::isalnum(static_cast<unsigned char>(Peek())) ||
-                      Peek() == '_')) {
-    Advance();
-  }
+  while (!AtEnd() && IsWordChar(Peek())) ++pos_;
   const char first = src_[start];
-  tok->kind = (std::isupper(static_cast<unsigned char>(first)) || first == '_')
-                  ? TokenKind::kVariable
-                  : TokenKind::kIdent;
+  tok->kind = (IsUpper(first) || first == '_') ? TokenKind::kVariable
+                                               : TokenKind::kIdent;
   tok->text.assign(src_.substr(start, pos_ - start));
 }
 
 Status Lexer::LexString(Token* tok) {
-  Advance();  // opening quote
+  ++pos_;  // opening quote
   while (!AtEnd() && Peek() != '"') {
-    char c = Advance();
-    if (c == '\\' && !AtEnd()) {
-      const char esc = Advance();
+    char c = Peek();
+    if (c == '\\' && pos_ + 1 < src_.size()) {
+      const size_t at = pos_;
+      const char esc = Peek(1);
+      pos_ += 2;
       switch (esc) {
         case 'n':
           c = '\n';
@@ -168,19 +199,25 @@ Status Lexer::LexString(Token* tok) {
           c = '"';
           break;
         default:
-          return Error(std::string("unknown escape '\\") + esc + "'");
+          return Error(std::string("unknown escape '\\") + esc + "'", line_,
+                       Column(at));
       }
+    } else {
+      if (c == '\n') NewLine(pos_);
+      ++pos_;
     }
     tok->text += c;
   }
-  if (AtEnd()) return Error("unterminated string literal");
-  Advance();  // closing quote
+  if (AtEnd()) {
+    return Error("unterminated string literal", tok->line, tok->column);
+  }
+  ++pos_;  // closing quote
   tok->kind = TokenKind::kString;
   return Status::OK();
 }
 
 Status Lexer::LexPunct(Token* tok) {
-  const char c = Advance();
+  const char c = src_[pos_++];
   switch (c) {
     case '(':
       tok->kind = TokenKind::kLParen;
@@ -211,31 +248,31 @@ Status Lexer::LexPunct(Token* tok) {
       return Status::OK();
     case '!':
       if (Peek() == '=') {
-        Advance();
+        ++pos_;
         tok->kind = TokenKind::kNe;
         return Status::OK();
       }
-      return Error("expected '=' after '!'");
+      return Error("expected '=' after '!'", tok->line, tok->column);
     case ':':
       if (Peek() == '-') {
-        Advance();
+        ++pos_;
         tok->kind = TokenKind::kArrow;
         return Status::OK();
       }
-      return Error("expected '-' after ':'");
+      return Error("expected '-' after ':'", tok->line, tok->column);
     case '<':
       if (Peek() == '-') {
-        Advance();
+        ++pos_;
         tok->kind = TokenKind::kArrow;
         return Status::OK();
       }
       if (Peek() == '=') {
-        Advance();
+        ++pos_;
         tok->kind = TokenKind::kLe;
         return Status::OK();
       }
       if (Peek() == '>') {
-        Advance();
+        ++pos_;
         tok->kind = TokenKind::kNe;
         return Status::OK();
       }
@@ -243,107 +280,99 @@ Status Lexer::LexPunct(Token* tok) {
       return Status::OK();
     case '>':
       if (Peek() == '=') {
-        Advance();
+        ++pos_;
         tok->kind = TokenKind::kGe;
         return Status::OK();
       }
       tok->kind = TokenKind::kGt;
       return Status::OK();
     default:
-      return Error(std::string("unexpected character '") + c + "'");
+      return Error(std::string("unexpected character '") + c + "'",
+                   tok->line, tok->column);
   }
 }
 
 std::string_view Lexer::ScanIdent() {
   const size_t start = pos_;
-  if (!std::isalpha(static_cast<unsigned char>(Peek())) ||
-      std::isupper(static_cast<unsigned char>(Peek()))) {
-    return {};
-  }
-  while (!AtEnd() && (std::isalnum(static_cast<unsigned char>(Peek())) ||
-                      Peek() == '_')) {
-    Advance();
-  }
+  if (!IsLower(Peek())) return {};
+  while (!AtEnd() && IsWordChar(Peek())) ++pos_;
   return src_.substr(start, pos_ - start);
 }
 
-bool Lexer::ScanConstant(ScannedFact::Arg* arg) {
+bool Lexer::ScanConstant(Value* value, std::string_view* symbol) {
   const char c = Peek();
   if (c == '"') {
-    Advance();
-    const size_t start = pos_;
-    while (!AtEnd() && Peek() != '"') {
+    const size_t start = ++pos_;
+    for (; !AtEnd() && Peek() != '"'; ++pos_) {
       if (Peek() == '\\') return false;
-      Advance();
+      if (Peek() == '\n') NewLine(pos_);
     }
     if (AtEnd()) return false;
-    arg->is_symbol = true;
-    arg->symbol = src_.substr(start, pos_ - start);
-    Advance();  // closing quote
+    *symbol = src_.substr(start, pos_ - start);
+    ++pos_;  // closing quote
     return true;
   }
   const bool negative = c == '-';
-  if (negative) Advance();
-  if (std::isdigit(static_cast<unsigned char>(Peek()))) {
+  if (negative) ++pos_;
+  if (IsDigit(Peek())) {
     // The literal's magnitude must itself be in range, as LexInteger
     // demands of the token the parser would negate.
     int64_t v = 0;
-    while (std::isdigit(static_cast<unsigned char>(Peek()))) {
-      const int d = Advance() - '0';
-      if (v > (Value::kMaxInt - d) / 10) return false;
-      v = v * 10 + d;
-    }
-    arg->is_symbol = false;
-    arg->value = Value::Int(negative ? -v : v);
+    if (!ScanDigits(&v)) return false;
+    *value = Value::Int(negative ? -v : v);
     return true;
   }
   if (negative) return false;
   const std::string_view name = ScanIdent();
   if (name.empty()) return false;
   if (name == "nil") {
-    arg->is_symbol = false;
-    arg->value = Value::Nil();
+    *value = Value::Nil();
   } else {
-    arg->is_symbol = true;
-    arg->symbol = name;
+    *symbol = name;
   }
   return true;
 }
 
-bool Lexer::ScanGroundFact(ScannedFact* fact) {
+bool Lexer::ScanGroundFact(ValueStore* store, ScannedFact* fact) {
   const Mark start = Save();
   auto fail = [&] {
     Restore(start);
     return false;
   };
-  if (!SkipWhitespaceAndComments().ok()) return fail();
+  if (!SkipBlank()) return fail();
   fact->line = line_;
-  fact->column = column_;
+  fact->column = Column();
   fact->predicate = ScanIdent();
-  fact->args.clear();
-  if (fact->predicate.empty()) return fail();
-  if (!SkipWhitespaceAndComments().ok()) return fail();
+  fact->row.clear();
+  if (fact->predicate.empty() || !SkipBlank()) return fail();
   if (Peek() == '(') {
-    Advance();
-    if (!SkipWhitespaceAndComments().ok()) return fail();
+    ++pos_;
+    if (!SkipBlank()) return fail();
     if (Peek() == ')') {
-      Advance();
+      ++pos_;
     } else {
       for (;;) {
-        if (!ScanConstant(&fact->args.emplace_back())) return fail();
+        Value value;
+        std::string_view symbol;
+        if (!ScanConstant(&value, &symbol) || !SkipBlank()) return fail();
         // A constant followed by '(' is a functor; by anything but ','
-        // or ')', an expression.
-        if (!SkipWhitespaceAndComments().ok()) return fail();
-        const char c = AtEnd() ? '\0' : Advance();
+        // or ')', an expression. A symbol is interned only once it is
+        // known to be a constant, so the token parser, taking over,
+        // interns the same symbols in the same order.
+        const char c = Peek();
+        if (c != ',' && c != ')') return fail();
+        ++pos_;
+        fact->row.push_back(symbol.data() != nullptr
+                                ? store->MakeSymbol(symbol)
+                                : value);
         if (c == ')') break;
-        if (c != ',') return fail();
-        if (!SkipWhitespaceAndComments().ok()) return fail();
+        if (!SkipBlank()) return fail();
       }
     }
-    if (!SkipWhitespaceAndComments().ok()) return fail();
+    if (!SkipBlank()) return fail();
   }
   if (Peek() != '.') return fail();
-  Advance();
+  ++pos_;
   return true;
 }
 

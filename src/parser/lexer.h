@@ -56,18 +56,13 @@ struct Token {
   int column = 1;
 };
 
-/// One ground fact over constants, as ScanGroundFact found it. Symbol
-/// names point into the source; nothing is interned yet.
+/// One ground fact over constants, as ScanGroundFact found it: its
+/// predicate name (pointing into the source) and its row of values.
 struct ScannedFact {
-  struct Arg {
-    bool is_symbol = false;
-    Value value;              // the integer or nil when !is_symbol
-    std::string_view symbol;  // the symbol's name when is_symbol
-  };
   std::string_view predicate;
   int line = 1;
   int column = 1;
-  std::vector<Arg> args;  // reused across scans
+  std::vector<Value> row;  // reused across scans
 };
 
 class Lexer {
@@ -75,50 +70,76 @@ class Lexer {
   explicit Lexer(std::string_view src) : src_(src) {}
 
   /// Lexes the next token (kEof at the end of input), or returns a
-  /// ParseError naming the offending line/column.
+  /// ParseError naming the line/column where the offending character
+  /// or literal starts. Columns count bytes from 1.
   Status Next(Token* tok);
 
   /// At a clause start, scans `p.` or `p(c1, ..., cn).` where every ci
   /// is an integer in Value's inline range (optionally negated), a
-  /// lowercase symbol, nil, or a string without escapes. On success the
-  /// lexer stands after the '.'. Anything else — a rule, a fact with a
-  /// variable, tuple, functor or arithmetic argument, an escape, or an
-  /// error — returns false with the lexer where it was, for the parser
-  /// to take token by token.
-  bool ScanGroundFact(ScannedFact* fact);
+  /// lowercase symbol, nil, or a string without escapes, into
+  /// `fact->row`, interning symbols into `store` as each constant ends.
+  /// On success the lexer stands after the '.'. Anything else — a rule,
+  /// a fact with a variable, tuple, functor or arithmetic argument, an
+  /// escape, or an error — returns false with the lexer where it was,
+  /// for the parser to take token by token.
+  bool ScanGroundFact(ValueStore* store, ScannedFact* fact);
 
  private:
+  // Lines are counted as newlines are passed; a column is computed from
+  // the offset of the current line's first byte.
   struct Mark {
     size_t pos;
     int line;
-    int column;
+    size_t line_start;
   };
-  Mark Save() const { return {pos_, line_, column_}; }
+  Mark Save() const { return {pos_, line_, line_start_}; }
   void Restore(Mark m) {
     pos_ = m.pos;
     line_ = m.line;
-    column_ = m.column;
+    line_start_ = m.line_start;
   }
+  /// Records the newline at offset `at`.
+  void NewLine(size_t at) {
+    ++line_;
+    line_start_ = at + 1;
+  }
+  /// Column of offset `at` on the current line.
+  int Column(size_t at) const { return static_cast<int>(at - line_start_) + 1; }
+  int Column() const { return Column(pos_); }
 
   bool AtEnd() const { return pos_ >= src_.size(); }
   char Peek(size_t ahead = 0) const {
     return pos_ + ahead < src_.size() ? src_[pos_ + ahead] : '\0';
   }
-  char Advance();
-  Status Error(const std::string& what) const;
-  Status SkipWhitespaceAndComments();
+  Status Error(const std::string& what, int line, int column) const;
+  /// Skips whitespace and comments. False on an unterminated block
+  /// comment, with the lexer at its "/*". The common case, nothing to
+  /// skip, is decided inline.
+  bool SkipBlank() {
+    if (pos_ < src_.size()) {
+      const char c = src_[pos_];
+      if (c > ' ' && c != '%' && c != '/') return true;
+    }
+    return SkipBlankRun();
+  }
+  bool SkipBlankRun();
+  /// Consumes a run of digits into `*value`; false when it exceeds
+  /// Value::kMaxInt.
+  bool ScanDigits(int64_t* value);
   Status LexInteger(Token* tok);
   void LexWord(Token* tok);
   Status LexString(Token* tok);
   Status LexPunct(Token* tok);
   // ScanGroundFact helpers: each consumes one item or returns false.
   std::string_view ScanIdent();
-  bool ScanConstant(ScannedFact::Arg* arg);
+  /// An int or nil into `*value`, or a symbol or escape-free string
+  /// whose name goes to `*symbol`, uninterned.
+  bool ScanConstant(Value* value, std::string_view* symbol);
 
   std::string_view src_;
   size_t pos_ = 0;
   int line_ = 1;
-  int column_ = 1;
+  size_t line_start_ = 0;
 };
 
 /// Tokenizes `source` completely (appending a kEof token), or returns a

@@ -53,13 +53,8 @@ class Parser {
     Program prog;
     size_t batch = 0;
     for (uint32_t clause = 0;; ++clause) {
-      if (lexer_.ScanGroundFact(&scanned_)) {
-        row_.clear();
-        for (const ScannedFact::Arg& a : scanned_.args) {
-          row_.push_back(a.is_symbol ? store_->MakeSymbol(a.symbol)
-                                     : a.value);
-        }
-        prog.AddFact(scanned_.predicate, row_, clause,
+      if (lexer_.ScanGroundFact(store_, &scanned_)) {
+        prog.AddFact(scanned_.predicate, scanned_.row, clause,
                      SourceLoc{scanned_.line, scanned_.column}, &batch);
         continue;
       }
@@ -361,7 +356,6 @@ class Parser {
   bool have_tok_ = false;
   Status lex_error_;
   ScannedFact scanned_;
-  std::vector<Value> row_;
   int anon_counter_ = 0;
 };
 

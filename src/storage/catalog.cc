@@ -2,22 +2,17 @@
 
 namespace gdlog {
 
-std::string Catalog::Key(std::string_view name, uint32_t arity) {
-  std::string k(name);
-  k += '/';
-  k += std::to_string(arity);
-  return k;
-}
-
 PredicateId Catalog::Ensure(std::string_view name, uint32_t arity) {
-  const std::string key = Key(name, arity);
-  auto it = by_name_.find(key);
+  auto it = by_name_.find(KeyView(name, arity));
   if (it != by_name_.end()) return it->second;
   const auto id = static_cast<PredicateId>(relations_.size());
   relations_.push_back(std::make_unique<Relation>(std::string(name), arity));
-  if (budget_ != nullptr) relations_.back()->set_memory_budget(budget_);
+  by_name_.emplace(Key(std::string(name), arity), id);
   if (provenance_) relations_.back()->EnableProvenance();
-  by_name_.emplace(key, id);
+  // Charged last: a charge that trips the "alloc" probe leaves the
+  // relation registered, so a retry finds it instead of creating a
+  // second relation under the same name.
+  if (budget_ != nullptr) relations_.back()->set_memory_budget(budget_);
   return id;
 }
 
@@ -32,7 +27,7 @@ void Catalog::EnableProvenance() {
 }
 
 PredicateId Catalog::Lookup(std::string_view name, uint32_t arity) const {
-  auto it = by_name_.find(Key(name, arity));
+  auto it = by_name_.find(KeyView(name, arity));
   return it == by_name_.end() ? kNoPredicate : it->second;
 }
 

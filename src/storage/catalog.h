@@ -9,8 +9,10 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/status.h"
 #include "storage/relation.h"
 
@@ -27,10 +29,10 @@ class Catalog {
   Catalog& operator=(const Catalog&) = delete;
 
   /// Returns the id for predicate name/arity, creating its relation on
-  /// first sight.
+  /// first sight. Finding an existing predicate allocates nothing.
   PredicateId Ensure(std::string_view name, uint32_t arity);
 
-  /// Returns the id or kNoPredicate.
+  /// Returns the id or kNoPredicate. Allocates nothing.
   PredicateId Lookup(std::string_view name, uint32_t arity) const;
 
   Relation& relation(PredicateId id) { return *relations_[id]; }
@@ -51,9 +53,22 @@ class Catalog {
   bool provenance_enabled() const { return provenance_; }
 
  private:
-  static std::string Key(std::string_view name, uint32_t arity);
+  // (name, arity) keys, looked up by (string_view, arity) without
+  // building a key string.
+  using Key = std::pair<std::string, uint32_t>;
+  using KeyView = std::pair<std::string_view, uint32_t>;
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(KeyView k) const {
+      return HashCombine(HashString(k.first), k.second);
+    }
+  };
+  struct KeyEq {
+    using is_transparent = void;
+    bool operator()(KeyView a, KeyView b) const { return a == b; }
+  };
 
-  std::unordered_map<std::string, PredicateId> by_name_;
+  std::unordered_map<Key, PredicateId, KeyHash, KeyEq> by_name_;
   std::vector<std::unique_ptr<Relation>> relations_;
   MemoryBudget* budget_ = nullptr;
   bool provenance_ = false;

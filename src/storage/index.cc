@@ -1,5 +1,7 @@
 #include "storage/index.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace gdlog {
@@ -39,6 +41,26 @@ void Index::Link(uint32_t entry, size_t slot) {
     next_[tails_[slot]] = entry;
   }
   tails_[slot] = entry;
+}
+
+bool Index::Reserve(size_t entries) {
+  bool grew = false;
+  if (rows_.capacity() < entries) {
+    // Past the current capacity at least double it, as push_back would,
+    // so that repeated reserves stay amortized.
+    const size_t cap = std::max(entries, 2 * rows_.capacity());
+    rows_.reserve(cap);
+    hashes_.reserve(cap);
+    next_.reserve(cap);
+    grew = true;
+  }
+  size_t buckets = buckets_.size();
+  while (entries * 10 > buckets * 7) buckets *= 2;
+  if (buckets != buckets_.size()) {
+    Rehash(buckets);
+    grew = true;
+  }
+  return grew;
 }
 
 bool Index::Insert(RowId row, TupleView tuple) {

@@ -37,6 +37,11 @@ class Index {
   /// Returns true when a capacity grew (so ApproxBytes changed).
   bool Insert(RowId row, TupleView tuple);
 
+  /// Makes room for `entries` entries in all, so that inserting up to
+  /// that many neither reallocates nor rehashes. Returns true when a
+  /// capacity grew.
+  bool Reserve(size_t entries);
+
   /// Iterates the chain of candidate rows whose key hash matches `key`.
   /// Callers must re-verify column equality on the full tuple (hash
   /// collisions are possible); MatchIterator exposes the raw chain.

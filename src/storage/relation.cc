@@ -99,6 +99,31 @@ void Relation::InsertBatch(const Value* rows, size_t num_rows,
   }
 }
 
+void Relation::Reserve(size_t n) {
+  const size_t rows = num_rows_ + n;
+  bool grew = false;
+  auto fit = [&grew](auto& v, size_t want) {
+    if (v.capacity() >= want) return;
+    v.reserve(std::max(want, 2 * v.capacity()));
+    grew = true;
+  };
+  fit(data_, rows * arity_);
+  fit(row_hashes_, rows);
+  size_t buckets = set_buckets_.size();
+  while (rows * 10 > buckets * 7) buckets *= 2;
+  if (buckets != set_buckets_.size()) {
+    RehashSet(buckets);
+    grew = true;
+  }
+  if (prov_ != nullptr) {
+    fit(prov_->rule, rows);
+    fit(prov_->span_begin, rows);
+    fit(prov_->span_len, rows);
+  }
+  for (auto& idx : indices_) grew |= idx->Reserve(rows);
+  if (grew) RecountMemory();
+}
+
 bool Relation::Retract(TupleView tuple) {
   GDLOG_CHECK(indices_.empty() && delta_end_ == 0)
       << "Retract is only valid before evaluation";
@@ -220,6 +245,8 @@ size_t Relation::EnsureIndex(const std::vector<uint32_t>& columns) {
     if (indices_[i]->columns() == columns) return i;
   }
   auto idx = std::make_unique<Index>(columns);
+  // Sized for the backfill up front, so it never rehashes midway.
+  idx->Reserve(num_rows_);
   for (RowId r = 0; r < num_rows_; ++r) idx->Insert(r, Row(r));
   indices_.push_back(std::move(idx));
   RecountMemory();

@@ -13,14 +13,17 @@
 // widens the delta over the new rows within a round (delta_end = size),
 // for a relation whose readers in that round all run after its writers.
 //
-// Rows arrive one at a time (Insert: AddFact, the inline-fact load, a γ
-// firing) or as the buffered heads of one rule application
-// (InsertBatch), which hashes a chunk of rows before inserting any so
-// that each row's dedup bucket can be prefetched a few rows ahead. Both
-// paths charge the MemoryBudget only when an insert grows a capacity.
+// Rows arrive one at a time (Insert: a γ firing) or in batches
+// (InsertBatch: the buffered heads of one rule application, and every
+// EDB load — AddFact, AddFacts, the inline facts, WAL replay), which
+// hash a chunk of rows before inserting any so that each row's dedup
+// bucket can be prefetched a few rows ahead. An EDB batch of n > 1 rows
+// first calls Reserve(n), so the batch itself grows nothing. Every path
+// charges the MemoryBudget only when a capacity grows.
 #ifndef GDLOG_STORAGE_RELATION_H_
 #define GDLOG_STORAGE_RELATION_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -65,6 +68,20 @@ class Relation {
   /// insert returns, so after a budget fault in mid-batch it counts the
   /// rows added before the faulting insert.
   void InsertBatch(const Value* rows, size_t num_rows, uint64_t* inserted);
+
+  /// Makes room for `n` more rows — row storage, the dedup set, every
+  /// index and the provenance column — so that inserting up to `n` new
+  /// rows grows nothing. Past the current capacity it at least doubles,
+  /// so repeated reserves stay amortized. Charges the budget once.
+  void Reserve(size_t n);
+
+  /// True when `p` points into this relation's row storage (a row view
+  /// from Row()). Such rows must be copied before a Reserve or an
+  /// InsertBatch, which may move the storage.
+  bool Holds(const Value* p) const {
+    return std::less_equal<>()(data_.data(), p) &&
+           std::less<>()(p, data_.data() + data_.size());
+  }
 
   /// Removes a tuple, preserving the insertion order of the others.
   /// Only valid before evaluation starts (no indices built, watermarks

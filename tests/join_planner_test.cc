@@ -68,6 +68,28 @@ TEST(JoinPlannerEstimates, EstimatesAreCachedPerPredicate) {
   EXPECT_DOUBLE_EQ(planner.EstimateScanRows(p, {}), JoinPlanner::kDefaultRows);
 }
 
+TEST(JoinPlannerEstimates, CountsOnlyBoundColumnsOverTheRecordedRows) {
+  Catalog catalog;
+  const PredicateId p = catalog.Ensure("e", 3);
+  auto insert = [&](int64_t a, int64_t b, int64_t c) {
+    Value row[3] = {Value::Int(a), Value::Int(b), Value::Int(c)};
+    catalog.relation(p).Insert(TupleView(row, 3));
+  };
+  for (int64_t i = 0; i < 10; ++i) insert(i, i % 2, 7);
+  JoinPlanner planner(&catalog);
+  // The row count is taken at once; no column is counted until bound.
+  EXPECT_DOUBLE_EQ(planner.EstimateScanRows(p, {}), 10.0);
+  EXPECT_EQ(planner.Estimate(p).distinct, (std::vector<double>{0, 0, 0}));
+  // Rows added after the first estimate count neither in the row count
+  // nor in a column counted later.
+  insert(100, 5, 8);
+  insert(101, 6, 9);
+  EXPECT_DOUBLE_EQ(planner.EstimateScanRows(p, {1}), 5.0);
+  EXPECT_EQ(planner.Estimate(p).distinct, (std::vector<double>{0, 2, 0}));
+  EXPECT_DOUBLE_EQ(planner.EstimateScanRows(p, {0, 2}), 1.0);
+  EXPECT_EQ(planner.Estimate(p).distinct, (std::vector<double>{10, 2, 1}));
+}
+
 // -- Compiler integration -----------------------------------------------
 
 struct Compiled {

@@ -318,10 +318,10 @@ void PrintStats(const gdlog::Engine& engine) {
   }
   const gdlog::EnginePhaseTimes& ph = engine.phase_times();
   std::printf(
-      "%% phases (ms): parse %.3f  analyze %.3f  absint %.3f  compile %.3f  "
-      "eval %.3f\n",
-      ph.parse_ns / 1e6, ph.analyze_ns / 1e6, ph.absint_ns / 1e6,
-      ph.compile_ns / 1e6, ph.eval_ns / 1e6);
+      "%% phases (ms): parse %.3f  load %.3f  analyze %.3f  absint %.3f  "
+      "compile %.3f  eval %.3f\n",
+      ph.parse_ns / 1e6, ph.load_ns / 1e6, ph.analyze_ns / 1e6,
+      ph.absint_ns / 1e6, ph.compile_ns / 1e6, ph.eval_ns / 1e6);
   if (s->saturate_ns > 0 || s->gamma_ns > 0) {
     std::printf("%%   eval split: saturate %.3f ms, gamma %.3f ms\n",
                 s->saturate_ns / 1e6, s->gamma_ns / 1e6);
