@@ -118,12 +118,23 @@ struct BodyCtx {
 };
 
 constexpr int kBodyPasses = 4;
+// Relations larger than this are summarized as top types / full
+// intervals (the row count stays exact) instead of being scanned.
+constexpr size_t kMaxScanRows = size_t{1} << 20;
+// Fixpoint rounds before interval bounds and cardinalities widen to
+// infinity; keeps recursive programs converging in O(rounds).
+constexpr int kWidenAfter = 3;
+// Hard cap on fixpoint rounds (a backstop; widening converges first).
+constexpr int kMaxRounds = 64;
 
 class Analyzer {
  public:
   Analyzer(const Program& surface, const Program& expanded,
-           const AnalysisOptions& opts)
-      : surface_(surface), expanded_(expanded), opts_(opts) {}
+           const Catalog& catalog, const std::vector<size_t>* edb_rows)
+      : surface_(surface),
+        expanded_(expanded),
+        catalog_(catalog),
+        edb_rows_(edb_rows) {}
 
   AnalysisResult Run() {
     CollectPredicates();
@@ -164,21 +175,24 @@ class Analyzer {
   }
 
   void SeedFromCatalog() {
-    if (opts_.catalog == nullptr) return;
     for (auto& [key, ps] : states_) {
-      const PredicateId id = opts_.catalog->Lookup(ps.name, ps.arity);
+      const PredicateId id = catalog_.Lookup(ps.name, ps.arity);
       if (id == kNoPredicate) continue;
-      const Relation& rel = opts_.catalog->relation(id);
-      if (rel.empty()) continue;
-      ps.base_rows = rel.size();
-      ps.hi = rel.size();
+      const Relation& rel = catalog_.relation(id);
+      size_t rows = rel.size();
+      if (edb_rows_ != nullptr) {
+        rows = id < edb_rows_->size() ? std::min(rows, (*edb_rows_)[id]) : 0;
+      }
+      if (rows == 0) continue;
+      ps.base_rows = rows;
+      ps.hi = rows;
       ps.edb_seeded = true;
       ps.populated = true;
-      if (rel.size() > opts_.max_scan_rows) {
+      if (rows > kMaxScanRows) {
         ps.cols.assign(ps.arity, AbstractValue::Top());
         continue;
       }
-      for (size_t row = 0; row < rel.size(); ++row) {
+      for (size_t row = 0; row < rows; ++row) {
         const TupleView t = rel.Row(static_cast<RowId>(row));
         for (uint32_t j = 0; j < ps.arity; ++j) {
           ps.cols[j] = ps.cols[j].Join(AVOfValue(t[j]));
@@ -485,10 +499,10 @@ class Analyzer {
     const size_t n = expanded_.rules.size();
     std::vector<char> rule_ok(n, 0);
     bool changed = true;
-    while (changed && rounds_ < opts_.max_rounds) {
+    while (changed && rounds_ < kMaxRounds) {
       changed = false;
       ++rounds_;
-      const bool widen = rounds_ > opts_.widen_after;
+      const bool widen = rounds_ > kWidenAfter;
       for (size_t ri = 0; ri < n; ++ri) {
         const Rule& rule = expanded_.rules[ri];
         if (rule.is_fact()) continue;
@@ -720,7 +734,8 @@ class Analyzer {
 
   const Program& surface_;
   const Program& expanded_;
-  const AnalysisOptions& opts_;
+  const Catalog& catalog_;
+  const std::vector<size_t>* edb_rows_;  // null: every row is EDB
   std::map<std::string, PredState> states_;
   int rounds_ = 0;
 };
@@ -740,32 +755,28 @@ const PredicateSignature* AnalysisResult::Find(std::string_view name,
 }
 
 AnalysisResult AnalyzeProgram(const Program& surface, const Program& expanded,
-                              const AnalysisOptions& opts) {
-  Analyzer a(surface, expanded, opts);
+                              const Catalog& catalog,
+                              const std::vector<size_t>* edb_rows) {
+  Analyzer a(surface, expanded, catalog, edb_rows);
   return a.Run();
 }
 
-AnalysisResult Analyze(const Program& surface, const AnalysisOptions& opts) {
-  // Without a catalog, the program's own fact batches fill a scratch one.
+AnalysisResult Analyze(const Program& surface) {
   Catalog facts;
-  AnalysisOptions o = opts;
-  if (o.catalog == nullptr) {
-    for (const FactBatch& b : surface.facts) {
-      Relation& rel = facts.relation(facts.Ensure(b.predicate, b.arity));
-      for (size_t i = 0; i < b.count; ++i) {
-        rel.Insert(TupleView(b.rows.data() + i * b.arity, b.arity));
-      }
+  for (const FactBatch& b : surface.facts) {
+    Relation& rel = facts.relation(facts.Ensure(b.predicate, b.arity));
+    for (size_t i = 0; i < b.count; ++i) {
+      rel.Insert(TupleView(b.rows.data() + i * b.arity, b.arity));
     }
-    o.catalog = &facts;
   }
   Result<Program> expanded = ExpandNext(surface);
   if (expanded.ok()) {
-    return AnalyzeProgram(surface, expanded.value(), o);
+    return AnalyzeProgram(surface, expanded.value(), facts);
   }
   // Expansion failures carry their own GD1xx diagnostics elsewhere; the
   // surface program still analyzes soundly (next() binds its stage
   // variable to a nonnegative int).
-  return AnalyzeProgram(surface, surface, o);
+  return AnalyzeProgram(surface, surface, facts);
 }
 
 void AnalysisToJson(const AnalysisResult& r, JsonWriter* w) {

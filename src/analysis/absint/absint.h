@@ -16,8 +16,7 @@
 //     exact for EDB relations (scanned from the catalog, where the
 //     engine puts a program's inline facts at load), derived for IDB
 //     predicates as the saturating product of body bounds, widened to
-//     +inf on recursion. Finite upper bounds are fed to JoinPlanner as
-//     priors (see Engine::Run).
+//     +inf on recursion.
 //   * choice determinism     — a determined-variable closure over each
 //     surface rule's equalities detects choice goals whose witness set
 //     is provably a singleton (GD310) and choice rules whose
@@ -26,11 +25,13 @@
 // Soundness: every abstract object over-approximates the concrete values
 // that can occur in *any* run given the EDB visible at analysis time,
 // so error-class diagnostics only fire when the conflict is provable.
-// The analysis never blocks evaluation; its verdicts surface through
-// Engine::Lint(), --lint-json, RunReport, and the .types shell command.
+// The engine computes the analysis only when asked, never for a run
+// (Engine::StaticAnalysis); its verdicts surface through Engine::Lint(),
+// --lint-json, RunReport, EXPLAIN ANALYZE and the .types shell command.
 #ifndef GDLOG_ANALYSIS_ABSINT_ABSINT_H_
 #define GDLOG_ANALYSIS_ABSINT_ABSINT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -46,21 +47,6 @@ class Catalog;  // storage/catalog.h
 class JsonWriter;  // obs/json.h
 
 namespace absint {
-
-struct AnalysisOptions {
-  // EDB statistics source: the catalog's rows seed the EDB lattices,
-  // and nothing else does. The engine passes its own, which holds the
-  // program's inline facts and the AddFact rows.
-  const Catalog* catalog = nullptr;
-  // Relations larger than this are summarized as top types / full
-  // intervals (the row count stays exact) instead of being scanned.
-  uint64_t max_scan_rows = 1u << 20;
-  // Fixpoint rounds before interval bounds and cardinalities widen to
-  // infinity; keeps recursive programs converging in O(rounds).
-  int widen_after = 3;
-  // Hard cap on fixpoint rounds (a backstop; widening converges first).
-  int max_rounds = 64;
-};
 
 /// One predicate's inferred facts: a per-column abstract value and a
 /// row-count bound. `populated` distinguishes "no tuples can exist"
@@ -91,15 +77,19 @@ struct AnalysisResult {
 /// Analyzes `expanded` (the ExpandNext'd program the evaluator executes;
 /// rule indices must match `surface`). Choice-determinism findings are
 /// derived from `surface` so synthesized choice literals from next()
-/// expansion are not misreported.
+/// expansion are not misreported. The catalog's rows seed the EDB
+/// lattices, and nothing else does: every row, or, with `edb_rows`, the
+/// first edb_rows[id] rows of relation `id` (none past the vector's
+/// end), so that rows derived later do not count as EDB.
 AnalysisResult AnalyzeProgram(const Program& surface, const Program& expanded,
-                              const AnalysisOptions& opts = {});
+                              const Catalog& catalog,
+                              const std::vector<size_t>* edb_rows = nullptr);
 
 /// Convenience for callers holding only the surface program (fuzzer,
-/// tests): expands next() internally and falls back to analyzing the
-/// surface program when expansion fails. Without a catalog in `opts`,
-/// the program's fact batches are loaded into a scratch one.
-AnalysisResult Analyze(const Program& surface, const AnalysisOptions& opts = {});
+/// tests): loads its fact batches into a scratch catalog, expands next()
+/// internally and falls back to analyzing the surface program when
+/// expansion fails.
+AnalysisResult Analyze(const Program& surface);
 
 /// Renders the "analysis" JSON object: {"rounds": N, "predicates":
 /// [{"predicate", "populated", "cardinality": {"lo", "hi"}, "args":

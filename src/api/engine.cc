@@ -1,6 +1,7 @@
 #include "api/engine.h"
 
 #include <chrono>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -25,6 +26,23 @@ uint64_t WallNowNs() {
 }
 
 double NsToMs(uint64_t ns) { return static_cast<double>(ns) / 1e6; }
+
+// Appends printf-formatted text to `out`, however long it comes out.
+[[gnu::format(printf, 2, 3)]] void AppendF(std::string* out, const char* fmt,
+                                           ...) {
+  va_list args, again;
+  va_start(args, fmt);
+  va_copy(again, args);
+  const int n = std::vsnprintf(nullptr, 0, fmt, args);
+  va_end(args);
+  if (n > 0) {
+    const size_t at = out->size();
+    out->resize(at + static_cast<size_t>(n) + 1);  // room for the NUL
+    std::vsnprintf(out->data() + at, static_cast<size_t>(n) + 1, fmt, again);
+    out->resize(at + static_cast<size_t>(n));
+  }
+  va_end(again);
+}
 
 // Numeric "GDnnn" code of a status for flight-recorder payloads (0 when
 // the status carries no code).
@@ -344,6 +362,7 @@ Status Engine::LoadFacts(const Program& program) {
 
 Status Engine::InsertEdbRows(std::string_view predicate, Relation& rel,
                              const Value* rows, size_t n) {
+  absint_.reset();  // the EDB it was seeded from changes
   if (!durable_) {
     AppendEdbRows(rel, rows, n);
     return Status::OK();
@@ -483,6 +502,7 @@ Status Engine::RetractFact(std::string_view predicate,
     // A bad_alloc past this point is retry-safe, unlike AddFact's: a
     // second retract of the same tuple replays as a no-op.
     catalog_->relation(id).Retract(TupleView(args));
+    absint_.reset();
     if (durable_) PublishDurabilityMetrics();
     return Status::OK();
   } catch (const std::bad_alloc&) {
@@ -638,13 +658,15 @@ void Engine::PublishRunArtifacts() {
 }
 
 Status Engine::RunInner() {
-  // Everything present now (program facts + AddFact rows) seeds the
-  // stable-model checker's reduct; relations created during compilation
-  // default to zero seeds.
+  // Everything present now (program facts + AddFact rows) is the EDB:
+  // it seeds the stable-model checker's reduct and the static analysis
+  // from here on. Relations created during compilation default to zero
+  // seeds.
   seed_watermarks_.assign(catalog_->size(), 0);
   for (PredicateId id = 0; id < catalog_->size(); ++id) {
     seed_watermarks_[id] = catalog_->relation(id).size();
   }
+  absint_.reset();
 
   if (injector_ && injector_->Hit(FaultInjector::kCompile)) {
     guard_->ForceReason(TerminationReason::kFault);
@@ -652,36 +674,11 @@ Status Engine::RunInner() {
     return InjectedFault(FaultInjector::kCompile);
   }
 
-  // Abstract interpretation over the expanded program with the full EDB
-  // visible: signatures and bounds for the run report / .types, and row
-  // priors for the planner below.
-  if (options_.static_analysis) {
-    const uint64_t absint_t0 = WallNowNs();
-    {
-      TraceSpan span(tracer_.get(), "absint", "engine");
-      absint_ = std::make_unique<absint::AnalysisResult>(ComputeAbsint());
-    }
-    phase_times_.absint_ns += WallNowNs() - absint_t0;
-  }
-
   const uint64_t compile_t0 = WallNowNs();
   // Cost-based join planning: estimates come from the EDB as loaded
   // above, so the chosen goal orders are a pure function of the program
   // plus its input — identical across reruns.
   JoinPlanner planner(catalog_.get());
-  // Seed cardinality priors for IDB relations that are still empty at
-  // plan time: the analyzer's upper bound replaces the neutral default.
-  // Priors derive from the program plus the loaded EDB only, so plans
-  // stay deterministic across reruns.
-  if (absint_ && options_.eval.use_join_planner &&
-      options_.eval.use_cardinality_priors) {
-    for (const absint::PredicateSignature& sig : absint_->signatures) {
-      if (!sig.populated || sig.edb_seeded || !sig.card.hi_finite()) continue;
-      const PredicateId id = catalog_->Ensure(sig.name, sig.arity);
-      if (!catalog_->relation(id).empty()) continue;
-      planner.SetPrior(id, sig.card.hi);
-    }
-  }
   CompileProgramOptions copts;
   if (options_.eval.use_join_planner) copts.planner = &planner;
   auto compiled = [&] {
@@ -748,6 +745,11 @@ const std::vector<RuleProfile>* Engine::RuleProfiles() const {
 
 Result<std::string> Engine::RunReport() const {
   if (!ran_) return Status::InvalidArgument("call Run first");
+  // Lint merges the static analysis's findings, so this computes the
+  // analysis if nobody has yet, before phases.absint_ms is read.
+  GDLOG_ASSIGN_OR_RETURN(const LintResult lint, Lint());
+  GDLOG_ASSIGN_OR_RETURN(const absint::AnalysisResult* analysis,
+                         StaticAnalysis());
   const FixpointStats& s = driver_->stats();
   JsonWriter w;
   w.BeginObject();
@@ -777,8 +779,6 @@ Result<std::string> Engine::RunReport() const {
   w.Key("use_priority_queue").Bool(options_.eval.use_priority_queue);
   w.Key("use_seminaive").Bool(options_.eval.use_seminaive);
   w.Key("use_join_planner").Bool(options_.eval.use_join_planner);
-  w.Key("use_cardinality_priors").Bool(options_.eval.use_cardinality_priors);
-  w.Key("static_analysis").Bool(options_.static_analysis);
   w.Key("provenance").Bool(options_.provenance);
   w.Key("obs_enabled").Bool(options_.obs.enabled);
   w.Key("obs_sample_every").UInt(options_.obs.sample_every);
@@ -976,27 +976,14 @@ Result<std::string> Engine::RunReport() const {
 
   // Lint summary, same code scheme as the standalone diagnostics JSON
   // (--lint-json), so report consumers see compile-time findings too.
-  // Includes the abstract interpreter's findings when it ran.
-  {
-    LintOptions lopts;
-    lopts.stage = options_.stage;
-    LintResult lint = LintProgram(*program_, lopts);
-    if (absint_) {
-      lint.diagnostics.insert(lint.diagnostics.end(),
-                              absint_->diagnostics.begin(),
-                              absint_->diagnostics.end());
-      SortDiagnostics(&lint.diagnostics);
-      lint.counts = CountDiagnostics(lint.diagnostics);
-    }
-    w.Key("diagnostics").BeginObject();
-    w.Key("errors").UInt(lint.counts.errors);
-    w.Key("warnings").UInt(lint.counts.warnings);
-    w.Key("notes").UInt(lint.counts.notes);
-    w.Key("codes").BeginArray();
-    for (const Diagnostic& d : lint.diagnostics) w.String(d.code);
-    w.EndArray();
-    w.EndObject();
-  }
+  w.Key("diagnostics").BeginObject();
+  w.Key("errors").UInt(lint.counts.errors);
+  w.Key("warnings").UInt(lint.counts.warnings);
+  w.Key("notes").UInt(lint.counts.notes);
+  w.Key("codes").BeginArray();
+  for (const Diagnostic& d : lint.diagnostics) w.String(d.code);
+  w.EndArray();
+  w.EndObject();
 
   // Durability: WAL/checkpoint activity and what recovery found on open
   // (null for a purely in-memory engine).
@@ -1034,13 +1021,9 @@ Result<std::string> Engine::RunReport() const {
   }
 
   // Static-analysis result: inferred signatures, intervals, and
-  // cardinality bounds (null when static_analysis is off).
+  // cardinality bounds.
   w.Key("analysis");
-  if (absint_) {
-    absint::AnalysisToJson(*absint_, &w);
-  } else {
-    w.Null();
-  }
+  absint::AnalysisToJson(*analysis, &w);
 
   w.Key("metrics");
   if (metrics_ != nullptr) {
@@ -1059,30 +1042,21 @@ Result<std::string> Engine::ExplainAnalyzeText() const {
   const std::vector<RuleProfile>& profiles = driver_->rule_profiles();
   std::string out = "% EXPLAIN ANALYZE (per-goal estimated vs actual rows; "
                     "x = actual/est, >1 under-estimated)\n";
-  char line[256];
   for (const CompiledRule& r : driver_->rules()) {
     if (r.plan_decisions.empty()) continue;
     const std::string& head = r.rule_index < profiles.size()
                                   ? profiles[r.rule_index].head
                                   : std::string();
-    std::snprintf(line, sizeof(line), "%% rule %u (%s):\n", r.rule_index,
-                  head.c_str());
-    out += line;
+    AppendF(&out, "%% rule %u (%s):\n", r.rule_index, head.c_str());
     for (const PlanDecision& d : r.plan_decisions) {
       if (d.filter) {
-        std::snprintf(line, sizeof(line), "%%   filter %s\n",
-                      d.goal.c_str());
-        out += line;
+        AppendF(&out, "%%   filter %s\n", d.goal.c_str());
         continue;
       }
-      std::snprintf(line, sizeof(line), "%%   %s %-24s bound=%u",
-                    d.negated ? "negated" : "goal   ", d.goal.c_str(),
-                    d.bound_cols);
-      out += line;
-      if (d.est_rows >= 0) {
-        std::snprintf(line, sizeof(line), "  est=%.1f", d.est_rows);
-        out += line;
-      }
+      AppendF(&out, "%%   %s %-24s bound=%u",
+              d.negated ? "negated" : "goal   ", d.goal.c_str(),
+              d.bound_cols);
+      if (d.est_rows >= 0) AppendF(&out, "  est=%.1f", d.est_rows);
       if (d.goal_id >= 0 && r.rule_index < goal_stats.size() &&
           static_cast<size_t>(d.goal_id) < goal_stats[r.rule_index].size()) {
         const GoalStats& gs =
@@ -1091,17 +1065,12 @@ Result<std::string> Engine::ExplainAnalyzeText() const {
             gs.probes > 0 ? static_cast<double>(gs.matches) /
                                 static_cast<double>(gs.probes)
                           : 0.0;
-        std::snprintf(line, sizeof(line),
-                      "  probes=%llu rows=%llu matches=%llu actual=%.2f",
-                      static_cast<unsigned long long>(gs.probes),
-                      static_cast<unsigned long long>(gs.rows),
-                      static_cast<unsigned long long>(gs.matches),
-                      actual_rows);
-        out += line;
+        AppendF(&out, "  probes=%llu rows=%llu matches=%llu actual=%.2f",
+                static_cast<unsigned long long>(gs.probes),
+                static_cast<unsigned long long>(gs.rows),
+                static_cast<unsigned long long>(gs.matches), actual_rows);
         if (d.est_rows > 0 && gs.probes > 0) {
-          std::snprintf(line, sizeof(line), "  x%.2f",
-                        actual_rows / d.est_rows);
-          out += line;
+          AppendF(&out, "  x%.2f", actual_rows / d.est_rows);
         }
       }
       out += '\n';
@@ -1110,27 +1079,26 @@ Result<std::string> Engine::ExplainAnalyzeText() const {
   // Analysis-vs-actual cardinality gap: the abstract interpreter's row
   // bounds for derived (IDB) predicates against the relation sizes the
   // run actually produced. "within" marks bounds the run respected.
-  if (absint_) {
-    bool header = false;
-    for (const absint::PredicateSignature& sig : absint_->signatures) {
-      if (!sig.populated || sig.edb_seeded) continue;
-      const Relation* rel = Find(sig.name, sig.arity);
-      const uint64_t actual = rel ? rel->size() : 0;
-      if (!header) {
-        out += "% analysis cardinality bounds vs actual rows (IDB)\n";
-        header = true;
-      }
-      std::string bound = "[" + std::to_string(sig.card.lo) + ", " +
-                          (sig.card.hi_finite() ? std::to_string(sig.card.hi)
-                                                : std::string("inf")) +
-                          "]";
-      std::snprintf(line, sizeof(line),
-                    "%%   %-24s bound=%-18s actual=%llu %s\n",
-                    sig.DisplayName().c_str(), bound.c_str(),
-                    static_cast<unsigned long long>(actual),
-                    sig.card.Contains(actual) ? "within" : "OUTSIDE");
-      out += line;
+  GDLOG_ASSIGN_OR_RETURN(const absint::AnalysisResult* analysis,
+                         StaticAnalysis());
+  bool header = false;
+  for (const absint::PredicateSignature& sig : analysis->signatures) {
+    if (!sig.populated || sig.edb_seeded) continue;
+    const Relation* rel = Find(sig.name, sig.arity);
+    const uint64_t actual = rel ? rel->size() : 0;
+    if (!header) {
+      out += "% analysis cardinality bounds vs actual rows (IDB)\n";
+      header = true;
     }
+    const std::string bound =
+        "[" + std::to_string(sig.card.lo) + ", " +
+        (sig.card.hi_finite() ? std::to_string(sig.card.hi)
+                              : std::string("inf")) +
+        "]";
+    AppendF(&out, "%%   %-24s bound=%-18s actual=%llu %s\n",
+            sig.DisplayName().c_str(), bound.c_str(),
+            static_cast<unsigned long long>(actual),
+            sig.card.Contains(actual) ? "within" : "OUTSIDE");
   }
   return out;
 }
@@ -1293,35 +1261,35 @@ Result<LintResult> Engine::Lint(const LintOptions& options) const {
   // Merge in the abstract interpreter's findings (types, intervals,
   // emptiness, choice determinism), keeping the combined list sorted the
   // same way the structural lints are.
-  if (options_.static_analysis) {
-    GDLOG_ASSIGN_OR_RETURN(absint::AnalysisResult ai, StaticAnalysis());
-    result.diagnostics.insert(result.diagnostics.end(),
-                              ai.diagnostics.begin(), ai.diagnostics.end());
-    SortDiagnostics(&result.diagnostics);
-    result.counts = CountDiagnostics(result.diagnostics);
-  }
+  GDLOG_ASSIGN_OR_RETURN(const absint::AnalysisResult* ai, StaticAnalysis());
+  result.diagnostics.insert(result.diagnostics.end(), ai->diagnostics.begin(),
+                            ai->diagnostics.end());
+  SortDiagnostics(&result.diagnostics);
+  result.counts = CountDiagnostics(result.diagnostics);
   return result;
 }
 
-absint::AnalysisResult Engine::ComputeAbsint() const {
-  absint::AnalysisOptions aopts;
-  aopts.catalog = catalog_.get();
-  return absint::AnalyzeProgram(*program_, analysis_->expanded, aopts);
-}
-
-Result<absint::AnalysisResult> Engine::StaticAnalysis() const {
+Result<const absint::AnalysisResult*> Engine::StaticAnalysis() const {
   if (!program_) return Status::InvalidArgument("no program loaded");
-  if (!options_.static_analysis) {
-    return Status::InvalidArgument(
-        "static analysis disabled: set EngineOptions::static_analysis");
+  if (!absint_) {
+    const uint64_t t0 = WallNowNs();
+    {
+      TraceSpan span(tracer_.get(), "absint", "engine");
+      // Once Run has started, derived rows share the relations with the
+      // EDB; only the rows present when it started are EDB.
+      const bool run_started = run_state() != EngineRunState::kIdle;
+      absint_ = std::make_unique<absint::AnalysisResult>(
+          absint::AnalyzeProgram(*program_, analysis_->expanded, *catalog_,
+                                 run_started ? &seed_watermarks_ : nullptr));
+    }
+    phase_times_.absint_ns += WallNowNs() - t0;
   }
-  if (absint_) return *absint_;
-  return ComputeAbsint();
+  return absint_.get();
 }
 
 Result<std::string> Engine::TypeSignaturesText() const {
-  GDLOG_ASSIGN_OR_RETURN(absint::AnalysisResult ai, StaticAnalysis());
-  return absint::SignaturesText(ai);
+  GDLOG_ASSIGN_OR_RETURN(const absint::AnalysisResult* ai, StaticAnalysis());
+  return absint::SignaturesText(*ai);
 }
 
 Result<StableCheckResult> Engine::VerifyStableModel() const {

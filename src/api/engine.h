@@ -86,15 +86,6 @@ struct EngineOptions {
   /// falls back to the GDLOG_FAULTS environment variable; a malformed
   /// spec fails LoadProgram/Run with InvalidArgument.
   std::string faults;
-  /// Abstract interpretation (analysis/absint): per-predicate type
-  /// signatures, value intervals, and cardinality bounds, computed over
-  /// the expanded program before compilation. Feeds the GD3xx / GD012 /
-  /// GD013 diagnostics in Lint() and the run report, the `.types` shell
-  /// command, and — together with eval.use_cardinality_priors — the
-  /// join planner's row priors for still-empty IDB relations. The
-  /// analysis is deterministic and runs in well under the compile
-  /// budget; turn it off only to measure its cost.
-  bool static_analysis = true;
   /// Durable relation store: WAL + checkpoints + crash recovery for the
   /// EDB (asserted facts). The fixpoint is re-derived on reopen, not
   /// persisted. Off (in-memory) when durability.dir is empty.
@@ -115,6 +106,8 @@ struct EnginePhaseTimes {
   uint64_t parse_ns = 0;
   uint64_t load_ns = 0;  // inserting the inline facts and AddFacts rows
   uint64_t analyze_ns = 0;
+  // Every static analysis actually computed (Engine::StaticAnalysis);
+  // Run computes none, so it stays 0 until someone asks.
   uint64_t absint_ns = 0;
   uint64_t compile_ns = 0;
   uint64_t eval_ns = 0;
@@ -306,14 +299,17 @@ class Engine {
   /// EXPLAIN ANALYZE: the planner's per-goal cardinality estimates next
   /// to the actuals measured through the executor (probes, rows touched,
   /// matches, mean rows per probe) with the misestimation factor
-  /// actual/estimated (> 1 means the planner under-estimated). Call
-  /// after Run; needs metrics on (the default) for the actuals.
+  /// actual/estimated (> 1 means the planner under-estimated), then the
+  /// static analysis's row bound of each IDB predicate against its
+  /// actual size (StaticAnalysis). Call after Run; needs metrics on (the
+  /// default) for the actuals.
   Result<std::string> ExplainAnalyzeText() const;
 
   /// Machine-readable run report: one JSON object with the options echo
   /// (including every EvalOptions ablation flag), per-phase wall times,
-  /// fixpoint totals, per-rule profiles, per-queue statistics, and — when
-  /// obs is enabled — the metrics snapshot. Call after Run.
+  /// fixpoint totals, per-rule profiles, per-queue statistics, the lint
+  /// findings and the static analysis (both via StaticAnalysis), and —
+  /// when obs is enabled — the metrics snapshot. Call after Run.
   Result<std::string> RunReport() const;
 
   /// Writes the recorded phase timeline as Chrome trace_event JSON
@@ -328,25 +324,24 @@ class Engine {
   /// clique with its classification, stage arguments, and rule kinds.
   Result<std::string> AnalysisReport() const;
 
-  /// Runs every compile-time check on the loaded program and returns
-  /// structured diagnostics (analysis/lint.h). Unlike LoadProgram, this
-  /// never fails on a bad program — problems come back as Diagnostic
-  /// records. Requires a loaded program.
+  /// Runs every compile-time check on the loaded program, StaticAnalysis
+  /// included, and returns structured diagnostics (analysis/lint.h).
+  /// Unlike LoadProgram, this never fails on a bad program — problems
+  /// come back as Diagnostic records. Requires a loaded program.
   Result<LintResult> Lint(const LintOptions& options = {}) const;
 
-  /// The abstract-interpretation result from the last Run; nullptr
-  /// before Run or when EngineOptions::static_analysis is off.
-  const absint::AnalysisResult* absint() const { return absint_.get(); }
+  /// The abstract-interpretation result (analysis/absint) for the loaded
+  /// program. Run never computes it: the first ask does (Lint,
+  /// TypeSignaturesText, RunReport, ExplainAnalyzeText or a direct call),
+  /// timed into phase_times().absint_ns, and it is kept, the pointer
+  /// valid, until the EDB changes or Run starts. The EDB seeds it: every
+  /// catalog row before Run; once Run has started, only the rows each
+  /// relation held when it started, so it reads the same after a
+  /// completed run or a bounded stop. Requires a loaded program.
+  Result<const absint::AnalysisResult*> StaticAnalysis() const;
 
-  /// The abstract-interpretation result for the loaded program: Run's
-  /// when Run computed one, otherwise a fresh analysis against the
-  /// current catalog, whose rows (inline facts included) seed the EDB
-  /// lattices. Requires a loaded program and static_analysis.
-  Result<absint::AnalysisResult> StaticAnalysis() const;
-
-  /// Inferred predicate signatures, one per line (shell `.types`).
-  /// Reuses the Run-time analysis when available, otherwise analyzes the
-  /// loaded program against the current EDB on demand.
+  /// Inferred predicate signatures, one per line (shell `.types`), from
+  /// StaticAnalysis.
   Result<std::string> TypeSignaturesText() const;
 
   /// Verifies the computed result is a stable model (Theorem 1). Call
@@ -415,9 +410,6 @@ class Engine {
   void RecordRunEvent(FlightEventKind kind, int64_t a0, int64_t a1);
   /// Rendered program rules indexed by clause number (facts stay empty).
   std::vector<std::string> RuleTexts() const;
-  /// Runs the abstract interpreter on the loaded program against the
-  /// current catalog contents.
-  absint::AnalysisResult ComputeAbsint() const;
   /// The one way EDB rows enter storage (AddFact, AddFacts, the inline
   /// facts, WAL replay): inserts `n` rows of rel.arity() values, back to
   /// back in `rows` (not pointing into `rel`), in order. In memory, the
@@ -456,7 +448,10 @@ class Engine {
   Status durability_status_;  // latched open/recovery failure
   std::unique_ptr<Program> program_;
   std::unique_ptr<StageAnalysis> analysis_;
-  std::unique_ptr<absint::AnalysisResult> absint_;
+  // StaticAnalysis's cache, filled on first request (hence mutable, as
+  // is phase_times_, which times it). Only the caller's thread touches
+  // it: the HTTP server reads pushed snapshots.
+  mutable std::unique_ptr<absint::AnalysisResult> absint_;
   std::unique_ptr<FixpointDriver> driver_;
   // Observability. The tracer exists only when options_.obs.enabled; the
   // registry and flight recorder are always-on by default (gated by
@@ -468,9 +463,10 @@ class Engine {
   std::unique_ptr<FlightRecorder> recorder_;
   std::chrono::steady_clock::time_point start_time_;
   std::atomic<EngineRunState> run_state_{EngineRunState::kIdle};
-  EnginePhaseTimes phase_times_;
+  mutable EnginePhaseTimes phase_times_;
   // Rows present per relation before evaluation started (program facts
-  // and AddFact rows) — the reduct seeds for VerifyStableModel.
+  // and AddFact rows) — the reduct seeds for VerifyStableModel and the
+  // EDB of StaticAnalysis once Run has started.
   std::vector<size_t> seed_watermarks_;
   bool ran_ = false;
   // The live endpoint is declared LAST: its worker threads read the

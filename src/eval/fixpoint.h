@@ -80,12 +80,6 @@ struct EvalOptions {
   /// ablation baseline. Consumed by Engine when compiling; the driver
   /// itself only echoes it into reports.
   bool use_join_planner = true;
-  /// Feed static-analysis cardinality upper bounds (analysis/absint) to
-  /// the join planner as priors for empty IDB relations, replacing the
-  /// neutral 256-row default. Pure function of program + loaded EDB, so
-  /// planning stays deterministic. Off = the priors ablation baseline.
-  /// No effect when use_join_planner is off.
-  bool use_cardinality_priors = true;
 };
 
 struct FixpointStats {

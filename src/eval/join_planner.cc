@@ -28,19 +28,7 @@ double JoinPlanner::CountDistinct(const Relation& rel, uint32_t col,
   return static_cast<double>(std::max<size_t>(1, distinct));
 }
 
-RelationEstimate JoinPlanner::ScanRelation(const Relation& rel,
-                                           size_t max_scan_rows) {
-  RelationEstimate est = RowsOf(rel, max_scan_rows);
-  for (uint32_t c = 0; c < rel.arity(); ++c) {
-    if (est.distinct[c] == 0) {
-      est.distinct[c] = CountDistinct(rel, c, rel.size());
-    }
-  }
-  return est;
-}
-
-RelationEstimate JoinPlanner::RowsOf(const Relation& rel,
-                                     size_t max_scan_rows) {
+RelationEstimate JoinPlanner::RowsOf(const Relation& rel) {
   RelationEstimate est;
   if (rel.empty()) {
     est.rows = kDefaultRows;
@@ -48,10 +36,9 @@ RelationEstimate JoinPlanner::RowsOf(const Relation& rel,
     return est;
   }
   est.rows = static_cast<double>(rel.size());
-  est.from_data = true;
-  // Relations over max_scan_rows get sqrt(rows) per column, to bound
+  // Relations over kMaxScanRows get sqrt(rows) per column, to bound
   // compile time; the others are counted on demand.
-  est.distinct.assign(rel.arity(), rel.size() > max_scan_rows
+  est.distinct.assign(rel.arity(), rel.size() > kMaxScanRows
                                        ? std::max(1.0, std::sqrt(est.rows))
                                        : 0.0);
   return est;
@@ -66,20 +53,6 @@ double JoinPlanner::ScanRows(const RelationEstimate& est,
     rows /= d;
   }
   return std::max(1.0, rows);
-}
-
-void JoinPlanner::SetPrior(PredicateId pred, uint64_t row_bound) {
-  const Relation& rel = catalog_->relation(pred);
-  if (!rel.empty()) return;  // exact stats beat the analysis bound
-  if (cache_.find(pred) != cache_.end()) return;
-  RelationEstimate est;
-  est.rows = std::max(1.0, static_cast<double>(row_bound));
-  // No column-level information in the bound: assume sqrt(rows) distinct
-  // values per column, the same shape ScanRelation falls back to for
-  // over-large relations.
-  est.distinct.assign(rel.arity(), std::max(1.0, std::sqrt(est.rows)));
-  est.from_prior = true;
-  cache_.emplace(pred, std::move(est));
 }
 
 RelationEstimate& JoinPlanner::Entry(PredicateId pred) {

@@ -34,8 +34,6 @@ struct RelationEstimate {
   // Per column, each >= 1; 0 in the planner's cache for a column no
   // EstimateScanRows has bound yet (not counted).
   std::vector<double> distinct;
-  bool from_data = false;        // computed from actual rows (vs default)
-  bool from_prior = false;       // seeded from a static-analysis bound
 };
 
 /// One planner pick, recorded per rule for the run report.
@@ -61,27 +59,11 @@ class JoinPlanner {
   /// first binds it (0 until then).
   const RelationEstimate& Estimate(PredicateId pred);
 
-  /// Seeds the estimate cache for `pred` with a static-analysis row
-  /// bound, replacing the neutral default an empty (IDB) relation would
-  /// otherwise get. Non-empty relations keep their exact scanned stats:
-  /// the prior is ignored for them. Priors are a pure function of the
-  /// program and the loaded EDB, so planning stays deterministic. Call
-  /// before the first Estimate() for the predicate.
-  void SetPrior(PredicateId pred, uint64_t row_bound);
-
   /// Estimated matching rows for a scan of `pred` with `bound_cols`
   /// bound to values. Counts the distinct values of each bound column
   /// not counted before, and reads no other column.
   double EstimateScanRows(PredicateId pred,
                           const std::vector<uint32_t>& bound_cols);
-
-  /// Exact statistics from the relation's current contents, every
-  /// column counted. Distinct counts scan every row; relations larger
-  /// than `max_scan_rows` fall back to sqrt(rows) per column to bound
-  /// compile time.
-  static constexpr size_t kMaxScanRows = size_t{1} << 20;
-  static RelationEstimate ScanRelation(const Relation& rel,
-                                       size_t max_scan_rows = kMaxScanRows);
 
   /// The independence-model estimate over precomputed statistics.
   static double ScanRows(const RelationEstimate& est,
@@ -94,12 +76,15 @@ class JoinPlanner {
   static constexpr double kDefaultDistinct = 16.0;
 
  private:
+  // Relations larger than this get sqrt(rows) distinct values per
+  // column instead of a count, to bound compile time.
+  static constexpr size_t kMaxScanRows = size_t{1} << 20;
+
   /// The cached estimate of `pred`, made by RowsOf on first use.
   RelationEstimate& Entry(PredicateId pred);
-  /// The row count and defaults of ScanRelation, with the distinct count
-  /// of each column to be counted left at 0.
-  static RelationEstimate RowsOf(const Relation& rel,
-                                 size_t max_scan_rows = kMaxScanRows);
+  /// The row count, or the defaults for an empty relation, with the
+  /// distinct count of each column to be counted left at 0.
+  static RelationEstimate RowsOf(const Relation& rel);
   /// Distinct values (at least 1) of column `col` over the first `rows`
   /// rows.
   static double CountDistinct(const Relation& rel, uint32_t col, size_t rows);

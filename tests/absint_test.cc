@@ -1,13 +1,17 @@
 // Abstract-interpretation tests: lattice algebra, transfer-function
 // edge cases mirroring the runtime arithmetic, signature inference on
 // realistic choice programs, the GD3xx diagnostics (trigger and
-// non-trigger pairs), the engine integration (priors, report, .types),
-// and a soundness check of inferred bounds against an actual run.
+// non-trigger pairs), the engine integration (analysis on demand,
+// report, .types), and a soundness check of inferred bounds against an
+// actual run.
 #include "analysis/absint/absint.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <memory>
+#include <sstream>
 #include <string>
 
 #include "analysis/absint/lattice.h"
@@ -307,9 +311,9 @@ TEST(AbsintEngine, CatalogFactsSeedTheAnalysis) {
   ASSERT_TRUE(e.AddFact("r", {e.Int(10)}).ok());
   ASSERT_TRUE(e.AddFact("r", {e.Int(20)}).ok());
   ASSERT_TRUE(e.Run().ok());
-  const AnalysisResult* r = e.absint();
-  ASSERT_NE(r, nullptr);
-  const PredicateSignature* out = r->Find("out", 1);
+  auto r = e.StaticAnalysis();
+  ASSERT_TRUE(r.ok());
+  const PredicateSignature* out = (*r)->Find("out", 1);
   ASSERT_NE(out, nullptr);
   EXPECT_TRUE(out->populated);
   EXPECT_EQ(out->args[0].iv, Interval::Range(11, 21));
@@ -327,25 +331,6 @@ TEST(AbsintEngine, LintMergesAnalysisDiagnostics) {
       [](const Diagnostic& d) { return d.code == diag::kProvablyEmpty; }));
 }
 
-TEST(AbsintEngine, StaticAnalysisOffDisablesEverything) {
-  EngineOptions opts;
-  opts.static_analysis = false;
-  Engine e(opts);
-  ASSERT_TRUE(
-      e.LoadProgram("a(1). a(2).\ndead(X) <- a(X), X > 5.\n").ok());
-  auto lint = e.Lint();
-  ASSERT_TRUE(lint.ok());
-  EXPECT_TRUE(lint->diagnostics.empty());
-  EXPECT_FALSE(e.TypeSignaturesText().ok());
-  ASSERT_TRUE(e.Run().ok());
-  EXPECT_EQ(e.absint(), nullptr);
-  auto report = e.RunReport();
-  ASSERT_TRUE(report.ok());
-  auto doc = ParseJson(*report);
-  ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(doc->Find("analysis")->kind, JsonValue::Kind::kNull);
-}
-
 TEST(AbsintEngine, RunReportCarriesAnalysisAndPhase) {
   Engine e;
   ASSERT_TRUE(e.LoadProgram("e(1, 2).\np(X, Y) <- e(X, Y).\n").ok());
@@ -361,22 +346,88 @@ TEST(AbsintEngine, RunReportCarriesAnalysisAndPhase) {
   const JsonValue* phases = doc->Find("phases");
   ASSERT_NE(phases, nullptr);
   EXPECT_NE(phases->Find("absint_ms"), nullptr);
-  const JsonValue* options = doc->Find("options");
-  ASSERT_NE(options, nullptr);
-  EXPECT_NE(options->Find("use_cardinality_priors"), nullptr);
-  EXPECT_NE(options->Find("static_analysis"), nullptr);
 }
 
+// The analysis is the same whoever asks and whenever: before Run, after
+// a completed Run and after a bounded stop, it is seeded from the EDB as
+// it stood when Run started, never from the rows Run derived — not even
+// in a relation that holds both (Dijkstra's dist seed, Prim's prm seed).
+// Run itself computes no analysis, and a second ask computes none.
 TEST(AbsintEngine, TypeSignaturesTextWorksBeforeAndAfterRun) {
-  Engine e;
-  ASSERT_TRUE(e.LoadProgram("e(1, 2).\np(X, Y) <- e(X, Y).\n").ok());
-  auto before = e.TypeSignaturesText();
-  ASSERT_TRUE(before.ok());
-  EXPECT_NE(before->find("p/2"), std::string::npos);
-  ASSERT_TRUE(e.Run().ok());
-  auto after = e.TypeSignaturesText();
-  ASSERT_TRUE(after.ok());
-  EXPECT_NE(after->find("p/2"), std::string::npos);
+  constexpr char kDijkstra[] = R"(
+    dist(Y, D, I) <- next(I), cand(Y, D, J), J < I, least(D, I),
+                     not (dist(Y, _, J2), J2 < I).
+    cand(Y, D, J) <- dist(X, DX, J), g(X, Y, C), D = DX + C.
+    g(0, 1, 4). g(0, 2, 1). g(2, 1, 2). g(1, 3, 1). g(2, 3, 5). g(3, 4, 3).
+  )";
+  std::ifstream in(std::string(GDLOG_SOURCE_DIR) + "/programs/prim.dl");
+  std::stringstream prim;
+  prim << in.rdbuf();
+  ASSERT_FALSE(prim.str().empty());
+  struct Case {
+    const char* name;
+    std::string text;
+    bool seed_dist;  // the IDB seed dist(0, 0, 0), added by AddFact
+  };
+  for (const Case& c : {Case{"dijkstra", kDijkstra, true},
+                        Case{"prim", prim.str(), false}}) {
+    SCOPED_TRACE(c.name);
+    auto load = [&c](EngineOptions options) {
+      options.obs.recorder_dump_on_stop = false;
+      auto e = std::make_unique<Engine>(options);
+      EXPECT_TRUE(e->LoadProgram(c.text).ok());
+      if (c.seed_dist) {
+        EXPECT_TRUE(
+            e->AddFact("dist", {Value::Int(0), Value::Int(0), Value::Int(0)})
+                .ok());
+      }
+      return e;
+    };
+    auto json = [](const Engine& e) {
+      auto r = e.StaticAnalysis();
+      EXPECT_TRUE(r.ok());
+      if (!r.ok()) return std::string();
+      JsonWriter w;
+      AnalysisToJson(**r, &w);
+      return w.Take();
+    };
+
+    // Before Run, then again on the same engine after it.
+    std::unique_ptr<Engine> e = load({});
+    const std::string before = json(*e);
+    auto types_before = e->TypeSignaturesText();
+    ASSERT_TRUE(types_before.ok());
+    ASSERT_TRUE(e->Run().ok());
+    EXPECT_GT(e->Query(c.seed_dist ? "dist" : "prm", c.seed_dist ? 3 : 4)
+                  .size(),
+              1u);
+    EXPECT_EQ(json(*e), before);
+    EXPECT_EQ(*e->TypeSignaturesText(), *types_before);
+
+    // A Run nobody asks about computes nothing; the first ask after it
+    // computes the analysis once, and later asks reuse it.
+    e = load({});
+    ASSERT_TRUE(e->Run().ok());
+    EXPECT_EQ(e->phase_times().absint_ns, 0u);
+    EXPECT_EQ(json(*e), before);
+    const uint64_t asked = e->phase_times().absint_ns;
+    EXPECT_GT(asked, 0u);
+    EXPECT_TRUE(e->Lint().ok());
+    EXPECT_TRUE(e->TypeSignaturesText().ok());
+    EXPECT_TRUE(e->RunReport().ok());
+    EXPECT_TRUE(e->ExplainAnalyzeText().ok());
+    EXPECT_EQ(json(*e), before);
+    EXPECT_EQ(e->phase_times().absint_ns, asked);
+
+    // After a bounded stop two stages in.
+    EngineOptions bounded;
+    bounded.limits.max_stages = 2;
+    e = load(bounded);
+    EXPECT_FALSE(e->Run().ok());
+    ASSERT_EQ(e->outcome().reason, TerminationReason::kStageLimit);
+    ASSERT_TRUE(e->has_run());
+    EXPECT_EQ(json(*e), before);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -387,9 +438,9 @@ TEST(AbsintEngine, TypeSignaturesTextWorksBeforeAndAfterRun) {
 // per-column types and intervals contain every stored value, and the
 // cardinality bound contains the actual row count.
 void ExpectRunWithinSignatures(Engine& e) {
-  const AnalysisResult* r = e.absint();
-  ASSERT_NE(r, nullptr);
-  for (const PredicateSignature& sig : r->signatures) {
+  auto r = e.StaticAnalysis();
+  ASSERT_TRUE(r.ok());
+  for (const PredicateSignature& sig : (*r)->signatures) {
     const Relation* rel = e.Find(sig.name, sig.arity);
     if (rel == nullptr) continue;
     if (!sig.populated) {

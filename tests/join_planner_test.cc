@@ -17,15 +17,19 @@ namespace {
 
 // -- Estimate units -----------------------------------------------------
 
-TEST(JoinPlannerEstimates, ScanRelationCountsRowsAndDistincts) {
-  Relation r("g", 2);
+TEST(JoinPlannerEstimates, EstimateCountsRowsAndDistincts) {
+  Catalog catalog;
+  const PredicateId p = catalog.Ensure("g", 2);
   for (int64_t x : {1, 1, 2, 3}) {
     Value row[2] = {Value::Int(x), Value::Int(7)};
-    r.Insert(TupleView(row, 2));
+    catalog.relation(p).Insert(TupleView(row, 2));
   }
+  JoinPlanner planner(&catalog);
   // Set semantics dedup the repeated (1,7): 3 rows remain.
-  const RelationEstimate est = JoinPlanner::ScanRelation(r);
-  EXPECT_TRUE(est.from_data);
+  EXPECT_DOUBLE_EQ(planner.EstimateScanRows(p, {}), 3.0);
+  EXPECT_DOUBLE_EQ(planner.EstimateScanRows(p, {0}), 1.0);
+  EXPECT_DOUBLE_EQ(planner.EstimateScanRows(p, {1}), 3.0);
+  const RelationEstimate& est = planner.Estimate(p);
   EXPECT_DOUBLE_EQ(est.rows, 3.0);
   ASSERT_EQ(est.distinct.size(), 2u);
   EXPECT_DOUBLE_EQ(est.distinct[0], 3.0);  // 1, 2, 3
@@ -50,7 +54,6 @@ TEST(JoinPlannerEstimates, EmptyRelationGetsNeutralDefault) {
   const PredicateId p = catalog.Ensure("idb", 3);
   JoinPlanner planner(&catalog);
   const RelationEstimate& est = planner.Estimate(p);
-  EXPECT_FALSE(est.from_data);
   EXPECT_DOUBLE_EQ(est.rows, JoinPlanner::kDefaultRows);
   ASSERT_EQ(est.distinct.size(), 3u);
   EXPECT_DOUBLE_EQ(est.distinct[0], JoinPlanner::kDefaultDistinct);

@@ -429,8 +429,9 @@ TEST_P(SeedSweep, RandomStratifiedAnalysisIsSound) {
         e.AddFact("e2", {Value::Int(row[0]), Value::Int(row[1])}).ok());
   }
   ASSERT_TRUE(e.Run().ok()) << p.text;
-  const absint::AnalysisResult* r = e.absint();
-  ASSERT_NE(r, nullptr);
+  auto analysis = e.StaticAnalysis();
+  ASSERT_TRUE(analysis.ok());
+  const absint::AnalysisResult* r = *analysis;
   // This family is type-clean by construction: error-class analysis
   // findings (GD300/GD301) would be false positives.
   for (const Diagnostic& d : r->diagnostics) {
@@ -503,7 +504,9 @@ TEST_P(SeedSweep, NearOverflowStaysQuietAndDerives) {
       << text;
   ASSERT_TRUE(e.Run().ok());
   ASSERT_EQ(e.Query("ok", 1).size(), 1u);
-  const absint::PredicateSignature* sig = e.absint()->Find("ok", 1);
+  auto analysis = e.StaticAnalysis();
+  ASSERT_TRUE(analysis.ok());
+  const absint::PredicateSignature* sig = (*analysis)->Find("ok", 1);
   ASSERT_NE(sig, nullptr);
   EXPECT_TRUE(sig->args[0].iv.Contains(base + shift)) << text;
 }

@@ -41,6 +41,14 @@
 # the inline facts then travel through the WAL, and the model, the
 # audit and its rule numbers must not notice.
 #
+# Last, for every program and fixture that runs, the "analysis" object
+# of `--json-report` is diffed against the one `--lint-json` prints,
+# both as sorted-key JSON (python3). The run report computes the
+# analysis after the run, seeded from the EDB as it stood when the run
+# started; lint computes it before any run. They must agree: a rule's
+# derived rows leaking into the EDB seeds shows up here, on programs
+# that have no .explain golden too.
+#
 #   tools/check_goldens.sh BUILD_DIR            check; exit 1 on drift
 #   tools/check_goldens.sh BUILD_DIR --update   refresh the goldens
 set -u
@@ -145,6 +153,26 @@ if [ "$MODE" != "--update" ]; then
     rm -rf "$db"
     if ! printf '%s\n' "$out" | diff -u "$golden" -; then
       echo "GOLDEN DRIFT: $f --seed 0 --db-dir vs $golden"
+      fail=1
+    fi
+  done
+fi
+
+# The analysis a run reports equals the one lint reports.
+analysis_of() {
+  python3 -c 'import json, sys
+print(json.dumps(json.load(sys.stdin)["analysis"], indent=1, sort_keys=True))'
+}
+if [ "$MODE" != "--update" ]; then
+  for f in programs/*.dl tests/fixtures/*.dl; do
+    # The report is the last line; a program that does not run has none.
+    report=$("$SHELL_BIN" "$f" --json-report 2>/dev/null) || continue
+    lint=$("$SHELL_BIN" "$f" --lint-json 2>/dev/null) || true
+    want=$(printf '%s\n' "$lint" | analysis_of) || want=
+    got=$(printf '%s\n' "$report" | tail -n 1 | analysis_of) || got=
+    if [ -z "$want" ] || [ "$want" != "$got" ]; then
+      diff -u <(printf '%s\n' "$want") <(printf '%s\n' "$got")
+      echo "ANALYSIS DRIFT: $f --json-report vs --lint-json"
       fail=1
     fi
   done

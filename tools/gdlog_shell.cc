@@ -32,8 +32,6 @@
 //   --no-merge           disable congruence merging ((R,Q,L) ablation)
 //   --linear-least       naive linear-scan retrieval instead of the heap
 //   --no-planner         parser-order joins (cost-based planner ablation)
-//   --no-absint          skip abstract interpretation (types/intervals/bounds)
-//   --no-priors          planner ignores analysis row bounds (ablation)
 //   --deadline-ms N      stop the run after N wall-clock milliseconds
 //   --max-tuples N       stop after N derived tuples
 //   --max-stages N       stop after N next-rule stage advances
@@ -57,8 +55,10 @@
 // evaluated; --query specs become the lint's query roots (enabling the
 // unreachable-rule check GD010). Diagnostics include the abstract
 // interpreter's findings (GD012/GD013/GD3xx), and the JSON output
-// carries the inferred signatures under an "analysis" key (null with
-// --no-absint, absent when the program fails to load).
+// carries the inferred signatures under an "analysis" key (absent when
+// the program fails to load). Evaluation never computes the analysis;
+// only the outputs that show it do (--lint, --json-report,
+// --explain-analyze, --serve-obs's run report, .types).
 //
 // A --why/--why-dot TARGET is either a ground atom (`prm(0,1,0,4)`) or
 // `pred/arity` for the relation's most recently derived row.
@@ -236,7 +236,7 @@ void Usage(const char* argv0) {
                "[--explain-analyze] [--json-report] [--metrics-out PATH] "
                "[--serve-obs PORT] [--serve-linger-ms N] [--progress] "
                "[--trace PATH] [--no-merge] [--linear-least] "
-               "[--no-planner] [--no-absint] [--no-priors] "
+               "[--no-planner] "
                "[--deadline-ms N] [--max-tuples N] [--max-stages N] "
                "[--max-memory-mb N] [--faults SPEC] "
                "[--db-dir PATH] [--fsync always|batch|off] "
@@ -405,12 +405,9 @@ int RunLint(const std::string& name, const std::string& text,
     gdlog::JsonWriter w;
     w.BeginObject();
     gdlog::DiagnosticsJsonContents(lr->diagnostics, name, &w);
+    // Lint succeeded, so the program is loaded and the analysis exists.
     w.Key("analysis");
-    if (auto ar = engine.StaticAnalysis(); ar.ok()) {
-      gdlog::absint::AnalysisToJson(*ar, &w);
-    } else {
-      w.Null();
-    }
+    gdlog::absint::AnalysisToJson(**engine.StaticAnalysis(), &w);
     w.EndObject();
     std::printf("%s\n", w.Take().c_str());
   } else {
@@ -885,10 +882,6 @@ int main(int argc, char** argv) {
       options.eval.use_priority_queue = false;
     } else if (arg == "--no-planner") {
       options.eval.use_join_planner = false;
-    } else if (arg == "--no-absint") {
-      options.static_analysis = false;
-    } else if (arg == "--no-priors") {
-      options.eval.use_cardinality_priors = false;
     } else if (arg == "--deadline-ms" && i + 1 < argc) {
       if (!ParseFlagUint(arg, argv[++i], &options.limits.deadline_ms)) return 2;
     } else if (arg == "--max-tuples" && i + 1 < argc) {
