@@ -1027,6 +1027,7 @@ Result<std::string> Engine::RunReport() const {
 
   w.Key("metrics");
   if (metrics_ != nullptr) {
+    RefreshRuntimeMetrics();
     metrics_->SnapshotJson(&w);
   } else {
     w.Null();

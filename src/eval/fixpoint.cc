@@ -69,7 +69,7 @@ FixpointDriver::FixpointDriver(Catalog* catalog, ValueStore* store,
     g->queue = std::make_unique<CandidateQueue>(
         store_, order, merge, options_.choice_seed,
         /*linear_scan=*/!options_.use_priority_queue);
-    if (r.has_extremum) {
+    if (r.has_extremum && !r.is_next) {
       g->group_best =
           FlatTable(TermComponentCount(r.pool, r.group_term),
                     /*value_width=*/1);  // the group's extremum cost
@@ -673,75 +673,70 @@ Status FixpointDriver::Saturate(CliqueCtx* ctx) {
   return guard_status;
 }
 
-size_t FixpointDriver::DrainChoiceRule(GammaState* g) {
-  // One firing per call — the paper's γ fires a single chosen instance
-  // per iteration, alternating with saturation; interleaving lets
-  // different tie-break seeds explore different stable models.
+bool FixpointDriver::PopAndFire(CliqueCtx* ctx, GammaState* g) {
+  // Section 6's retrieval, for both γ kinds: pop the best live candidate
+  // of Q_r and fire it, or move it to R_r and pop the next. One firing
+  // per call: γ fires a single chosen instance per iteration, alternating
+  // with saturation, so different tie-break seeds reach different stable
+  // models.
   const CompiledRule& rule = *g->rule;
+  const bool group_filter = rule.has_extremum && !rule.is_next;
   BindingFrame& frame = fire_frame_;
+  std::vector<Value>& head = head_buf_;
+  head.resize(rule.head_arity);
+  ChoiceAuditEntry entry;  // rejections accumulate across pops
   uint64_t pops = 0;
-  uint64_t rej_ext = 0, rej_fd = 0, rej_post = 0;
-  const uint64_t live_before =
-      audit_ != nullptr ? g->queue->LiveSize() : 0;
+  const uint64_t live_before = audit_ != nullptr ? g->queue->LiveSize() : 0;
   while (auto cand = g->queue->Pop()) {
     ++pops;
     RestoreSnapshot(rule, cand->snapshot, &frame);
-    if (rule.has_extremum) {
-      // Extrema filtering: pops arrive in cost order, so the first
-      // candidate ever seen in a group carries the group's true
-      // extremum; any later candidate with a different cost was never a
-      // valid instance of the rule. The per-group record persists across
-      // calls in the GammaState.
-      Value cost;
-      // Cost evaluated at enqueue, so it evaluates again here; the
-      // group term is first evaluated on this path and can fail on an
-      // untyped binding — such a candidate was never a valid instance.
-      group_buf_.clear();
-      const bool ok =
-          EvalTerm(rule.pool, rule.cost_term, frame, store_, &cost) &&
-          EvalTermComponents(rule.pool, rule.group_term, frame, store_,
-                             &group_buf_);
-      if (!ok) {
-        ++rej_post;
-        g->queue->MarkRedundant(*cand);
-        continue;
-      }
-      bool fresh = false;
-      const uint32_t id = g->group_best.Insert(group_buf_, &fresh);
-      Value& best = g->group_best.Values(id)[0];
-      if (fresh) {
-        best = cost;
-        Charge(&g->group_charged, g->group_best.ApproxBytes());
-      } else if (best != cost) {
-        ++rej_ext;
-        Record(FlightEventKind::kChoiceReject,
-               static_cast<int64_t>(rule.rule_index),
-               static_cast<int64_t>(g->queue->LiveSize()));
-        g->queue->MarkRedundant(*cand);
-        continue;
-      }
+    if (rule.is_next) {
+      frame.Bind(rule.stage_slot, Value::Int(ctx->stage_counter));
     }
-    if (!choice_.Admissible(rule, frame)) {
-      ++inadmissible_staged_;
-      ++rej_fd;
+    bool fired = false;
+    if (!group_filter || InGroupExtremum(g, frame, &entry)) {
+      bool saw_solution = false;
+      auto fire = [&](BindingFrame& f) {
+        saw_solution = true;
+        if (!choice_.Admissible(rule, f)) {
+          ++inadmissible_staged_;
+          ++entry.rejected_fd;
+          return true;
+        }
+        ++admissible_staged_;
+        // Build now, insert after: the post plan may hold index iterators
+        // on the head relation. Build before Commit: a solution whose
+        // head term fails to evaluate (an untyped binding, e.g.
+        // arithmetic over a symbol) derives nothing and must not burn the
+        // choice.
+        if (!exec_.BuildHead(rule, f, head.data())) {
+          ++entry.rejected_post;
+          return true;
+        }
+        choice_.Commit(rule, f);
+        // The firing's post premises; the trail pops back to empty as the
+        // enumeration unwinds, so copy here.
+        if (prov_) post_prov_ = prov_trail_;
+        fired = true;
+        return false;  // one firing per γ
+      };
+      if (rule.post.empty()) {
+        // The restored frame is the one solution.
+        ++exec_.stats().solutions;
+        fire(frame);
+      } else {
+        exec_.Enumerate(rule, rule.post, CompiledScan::kNoOccurrence, &frame,
+                        fire);
+      }
+      if (!saw_solution) ++entry.rejected_post;
+    }
+    if (!fired) {
       Record(FlightEventKind::kChoiceReject,
              static_cast<int64_t>(rule.rule_index),
              static_cast<int64_t>(g->queue->LiveSize()));
       g->queue->MarkRedundant(*cand);
       continue;
     }
-    ++admissible_staged_;
-    // Build the head before committing the FD: a candidate whose head
-    // term fails to evaluate (untyped binding, e.g. arithmetic over a
-    // symbol) derives nothing and must not burn the choice.
-    std::vector<Value>& head = head_buf_;
-    head.resize(rule.head_arity);
-    if (!exec_.BuildHead(rule, frame, head.data())) {
-      ++rej_post;
-      g->queue->MarkRedundant(*cand);
-      continue;
-    }
-    choice_.Commit(rule, frame);
     RuleProfile& prof = profiles_[rule.rule_index];
     Relation& head_rel = catalog_->relation(rule.head_pred);
     const auto res = head_rel.Insert(TupleView(head));
@@ -749,97 +744,9 @@ size_t FixpointDriver::DrainChoiceRule(GammaState* g) {
       ++exec_.stats().inserts;
       ++prof.tuples;
       if (prov_) {
-        head_rel.Annotate(res.row, rule.rule_index, cand->premises.data(),
-                          cand->premises.size());
-      }
-    } else {
-      ++prof.dedup_hits;
-    }
-    g->queue->MarkFired(*cand);
-    ++stats_.gamma_firings;
-    ++prof.firings;
-    pops_per_fire_.Record(pops);
-    Record(FlightEventKind::kGammaFire, static_cast<int64_t>(rule.rule_index),
-           static_cast<int64_t>(stats_.gamma_firings));
-    if (obs_.tracer != nullptr && obs_.tracer->Sample()) {
-      obs_.tracer->Instant("gamma.fire", "gamma",
-                           {{"rule", rule.rule_index}});
-    }
-    if (audit_ != nullptr) {
-      ChoiceAuditEntry e;
-      e.rule_index = rule.rule_index;
-      e.gamma_index = rule.gamma_index;
-      e.firing = stats_.gamma_firings;
-      e.candidate_set = live_before;
-      e.pops = pops;
-      e.ties = rule.has_extremum ? g->queue->CountLiveEqualCost(cand->cost)
-                                 : 0;
-      e.rejected_extremum = rej_ext;
-      e.rejected_fd = rej_fd;
-      e.rejected_post = rej_post;
-      e.cost = rule.has_extremum ? cand->cost : Value::Int(0);
-      e.witness = head_rel.name() + TupleToString(*store_, TupleView(head));
-      e.head_pred = rule.head_pred;
-      e.head_row = res.row;
-      AddAuditEntry(std::move(e));
-    }
-    return 1;
-  }
-  return 0;
-}
-
-bool FixpointDriver::TryFireNext(CliqueCtx* ctx, GammaState* g,
-                                 const Candidate& cand,
-                                 ChoiceAuditEntry* audit) {
-  const CompiledRule& rule = *g->rule;
-  RestoreSnapshot(rule, cand.snapshot, &fire_frame_);
-  fire_frame_.Bind(rule.stage_slot, Value::Int(ctx->stage_counter));
-
-  bool fired = false;
-  bool saw_solution = false;
-  std::vector<Value>& head = head_buf_;
-  head.resize(rule.head_arity);
-  auto fire = [&](BindingFrame& f) {
-    saw_solution = true;
-    if (!choice_.Admissible(rule, f)) {
-      ++inadmissible_staged_;
-      if (audit != nullptr) ++audit->rejected_fd;
-      return true;
-    }
-    ++admissible_staged_;
-    // Build now, insert after: the post plan may hold index iterators on
-    // the head relation. Build before Commit — a solution whose head
-    // term fails to evaluate derives nothing and must not burn the
-    // choice.
-    if (!exec_.BuildHead(rule, f, head.data())) {
-      if (audit != nullptr) ++audit->rejected_post;
-      return true;
-    }
-    choice_.Commit(rule, f);
-    // The firing's post premises; the trail pops back to empty as the
-    // enumeration unwinds, so copy here.
-    if (prov_) post_prov_ = prov_trail_;
-    fired = true;
-    return false;  // one firing per γ
-  };
-  if (rule.post.empty()) {
-    // The restored snapshot and the stage are the one solution.
-    ++exec_.stats().solutions;
-    fire(fire_frame_);
-  } else {
-    exec_.Enumerate(rule, rule.post, CompiledScan::kNoOccurrence,
-                    &fire_frame_, fire);
-  }
-  if (fired) {
-    RuleProfile& prof = profiles_[rule.rule_index];
-    Relation& head_rel = catalog_->relation(rule.head_pred);
-    const auto res = head_rel.Insert(TupleView(head));
-    if (res.inserted) {
-      ++prof.tuples;
-      if (prov_) {
         // Full justification: the generator premises carried by the
-        // candidate plus the post plan's premises at the firing.
-        prems_buf_.assign(cand.premises.begin(), cand.premises.end());
+        // candidate, then the post plan's premises at the firing.
+        prems_buf_.assign(cand->premises.begin(), cand->premises.end());
         prems_buf_.insert(prems_buf_.end(), post_prov_.begin(),
                           post_prov_.end());
         head_rel.Annotate(res.row, rule.rule_index, prems_buf_.data(),
@@ -848,80 +755,92 @@ bool FixpointDriver::TryFireNext(CliqueCtx* ctx, GammaState* g,
     } else {
       ++prof.dedup_hits;
     }
-    if (audit != nullptr) {
-      audit->stage = ctx->stage_counter;
-      audit->cost = rule.has_extremum ? cand.cost : Value::Int(0);
-      audit->witness =
-          head_rel.name() + TupleToString(*store_, TupleView(head));
-      audit->head_pred = rule.head_pred;
-      audit->head_row = res.row;
-    }
-    g->queue->MarkFired(cand);
+    g->queue->MarkFired(*cand);
     ++prof.firings;
-    if (obs_.tracer != nullptr && obs_.tracer->Sample()) {
-      obs_.tracer->Instant("stage.advance", "gamma",
-                           {{"rule", rule.rule_index},
-                            {"stage", ctx->stage_counter}});
-    }
-    const int64_t stage = ctx->stage_counter++;
     ++stats_.gamma_firings;
-    ++stats_.stages_assigned;
-    Record(FlightEventKind::kStage, static_cast<int64_t>(rule.rule_index),
-           stage);
-  } else {
-    if (audit != nullptr && !saw_solution) ++audit->rejected_post;
-    Record(FlightEventKind::kChoiceReject,
-           static_cast<int64_t>(rule.rule_index),
-           static_cast<int64_t>(g->queue->LiveSize()));
-    g->queue->MarkRedundant(cand);
+    pops_per_fire_.Record(pops);
+    const int64_t stage = ctx->stage_counter;
+    const bool traced = obs_.tracer != nullptr && obs_.tracer->Sample();
+    if (rule.is_next) {
+      ++ctx->stage_counter;
+      ++stats_.stages_assigned;
+      entry.stage = stage;
+      if (traced) {
+        obs_.tracer->Instant("stage.advance", "gamma",
+                             {{"rule", rule.rule_index}, {"stage", stage}});
+      }
+      Record(FlightEventKind::kStage, static_cast<int64_t>(rule.rule_index),
+             stage);
+    } else {
+      if (traced) {
+        obs_.tracer->Instant("gamma.fire", "gamma",
+                             {{"rule", rule.rule_index}});
+      }
+      Record(FlightEventKind::kGammaFire,
+             static_cast<int64_t>(rule.rule_index),
+             static_cast<int64_t>(stats_.gamma_firings));
+    }
+    if (audit_ != nullptr) {
+      entry.rule_index = rule.rule_index;
+      entry.gamma_index = rule.gamma_index;
+      entry.firing = stats_.gamma_firings;
+      entry.candidate_set = live_before;
+      entry.pops = pops;
+      entry.ties =
+          rule.has_extremum ? g->queue->CountLiveEqualCost(cand->cost) : 0;
+      entry.cost = rule.has_extremum ? cand->cost : Value::Int(0);
+      entry.witness = head_rel.name() + TupleToString(*store_, TupleView(head));
+      entry.head_pred = rule.head_pred;
+      entry.head_row = res.row;
+      AddAuditEntry(std::move(entry));
+    }
+    return true;
   }
-  return fired;
+  return false;
+}
+
+bool FixpointDriver::InGroupExtremum(GammaState* g, const BindingFrame& frame,
+                                     ChoiceAuditEntry* entry) {
+  // Pops arrive in cost order, so the first candidate ever seen in a
+  // group carries the group's true extremum; a later one with another
+  // cost was never an instance of the rule. The cost term evaluated at
+  // enqueue, so it evaluates here too; the group term evaluates first
+  // here and can fail on an untyped binding, and such a candidate was
+  // never an instance either.
+  const CompiledRule& rule = *g->rule;
+  Value cost;
+  group_buf_.clear();
+  if (!EvalTerm(rule.pool, rule.cost_term, frame, store_, &cost) ||
+      !EvalTermComponents(rule.pool, rule.group_term, frame, store_,
+                          &group_buf_)) {
+    ++entry->rejected_post;
+    return false;
+  }
+  bool fresh = false;
+  const uint32_t id = g->group_best.Insert(group_buf_, &fresh);
+  Value& best = g->group_best.Values(id)[0];
+  if (fresh) {
+    best = cost;
+    Charge(&g->group_charged, g->group_best.ApproxBytes());
+  } else if (best != cost) {
+    ++entry->rejected_extremum;
+    return false;
+  }
+  return true;
 }
 
 bool FixpointDriver::GammaPhase(CliqueCtx* ctx) {
   TraceSpan span(obs_.tracer, "GammaPhase", "fixpoint");
-  bool fired = false;
-  // Non-next choice rules: one firing, then back to saturation.
+  // Choice rules first; next rules once a stage is in play. The phase
+  // ends at the first firing.
   for (GammaState* g : ctx->gammas) {
-    if (g->rule->is_next) continue;
-    if (DrainChoiceRule(g) > 0) {
-      fired = true;
-      break;
-    }
+    if (!g->rule->is_next && PopAndFire(ctx, g)) return true;
   }
-  // Next rules: exactly one firing, once a stage is in play.
-  if (!fired && ctx->stage_seeded) {
-    for (GammaState* g : ctx->gammas) {
-      if (!g->rule->is_next) continue;
-      uint64_t pops = 0;
-      ChoiceAuditEntry entry;  // accumulates across rejected pops
-      const uint64_t live_before =
-          audit_ != nullptr ? g->queue->LiveSize() : 0;
-      while (auto cand = g->queue->Pop()) {
-        ++pops;
-        const Value cand_cost = cand->cost;
-        if (TryFireNext(ctx, g, *cand,
-                        audit_ != nullptr ? &entry : nullptr)) {
-          fired = true;
-          pops_per_fire_.Record(pops);
-          if (audit_ != nullptr) {
-            entry.rule_index = g->rule->rule_index;
-            entry.gamma_index = g->rule->gamma_index;
-            entry.firing = stats_.gamma_firings;
-            entry.candidate_set = live_before;
-            entry.pops = pops;
-            entry.ties = g->rule->has_extremum
-                             ? g->queue->CountLiveEqualCost(cand_cost)
-                             : 0;
-            AddAuditEntry(std::move(entry));
-          }
-          break;
-        }
-      }
-      if (fired) break;
-    }
+  if (!ctx->stage_seeded) return false;
+  for (GammaState* g : ctx->gammas) {
+    if (g->rule->is_next && PopAndFire(ctx, g)) return true;
   }
-  return fired;
+  return false;
 }
 
 }  // namespace gdlog

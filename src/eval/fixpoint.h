@@ -7,17 +7,20 @@
 //   Saturate (Q∞)  — seminaive rounds (sweeps) over the clique's flat
 //                    rules; new tuples also flow into the gamma rules'
 //                    candidate queues (the paper's insertion into D_r);
-//   GammaPhase (γ) — a non-next choice rule fires at most one
-//                    candidate per phase (its queue is popped until one
-//                    passes its extremum filter and choice FDs; the
-//                    interleaving with Q∞ is immaterial because
-//                    saturation adds only candidates, never invalidates
-//                    them); when none fires, a next rule fires exactly
-//                    ONE candidate — the best live queue entry passing
-//                    its post conditions and choice FDs — then the stage
-//                    counter advances. Next rules wait until some stage
-//                    value is in play, since a stage I needs its
-//                    predecessor I - 1.
+//   GammaPhase (γ) — one firing, by Section 6's retrieval for both γ
+//                    kinds (PopAndFire): pop a rule's best live candidate
+//                    and fire it, or move it to R and pop the next. A
+//                    candidate fires when its post plan (a next rule's,
+//                    run with the stage bound; empty for choice rules)
+//                    has a solution that passes the choice FDs and whose
+//                    head builds. Choice rules (no next) go first, each
+//                    candidate passing the per-group extremum filter when
+//                    the rule has one; the interleaving with Q∞ is
+//                    immaterial because saturation adds only candidates,
+//                    never invalidates them. When none fires, a next rule
+//                    fires and the stage counter advances. Next rules
+//                    wait until some stage value is in play, since a
+//                    stage I needs its predecessor I - 1.
 //
 // The loop ends when γ produces nothing. For stage-stratified programs
 // this computes a stable model (Theorem 1); each Pop/fire is O(log |Q|),
@@ -178,8 +181,8 @@ class FixpointDriver {
     const CompiledRule* rule;
     std::unique_ptr<CandidateQueue> queue;
     bool merge = false;  // effective congruence-merge mode
-    // For non-next extrema rules: first-seen (= true) extremum per group,
-    // keyed by the group term's components.
+    // For choice rules with an extremum: first-seen (= true) extremum per
+    // group, keyed by the group term's components; empty otherwise.
     FlatTable group_best;
     size_t group_charged = 0;  // MemoryBudget charge for group_best
   };
@@ -254,17 +257,15 @@ class FixpointDriver {
   void RestoreSnapshot(const CompiledRule& rule,
                        std::span<const Value> snapshot, BindingFrame* frame);
 
-  /// Attempts to fire one popped candidate of a next rule; true on fire.
-  /// `audit` (audit mode only, else null) accumulates per-candidate
-  /// rejections and, on fire, receives the witness/stage/cost fields.
-  bool TryFireNext(CliqueCtx* ctx, GammaState* g, const Candidate& cand,
-                   ChoiceAuditEntry* audit);
-
-  /// Pops a non-next gamma rule's queue until one candidate passes the
-  /// extremum filter (when the rule has one) and the choice FDs, and
-  /// fires it: at most one firing per call, so γ alternates with
-  /// saturation. Returns the number of firings (0 or 1).
-  size_t DrainChoiceRule(GammaState* g);
+  /// Pops g's queue until a candidate fires, for both γ kinds; false
+  /// when the queue runs dry. Each rejected pop moves to R and records
+  /// one choice-reject event; the firing's audit entry counts why.
+  bool PopAndFire(CliqueCtx* ctx, GammaState* g);
+  /// A choice rule's per-group extremum filter: true when the candidate
+  /// restored in `frame` carries its group's extremum cost, else counts
+  /// the rejection in `entry`.
+  bool InGroupExtremum(GammaState* g, const BindingFrame& frame,
+                       ChoiceAuditEntry* entry);
 
   /// Clock for profile timing: tracer time when tracing (so spans and
   /// profiles share an epoch), raw steady_clock otherwise.
@@ -303,7 +304,7 @@ class FixpointDriver {
   // Scratch reused across candidates, so the γ path allocates only when
   // a buffer first grows: the generator frame and the key/snapshot
   // buffers InsertCandidates fills; the firing frame, head, extremum
-  // group and provenance buffers TryFireNext and DrainChoiceRule fill.
+  // group and provenance buffers PopAndFire fills.
   BindingFrame gen_frame_;
   std::vector<Value> key_buf_;
   std::vector<Value> snapshot_buf_;

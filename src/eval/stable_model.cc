@@ -244,17 +244,43 @@ Result<StableCheckResult> CheckStableModel(
                          CompileProgram(checkable, analysis, &cd, store));
   PlanExecutor exec(&cd, store);
   exec.set_negation_oracle(make_oracle(&cd));
-  for (;;) {
-    size_t inserted = 0;
-    for (const CompiledRule& r : compiled) {
-      inserted += exec.ApplyRule(r, CompiledScan::kNoOccurrence);
+  StableCheckResult result;
+  result.stable = true;
+  // Refutes stability at the first row of `a`, from `from` on, that
+  // `other` lacks.
+  auto compare_pred = [&](const Relation& a, RowId from, const Catalog& other,
+                          const char* dir) {
+    const PredicateId oid = other.Lookup(a.name(), a.arity());
+    for (RowId row = from; row < a.size(); ++row) {
+      const TupleView t = a.Row(row);
+      if (oid == kNoPredicate || !other.relation(oid).Contains(t)) {
+        result.stable = false;
+        result.diagnostic =
+            std::string(dir) + ": " + a.name() + TupleToString(*store, t);
+        return;
+      }
     }
-    if (inserted == 0) break;
+  };
+  // The reduct is positive, so a derived fact outside M+ stays derived
+  // and refutes stability at once. Stopping there also ends a reduct
+  // whose least model is infinite.
+  for (size_t inserted = 1; inserted != 0 && result.stable;) {
+    inserted = 0;
+    for (const CompiledRule& r : compiled) {
+      const Relation& head = cd.relation(r.head_pred);
+      const RowId before = head.size();
+      inserted += exec.ApplyRule(r, CompiledScan::kNoOccurrence);
+      compare_pred(head, before, cm, "derived but not in model");
+      if (!result.stable) break;
+    }
   }
 
   // ---- 4. Compare M+ with lfp(P^{M+}) -------------------------------------
-  StableCheckResult result;
-  result.stable = true;
+  // Every derived fact is in M+, so the two are equal iff M+ is
+  // re-derived.
+  for (PredicateId id = 0; id < cm.size() && result.stable; ++id) {
+    compare_pred(cm.relation(id), 0, cd, "in model but not re-derived");
+  }
   auto count_facts = [](const Catalog& c) {
     size_t n = 0;
     for (PredicateId id = 0; id < c.size(); ++id) {
@@ -264,34 +290,6 @@ Result<StableCheckResult> CheckStableModel(
   };
   result.model_facts = count_facts(cm);
   result.reduct_facts = count_facts(cd);
-
-  auto compare_pred = [&](const Relation& a, const Catalog& other,
-                          const char* dir) {
-    const PredicateId oid = other.Lookup(a.name(), a.arity());
-    for (RowId row = 0; row < a.size(); ++row) {
-      const TupleView t = a.Row(row);
-      const bool present =
-          oid != kNoPredicate && other.relation(oid).Contains(t);
-      if (!present) {
-        result.stable = false;
-        if (result.diagnostic.empty()) {
-          result.diagnostic = std::string(dir) + ": " + a.name() +
-                              TupleToString(*store, t);
-        }
-        return;
-      }
-    }
-  };
-  for (PredicateId id = 0; id < cm.size(); ++id) {
-    compare_pred(cm.relation(id), cd, "in model but not re-derived");
-    if (!result.stable) break;
-  }
-  if (result.stable) {
-    for (PredicateId id = 0; id < cd.size(); ++id) {
-      compare_pred(cd.relation(id), cm, "derived but not in model");
-      if (!result.stable) break;
-    }
-  }
   return result;
 }
 

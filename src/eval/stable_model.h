@@ -14,7 +14,9 @@
 //      (never materialized — its defining rules are unsafe by design);
 //   3. the reduct P^{M+} is evaluated to its least fixpoint (negation
 //      tested against the *fixed* M+), and the result is compared with
-//      M+ — equality is stability.
+//      M+ — equality is stability. The reduct is positive, so the first
+//      derived fact outside M+ refutes stability and stops the
+//      evaluation, also when the reduct's least model is infinite.
 //
 // Intended for tests at small scale: the fixpoint here is naive.
 #ifndef GDLOG_EVAL_STABLE_MODEL_H_
@@ -34,6 +36,8 @@ struct StableCheckResult {
   // When not stable: which predicate disagreed and an example tuple.
   std::string diagnostic;
   size_t model_facts = 0;
+  // Facts of the reduct's evaluation up to where it stopped: its whole
+  // least model, or less when a derived fact outside M+ stopped it.
   size_t reduct_facts = 0;
 };
 

@@ -399,6 +399,31 @@ TEST(Api, ReportAndMetricsAgreeOnPeakMemory) {
             static_cast<double>(g->value()));
 }
 
+/// The engine.run_state gauge for `state` in a report's metrics
+/// snapshot; -1 when the report has none.
+double ReportedRunState(const JsonValue& report, const std::string& state) {
+  const JsonValue* gauges = report.Find("metrics")->Find("gauges");
+  for (const JsonValue& gj : gauges->items) {
+    if (gj.Find("name")->string == "engine.run_state" &&
+        gj.Find("labels")->Find("state")->string == state) {
+      return gj.Find("value")->number;
+    }
+  }
+  return -1;
+}
+
+TEST(Api, CompletedRunReportSaysCompleted) {
+  Engine e;
+  ASSERT_TRUE(e.LoadProgram("p(1). q(X) <- p(X).").ok());
+  ASSERT_TRUE(e.Run().ok());
+  auto report = e.RunReport();
+  ASSERT_TRUE(report.ok());
+  auto doc = ParseJson(*report);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  EXPECT_EQ(ReportedRunState(*doc, "completed"), 1);
+  EXPECT_EQ(ReportedRunState(*doc, "idle"), 0);
+}
+
 TEST(Api, BoundedStopReportGolden) {
   // Golden shape of a bounded-stop report: the termination section names
   // the limit, carries the GD code in its status, and its peak memory
@@ -446,6 +471,8 @@ TEST(Api, BoundedStopReportGolden) {
     }
   }
   EXPECT_TRUE(found);
+  EXPECT_EQ(ReportedRunState(*doc, "stopped"), 1);
+  EXPECT_EQ(ReportedRunState(*doc, "idle"), 0);
 }
 
 }  // namespace

@@ -197,7 +197,8 @@ TEST(FlightRecorderChaos, CompletedRunRecordsOkTermination) {
 TEST(FlightRecorderChaos, ShippedProgramsRecordOneEventPerStep) {
   // Every shipped program, on a ring large enough to keep everything:
   // one run-start, one round per saturation round, one stage per stage
-  // assigned, one termination — each stamped with the run's counters.
+  // assigned, one termination — each stamped with the run's counters,
+  // whose insert count is the rules' derived tuples.
   int programs = 0;
   for (const auto& entry : std::filesystem::directory_iterator(
            std::string(GDLOG_SOURCE_DIR) + "/programs")) {
@@ -233,6 +234,12 @@ TEST(FlightRecorderChaos, ShippedProgramsRecordOneEventPerStep) {
     EXPECT_EQ(last.run.gamma_firings, stats.gamma_firings);
     EXPECT_EQ(last.run.stages, stats.stages_assigned);
     EXPECT_EQ(last.run.tuples, stats.exec.inserts);
+    // Each new head row is counted once, γ firings included.
+    uint64_t rule_tuples = 0;
+    for (const RuleProfile& p : *engine.RuleProfiles()) {
+      rule_tuples += p.tuples;
+    }
+    EXPECT_EQ(stats.exec.inserts, rule_tuples);
   }
   EXPECT_GE(programs, 5);
 }

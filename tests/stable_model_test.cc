@@ -182,6 +182,24 @@ TEST(StableModel, RejectsModelViolatingAnonymousNegation) {
   EXPECT_EQ(check->diagnostic, "in model but not re-derived: p(1)");
 }
 
+TEST(StableModel, StopsAtAFactOutsideAnInfiniteReduct) {
+  // The reduct's least model is every natural number. nat(1) is derived
+  // but not in the model, and the check must stop there.
+  ValueStore store;
+  auto prog = ParseProgram(&store, "nat(0). nat(M) <- nat(N), M = N + 1.");
+  ASSERT_TRUE(prog.ok());
+  Catalog model;
+  const PredicateId nat = model.Ensure("nat", 1);
+  std::vector<Value> zero{Value::Int(0)};
+  model.relation(nat).Insert(TupleView(zero));
+  std::vector<size_t> watermarks{1};
+  auto check = CheckStableModel(*prog, model, &store, {}, watermarks);
+  ASSERT_TRUE(check.ok()) << check.status().ToString();
+  EXPECT_FALSE(check->stable);
+  EXPECT_EQ(check->diagnostic, "derived but not in model: nat(1)");
+  EXPECT_EQ(check->reduct_facts, 2u);
+}
+
 TEST(StableModel, ReportsFactCounts) {
   Engine e;
   ASSERT_TRUE(e.LoadProgram("p(1). q(X) <- p(X).").ok());

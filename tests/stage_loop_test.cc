@@ -10,6 +10,8 @@
 //     seed fact.
 //   * A next rule fires only once some stage value is in play: its stage
 //     I needs a predecessor I - 1.
+//   * Each firing's head row counts as a derived tuple, so the tuple cap
+//     stops a stage loop.
 //   * round, stage, gamma-fire and choice-reject events are kept one by
 //     one for the first 256 of each kind in a run, then one in 64.
 //   * choice.pops_per_fire, choice.admissible/inadmissible and goal.fanout
@@ -141,6 +143,25 @@ TEST(StageLoop, NextRuleWaitsForAStageValue) {
   ASSERT_TRUE(seeded.Run().ok());
   EXPECT_EQ(seeded.Query("sp", 3).size(), 4u);
   EXPECT_EQ(seeded.stats()->gamma_firings, 3u);
+}
+
+TEST(StageLoop, TupleLimitStopsAStageLoop) {
+  // Every next-rule firing counts as a derived tuple, so the tuple cap
+  // stops a sort after its fifth stage.
+  EngineOptions options;
+  options.limits.max_tuples = 5;
+  options.obs.recorder_dump_on_stop = false;
+  Engine e(options);
+  ASSERT_TRUE(e.LoadProgram(kSortProgram).ok());
+  std::vector<Value> facts;
+  for (int64_t i = 0; i < 20; ++i) {
+    facts.insert(facts.end(), {Value::Int(i), Value::Int((i * 7) % 20)});
+  }
+  ASSERT_TRUE(e.AddFacts("p", 2, facts).ok());
+  EXPECT_FALSE(e.Run().ok());
+  EXPECT_EQ(e.outcome().reason, TerminationReason::kTupleLimit);
+  EXPECT_EQ(e.stats()->exec.inserts, 5u);
+  EXPECT_EQ(e.Query("sp", 3).size(), 6u);  // five stages and the seed
 }
 
 TEST(StageLoop, LongRunKeepsThinnedEventsAndExactTermination) {

@@ -17,15 +17,17 @@
 # fixed program; the table carries no timings.
 #
 # Finally runs `gdlog_shell --choices --seed K` over the shipped programs
-# and four fixtures at seeds 0 and 2 and diffs the model plus its
+# and five fixtures at seeds 0 and 2 and diffs the model plus its
 # choice-audit trail against tests/goldens/<name>.seed<K>.choices. The
 # fixtures are tests/fixtures/stage_flat_cycle.dl (a stage clique with a
 # flat cycle beside a relation only its next rule reads), match_bulk.dl
 # (a 300-arc matching whose candidates all reach Q before the first
 # retrieval, so the queue pops them from one sorted run),
-# choice_sides.dl (one choice goal per side shape) and fact_text.dl (a
+# choice_sides.dl (one choice goal per side shape), fact_text.dl (a
 # sort with tied costs over fact text in every form the raw fact scan
-# reads, so its audit pins the order the facts load in). This pins which
+# reads, so its audit pins the order the facts load in) and
+# choice_rejects.dl (choice rules without next whose pops are rejected
+# by the extremum filter and by a head term that fails). This pins which
 # stable model each seed picks: any drift in candidate order,
 # tie-breaking, or audit counts shows up here even when the model set is
 # unchanged.
@@ -107,7 +109,7 @@ done
 # Chosen-model goldens: the model and choice audit per seed.
 CHOICE_PROGRAMS="programs/*.dl tests/fixtures/stage_flat_cycle.dl
   tests/fixtures/match_bulk.dl tests/fixtures/choice_sides.dl
-  tests/fixtures/fact_text.dl"
+  tests/fixtures/fact_text.dl tests/fixtures/choice_rejects.dl"
 for f in $CHOICE_PROGRAMS; do
   name=$(basename "$f" .dl)
   for seed in 0 2; do
