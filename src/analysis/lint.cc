@@ -90,6 +90,19 @@ std::vector<std::string> DistinctVarsOf(const TermNode& t) {
   return out;
 }
 
+/// True when every occurrence of variable `v` in `rule` lies inside
+/// `lit`: the variable is local to that goal. Anonymous variables, each
+/// named apart, always are.
+bool IsLocalVariable(const std::string& v, const Literal& lit,
+                     const Rule& rule) {
+  std::vector<std::string> inside, all;
+  CollectLiteralVariables(lit, &inside);
+  CollectLiteralVariables(rule.head, &all);
+  for (const Literal& l : rule.body) CollectLiteralVariables(l, &all);
+  return std::count(all.begin(), all.end(), v) ==
+         std::count(inside.begin(), inside.end(), v);
+}
+
 /// "line N, column M" parsed back out of a parser error message.
 SourceLoc LocFromErrorMessage(const std::string& msg) {
   SourceLoc loc;
@@ -236,10 +249,13 @@ class Linter {
     const VarSet bound = BoundVars(body, outer);
     auto flag_unbound = [&](const TermNode& t, std::string_view code,
                             const std::string& context, SourceLoc loc,
-                            bool skip_anonymous = false) {
+                            const Literal* local_to = nullptr) {
       for (const std::string& v : DistinctVarsOf(t)) {
         if (bound.count(v) != 0) continue;
-        if (skip_anonymous && IsAnonymousVariable(v)) continue;
+        if (local_to != nullptr &&
+            IsLocalVariable(v, *local_to, program_.rules[ri])) {
+          continue;
+        }
         if (!flagged->insert(std::string(code) + ":" + v).second) continue;
         Emit(AtRule(code,
                     "variable " + v + " in " + context +
@@ -251,12 +267,13 @@ class Linter {
       switch (l.kind) {
         case LiteralKind::kAtom:
           if (l.negated) {
-            // An anonymous variable is local to its negated goal:
-            // not e(_, X) holds when no e(Y, X) exists for any Y.
+            // A variable that occurs nowhere else in the rule is local
+            // to its negated goal, as the compiler and the stable-model
+            // check take it: not e(Y, X) holds when no e(Y, X) exists
+            // for any Y.
             for (const TermNode& a : l.args) {
               flag_unbound(a, diag::kUnsafeBodyVar,
-                           "negated goal not " + l.predicate, l.loc,
-                           /*skip_anonymous=*/true);
+                           "negated goal not " + l.predicate, l.loc, &l);
             }
           }
           break;

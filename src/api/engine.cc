@@ -198,6 +198,28 @@ void AppendEdbRows(Relation& rel, const Value* rows, size_t n) {
   annotate();
 }
 
+// Records a relation's EDB extent, its row count, now and again when it
+// goes out of scope, so that a batch or a retract that throws in
+// mid-way leaves the record in step with the rows that went in or out.
+class ExtentRecord {
+ public:
+  ExtentRecord(std::vector<size_t>& extents, PredicateId id,
+               const Relation& rel)
+      : rel_(rel) {
+    if (extents.size() <= id) extents.resize(id + 1, 0);
+    extent_ = &extents[id];
+  }
+  ~ExtentRecord() { Now(); }
+  ExtentRecord(const ExtentRecord&) = delete;
+  ExtentRecord& operator=(const ExtentRecord&) = delete;
+
+  void Now() { *extent_ = rel_.size(); }
+
+ private:
+  const Relation& rel_;
+  size_t* extent_;
+};
+
 }  // namespace
 
 void Engine::OpenDurability() {
@@ -215,30 +237,24 @@ void Engine::OpenDurability() {
   dopts.checkpoint_every = options_.durability.checkpoint_every;
   dopts.injector = injector_.get();
   dopts.budget = &budget_;
-  const Status st = durable->Open(dopts, store_.get());
-  if (!st.ok()) {
-    durability_status_ = st;
-    if (recorder_) {
-      recorder_->Record(FlightEventKind::kDurabilityError,
-                        DiagCodeNumber(st));
-    }
-    return;
-  }
-  // Replay the recovered EDB into the catalog so the engine starts with
-  // exactly the facts that were durable at the last crash/close. The
-  // rows take the one EDB load path; the store is attached only after
-  // the replay, so that path inserts them without logging them again.
+  // Recovery replays the EDB that was durable at the last crash/close
+  // straight into the catalog, which is empty until now.
+  Status st;
   try {
-    for (const DurableStore::EdbRelation& r : durable->relations()) {
-      Relation& rel = catalog_->relation(catalog_->Ensure(r.name, r.arity));
-      GDLOG_CHECK(InsertEdbRows(r.name, rel, r.rows.data(), r.num_rows).ok());
-    }
+    st = durable->Open(dopts, store_.get(), catalog_.get());
   } catch (const std::bad_alloc&) {
-    durable_ = std::move(durable);
-    durability_status_ = OomStatus();
+    st = OomStatus();
+  }
+  if (!RecordDurability(st).ok()) {
+    durability_status_ = st;
     return;
   }
   durable_ = std::move(durable);
+  // Every recovered row is an EDB row.
+  edb_rows_.resize(catalog_->size());
+  for (PredicateId id = 0; id < catalog_->size(); ++id) {
+    edb_rows_[id] = catalog_->relation(id).size();
+  }
   const DurableStore::RecoveryInfo& rec = durable_->recovery();
   if (recorder_ && rec.opened_existing) {
     recorder_->Record(FlightEventKind::kRecovery,
@@ -353,33 +369,70 @@ Status Engine::LoadProgramAst(Program program) {
 
 Status Engine::LoadFacts(const Program& program) {
   for (const FactBatch& b : program.facts) {
-    Relation& rel = catalog_->relation(catalog_->Ensure(b.predicate, b.arity));
-    GDLOG_RETURN_IF_ERROR(
-        InsertEdbRows(b.predicate, rel, b.rows.data(), b.count));
+    GDLOG_RETURN_IF_ERROR(InsertEdbRows(catalog_->Ensure(b.predicate, b.arity),
+                                        b.rows.data(), b.count));
   }
   return Status::OK();
 }
 
-Status Engine::InsertEdbRows(std::string_view predicate, Relation& rel,
-                             const Value* rows, size_t n) {
+Status Engine::InsertEdbRows(PredicateId id, const Value* rows, size_t n) {
   absint_.reset();  // the EDB it was seeded from changes
+  Relation& rel = catalog_->relation(id);
+  ExtentRecord record(edb_rows_, id, rel);
   if (!durable_) {
     AppendEdbRows(rel, rows, n);
     return Status::OK();
   }
+  // Write-ahead, one record at a time: each is logged before the
+  // catalog changes, and the checkpoint cadence runs only once the
+  // catalog and the extent hold it — a checkpoint in between would
+  // rotate away the WAL holding the record while its snapshot lacks the
+  // row. On append failure nothing is applied; at worst the log carries
+  // a torn tail the next recovery drops.
+  const uint32_t arity = rel.arity();
   for (size_t i = 0; i < n; ++i) {
-    GDLOG_RETURN_IF_ERROR(LogAndInsert(
-        predicate, rel, TupleView(rows + i * rel.arity(), rel.arity())));
+    const TupleView row(rows + i * arity, arity);
+    // Dedup before logging so the WAL never carries duplicate adds
+    // (which keeps retract-by-first-match exact on replay). In-memory
+    // engines skip the extra probe — Insert dedups on its own.
+    if (rel.Contains(row)) continue;
+    if (rel.empty()) {
+      // A relation's first EDB row follows its create record; the
+      // relation is in the catalog already.
+      GDLOG_RETURN_IF_ERROR(RecordDurability(
+          durable_->LogCreateRelation(rel.name(), arity)));
+      CheckpointCadence();
+    }
+    GDLOG_RETURN_IF_ERROR(
+        RecordDurability(durable_->LogAddFact(rel.name(), arity, row)));
+    try {
+      AppendEdbRows(rel, row.data(), 1);
+    } catch (const std::bad_alloc&) {
+      // Between the WAL append and the relation insert there is no safe
+      // failure point: the fact may be durable yet absent from the
+      // engine's relation, and a retried add would pass the dedup probe
+      // and duplicate it in the log. Latch durability instead.
+      durability_status_ = Status::RuntimeError(
+          "[GD210] durable store '" + durable_->dir() +
+          "' out of sync with the engine after an allocation failure; "
+          "reopen to recover");
+      return OomStatus();
+    }
+    record.Now();
+    CheckpointCadence();
   }
   return Status::OK();
 }
 
-void Engine::RecordDeferredDurabilityError() {
-  if (durable_ == nullptr) return;
-  const Status st = durable_->TakeDeferredError();
+Status Engine::RecordDurability(Status st) {
   if (!st.ok() && recorder_) {
     recorder_->Record(FlightEventKind::kDurabilityError, DiagCodeNumber(st));
   }
+  return st;
+}
+
+void Engine::CheckpointCadence() {
+  (void)RecordDurability(durable_->MaybeCheckpoint(*catalog_, edb_rows_));
 }
 
 Status Engine::AddFact(std::string_view predicate, std::vector<Value> args) {
@@ -395,9 +448,9 @@ Status Engine::AddFactRow(std::string_view predicate, TupleView row) {
   if (ran_) return Status::InvalidArgument("cannot add facts after Run");
   GDLOG_RETURN_IF_ERROR(durability_status_);
   try {
-    Relation& rel = catalog_->relation(
-        catalog_->Ensure(predicate, static_cast<uint32_t>(row.size())));
-    GDLOG_RETURN_IF_ERROR(InsertEdbRows(predicate, rel, row.data(), 1));
+    GDLOG_RETURN_IF_ERROR(InsertEdbRows(
+        catalog_->Ensure(predicate, static_cast<uint32_t>(row.size())),
+        row.data(), 1));
   } catch (const std::bad_alloc&) {
     return OomStatus();
   }
@@ -420,59 +473,21 @@ Status Engine::AddFacts(std::string_view predicate, uint32_t arity,
   Status st;
   try {
     TraceSpan span(tracer_.get(), "load_facts", "engine");
-    Relation& rel = catalog_->relation(catalog_->Ensure(predicate, arity));
+    const PredicateId id = catalog_->Ensure(predicate, arity);
     // Rows taken from this very relation (Find exposes them) would move
     // under the reserve; they are all present anyway, but copy them.
     std::vector<Value> own;
-    if (rel.Holds(rows.data())) {
+    if (catalog_->relation(id).Holds(rows.data())) {
       own.assign(rows.begin(), rows.end());
       rows = own;
     }
-    st = InsertEdbRows(predicate, rel, rows.data(), rows.size() / arity);
+    st = InsertEdbRows(id, rows.data(), rows.size() / arity);
   } catch (const std::bad_alloc&) {
     st = OomStatus();
   }
   phase_times_.load_ns += WallNowNs() - t0;
   if (st.ok()) PublishDurabilityMetrics();
   return st;
-}
-
-Status Engine::LogAndInsert(std::string_view predicate, Relation& rel,
-                            TupleView tuple) {
-  // Dedup before logging so the WAL never carries duplicate adds
-  // (which keeps retract-by-first-match exact on replay). In-memory
-  // engines skip the extra probe — Insert dedups on its own.
-  if (rel.Contains(tuple)) return Status::OK();
-  try {
-    // Write-ahead: the fact must be logged before it becomes visible.
-    // On append failure nothing is applied — at worst the log carries a
-    // torn tail the next recovery drops. Failures after the append
-    // (budget, auto-checkpoint) do not fail the add: the fact is
-    // already durable, and failing here would make the caller retry
-    // past the dedup probe and log it twice.
-    Status st = durable_->LogCreateRelation(predicate, rel.arity());
-    if (st.ok()) st = durable_->LogAddFact(predicate, rel.arity(), tuple);
-    RecordDeferredDurabilityError();
-    if (!st.ok()) {
-      if (recorder_) {
-        recorder_->Record(FlightEventKind::kDurabilityError,
-                          DiagCodeNumber(st));
-      }
-      return st;
-    }
-    AppendEdbRows(rel, tuple.data(), 1);
-  } catch (const std::bad_alloc&) {
-    // Between the WAL append and the relation insert there is no safe
-    // failure point: the fact may be durable yet absent from the
-    // engine's relation, and a retried add would pass the dedup probe
-    // and duplicate it in the log. Latch durability instead.
-    durability_status_ = Status::RuntimeError(
-        "[GD210] durable store '" + durable_->dir() +
-        "' out of sync with the engine after an allocation failure; "
-        "reopen to recover");
-    return OomStatus();
-  }
-  return Status::OK();
 }
 
 Status Engine::RetractFact(std::string_view predicate,
@@ -489,21 +504,21 @@ Status Engine::RetractFact(std::string_view predicate,
           TupleToString(*store_, TupleView(args)));
     }
     if (durable_) {
-      const Status st = durable_->LogRetract(predicate, arity, TupleView(args));
-      RecordDeferredDurabilityError();
-      if (!st.ok()) {
-        if (recorder_) {
-          recorder_->Record(FlightEventKind::kDurabilityError,
-                            DiagCodeNumber(st));
-        }
-        return st;
-      }
+      GDLOG_RETURN_IF_ERROR(RecordDurability(
+          durable_->LogRetract(predicate, arity, TupleView(args))));
     }
     // A bad_alloc past this point is retry-safe, unlike AddFact's: a
     // second retract of the same tuple replays as a no-op.
-    catalog_->relation(id).Retract(TupleView(args));
     absint_.reset();
-    if (durable_) PublishDurabilityMetrics();
+    {
+      Relation& rel = catalog_->relation(id);
+      ExtentRecord record(edb_rows_, id, rel);
+      rel.Retract(TupleView(args));
+    }
+    if (durable_) {
+      CheckpointCadence();
+      PublishDurabilityMetrics();
+    }
     return Status::OK();
   } catch (const std::bad_alloc&) {
     return OomStatus();
@@ -517,20 +532,14 @@ Status Engine::Checkpoint() {
         "durability disabled: set EngineOptions::durability.dir");
   }
   const uint64_t retired_wal_bytes = durable_->stats().wal_size_bytes;
-  const Status st = durable_->Checkpoint();
-  if (recorder_) {
-    if (st.ok()) {
-      recorder_->Record(FlightEventKind::kCheckpoint,
-                        static_cast<int64_t>(durable_->snapshot_seq()),
-                        static_cast<int64_t>(
-                            durable_->stats().checkpoint_bytes));
-      recorder_->Record(FlightEventKind::kWalRotate,
-                        static_cast<int64_t>(durable_->wal_seq()),
-                        static_cast<int64_t>(retired_wal_bytes));
-    } else {
-      recorder_->Record(FlightEventKind::kDurabilityError,
-                        DiagCodeNumber(st));
-    }
+  const Status st = RecordDurability(durable_->Checkpoint(*catalog_, edb_rows_));
+  if (st.ok() && recorder_) {
+    recorder_->Record(FlightEventKind::kCheckpoint,
+                      static_cast<int64_t>(durable_->snapshot_seq()),
+                      static_cast<int64_t>(durable_->stats().checkpoint_bytes));
+    recorder_->Record(FlightEventKind::kWalRotate,
+                      static_cast<int64_t>(durable_->wal_seq()),
+                      static_cast<int64_t>(retired_wal_bytes));
   }
   PublishDurabilityMetrics();
   return st;
@@ -542,10 +551,7 @@ Status Engine::SyncDurability() {
     return Status::InvalidArgument(
         "durability disabled: set EngineOptions::durability.dir");
   }
-  const Status st = durable_->Sync();
-  if (!st.ok() && recorder_) {
-    recorder_->Record(FlightEventKind::kDurabilityError, DiagCodeNumber(st));
-  }
+  const Status st = RecordDurability(durable_->Sync());
   PublishDurabilityMetrics();
   return st;
 }
@@ -557,14 +563,7 @@ Status Engine::Run() {
   GDLOG_RETURN_IF_ERROR(durability_status_);
   // EDB edits are done; make them durable before deriving from them.
   if (durable_) {
-    const Status sync_st = durable_->Sync();
-    if (!sync_st.ok()) {
-      if (recorder_) {
-        recorder_->Record(FlightEventKind::kDurabilityError,
-                          DiagCodeNumber(sync_st));
-      }
-      return sync_st;
-    }
+    GDLOG_RETURN_IF_ERROR(RecordDurability(durable_->Sync()));
   }
 
   guard_ = std::make_unique<RunGuard>(options_.limits, &cancel_, &budget_,
@@ -615,9 +614,8 @@ Status Engine::Run() {
       GDLOG_LOG_ERROR << "trace export failed: " << trace_st.ToString();
     }
   }
-  run_state_.store(outcome_.reason == TerminationReason::kCompleted
-                       ? EngineRunState::kCompleted
-                       : EngineRunState::kStopped,
+  run_state_.store(st.ok() ? EngineRunState::kCompleted
+                           : EngineRunState::kStopped,
                    std::memory_order_release);
   PublishRunArtifacts();
   // The terminal event comes after /runs/last is populated, so an SSE
@@ -658,16 +656,6 @@ void Engine::PublishRunArtifacts() {
 }
 
 Status Engine::RunInner() {
-  // Everything present now (program facts + AddFact rows) is the EDB:
-  // it seeds the stable-model checker's reduct and the static analysis
-  // from here on. Relations created during compilation default to zero
-  // seeds.
-  seed_watermarks_.assign(catalog_->size(), 0);
-  for (PredicateId id = 0; id < catalog_->size(); ++id) {
-    seed_watermarks_[id] = catalog_->relation(id).size();
-  }
-  absint_.reset();
-
   if (injector_ && injector_->Hit(FaultInjector::kCompile)) {
     guard_->ForceReason(TerminationReason::kFault);
     RecordRunEvent(FlightEventKind::kFaultInjected, 2, 0);
@@ -993,6 +981,11 @@ Result<std::string> Engine::RunReport() const {
   } else {
     const DurableStore::Stats ds = durable_->stats();
     const DurableStore::RecoveryInfo& rec = durable_->recovery();
+    uint64_t edb_relations = 0, edb_facts = 0;
+    for (const size_t rows : edb_rows_) {
+      edb_relations += rows != 0 ? 1 : 0;
+      edb_facts += rows;
+    }
     w.BeginObject();
     w.Key("dir").String(durable_->dir());
     w.Key("fsync").String(std::string(FsyncPolicyName(
@@ -1006,8 +999,8 @@ Result<std::string> Engine::RunReport() const {
     w.Key("checkpoints").UInt(ds.checkpoints);
     w.Key("checkpoint_bytes").UInt(ds.checkpoint_bytes);
     w.Key("checkpoint_failures").UInt(ds.checkpoint_failures);
-    w.Key("edb_relations").UInt(ds.edb_relations);
-    w.Key("edb_facts").UInt(ds.edb_facts);
+    w.Key("edb_relations").UInt(edb_relations);
+    w.Key("edb_facts").UInt(edb_facts);
     w.Key("recovery").BeginObject();
     w.Key("opened_existing").Bool(rec.opened_existing);
     w.Key("snapshot_relations").UInt(rec.snapshot_relations);
@@ -1276,12 +1269,11 @@ Result<const absint::AnalysisResult*> Engine::StaticAnalysis() const {
     const uint64_t t0 = WallNowNs();
     {
       TraceSpan span(tracer_.get(), "absint", "engine");
-      // Once Run has started, derived rows share the relations with the
-      // EDB; only the rows present when it started are EDB.
-      const bool run_started = run_state() != EngineRunState::kIdle;
+      // Derived rows share the relations with the EDB once Run has
+      // started; only the EDB rows seed the analysis.
       absint_ = std::make_unique<absint::AnalysisResult>(
           absint::AnalyzeProgram(*program_, analysis_->expanded, *catalog_,
-                                 run_started ? &seed_watermarks_ : nullptr));
+                                 &edb_rows_));
     }
     phase_times_.absint_ns += WallNowNs() - t0;
   }
@@ -1307,10 +1299,8 @@ Result<StableCheckResult> Engine::VerifyStableModel() const {
           r.gamma_index);
     }
   }
-  std::vector<size_t> watermarks = seed_watermarks_;
-  watermarks.resize(catalog_->size(), 0);
   return CheckStableModel(*program_, *catalog_, store_.get(), chosen,
-                          watermarks);
+                          edb_rows_);
 }
 
 std::vector<std::string> Engine::RuleTexts() const {

@@ -119,7 +119,8 @@ enum class EngineRunState : uint8_t {
   kIdle = 0,   // constructed, Run not yet called
   kRunning,    // Run in flight
   kCompleted,  // Run reached a genuine fixpoint
-  kStopped,    // Run ended on a bounded stop (limit/cancel/OOM/fault)
+  kStopped,    // Run returned a non-OK status: a bounded stop
+               // (limit/cancel/OOM/fault) or a failed compile
 };
 
 /// Stable lowercase name ("idle", "running", "completed", "stopped").
@@ -199,8 +200,9 @@ class Engine {
   Status RetractFact(std::string_view predicate, std::vector<Value> args);
 
   /// Durable-store control (InvalidArgument when durability is off).
-  /// Checkpoint writes a snapshot of the EDB, rotates the WAL, and swaps
-  /// the manifest atomically; SyncDurability flushes pending WAL appends.
+  /// Checkpoint writes a snapshot of the EDB rows (none that Run
+  /// derived), rotates the WAL, and swaps the manifest atomically;
+  /// SyncDurability flushes pending WAL appends.
   Status Checkpoint();
   Status SyncDurability();
   /// The durable store, or nullptr when durability is off.
@@ -334,10 +336,9 @@ class Engine {
   /// program. Run never computes it: the first ask does (Lint,
   /// TypeSignaturesText, RunReport, ExplainAnalyzeText or a direct call),
   /// timed into phase_times().absint_ns, and it is kept, the pointer
-  /// valid, until the EDB changes or Run starts. The EDB seeds it: every
-  /// catalog row before Run; once Run has started, only the rows each
-  /// relation held when it started, so it reads the same after a
-  /// completed run or a bounded stop. Requires a loaded program.
+  /// valid, until the EDB changes. The EDB rows seed it and no derived
+  /// row does, so it reads the same before a run, after it and after a
+  /// bounded stop. Requires a loaded program.
   Result<const absint::AnalysisResult*> StaticAnalysis() const;
 
   /// Inferred predicate signatures, one per line (shell `.types`), from
@@ -385,15 +386,20 @@ class Engine {
   /// Guard + proof-tree construction shared by the Why* renderers.
   Result<ProofNode> WhyRow(PredicateId pred, RowId row,
                            uint32_t max_depth) const;
-  /// Opens the durable store and replays the recovered EDB into the
-  /// catalog (constructor helper; failures latch durability_status_).
+  /// Opens the durable store, which replays the recovered EDB into the
+  /// catalog, and records its extent (constructor helper; failures latch
+  /// durability_status_).
   void OpenDurability();
   /// Mirrors the durable store's counters into the metrics gauges.
   void PublishDurabilityMetrics();
-  /// Flight-records any post-append durability failure the store
-  /// deferred (budget charge, auto-checkpoint) without failing the
-  /// mutation it rode on.
-  void RecordDeferredDurabilityError();
+  /// Flight-records `st` when a durability operation failed; returns it.
+  Status RecordDurability(Status st);
+  /// Runs the durable store's auto-checkpoint cadence after a mutation
+  /// has been logged, applied and its extent recorded. A failure is
+  /// flight-recorded but does not fail the mutation, which is durable
+  /// already: a retried add would pass its dedup probe and log the fact
+  /// a second time.
+  void CheckpointCadence();
   /// Refreshes the runtime gauges (engine.uptime_seconds and the
   /// engine.run_state family) so every scrape path — /metrics, shell
   /// .metrics, WriteMetricsText — sees current values.
@@ -410,19 +416,18 @@ class Engine {
   void RecordRunEvent(FlightEventKind kind, int64_t a0, int64_t a1);
   /// Rendered program rules indexed by clause number (facts stay empty).
   std::vector<std::string> RuleTexts() const;
-  /// The one way EDB rows enter storage (AddFact, AddFacts, the inline
-  /// facts, WAL replay): inserts `n` rows of rel.arity() values, back to
-  /// back in `rows` (not pointing into `rel`), in order. In memory, the
-  /// relation reserves room for a batch of n > 1 once, then inserts it
-  /// with InsertBatch; with provenance on, new rows are annotated as
-  /// asserted. With the durable store attached, each row goes through
-  /// LogAndInsert. A failure in mid-batch leaves a prefix of the rows.
-  Status InsertEdbRows(std::string_view predicate, Relation& rel,
-                       const Value* rows, size_t n);
-  /// The durable insert of one row of `rel`: skips a row already
-  /// present, else logs it and then inserts it.
-  Status LogAndInsert(std::string_view predicate, Relation& rel,
-                      TupleView tuple);
+  /// The one way EDB rows enter storage after recovery (AddFact,
+  /// AddFacts, the inline facts): inserts `n` rows of relation `id`,
+  /// arity values each, back to back in `rows` (not pointing into the
+  /// relation), in order, and then records the relation's EDB extent
+  /// once, however the batch ended. In memory, the relation reserves
+  /// room for a batch of n > 1 once, then inserts it with InsertBatch;
+  /// with provenance on, new rows are annotated as asserted. With the
+  /// durable store attached, each new row is its own mutation: logged
+  /// (after a create record when the relation is empty), inserted,
+  /// recorded, then the checkpoint cadence runs. A failure in mid-batch
+  /// leaves a prefix of the rows.
+  Status InsertEdbRows(PredicateId id, const Value* rows, size_t n);
   /// AddFact for one row held anywhere but in the engine's relations.
   Status AddFactRow(std::string_view predicate, TupleView row);
   /// Inserts every row of the program's fact batches, one
@@ -464,10 +469,13 @@ class Engine {
   std::chrono::steady_clock::time_point start_time_;
   std::atomic<EngineRunState> run_state_{EngineRunState::kIdle};
   mutable EnginePhaseTimes phase_times_;
-  // Rows present per relation before evaluation started (program facts
-  // and AddFact rows) — the reduct seeds for VerifyStableModel and the
-  // EDB of StaticAnalysis once Run has started.
-  std::vector<size_t> seed_watermarks_;
+  // The EDB's extent: relation `id`'s first edb_rows_[id] rows are EDB
+  // rows (program facts, AddFact rows, recovered rows), none past the
+  // vector's end. Recorded where EDB rows enter (once per InsertEdbRows
+  // batch, at RetractFact and at recovery), so derived rows, which Run
+  // appends, never count. The checkpoint, the stable-model check's
+  // reduct seeds, the static analysis and the durability report read it.
+  std::vector<size_t> edb_rows_;
   bool ran_ = false;
   // The live endpoint is declared LAST: its worker threads read the
   // members above (metrics, recorder, atomics), so it must be the

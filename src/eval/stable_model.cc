@@ -97,7 +97,7 @@ void QuantifyLocalNegations(const Rule& rule, std::vector<Literal>* body) {
 Result<StableCheckResult> CheckStableModel(
     const Program& original, const Catalog& model_catalog, ValueStore* store,
     const std::vector<std::vector<std::vector<Value>>>& chosen_by_rule,
-    const std::vector<size_t>& seed_watermarks) {
+    const std::vector<size_t>& edb_rows) {
   // ---- 1. Rewrite to normal form -----------------------------------------
   GDLOG_ASSIGN_OR_RETURN(Program p1, ExpandNext(original));
   ChoiceRewriteInfo info;
@@ -226,16 +226,14 @@ Result<StableCheckResult> CheckStableModel(
 
   // ---- 3. Least fixpoint of the reduct ------------------------------------
   Catalog cd;
-  // Seed: every tuple that existed before evaluation (user facts and
-  // program facts) is extensional input to the reduct.
-  if (seed_watermarks.size() != model_catalog.size()) {
-    return Status::InvalidArgument("seed watermark count mismatch");
-  }
+  // Seed: every EDB row (user facts and program facts) is extensional
+  // input to the reduct.
   for (PredicateId id = 0; id < model_catalog.size(); ++id) {
     const Relation& rel = model_catalog.relation(id);
     const PredicateId nid = cd.Ensure(rel.name(), rel.arity());
     Relation& nrel = cd.relation(nid);
-    const size_t limit = std::min(seed_watermarks[id], rel.size());
+    const size_t limit =
+        id < edb_rows.size() ? std::min(edb_rows[id], rel.size()) : 0;
     for (RowId row = 0; row < limit; ++row) nrel.Insert(rel.Row(row));
   }
 

@@ -44,13 +44,13 @@ struct StableCheckResult {
 /// Verifies that the contents of `model_catalog` (plus `chosen_by_rule`,
 /// indexed like RewriteChoice's chosen$i) form a stable model of
 /// `original`. `store` must be the ValueStore the model was built with.
-/// `seed_watermarks[pred]` is the number of rows of each relation that
-/// existed before evaluation (user facts + program facts): those rows
-/// seed the reduct's least fixpoint as extensional input.
+/// The first `edb_rows[pred]` rows of each relation (none past the
+/// vector's end) are its EDB rows (user facts + program facts): those
+/// rows seed the reduct's least fixpoint as extensional input.
 Result<StableCheckResult> CheckStableModel(
     const Program& original, const Catalog& model_catalog, ValueStore* store,
     const std::vector<std::vector<std::vector<Value>>>& chosen_by_rule,
-    const std::vector<size_t>& seed_watermarks);
+    const std::vector<size_t>& edb_rows);
 
 }  // namespace gdlog
 

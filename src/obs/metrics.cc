@@ -240,102 +240,6 @@ std::string MetricsRegistry::SnapshotJson() const {
   return w.Take();
 }
 
-MetricsSnapshot MetricsRegistry::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  MetricsSnapshot snap;
-  using Kind = MetricsSnapshot::Sample::Kind;
-  for (const auto& e : counters_) {
-    MetricsSnapshot::Sample s;
-    s.kind = Kind::kCounter;
-    s.name = e.name;
-    s.labels = e.labels;
-    s.value = e.metric.value();
-    snap.samples.push_back(std::move(s));
-  }
-  for (const auto& e : gauges_) {
-    MetricsSnapshot::Sample s;
-    s.kind = Kind::kGauge;
-    s.name = e.name;
-    s.labels = e.labels;
-    s.gauge = e.metric.value();
-    snap.samples.push_back(std::move(s));
-  }
-  for (const auto& e : histograms_) {
-    MetricsSnapshot::Sample s;
-    s.kind = Kind::kHistogram;
-    s.name = e.name;
-    s.labels = e.labels;
-    s.value = e.metric.count();
-    s.sum = e.metric.sum();
-    snap.samples.push_back(std::move(s));
-  }
-  return snap;
-}
-
-MetricsSnapshot MetricsSnapshot::Delta(const MetricsSnapshot& before,
-                                       const MetricsSnapshot& after) {
-  std::map<std::string, const Sample*> prior;
-  for (const Sample& s : before.samples) {
-    std::string key = s.name;
-    for (const auto& [k, v] : s.labels) {
-      key += '\x1f';
-      key += k;
-      key += '\x1e';
-      key += v;
-    }
-    prior[key] = &s;
-  }
-  MetricsSnapshot out;
-  for (const Sample& s : after.samples) {
-    std::string key = s.name;
-    for (const auto& [k, v] : s.labels) {
-      key += '\x1f';
-      key += k;
-      key += '\x1e';
-      key += v;
-    }
-    Sample d = s;
-    const auto it = prior.find(key);
-    if (it != prior.end() && s.kind != Sample::Kind::kGauge) {
-      const Sample& p = *it->second;
-      d.value = s.value >= p.value ? s.value - p.value : 0;
-      d.sum = s.sum >= p.sum ? s.sum - p.sum : 0;
-    }
-    out.samples.push_back(std::move(d));
-  }
-  return out;
-}
-
-void MetricsSnapshot::WriteJson(JsonWriter* w) const {
-  w->BeginObject();
-  w->Key("samples").BeginArray();
-  for (const Sample& s : samples) {
-    w->BeginObject();
-    switch (s.kind) {
-      case Sample::Kind::kCounter:
-        w->Key("kind").String("counter");
-        break;
-      case Sample::Kind::kGauge:
-        w->Key("kind").String("gauge");
-        break;
-      case Sample::Kind::kHistogram:
-        w->Key("kind").String("histogram");
-        break;
-    }
-    w->Key("name").String(s.name);
-    WriteLabels(w, s.labels);
-    if (s.kind == Sample::Kind::kGauge) {
-      w->Key("value").Int(s.gauge);
-    } else {
-      w->Key("value").UInt(s.value);
-    }
-    if (s.kind == Sample::Kind::kHistogram) w->Key("sum").UInt(s.sum);
-    w->EndObject();
-  }
-  w->EndArray();
-  w->EndObject();
-}
-
 namespace {
 
 // -- Prometheus text exposition helpers ------------------------------------

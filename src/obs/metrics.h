@@ -98,14 +98,6 @@ class Histogram {
   /// calls, at the atomic cost of one.
   void AddSmall(const uint64_t (&counts)[kSubBuckets]) noexcept;
 
-  /// Legacy double entry point: clamps negatives to 0 and records.
-  void Observe(double v) noexcept {
-    Record(v <= 0 ? 0
-           : v >= 9.2e18
-               ? static_cast<uint64_t>(9'200'000'000'000'000'000ull)
-               : static_cast<uint64_t>(v));
-  }
-
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
   uint64_t min() const {
@@ -164,32 +156,6 @@ class HistogramStage {
   uint64_t small_[Histogram::kSubBuckets] = {};
 };
 
-/// Point-in-time copy of every metric's value, comparable across time:
-/// Delta(before, after) yields the per-interval movement, which is what
-/// bench reports and external scrapers want when one registry accumulates
-/// over many runs.
-struct MetricsSnapshot {
-  struct Sample {
-    enum class Kind : uint8_t { kCounter, kGauge, kHistogram };
-    Kind kind = Kind::kCounter;
-    std::string name;
-    MetricLabels labels;
-    uint64_t value = 0;  // counter value; histogram observation count
-    int64_t gauge = 0;   // gauge value
-    uint64_t sum = 0;    // histogram sum
-  };
-  std::vector<Sample> samples;
-
-  /// Monotonic difference: counters and histogram counts/sums subtract
-  /// (clamped at 0); gauges keep the `after` value. Samples present only
-  /// in `after` are kept whole.
-  static MetricsSnapshot Delta(const MetricsSnapshot& before,
-                               const MetricsSnapshot& after);
-
-  /// {"samples":[{"kind":..,"name":..,"labels":{..},"value":..}, ...]}
-  void WriteJson(JsonWriter* w) const;
-};
-
 class MetricsRegistry {
  public:
   /// Find-or-create. The same (name, labels) pair always returns the
@@ -218,9 +184,6 @@ class MetricsRegistry {
   ///                   "p99":..,"buckets":[{"le":..,"count":..}, ...]}]}
   void SnapshotJson(JsonWriter* w) const;
   std::string SnapshotJson() const;
-
-  /// Point-in-time value snapshot for delta computation.
-  MetricsSnapshot Snapshot() const;
 
   /// Prometheus text exposition format (version 0.0.4): one `# TYPE`
   /// line per metric name, samples grouped by name, histogram

@@ -5,6 +5,7 @@
 #include <new>
 
 #include "common/guardrails.h"
+#include "storage/catalog.h"
 #include "storage/durable/io.h"
 
 namespace gdlog {
@@ -44,6 +45,13 @@ bool ParseField(std::string_view token, std::string_view key, uint64_t* out) {
   return true;
 }
 
+// Inserts one recovered EDB row, annotated as asserted when the catalog
+// keeps provenance.
+void InsertRecovered(Relation& rel, TupleView row) {
+  const Relation::InsertResult r = rel.Insert(row);
+  if (r.inserted) rel.Annotate(r.row, Relation::kEdbRule, nullptr, 0);
+}
+
 }  // namespace
 
 DurableStore::~DurableStore() {
@@ -60,106 +68,12 @@ std::string DurableStore::SnapshotPath(uint64_t seq) const {
   return options_.dir + "/snapshot-" + std::to_string(seq) + ".gds";
 }
 
-// -- Mirror -------------------------------------------------------------------
-
-DurableStore::EdbRelation* DurableStore::FindRelation(std::string_view name,
-                                                      uint32_t arity) {
-  for (EdbRelation& r : relations_) {
-    if (r.arity == arity && r.name == name) return &r;
-  }
-  return nullptr;
-}
-
-DurableStore::EdbRelation& DurableStore::EnsureRelation(std::string_view name,
-                                                        uint32_t arity) {
-  if (EdbRelation* r = FindRelation(name, arity)) return *r;
-  relations_.emplace_back();
-  relations_.back().name.assign(name);
-  relations_.back().arity = arity;
-  return relations_.back();
-}
-
-void DurableStore::ApplyRecord(const WalRecord& rec) {
-  switch (rec.type) {
-    case WalRecordType::kCreateRelation:
-      EnsureRelation(rec.name, rec.arity);
-      return;
-    case WalRecordType::kAddFact: {
-      EdbRelation& r = EnsureRelation(rec.name, rec.arity);
-      r.rows.insert(r.rows.end(), rec.tuple.begin(), rec.tuple.end());
-      ++r.num_rows;
-      ++total_facts_;
-      return;
-    }
-    case WalRecordType::kRetract: {
-      EdbRelation* r = FindRelation(rec.name, rec.arity);
-      if (r == nullptr) return;  // redo of a no-op retract
-      for (size_t row = 0; row < r->num_rows; ++row) {
-        const TupleView have(r->rows.data() + row * rec.arity, rec.arity);
-        if (TupleEquals(have, rec.tuple)) {
-          r->rows.erase(r->rows.begin() + row * rec.arity,
-                        r->rows.begin() + (row + 1) * rec.arity);
-          --r->num_rows;
-          --total_facts_;
-          return;
-        }
-      }
-      return;
-    }
-  }
-}
-
-size_t DurableStore::MirrorBytes() const {
-  size_t bytes = relations_.capacity() * sizeof(EdbRelation);
-  for (const EdbRelation& r : relations_) {
-    bytes += r.rows.capacity() * sizeof(Value) + r.name.capacity();
-  }
-  return bytes;
-}
-
-Status DurableStore::ChargeBudget(size_t extra_buffer_bytes) {
-  if (options_.budget == nullptr) return Status::OK();
-  try {
-    options_.budget->Update(&charged_, MirrorBytes() + extra_buffer_bytes);
-  } catch (const std::bad_alloc&) {
-    // The alloc fault probe (or a genuinely exhausted heap) fires inside
-    // Update; surface it as a Status like every other durability failure.
-    return Status::OutOfMemory(
-        "[GD206] allocation failure charging durability buffers");
-  }
-  return Status::OK();
-}
-
 void DurableStore::Latch(const Status& why) {
   if (!failed_.ok()) return;
   failed_ = Status::RuntimeError(
       "[GD210] durable store '" + options_.dir +
       "' closed to mutations after an unrecoverable failure (reopen to "
       "recover): " + why.message());
-}
-
-Status DurableStore::TakeDeferredError() {
-  Status st = std::move(deferred_);
-  deferred_ = Status::OK();
-  return st;
-}
-
-void DurableStore::FinishMutation() {
-  ++appends_since_checkpoint_;
-  // The record is durable from here on; nothing below may fail the
-  // mutation (the caller would retry it and duplicate the add in the
-  // log). A budget failure leaves the accounting out of step with the
-  // mirror, so it latches; a safe checkpoint failure just retries on
-  // the next cadence hit (fatal ones latch inside Checkpoint()).
-  if (Status st = ChargeBudget(0); !st.ok()) {
-    Latch(st);
-    if (deferred_.ok()) deferred_ = std::move(st);
-    return;
-  }
-  if (Status st = MaybeAutoCheckpoint(); !st.ok()) {
-    ++checkpoint_failures_;
-    if (deferred_.ok()) deferred_ = std::move(st);
-  }
 }
 
 // -- Manifest -----------------------------------------------------------------
@@ -245,7 +159,7 @@ Status ParseManifest(const std::string& path, const std::string& text,
 // -- Snapshot -----------------------------------------------------------------
 
 Status DurableStore::LoadSnapshot(const std::string& path,
-                                  uint64_t expected_seq) {
+                                  uint64_t expected_seq, Catalog* catalog) {
   std::string bytes;
   GDLOG_RETURN_IF_ERROR(ReadWholeFile(path, &bytes));
   if (bytes.size() < kSnapMagic.size() + 8 + 4 ||
@@ -283,15 +197,16 @@ Status DurableStore::LoadSnapshot(const std::string& path,
     GDLOG_RETURN_IF_ERROR(r.ReadU32(&arity));
     uint64_t num_rows = 0;
     GDLOG_RETURN_IF_ERROR(r.ReadU64(&num_rows));
-    EdbRelation& rel = EnsureRelation(name, arity);
-    for (uint64_t row = 0; row < num_rows; ++row) {
+    Relation& rel = catalog->relation(catalog->Ensure(name, arity));
+    std::vector<Value> row;  // grows with the values read, not `arity`
+    for (uint64_t i = 0; i < num_rows; ++i) {
+      row.clear();
       for (uint32_t col = 0; col < arity; ++col) {
         Value v;
         GDLOG_RETURN_IF_ERROR(r.ReadValue(store_, &v));
-        rel.rows.push_back(v);
+        row.push_back(v);
       }
-      ++rel.num_rows;
-      ++total_facts_;
+      InsertRecovered(rel, TupleView(row));
     }
     ++recovery_.snapshot_relations;
     recovery_.snapshot_facts += num_rows;
@@ -304,15 +219,13 @@ Status DurableStore::LoadSnapshot(const std::string& path,
 
 // -- Open / recovery ----------------------------------------------------------
 
-Status DurableStore::Open(const Options& options, ValueStore* store) {
+Status DurableStore::Open(const Options& options, ValueStore* store,
+                          Catalog* catalog) {
   if (open_) return Status::Internal("DurableStore::Open called twice");
   options_ = options;
   store_ = store;
-  relations_.clear();
-  total_facts_ = 0;
   recovery_ = RecoveryInfo{};
   failed_ = Status::OK();
-  deferred_ = Status::OK();
   checkpoint_failures_ = 0;
 
   GDLOG_RETURN_IF_ERROR(EnsureDir(options_.dir));
@@ -336,11 +249,28 @@ Status DurableStore::Open(const Options& options, ValueStore* store) {
 
     if (snapshot_seq_ != 0) {
       GDLOG_RETURN_IF_ERROR(
-          LoadSnapshot(SnapshotPath(snapshot_seq_), snapshot_seq_));
+          LoadSnapshot(SnapshotPath(snapshot_seq_), snapshot_seq_, catalog));
     }
     GDLOG_ASSIGN_OR_RETURN(WalScan scan,
                            ReadWal(WalPath(wal_seq_), wal_seq_, store_));
-    for (const WalRecord& rec : scan.records) ApplyRecord(rec);
+    for (const WalRecord& rec : scan.records) {
+      const TupleView tuple(rec.tuple);
+      switch (rec.type) {
+        case WalRecordType::kCreateRelation:
+          catalog->Ensure(rec.name, rec.arity);
+          break;
+        case WalRecordType::kAddFact:
+          InsertRecovered(
+              catalog->relation(catalog->Ensure(rec.name, rec.arity)), tuple);
+          break;
+        case WalRecordType::kRetract: {
+          // Absent: the redo of a retract that removed nothing.
+          const PredicateId id = catalog->Lookup(rec.name, rec.arity);
+          if (id != kNoPredicate) catalog->relation(id).Retract(tuple);
+          break;
+        }
+      }
+    }
     recovery_.wal_records_replayed = scan.records.size();
     recovery_.wal_valid_bytes = scan.valid_size;
     recovery_.wal_dropped_bytes = scan.dropped_bytes;
@@ -359,7 +289,6 @@ Status DurableStore::Open(const Options& options, ValueStore* store) {
       wal_.Open(WalPath(wal_seq_), wal_seq_, recovery_.wal_valid_bytes));
 
   SweepStaleFiles();
-  GDLOG_RETURN_IF_ERROR(ChargeBudget(0));
   open_ = true;
   return Status::OK();
 }
@@ -391,45 +320,27 @@ void DurableStore::SweepStaleFiles() {
 
 // -- Mutations ----------------------------------------------------------------
 
-Status DurableStore::LogCreateRelation(std::string_view name, uint32_t arity) {
+Status DurableStore::Append(WalRecordType type, std::string_view name,
+                            uint32_t arity, TupleView tuple) {
   if (!open_) return Status::Internal("DurableStore not open");
   GDLOG_RETURN_IF_ERROR(failed_);
-  if (FindRelation(name, arity) != nullptr) return Status::OK();
-  GDLOG_RETURN_IF_ERROR(wal_.Append(*store_, WalRecordType::kCreateRelation,
-                                    name, arity, TupleView()));
-  EnsureRelation(name, arity);
-  FinishMutation();
+  GDLOG_RETURN_IF_ERROR(wal_.Append(*store_, type, name, arity, tuple));
+  ++appends_since_checkpoint_;
   return Status::OK();
+}
+
+Status DurableStore::LogCreateRelation(std::string_view name, uint32_t arity) {
+  return Append(WalRecordType::kCreateRelation, name, arity, TupleView());
 }
 
 Status DurableStore::LogAddFact(std::string_view name, uint32_t arity,
                                 TupleView tuple) {
-  if (!open_) return Status::Internal("DurableStore not open");
-  GDLOG_RETURN_IF_ERROR(failed_);
-  GDLOG_RETURN_IF_ERROR(
-      wal_.Append(*store_, WalRecordType::kAddFact, name, arity, tuple));
-  EdbRelation& r = EnsureRelation(name, arity);
-  r.rows.insert(r.rows.end(), tuple.begin(), tuple.end());
-  ++r.num_rows;
-  ++total_facts_;
-  FinishMutation();
-  return Status::OK();
+  return Append(WalRecordType::kAddFact, name, arity, tuple);
 }
 
 Status DurableStore::LogRetract(std::string_view name, uint32_t arity,
                                 TupleView tuple) {
-  if (!open_) return Status::Internal("DurableStore not open");
-  GDLOG_RETURN_IF_ERROR(failed_);
-  GDLOG_RETURN_IF_ERROR(
-      wal_.Append(*store_, WalRecordType::kRetract, name, arity, tuple));
-  WalRecord rec;
-  rec.type = WalRecordType::kRetract;
-  rec.name.assign(name);
-  rec.arity = arity;
-  rec.tuple.assign(tuple.begin(), tuple.end());
-  ApplyRecord(rec);
-  FinishMutation();
-  return Status::OK();
+  return Append(WalRecordType::kRetract, name, arity, tuple);
 }
 
 Status DurableStore::Sync() {
@@ -438,42 +349,65 @@ Status DurableStore::Sync() {
   return wal_.Sync();
 }
 
-Status DurableStore::MaybeAutoCheckpoint() {
+Status DurableStore::MaybeCheckpoint(const Catalog& catalog,
+                                     std::span<const size_t> edb_rows) {
   if (options_.checkpoint_every == 0 ||
       appends_since_checkpoint_ < options_.checkpoint_every) {
     return Status::OK();
   }
-  return Checkpoint();
+  Status st = Checkpoint(catalog, edb_rows);
+  if (!st.ok()) ++checkpoint_failures_;
+  return st;
 }
 
 // -- Checkpoint ---------------------------------------------------------------
 
-Status DurableStore::Checkpoint() {
+Status DurableStore::Checkpoint(const Catalog& catalog,
+                                std::span<const size_t> edb_rows) {
   if (!open_) return Status::Internal("DurableStore not open");
   GDLOG_RETURN_IF_ERROR(failed_);
 
   const uint64_t new_snapshot = snapshot_seq_ + 1;
   const uint64_t new_wal = wal_seq_ + 1;
 
-  // 1. Encode the mirror. The image buffer is charged to the budget for
-  //    its lifetime.
+  // 1. Encode the EDB rows from the catalog.
+  uint32_t num_relations = 0;
+  uint64_t num_facts = 0;
+  for (const size_t rows : edb_rows) {
+    num_relations += rows != 0 ? 1 : 0;
+    num_facts += rows;
+  }
   std::string image(kSnapMagic);
   AppendU64(&image, new_snapshot);
-  AppendU32(&image, static_cast<uint32_t>(relations_.size()));
-  for (const EdbRelation& r : relations_) {
-    AppendBytes(&image, r.name);
-    AppendU32(&image, r.arity);
-    AppendU64(&image, r.num_rows);
-    for (size_t i = 0; i < r.num_rows * r.arity; ++i) {
-      AppendValue(&image, *store_, r.rows[i]);
+  AppendU32(&image, num_relations);
+  for (PredicateId id = 0; id < edb_rows.size(); ++id) {
+    if (edb_rows[id] == 0) continue;
+    const Relation& rel = catalog.relation(id);
+    AppendBytes(&image, rel.name());
+    AppendU32(&image, rel.arity());
+    AppendU64(&image, edb_rows[id]);
+    for (RowId row = 0; row < edb_rows[id]; ++row) {
+      for (const Value v : rel.Row(row)) AppendValue(&image, *store_, v);
     }
   }
   AppendU32(&image, Crc32(image.data() + kSnapMagic.size(),
                           image.size() - kSnapMagic.size()));
-  GDLOG_RETURN_IF_ERROR(ChargeBudget(image.size()));
 
+  // The image buffer is charged to the budget while it lives.
+  Status st;
+  if (options_.budget != nullptr) {
+    try {
+      options_.budget->Update(&charged_, image.size());
+    } catch (const std::bad_alloc&) {
+      // The alloc fault probe (or a genuinely exhausted heap) fires
+      // inside Update; surface it as a Status like every other
+      // durability failure.
+      st = Status::OutOfMemory(
+          "[GD206] allocation failure charging a checkpoint image");
+    }
+  }
   bool manifest_renamed = false;
-  Status st = [&]() -> Status {
+  if (st.ok()) st = [&]() -> Status {
     if (options_.injector != nullptr &&
         options_.injector->Hit(FaultInjector::kCheckpointWrite)) {
       return Status::RuntimeError(
@@ -519,6 +453,7 @@ Status DurableStore::Checkpoint() {
     appends_since_checkpoint_ = 0;
     ++checkpoints_;
     last_checkpoint_bytes_ = image.size();
+    last_checkpoint_facts_ = num_facts;
     (void)RemoveFile(old_wal);
     if (!old_snap.empty()) (void)RemoveFile(old_snap);
     return Status::OK();
@@ -531,18 +466,14 @@ Status DurableStore::Checkpoint() {
     // the rename can be trusted, so refuse all further mutations.
     Latch(st);
   }
-  GDLOG_RETURN_IF_ERROR(ChargeBudget(0));  // release the image buffer charge
+  if (options_.budget != nullptr) options_.budget->Update(&charged_, 0);
   return st;
 }
 
 Status DurableStore::Close() {
   if (!open_) return Status::OK();
   open_ = false;
-  Status st = wal_.Close();
-  if (options_.budget != nullptr) {
-    options_.budget->Update(&charged_, 0);
-  }
-  return st;
+  return wal_.Close();
 }
 
 DurableStore::Stats DurableStore::stats() const {
@@ -553,9 +484,8 @@ DurableStore::Stats DurableStore::stats() const {
   s.wal_size_bytes = wal_.size_bytes();
   s.checkpoints = checkpoints_;
   s.checkpoint_bytes = last_checkpoint_bytes_;
+  s.checkpoint_facts = last_checkpoint_facts_;
   s.checkpoint_failures = checkpoint_failures_;
-  s.edb_relations = relations_.size();
-  s.edb_facts = total_facts_;
   return s;
 }
 

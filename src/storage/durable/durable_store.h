@@ -1,4 +1,4 @@
-// DurableStore: the crash-safe home of the EDB.
+// DurableStore: the crash-safe log of the EDB.
 //
 // Durability covers the extensional database — relation creations and
 // asserted facts (AddFact / Retract). The fixpoint is NOT persisted: on
@@ -6,6 +6,11 @@
 // the engine's deterministic evaluation makes bit-identical to the
 // uninterrupted run (the chaos test in tests/durability_test.cc holds it
 // to that).
+//
+// The store holds no rows. The engine's catalog is the one copy of the
+// EDB: Open() replays the snapshot and the WAL tail straight into it,
+// the Log* calls only append, and Checkpoint() encodes the EDB rows the
+// caller names (each relation's first `edb_rows[id]` rows) from it.
 //
 // On-disk layout of a database directory:
 //
@@ -16,27 +21,28 @@
 // The manifest names exactly one (snapshot, wal) pair and is replaced
 // atomically (write MANIFEST.tmp, fsync, rename, fsync dir), so a crash
 // at any instant leaves either the old pair or the new pair in force —
-// never a mix. Checkpoint() writes snapshot S+1 from the in-memory
-// mirror, starts wal W+1, swaps the manifest, then deletes the old pair;
-// stale files from a crash between swap and delete are swept on Open.
+// never a mix. Checkpoint() writes snapshot S+1 from the catalog, starts
+// wal W+1, swaps the manifest, then deletes the old pair; stale files
+// from a crash between swap and delete are swept on Open.
 //
 // Recovery (redo-only): read the manifest, load the snapshot it names,
 // replay the WAL tail stopping at the first torn record, truncate the
 // tail, and reopen the WAL for appending. Every mutation is logged
-// before it is applied (write-ahead), so a crash loses at most the
-// mutation whose append never completed.
-//
-// The store keeps an in-memory mirror of the EDB so checkpoints are
-// exact regardless of what derived facts the engine's catalog has
-// accumulated. Mirror rows and checkpoint I/O buffers are charged to the
-// MemoryBudget.
+// before the caller applies it to the catalog (write-ahead), so a crash
+// loses at most the mutation whose append never completed. The caller
+// runs the auto-checkpoint cadence (MaybeCheckpoint) only after it has
+// applied the mutation: a checkpoint taken between the append and the
+// apply would rotate away the WAL holding the record while its snapshot
+// lacks the row. Checkpoint image buffers are charged to the
+// MemoryBudget while they live; the rows are charged once, by the
+// catalog.
 #ifndef GDLOG_STORAGE_DURABLE_DURABLE_STORE_H_
 #define GDLOG_STORAGE_DURABLE_DURABLE_STORE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/status.h"
 #include "storage/durable/wal.h"
@@ -45,6 +51,7 @@
 
 namespace gdlog {
 
+class Catalog;
 class FaultInjector;
 class MemoryBudget;
 
@@ -57,16 +64,7 @@ class DurableStore {
     uint64_t checkpoint_every = 0;        // auto-checkpoint after N appends
                                           // (0 = only explicit Checkpoint())
     FaultInjector* injector = nullptr;    // durability probes (may be null)
-    MemoryBudget* budget = nullptr;       // mirror + buffer charges
-  };
-
-  /// One recovered EDB relation; `rows` is a flat Value array of
-  /// `num_rows` x `arity` in original insertion order.
-  struct EdbRelation {
-    std::string name;
-    uint32_t arity = 0;
-    std::vector<Value> rows;
-    size_t num_rows = 0;
+    MemoryBudget* budget = nullptr;       // checkpoint image charges
   };
 
   /// What Open() found on disk, for the RunReport and recovery tests.
@@ -90,9 +88,8 @@ class DurableStore {
     uint64_t wal_size_bytes = 0;
     uint64_t checkpoints = 0;
     uint64_t checkpoint_bytes = 0;  // last snapshot image size
+    uint64_t checkpoint_facts = 0;  // rows in the last snapshot image
     uint64_t checkpoint_failures = 0;  // auto-checkpoints that failed
-    uint64_t edb_relations = 0;
-    uint64_t edb_facts = 0;
   };
 
   DurableStore() = default;
@@ -101,95 +98,85 @@ class DurableStore {
   DurableStore(const DurableStore&) = delete;
   DurableStore& operator=(const DurableStore&) = delete;
 
-  /// Creates/opens the database directory, recovers any on-disk state
-  /// into the mirror (interning values into `store`, which must outlive
-  /// this object), truncates a torn WAL tail, and opens the WAL for
-  /// appending. Fails with [GD211]/[GD212] on real corruption (a torn
-  /// tail is not corruption) and [GD210] on I/O errors.
-  Status Open(const Options& options, ValueStore* store);
+  /// Creates/opens the database directory, replays any on-disk state
+  /// into `catalog` (a create record ensures its relation, an add
+  /// inserts its row, annotated as asserted when provenance is on, and
+  /// a retract removes it; values are interned into `store`, which must
+  /// outlive this object), truncates a torn WAL tail, and opens the WAL
+  /// for appending. Fails with [GD211]/[GD212] on real corruption (a
+  /// torn tail is not corruption) and [GD210] on I/O errors; it may
+  /// throw std::bad_alloc from the catalog's or the store's budget.
+  Status Open(const Options& options, ValueStore* store, Catalog* catalog);
 
   bool open() const { return open_; }
   const std::string& dir() const { return options_.dir; }
   FsyncPolicy fsync_policy() const { return options_.fsync; }
 
   // -- Write-ahead mutations ----------------------------------------------
-  // Each logs first, then applies to the mirror. All return [GD210] on
-  // append failure, leaving the mirror unchanged (the failed record is
-  // at worst a torn tail for the next recovery to drop).
-  //
-  // Once the append has succeeded the mutation is durable and these
-  // report success: a later bookkeeping failure (budget charge, an
-  // auto-checkpoint) must not make the caller retry — the retry would
-  // pass its dedup probe and log the fact a second time, breaking the
-  // no-duplicate-adds invariant retract-by-first-match replay relies on.
-  // Such failures are kept for TakeDeferredError() instead, and when the
-  // store can no longer be trusted (budget failure mid-apply, a
-  // checkpoint that died after the manifest swap) it latches: every
-  // further mutation fails with the latched status until reopened.
+  // Each appends one record and nothing else; the caller applies the
+  // mutation to its catalog after a successful append, then calls
+  // MaybeCheckpoint. All return [GD210] on append failure (the failed
+  // record is at worst a torn tail for the next recovery to drop), and
+  // the latched status once a checkpoint died after its manifest swap.
 
   Status LogCreateRelation(std::string_view name, uint32_t arity);
   Status LogAddFact(std::string_view name, uint32_t arity, TupleView tuple);
   Status LogRetract(std::string_view name, uint32_t arity, TupleView tuple);
 
-  /// Returns and clears the first post-append bookkeeping failure since
-  /// the last call (OK when none). Callers poll it after a successful
-  /// mutation to report the problem without un-acknowledging the write.
-  Status TakeDeferredError();
+  /// The auto-checkpoint cadence: checkpoints `catalog`'s EDB rows once
+  /// `checkpoint_every` appends have been made since the last checkpoint
+  /// (OK without doing anything otherwise). Call it after applying the
+  /// mutation just logged. A failure is counted in
+  /// Stats::checkpoint_failures and returned, and the next call retries;
+  /// the mutation it follows is durable all the same, so the caller must
+  /// not fail it — a retry would pass its dedup probe and log the fact a
+  /// second time, breaking the no-duplicate-adds invariant
+  /// retract-by-first-match replay relies on.
+  Status MaybeCheckpoint(const Catalog& catalog,
+                         std::span<const size_t> edb_rows);
 
   /// Forces outstanding WAL appends to disk (policy permitting).
   Status Sync();
 
-  /// Writes a snapshot of the mirror, rotates to a fresh WAL, and swaps
-  /// the manifest atomically. On failure before the manifest rename the
-  /// previous (snapshot, wal) pair remains in force and appends continue
-  /// safely; a failure after the rename means the on-disk manifest may
-  /// already name the new pair, so the store latches — appending to the
-  /// retired WAL would lose those records on reopen.
-  Status Checkpoint();
+  /// Writes a snapshot of the EDB — the first edb_rows[id] rows of each
+  /// relation `id` of `catalog` that has any, in id order — rotates to a
+  /// fresh WAL, and swaps the manifest atomically. On failure before the
+  /// manifest rename the previous (snapshot, wal) pair remains in force
+  /// and appends continue safely; a failure after the rename means the
+  /// on-disk manifest may already name the new pair, so the store
+  /// latches — appending to the retired WAL would lose those records on
+  /// reopen — and every further mutation fails until reopened.
+  Status Checkpoint(const Catalog& catalog, std::span<const size_t> edb_rows);
 
   /// Sync and close the WAL. Open() may be called again afterwards.
   Status Close();
 
   // -- Recovered state ------------------------------------------------------
   const RecoveryInfo& recovery() const { return recovery_; }
-  /// The EDB mirror, in creation order (replay these into the catalog).
-  const std::vector<EdbRelation>& relations() const { return relations_; }
   Stats stats() const;
   uint64_t wal_seq() const { return wal_seq_; }
   uint64_t snapshot_seq() const { return snapshot_seq_; }
 
  private:
-  EdbRelation* FindRelation(std::string_view name, uint32_t arity);
-  EdbRelation& EnsureRelation(std::string_view name, uint32_t arity);
-  void ApplyRecord(const WalRecord& rec);
-  Status ChargeBudget(size_t extra_buffer_bytes);
-  size_t MirrorBytes() const;
+  Status Append(WalRecordType type, std::string_view name, uint32_t arity,
+                TupleView tuple);
   /// Refuses every further mutation with a [GD210] wrapping `why`.
   void Latch(const Status& why);
-  /// Post-append bookkeeping after a successful WAL append: budget
-  /// true-up (latching on failure) and the auto-checkpoint cadence
-  /// (counting failures). Never fails the surrounding mutation; errors
-  /// go to the deferred slot.
-  void FinishMutation();
   /// `renamed`, when non-null, is set once MANIFEST has been renamed
   /// into place — the point after which a failure can no longer be
   /// retried safely.
   Status WriteManifest(uint64_t snapshot_seq, uint64_t wal_seq,
                        bool* renamed = nullptr);
-  Status LoadSnapshot(const std::string& path, uint64_t expected_seq);
+  Status LoadSnapshot(const std::string& path, uint64_t expected_seq,
+                      Catalog* catalog);
   std::string WalPath(uint64_t seq) const;
   std::string SnapshotPath(uint64_t seq) const;
   void SweepStaleFiles();
-  Status MaybeAutoCheckpoint();
 
   Options options_;
   ValueStore* store_ = nullptr;
   bool open_ = false;
-  Status failed_;    // latched: mutations refused until reopen
-  Status deferred_;  // first unreported post-append failure
-
-  std::vector<EdbRelation> relations_;
-  size_t total_facts_ = 0;
+  Status failed_;  // latched: mutations refused until reopen
 
   WalWriter wal_;
   uint64_t wal_seq_ = 0;
@@ -200,6 +187,7 @@ class DurableStore {
   uint64_t checkpoints_ = 0;
   uint64_t checkpoint_failures_ = 0;
   uint64_t last_checkpoint_bytes_ = 0;
+  uint64_t last_checkpoint_facts_ = 0;
 
   size_t charged_ = 0;  // MemoryBudget bookkeeping
 };

@@ -83,6 +83,38 @@ TEST(Api, UnsafeRuleRejectedAtRun) {
   EXPECT_EQ(st.code(), StatusCode::kAnalysisError);
 }
 
+// A Run that fails at compile has stopped: neither run_state nor the
+// engine.run_state gauge may read "completed".
+TEST(Api, RunFailingAtCompileIsStopped) {
+  Engine e;
+  ASSERT_TRUE(e.LoadProgram("p(X) <- q(Y). q(1).").ok());
+  const Status st = e.Run();
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kAnalysisError);
+  EXPECT_EQ(e.run_state(), EngineRunState::kStopped);
+  auto metrics = e.MetricsText();
+  ASSERT_TRUE(metrics.ok());
+  EXPECT_NE(metrics->find("gdlog_engine_run_state{state=\"stopped\"} 1"),
+            std::string::npos)
+      << *metrics;
+  EXPECT_NE(metrics->find("gdlog_engine_run_state{state=\"completed\"} 0"),
+            std::string::npos);
+}
+
+// The EDB's extent is recorded where its rows enter, so a row added
+// after a Run that failed at compile seeds the static analysis too.
+TEST(Api, RowAddedAfterAFailedRunSeedsTheAnalysis) {
+  Engine e;
+  ASSERT_TRUE(e.LoadProgram("p(X) <- q(Y). q(1).").ok());
+  ASSERT_FALSE(e.Run().ok());
+  ASSERT_TRUE(e.AddFact("q", {Value::Int(2)}).ok());
+  auto types = e.TypeSignaturesText();
+  ASSERT_TRUE(types.ok()) << types.status().ToString();
+  EXPECT_NE(types->find("q/1: (int[1, 2]) rows [2, 2] [edb]"),
+            std::string::npos)
+      << *types;
+}
+
 TEST(Api, FactsViaTextAndApiAgree) {
   Engine e;
   ASSERT_TRUE(e.LoadProgram(R"(

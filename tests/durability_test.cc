@@ -18,6 +18,7 @@
 #include "analysis/diagnostics.h"
 #include "api/engine.h"
 #include "common/guardrails.h"
+#include "storage/catalog.h"
 #include "storage/durable/durable_store.h"
 #include "storage/durable/io.h"
 #include "storage/durable/wal.h"
@@ -305,56 +306,94 @@ DurableStore::Options StoreOptions(const std::string& dir,
   return o;
 }
 
-void AddInt(DurableStore* s, std::string_view rel, int64_t a, int64_t b) {
+// The EDB extent when every row of the catalog is an EDB row.
+std::vector<size_t> AllRows(const Catalog& catalog) {
+  std::vector<size_t> rows(catalog.size());
+  for (PredicateId id = 0; id < catalog.size(); ++id) {
+    rows[id] = catalog.relation(id).size();
+  }
+  return rows;
+}
+
+// Adds rel(a, b) the way the engine does: a create record before the
+// relation's first row, the add record, the insert into `catalog`, and
+// the checkpoint cadence after each record is applied.
+void AddInt(DurableStore* s, Catalog* catalog, std::string_view rel,
+            int64_t a, int64_t b) {
   std::vector<Value> t = {Value::Int(a), Value::Int(b)};
-  ASSERT_TRUE(s->LogCreateRelation(rel, 2).ok());
+  Relation& r = catalog->relation(catalog->Ensure(rel, 2));
+  if (r.empty()) {
+    ASSERT_TRUE(s->LogCreateRelation(rel, 2).ok());
+    ASSERT_TRUE(s->MaybeCheckpoint(*catalog, AllRows(*catalog)).ok());
+  }
   ASSERT_TRUE(s->LogAddFact(rel, 2, TupleView(t)).ok());
+  r.Insert(TupleView(t));
+  ASSERT_TRUE(s->MaybeCheckpoint(*catalog, AllRows(*catalog)).ok());
+}
+
+// The rows of name/2 in `catalog`, rendered in storage order.
+std::vector<std::string> RowsOf(const Catalog& catalog, const ValueStore& vs,
+                                std::string_view name) {
+  std::vector<std::string> out;
+  const PredicateId id = catalog.Lookup(name, 2);
+  if (id == kNoPredicate) return out;
+  const Relation& rel = catalog.relation(id);
+  for (RowId row = 0; row < rel.size(); ++row) {
+    out.push_back(TupleToString(vs, rel.Row(row)));
+  }
+  return out;
 }
 
 TEST(DurableStore, EmptyDatabaseReopensEmpty) {
   const std::string dir = TempDbDir("store-empty");
   ValueStore vs;
   {
+    Catalog catalog;
     DurableStore s;
-    ASSERT_TRUE(s.Open(StoreOptions(dir), &vs).ok());
+    ASSERT_TRUE(s.Open(StoreOptions(dir), &vs, &catalog).ok());
     EXPECT_FALSE(s.recovery().opened_existing);
     EXPECT_EQ(s.wal_seq(), 1u);
     ASSERT_TRUE(s.Close().ok());
   }
   EXPECT_TRUE(FileExists(dir + "/MANIFEST"));
   {
+    Catalog catalog;
     DurableStore s;
-    ASSERT_TRUE(s.Open(StoreOptions(dir), &vs).ok());
+    ASSERT_TRUE(s.Open(StoreOptions(dir), &vs, &catalog).ok());
     EXPECT_TRUE(s.recovery().opened_existing);
     EXPECT_EQ(s.recovery().wal_records_replayed, 0u);
     EXPECT_FALSE(s.recovery().wal_tail_dropped);
-    EXPECT_TRUE(s.relations().empty());
+    EXPECT_EQ(catalog.size(), 0u);
     ASSERT_TRUE(s.Close().ok());
   }
   RemoveTree(dir);
 }
 
-TEST(DurableStore, SnapshotOnlyReopenRestoresTheMirror) {
+TEST(DurableStore, SnapshotOnlyReopenRestoresTheCatalog) {
   const std::string dir = TempDbDir("store-snap");
   ValueStore vs;
   {
+    Catalog catalog;
     DurableStore s;
-    ASSERT_TRUE(s.Open(StoreOptions(dir), &vs).ok());
-    AddInt(&s, "edge", 1, 2);
-    AddInt(&s, "edge", 2, 3);
-    ASSERT_TRUE(s.Checkpoint().ok());
+    ASSERT_TRUE(s.Open(StoreOptions(dir), &vs, &catalog).ok());
+    AddInt(&s, &catalog, "edge", 1, 2);
+    AddInt(&s, &catalog, "edge", 2, 3);
+    ASSERT_TRUE(s.Checkpoint(catalog, AllRows(catalog)).ok());
     EXPECT_EQ(s.snapshot_seq(), 1u);
     EXPECT_EQ(s.wal_seq(), 2u);
+    EXPECT_EQ(s.stats().checkpoint_facts, 2u);
     ASSERT_TRUE(s.Close().ok());
   }
   {
+    Catalog catalog;
     DurableStore s;
-    ASSERT_TRUE(s.Open(StoreOptions(dir), &vs).ok());
+    ASSERT_TRUE(s.Open(StoreOptions(dir), &vs, &catalog).ok());
     EXPECT_EQ(s.recovery().snapshot_seq, 1u);
     EXPECT_EQ(s.recovery().snapshot_facts, 2u);
     EXPECT_EQ(s.recovery().wal_records_replayed, 0u);  // rotated WAL is empty
-    ASSERT_EQ(s.relations().size(), 1u);
-    EXPECT_EQ(s.relations()[0].num_rows, 2u);
+    ASSERT_EQ(catalog.size(), 1u);
+    EXPECT_EQ(RowsOf(catalog, vs, "edge"),
+              (std::vector<std::string>{"(1, 2)", "(2, 3)"}));
     ASSERT_TRUE(s.Close().ok());
   }
   RemoveTree(dir);
@@ -363,12 +402,13 @@ TEST(DurableStore, SnapshotOnlyReopenRestoresTheMirror) {
 TEST(DurableStore, CheckpointRetiresTheOldPair) {
   const std::string dir = TempDbDir("store-retire");
   ValueStore vs;
+  Catalog catalog;
   DurableStore s;
-  ASSERT_TRUE(s.Open(StoreOptions(dir), &vs).ok());
-  AddInt(&s, "edge", 1, 2);
-  ASSERT_TRUE(s.Checkpoint().ok());
-  AddInt(&s, "edge", 5, 6);
-  ASSERT_TRUE(s.Checkpoint().ok());
+  ASSERT_TRUE(s.Open(StoreOptions(dir), &vs, &catalog).ok());
+  AddInt(&s, &catalog, "edge", 1, 2);
+  ASSERT_TRUE(s.Checkpoint(catalog, AllRows(catalog)).ok());
+  AddInt(&s, &catalog, "edge", 5, 6);
+  ASSERT_TRUE(s.Checkpoint(catalog, AllRows(catalog)).ok());
   EXPECT_FALSE(FileExists(dir + "/wal-1.log"));
   EXPECT_FALSE(FileExists(dir + "/wal-2.log"));
   EXPECT_TRUE(FileExists(dir + "/wal-3.log"));
@@ -383,19 +423,20 @@ TEST(DurableStore, RetractSurvivesReopen) {
   ValueStore vs;
   std::vector<Value> gone = {Value::Int(1), Value::Int(2)};
   {
+    Catalog catalog;
     DurableStore s;
-    ASSERT_TRUE(s.Open(StoreOptions(dir), &vs).ok());
-    AddInt(&s, "edge", 1, 2);
-    AddInt(&s, "edge", 2, 3);
+    ASSERT_TRUE(s.Open(StoreOptions(dir), &vs, &catalog).ok());
+    AddInt(&s, &catalog, "edge", 1, 2);
+    AddInt(&s, &catalog, "edge", 2, 3);
     ASSERT_TRUE(s.LogRetract("edge", 2, TupleView(gone)).ok());
     ASSERT_TRUE(s.Close().ok());
   }
+  Catalog catalog;
   DurableStore s;
-  ASSERT_TRUE(s.Open(StoreOptions(dir), &vs).ok());
-  ASSERT_EQ(s.relations().size(), 1u);
-  ASSERT_EQ(s.relations()[0].num_rows, 1u);
-  EXPECT_EQ(vs.ToString(s.relations()[0].rows[0]), "2");
-  EXPECT_EQ(vs.ToString(s.relations()[0].rows[1]), "3");
+  ASSERT_TRUE(s.Open(StoreOptions(dir), &vs, &catalog).ok());
+  ASSERT_EQ(catalog.size(), 1u);
+  EXPECT_EQ(RowsOf(catalog, vs, "edge"),
+            (std::vector<std::string>{"(2, 3)"}));
   ASSERT_TRUE(s.Close().ok());
   RemoveTree(dir);
 }
@@ -404,19 +445,22 @@ TEST(DurableStore, DoubleReopenIsIdempotent) {
   const std::string dir = TempDbDir("store-double");
   ValueStore vs;
   {
+    Catalog catalog;
     DurableStore s;
-    ASSERT_TRUE(s.Open(StoreOptions(dir), &vs).ok());
-    AddInt(&s, "edge", 1, 2);
-    AddInt(&s, "edge", 2, 3);
+    ASSERT_TRUE(s.Open(StoreOptions(dir), &vs, &catalog).ok());
+    AddInt(&s, &catalog, "edge", 1, 2);
+    AddInt(&s, &catalog, "edge", 2, 3);
     ASSERT_TRUE(s.Close().ok());
   }
   uint64_t replayed_first = 0;
   for (int round = 0; round < 2; ++round) {
+    Catalog catalog;
     DurableStore s;
-    ASSERT_TRUE(s.Open(StoreOptions(dir), &vs).ok()) << "round " << round;
+    ASSERT_TRUE(s.Open(StoreOptions(dir), &vs, &catalog).ok())
+        << "round " << round;
     EXPECT_EQ(s.recovery().wal_dropped_bytes, 0u);
-    ASSERT_EQ(s.relations().size(), 1u);
-    EXPECT_EQ(s.relations()[0].num_rows, 2u);
+    ASSERT_EQ(catalog.size(), 1u);
+    EXPECT_EQ(RowsOf(catalog, vs, "edge").size(), 2u);
     if (round == 0) {
       replayed_first = s.recovery().wal_records_replayed;
     } else {
@@ -433,32 +477,35 @@ TEST(DurableStore, TornTailIsDroppedAndOverwritten) {
   ValueStore vs;
   uint64_t full = 0;
   {
+    Catalog catalog;
     DurableStore s;
-    ASSERT_TRUE(s.Open(StoreOptions(dir), &vs).ok());
-    AddInt(&s, "edge", 1, 2);
-    AddInt(&s, "edge", 2, 3);
+    ASSERT_TRUE(s.Open(StoreOptions(dir), &vs, &catalog).ok());
+    AddInt(&s, &catalog, "edge", 1, 2);
+    AddInt(&s, &catalog, "edge", 2, 3);
     ASSERT_TRUE(s.Close().ok());
     full = FileSize(dir + "/wal-1.log");
   }
   // Lose the last 3 bytes: mid-record, so the final append must vanish.
   TruncateTo(dir + "/wal-1.log", full - 3);
   {
+    Catalog catalog;
     DurableStore s;
-    ASSERT_TRUE(s.Open(StoreOptions(dir), &vs).ok());
+    ASSERT_TRUE(s.Open(StoreOptions(dir), &vs, &catalog).ok());
     EXPECT_TRUE(s.recovery().wal_tail_dropped);
     EXPECT_EQ(s.recovery().wal_dropped_bytes, full - 3 -
                                                   s.recovery().wal_valid_bytes);
-    ASSERT_EQ(s.relations().size(), 1u);
-    EXPECT_EQ(s.relations()[0].num_rows, 1u);
+    EXPECT_EQ(RowsOf(catalog, vs, "edge"),
+              (std::vector<std::string>{"(1, 2)"}));
     // The log is writable again from the valid prefix.
-    AddInt(&s, "edge", 7, 8);
+    AddInt(&s, &catalog, "edge", 7, 8);
     ASSERT_TRUE(s.Close().ok());
   }
+  Catalog catalog;
   DurableStore s;
-  ASSERT_TRUE(s.Open(StoreOptions(dir), &vs).ok());
+  ASSERT_TRUE(s.Open(StoreOptions(dir), &vs, &catalog).ok());
   EXPECT_FALSE(s.recovery().wal_tail_dropped);
-  ASSERT_EQ(s.relations().size(), 1u);
-  EXPECT_EQ(s.relations()[0].num_rows, 2u);
+  EXPECT_EQ(RowsOf(catalog, vs, "edge"),
+            (std::vector<std::string>{"(1, 2)", "(7, 8)"}));
   ASSERT_TRUE(s.Close().ok());
   RemoveTree(dir);
 }
@@ -467,14 +514,16 @@ TEST(DurableStore, ManifestCorruptionIsGd212) {
   const std::string dir = TempDbDir("store-badmanifest");
   ValueStore vs;
   {
+    Catalog catalog;
     DurableStore s;
-    ASSERT_TRUE(s.Open(StoreOptions(dir), &vs).ok());
-    AddInt(&s, "edge", 1, 2);
+    ASSERT_TRUE(s.Open(StoreOptions(dir), &vs, &catalog).ok());
+    AddInt(&s, &catalog, "edge", 1, 2);
     ASSERT_TRUE(s.Close().ok());
   }
   CorruptByteAt(dir + "/MANIFEST", 3);
+  Catalog catalog;
   DurableStore s;
-  const Status st = s.Open(StoreOptions(dir), &vs);
+  const Status st = s.Open(StoreOptions(dir), &vs, &catalog);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(DiagCodeOfStatus(st), diag::kSnapshotCorrupt);
   RemoveTree(dir);
@@ -484,16 +533,18 @@ TEST(DurableStore, SnapshotCorruptionIsGd212) {
   const std::string dir = TempDbDir("store-badsnap");
   ValueStore vs;
   {
+    Catalog catalog;
     DurableStore s;
-    ASSERT_TRUE(s.Open(StoreOptions(dir), &vs).ok());
-    AddInt(&s, "edge", 1, 2);
-    ASSERT_TRUE(s.Checkpoint().ok());
+    ASSERT_TRUE(s.Open(StoreOptions(dir), &vs, &catalog).ok());
+    AddInt(&s, &catalog, "edge", 1, 2);
+    ASSERT_TRUE(s.Checkpoint(catalog, AllRows(catalog)).ok());
     ASSERT_TRUE(s.Close().ok());
   }
   // Flip a byte in the body (past magic + seq) so the CRC trailer fails.
   CorruptByteAt(dir + "/snapshot-1.gds", 20);
+  Catalog catalog;
   DurableStore s;
-  const Status st = s.Open(StoreOptions(dir), &vs);
+  const Status st = s.Open(StoreOptions(dir), &vs, &catalog);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(DiagCodeOfStatus(st), diag::kSnapshotCorrupt);
   RemoveTree(dir);
@@ -504,21 +555,24 @@ TEST(DurableStore, AutoCheckpointFiresOnCadence) {
   ValueStore vs;
   DurableStore::Options o = StoreOptions(dir);
   o.checkpoint_every = 4;
+  Catalog catalog;
   DurableStore s;
-  ASSERT_TRUE(s.Open(o, &vs).ok());
-  AddInt(&s, "edge", 1, 2);  // create + add = 2 appends
-  AddInt(&s, "edge", 2, 3);  // +1 (create dedups)... add = 3
-  AddInt(&s, "edge", 3, 4);  // 4th append -> auto checkpoint
+  ASSERT_TRUE(s.Open(o, &vs, &catalog).ok());
+  AddInt(&s, &catalog, "edge", 1, 2);  // create + add = 2 appends
+  AddInt(&s, &catalog, "edge", 2, 3);  // the relation has a row: add = 3
+  EXPECT_EQ(s.stats().checkpoints, 0u);
+  AddInt(&s, &catalog, "edge", 3, 4);  // 4th append -> auto checkpoint
   EXPECT_EQ(s.stats().checkpoints, 1u);
   EXPECT_EQ(s.snapshot_seq(), 1u);
+  EXPECT_EQ(s.stats().checkpoint_facts, 3u);
   ASSERT_TRUE(s.Close().ok());
   RemoveTree(dir);
 }
 
-// A failed auto-checkpoint must not fail the mutation that triggered it:
-// the append is already durable, and a caller that retried it would pass
-// its dedup probe and log the fact a second time. The failure is counted,
-// deferred, and the checkpoint retries on the next cadence hit.
+// A failed auto-checkpoint is counted and returned by the cadence, not
+// by the append it follows, which is durable: a caller that retried
+// the append would pass its dedup probe and log the fact a second time.
+// The checkpoint retries on the next cadence hit.
 TEST(DurableStore, FailedAutoCheckpointDoesNotFailTheMutation) {
   const std::string dir = TempDbDir("store-autofail");
   ValueStore vs;
@@ -527,31 +581,37 @@ TEST(DurableStore, FailedAutoCheckpointDoesNotFailTheMutation) {
   DurableStore::Options o = StoreOptions(dir, &*injector);
   o.checkpoint_every = 2;
   {
+    Catalog catalog;
     DurableStore s;
-    ASSERT_TRUE(s.Open(o, &vs).ok());
+    ASSERT_TRUE(s.Open(o, &vs, &catalog).ok());
+    Relation& edge = catalog.relation(catalog.Ensure("edge", 2));
     std::vector<Value> t = {Value::Int(1), Value::Int(2)};
     ASSERT_TRUE(s.LogCreateRelation("edge", 2).ok());
-    // 2nd append: the auto-checkpoint fires and fails, but the add is
-    // durable — the mutation reports success.
+    ASSERT_TRUE(s.MaybeCheckpoint(catalog, AllRows(catalog)).ok());
+    // 2nd append: the add is durable and succeeds; the auto-checkpoint
+    // after it fires and fails.
     ASSERT_TRUE(s.LogAddFact("edge", 2, TupleView(t)).ok());
+    edge.Insert(TupleView(t));
+    const Status failed = s.MaybeCheckpoint(catalog, AllRows(catalog));
+    EXPECT_FALSE(failed.ok());
+    EXPECT_EQ(DiagCodeOfStatus(failed), diag::kWalError);
     EXPECT_EQ(s.stats().checkpoint_failures, 1u);
     EXPECT_EQ(s.snapshot_seq(), 0u);  // old pair still in force
-    const Status deferred = s.TakeDeferredError();
-    EXPECT_FALSE(deferred.ok());
-    EXPECT_EQ(DiagCodeOfStatus(deferred), diag::kWalError);
-    EXPECT_TRUE(s.TakeDeferredError().ok());  // take clears
     // 3rd append: the cadence is still due, the probe is spent, and the
     // checkpoint retry succeeds.
     std::vector<Value> t2 = {Value::Int(2), Value::Int(3)};
     ASSERT_TRUE(s.LogAddFact("edge", 2, TupleView(t2)).ok());
+    edge.Insert(TupleView(t2));
+    ASSERT_TRUE(s.MaybeCheckpoint(catalog, AllRows(catalog)).ok());
     EXPECT_EQ(s.snapshot_seq(), 1u);
     ASSERT_TRUE(s.Close().ok());
   }
   // Nothing was double-logged: reopen sees exactly the two facts.
+  Catalog catalog;
   DurableStore s;
-  ASSERT_TRUE(s.Open(StoreOptions(dir), &vs).ok());
-  ASSERT_EQ(s.relations().size(), 1u);
-  EXPECT_EQ(s.relations()[0].num_rows, 2u);
+  ASSERT_TRUE(s.Open(StoreOptions(dir), &vs, &catalog).ok());
+  EXPECT_EQ(RowsOf(catalog, vs, "edge"),
+            (std::vector<std::string>{"(1, 2)", "(2, 3)"}));
   ASSERT_TRUE(s.Close().ok());
   RemoveTree(dir);
 }
@@ -679,6 +739,92 @@ TEST(EngineDurability, CheckpointRotatesAndSurvivesReopen) {
   ASSERT_TRUE(e.durability_status().ok());
   EXPECT_EQ(e.durable()->recovery().snapshot_facts, 1u);
   EXPECT_EQ(e.durable()->recovery().wal_records_replayed, 1u);
+  EXPECT_EQ(e.Query("p", 1).size(), 2u);
+  RemoveTree(dir);
+}
+
+// The checkpoint cadence runs only after a mutation is in the catalog:
+// with a checkpoint after every append, a snapshot taken between the
+// append and the insert would lose the row (its WAL is rotated away),
+// and one taken before a retract is applied would bring the row back.
+// A later mutation's checkpoint would pick up the catalog's state, so
+// each session ends on the mutation it guards: an add, then a retract.
+TEST(EngineDurability, CheckpointEveryAppendKeepsEveryMutation) {
+  const std::string dir = TempDbDir("engine-ckpt-every");
+  EngineOptions o = Durable(dir);
+  o.durability.checkpoint_every = 1;
+  auto rows_of_p = [](const Engine& e) {
+    std::vector<std::string> p;
+    for (const auto& row : e.Query("p", 1)) {
+      p.push_back(e.store().ToString(row[0]));
+    }
+    return p;
+  };
+  {
+    Engine e(o);
+    ASSERT_TRUE(e.LoadProgram("q(X) <- p(X). p(1). p(2).").ok());
+    ASSERT_TRUE(e.AddFact("p", {Value::Int(3)}).ok());
+    const std::vector<Value> more = {Value::Int(4), Value::Int(5)};
+    ASSERT_TRUE(e.AddFacts("p", 1, more).ok());
+    ASSERT_TRUE(e.RetractFact("p", {Value::Int(2)}).ok());
+    ASSERT_TRUE(e.AddFact("r", {Value::Int(7), Value::Int(8)}).ok());
+    // Two creates, six adds and a retract: one checkpoint each.
+    EXPECT_EQ(e.durable()->snapshot_seq(), 9u);
+  }
+  {
+    Engine e(o);
+    ASSERT_TRUE(e.durability_status().ok())
+        << e.durability_status().ToString();
+    EXPECT_EQ(e.durable()->recovery().wal_records_replayed, 0u);
+    EXPECT_EQ(rows_of_p(e), (std::vector<std::string>{"1", "3", "4", "5"}));
+    EXPECT_EQ(e.Query("r", 2).size(), 1u);
+    ASSERT_TRUE(e.RetractFact("p", {Value::Int(5)}).ok());
+  }
+  Engine e(o);
+  ASSERT_TRUE(e.durability_status().ok()) << e.durability_status().ToString();
+  EXPECT_EQ(rows_of_p(e), (std::vector<std::string>{"1", "3", "4"}));
+  RemoveTree(dir);
+}
+
+// A checkpoint after Run encodes the EDB rows only: Prim's 12 g rows
+// and its prm seed, none of the 4 prm rows the run derived.
+TEST(EngineDurability, CheckpointAfterRunHoldsOnlyTheEdb) {
+  const std::string dir = TempDbDir("engine-ckpt-run");
+  const std::string text = ReadFileOrDie(ProgramPath("prim.dl"));
+  {
+    Engine e{Durable(dir)};
+    ASSERT_TRUE(e.LoadProgram(text).ok());
+    ASSERT_TRUE(e.Run().ok());
+    EXPECT_EQ(e.Query("prm", 4).size(), 5u);
+    ASSERT_TRUE(e.Checkpoint().ok());
+    EXPECT_EQ(e.durable()->stats().checkpoint_facts, 13u);
+  }
+  Engine e{Durable(dir)};
+  ASSERT_TRUE(e.durability_status().ok());
+  EXPECT_EQ(e.durable()->recovery().snapshot_facts, 13u);
+  EXPECT_EQ(e.durable()->recovery().wal_records_replayed, 0u);
+  EXPECT_EQ(e.Query("g", 3).size(), 12u);
+  EXPECT_EQ(e.Query("prm", 4).size(), 1u);
+  RemoveTree(dir);
+}
+
+// A failed auto-checkpoint does not fail the add it follows: the fact
+// is durable, and a retried add would log it a second time.
+TEST(EngineDurability, FailedAutoCheckpointDoesNotFailTheAdd) {
+  const std::string dir = TempDbDir("engine-autofail");
+  EngineOptions o = Durable(dir, "checkpoint.write");
+  o.durability.checkpoint_every = 2;
+  {
+    Engine e(o);
+    ASSERT_TRUE(e.AddFact("p", {Value::Int(1)}).ok());  // create + add
+    EXPECT_EQ(e.durable()->stats().checkpoint_failures, 1u);
+    EXPECT_EQ(e.durable()->snapshot_seq(), 0u);
+    ASSERT_TRUE(e.AddFact("p", {Value::Int(2)}).ok());  // the retry
+    EXPECT_EQ(e.durable()->snapshot_seq(), 1u);
+  }
+  Engine e{Durable(dir)};
+  ASSERT_TRUE(e.durability_status().ok());
+  EXPECT_EQ(e.durable()->recovery().snapshot_facts, 2u);
   EXPECT_EQ(e.Query("p", 1).size(), 2u);
   RemoveTree(dir);
 }

@@ -510,9 +510,7 @@ TEST(FactLoad, EveryLoadPathBuildsTheSameRelations) {
                         }).ok());
             break;
         }
-        if (way != LoadWay::kDurable) {
-          EXPECT_EQ(e->tracked_memory_bytes() - base, RelationBytes(*e));
-        }
+        EXPECT_EQ(e->tracked_memory_bytes() - base, RelationBytes(*e));
       };
       load(first, /*text=*/true);
       ASSERT_TRUE(

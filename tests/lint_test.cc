@@ -78,10 +78,34 @@ TEST(Lint, GD001BindsThroughEqualityArithmetic) {
 // -- GD002: unsafe variable in a negated or built-in goal -------------------
 
 TEST(Lint, GD002UnsafeNegatedGoalVariable) {
-  const LintResult r = Lint("p(X) <- q(X), not r(X, Z).\nq(1).\nr(1, 2).\n");
+  const LintResult r =
+      Lint("p(X) <- q(X), not r(X, Z), Z > 0.\nq(1).\nr(1, 2).\n");
   const Diagnostic& d = FindCode(r, diag::kUnsafeBodyVar);
   EXPECT_EQ(d.severity, DiagSeverity::kError);
   EXPECT_NE(d.message.find("Z"), std::string::npos);
+}
+
+TEST(Lint, GD002NotFiredForLocalVariableInNegatedGoal) {
+  // Y occurs nowhere else in the rule, so it is local to the negated
+  // goal, as the compiler and the stable-model check take it: q holds
+  // for the p values no edge enters (the engine derives q = {1, 5}).
+  const LintResult r = Lint(
+      "e(1,2). e(3,4). p(1). p(2). p(4). p(5).\n"
+      "q(X) <- p(X), not e(Y, X).\n");
+  EXPECT_FALSE(HasCode(r, diag::kUnsafeBodyVar))
+      << RenderDiagnostics(r.diagnostics, "");
+  EXPECT_TRUE(r.clean());
+}
+
+TEST(Lint, GD002FiredWhenAComparisonAlsoReadsTheVariable) {
+  // Y also occurs in a goal that cannot bind it, so it is not local.
+  const LintResult r = Lint(
+      "e(1,2). e(3,4). p(1). p(2). p(4). p(5).\n"
+      "q(X) <- p(X), not e(Y, X), Y > 2.\n");
+  const Diagnostic& d = FindCode(r, diag::kUnsafeBodyVar);
+  EXPECT_EQ(d.message,
+            "variable Y in negated goal not e is not bound by any positive "
+            "body goal");
 }
 
 TEST(Lint, GD002NotFiredForAnonymousVariableInNegatedGoal) {
@@ -94,10 +118,10 @@ TEST(Lint, GD002NotFiredForAnonymousVariableInNegatedGoal) {
 }
 
 TEST(Lint, GD002StillFiredForNamedVariableBesideAnonymous) {
-  // Z appears only in the negated goal; the anonymous one beside it is
+  // Z also appears in a comparison; the anonymous variable beside it is
   // not reported, and the parser's name for it never leaks.
-  const LintResult r =
-      Lint("p(X) <- src(X), not e(_, X, Z).\ne(1, 2, 3).\nsrc(1).\n");
+  const LintResult r = Lint(
+      "p(X) <- src(X), not e(_, X, Z), Z > 2.\ne(1, 2, 3).\nsrc(1).\n");
   const Diagnostic& d = FindCode(r, diag::kUnsafeBodyVar);
   EXPECT_NE(d.message.find("variable Z"), std::string::npos) << d.message;
   for (const Diagnostic& other : r.diagnostics) {

@@ -61,7 +61,7 @@ TEST(ObsConcurrency, HistogramCountSumMinMaxAreExact) {
   std::thread reader([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       (void)h->Quantile(0.99);
-      (void)reg.Snapshot();
+      (void)reg.SnapshotJson();
     }
   });
   for (auto& th : threads) th.join();

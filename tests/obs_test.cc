@@ -140,15 +140,6 @@ TEST(Histogram, QuantilesInterpolateAndClamp) {
   EXPECT_LE(one.Quantile(0.99), 3);
 }
 
-TEST(Histogram, ObserveClampsNegativesAndHugeDoubles) {
-  Histogram h;
-  h.Observe(-5.0);
-  h.Observe(1e30);
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_EQ(h.min(), 0u);
-  EXPECT_GE(h.max(), 1ull << 62);
-}
-
 TEST(Histogram, StagedBatchEqualsRecordingEachValue) {
   // A stage flushed twice, with a value too large for the exact buckets
   // in between, against the same observations recorded one by one.
@@ -246,33 +237,6 @@ TEST(Metrics, FindNeverCreates) {
   EXPECT_EQ(reg.FindCounter("hits"), nullptr);  // labels are part of the key
   Histogram* h = reg.GetHistogram("lat");
   EXPECT_EQ(reg.FindHistogram("lat"), h);
-}
-
-TEST(Metrics, SnapshotDeltaSubtractsMonotonics) {
-  MetricsRegistry reg;
-  Counter* c = reg.GetCounter("inserts");
-  Gauge* g = reg.GetGauge("depth");
-  Histogram* h = reg.GetHistogram("lat");
-  c->Add(10);
-  g->Set(5);
-  h->Record(100);
-  const MetricsSnapshot before = reg.Snapshot();
-  c->Add(7);
-  g->Set(2);
-  h->Record(50);
-  h->Record(60);
-  const MetricsSnapshot after = reg.Snapshot();
-
-  const MetricsSnapshot d = MetricsSnapshot::Delta(before, after);
-  std::map<std::string, const MetricsSnapshot::Sample*> by_name;
-  for (const auto& s : d.samples) by_name[s.name] = &s;
-  ASSERT_EQ(by_name.count("inserts"), 1u);
-  EXPECT_EQ(by_name["inserts"]->value, 7u);   // counter: after - before
-  ASSERT_EQ(by_name.count("depth"), 1u);
-  EXPECT_EQ(by_name["depth"]->gauge, 2);      // gauge: keeps `after`
-  ASSERT_EQ(by_name.count("lat"), 1u);
-  EXPECT_EQ(by_name["lat"]->value, 2u);       // histogram count delta
-  EXPECT_EQ(by_name["lat"]->sum, 110u);       // histogram sum delta
 }
 
 // Minimal Prometheus text-format (0.0.4) checker: every non-comment line

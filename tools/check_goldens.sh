@@ -41,7 +41,12 @@
 # The seed-0 run is repeated with a durable database (--db-dir, a fresh
 # temporary directory per program) and diffed against the same golden:
 # the inline facts then travel through the WAL, and the model, the
-# audit and its rule numbers must not notice.
+# audit and its rule numbers must not notice. It is run again on the
+# same directory, which recovers the EDB into the catalog: the reload
+# must log nothing, so the directory's bytes must not change. The pair
+# is repeated on a fresh directory with --checkpoint-every 3, so that
+# the facts land in snapshots and the reopen recovers from one plus a
+# WAL tail.
 #
 # Last, for every program and fixture that runs, the "analysis" object
 # of `--json-report` is diffed against the one `--lint-json` prints,
@@ -149,14 +154,25 @@ if [ "$MODE" != "--update" ]; then
   for f in $CHOICE_PROGRAMS; do
     name=$(basename "$f" .dl)
     golden="tests/goldens/$name.seed0.choices"
-    db=$(mktemp -d)
-    out=$("$SHELL_BIN" "$f" --choices --seed 0 --db-dir "$db" 2>/dev/null) ||
-      true
-    rm -rf "$db"
-    if ! printf '%s\n' "$out" | diff -u "$golden" -; then
-      echo "GOLDEN DRIFT: $f --seed 0 --db-dir vs $golden"
-      fail=1
-    fi
+    for every in 0 3; do
+      db=$(mktemp -d)
+      for run in fresh reopen; do
+        before=$(cat "$db"/* 2>/dev/null | cksum)
+        out=$("$SHELL_BIN" "$f" --choices --seed 0 --db-dir "$db" \
+          --checkpoint-every "$every" 2>/dev/null) || true
+        if ! printf '%s\n' "$out" | diff -u "$golden" -; then
+          echo "GOLDEN DRIFT: $f --seed 0 --db-dir ($run," \
+            "--checkpoint-every $every) vs $golden"
+          fail=1
+        fi
+        if [ "$run" = reopen ] && [ "$(cat "$db"/* | cksum)" != "$before" ]; then
+          echo "DURABLE DRIFT: reloading $f into its database logged" \
+            "(--checkpoint-every $every)"
+          fail=1
+        fi
+      done
+      rm -rf "$db"
+    done
   done
 fi
 

@@ -559,7 +559,7 @@ int RunInteractive(gdlog::EngineOptions options) {
       std::printf("checkpoint: snapshot seq %llu, %llu facts, %llu bytes, "
                   "WAL rotated to seq %llu\n",
                   static_cast<unsigned long long>(d.snapshot_seq()),
-                  static_cast<unsigned long long>(d.stats().edb_facts),
+                  static_cast<unsigned long long>(d.stats().checkpoint_facts),
                   static_cast<unsigned long long>(d.stats().checkpoint_bytes),
                   static_cast<unsigned long long>(d.wal_seq()));
     } else if (cmd == ".trace") {
