@@ -11,6 +11,11 @@
 // Diagnostic. Programs that load are evaluated under deterministic caps
 // and stay queryable whether the run completes or stops.
 //
+// Lint and the rule compiler share one binding analysis: on every
+// program that loads, lint reports GD001/GD002/GD008 exactly when Run
+// refuses the program with one of them, with the join planner and
+// without it. A disagreement aborts.
+//
 // The model oracle: a program with no meta literal (choice, least, most,
 // next) has a unique model. When its run completes, a rerun with
 // use_seminaive = false, which re-reads full relations every round and
@@ -32,6 +37,7 @@
 #include <vector>
 
 #include "analysis/absint/absint.h"
+#include "analysis/diagnostics.h"
 #include "analysis/lint.h"
 #include "api/engine.h"
 #include "obs/json.h"
@@ -56,9 +62,16 @@ bool HasMetaLiteral(const gdlog::Program& program) {
   return false;
 }
 
-RunResult RunOnce(std::string_view text, bool seminaive) {
+bool IsSafetyCode(std::string_view code) {
+  return code == gdlog::diag::kUnsafeHeadVar ||
+         code == gdlog::diag::kUnsafeBodyVar ||
+         code == gdlog::diag::kUnboundExtremaCost;
+}
+
+RunResult RunOnce(std::string_view text, bool seminaive, bool planner = true) {
   gdlog::EngineOptions options;
   options.eval.use_seminaive = seminaive;
+  options.eval.use_join_planner = planner;
   // Deterministic caps: an input stops at the same point on every run.
   options.limits.max_tuples = 2000;
   options.limits.max_stages = 64;
@@ -73,7 +86,22 @@ RunResult RunOnce(std::string_view text, bool seminaive) {
   if (!engine.LoadProgram(text).ok()) return r;
   r.loaded = true;
   r.has_meta = HasMetaLiteral(*engine.program());
-  (void)engine.Run();
+  const auto lint = engine.Lint();
+  const gdlog::Status run = engine.Run();
+  const bool run_unsafe = IsSafetyCode(gdlog::DiagCodeOfStatus(run));
+  if (lint.ok() &&
+      run_unsafe != std::any_of(lint->diagnostics.begin(),
+                                lint->diagnostics.end(),
+                                [](const gdlog::Diagnostic& d) {
+                                  return IsSafetyCode(d.code);
+                                })) {
+    std::fprintf(stderr,
+                 "lint and Run disagree on rule safety (planner %s)\n"
+                 "  run: %s\n%s",
+                 planner ? "on" : "off", run.ToString().c_str(),
+                 gdlog::RenderDiagnostics(lint->diagnostics, "").c_str());
+    std::abort();
+  }
   r.reason = engine.outcome().reason;
   // Completed or stopped, every predicate must still answer a query.
   for (const auto& ref : engine.program()->AllPredicates()) {
@@ -129,6 +157,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   }
 
   const RunResult run = RunOnce(text, /*seminaive=*/true);
+  if (run.loaded) (void)RunOnce(text, /*seminaive=*/true, /*planner=*/false);
   if (!run.loaded || run.has_meta ||
       run.reason != gdlog::TerminationReason::kCompleted) {
     return 0;

@@ -6,101 +6,18 @@
 #include <map>
 #include <set>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "analysis/dep_graph.h"
+#include "analysis/safety.h"
 #include "parser/parser.h"
 
 namespace gdlog {
 
 namespace {
 
-using VarSet = std::unordered_set<std::string>;
-
 std::string PredKey(const std::string& name, size_t arity) {
   return name + "/" + std::to_string(arity);
-}
-
-bool AllVarsBound(const TermNode& t, const VarSet& bound) {
-  std::vector<std::string> vars;
-  CollectVariables(t, &vars);
-  for (const std::string& v : vars) {
-    if (bound.count(v) == 0) return false;
-  }
-  return true;
-}
-
-/// Variables bound by the positive goals of `body`, starting from
-/// `initial` (the enclosing scope for NotExists conjunctions). Positive
-/// atoms bind all their variables; next(I) binds its stage variable (the
-/// counter generates it); an equality binds one side's variable once the
-/// other side is fully bound.
-VarSet BoundVars(const std::vector<Literal>& body, const VarSet& initial) {
-  VarSet bound = initial;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const Literal& l : body) {
-      switch (l.kind) {
-        case LiteralKind::kAtom:
-          if (!l.negated) {
-            std::vector<std::string> vars;
-            for (const TermNode& a : l.args) CollectVariables(a, &vars);
-            for (const std::string& v : vars) {
-              if (bound.insert(v).second) changed = true;
-            }
-          }
-          break;
-        case LiteralKind::kNext:
-          if (bound.insert(l.args[0].name).second) changed = true;
-          break;
-        case LiteralKind::kComparison:
-          if (l.op == ComparisonOp::kEq) {
-            const TermNode& lhs = l.args[0];
-            const TermNode& rhs = l.args[1];
-            if (lhs.is_var() && AllVarsBound(rhs, bound) &&
-                bound.insert(lhs.name).second) {
-              changed = true;
-            }
-            if (rhs.is_var() && AllVarsBound(lhs, bound) &&
-                bound.insert(rhs.name).second) {
-              changed = true;
-            }
-          }
-          break;
-        default:
-          break;
-      }
-    }
-  }
-  return bound;
-}
-
-std::vector<std::string> DistinctVarsOf(const TermNode& t) {
-  std::vector<std::string> all;
-  CollectVariables(t, &all);
-  std::vector<std::string> out;
-  for (std::string& n : all) {
-    if (std::find(out.begin(), out.end(), n) == out.end()) {
-      out.push_back(std::move(n));
-    }
-  }
-  return out;
-}
-
-/// True when every occurrence of variable `v` in `rule` lies inside
-/// `lit`: the variable is local to that goal. Anonymous variables, each
-/// named apart, always are.
-bool IsLocalVariable(const std::string& v, const Literal& lit,
-                     const Rule& rule) {
-  std::vector<std::string> inside, all;
-  CollectLiteralVariables(lit, &inside);
-  CollectLiteralVariables(rule.head, &all);
-  for (const Literal& l : rule.body) CollectLiteralVariables(l, &all);
-  return std::count(all.begin(), all.end(), v) ==
-         std::count(inside.begin(), inside.end(), v);
 }
 
 /// "line N, column M" parsed back out of a parser error message.
@@ -116,8 +33,10 @@ SourceLoc LocFromErrorMessage(const std::string& msg) {
 
 class Linter {
  public:
-  Linter(const Program& program, const LintOptions& options)
-      : program_(program), options_(options) {}
+  /// `analysis` is the stage analysis of `program`, or null to run it.
+  Linter(const Program& program, const LintOptions& options,
+         const StageAnalysis* analysis)
+      : program_(program), options_(options), analysis_(analysis) {}
 
   LintResult Run() {
     for (uint32_t ri = 0; ri < program_.rules.size(); ++ri) {
@@ -204,7 +123,8 @@ class Linter {
                     ri, ext->loc));
         continue;
       }
-      const std::vector<std::string> group_vars = DistinctVarsOf(ext->args[1]);
+      const std::vector<std::string> group_vars =
+          DistinctVariables(ext->args[1]);
       if (std::find(group_vars.begin(), group_vars.end(), cost.name) !=
           group_vars.end()) {
         structural_error_ = true;
@@ -220,102 +140,10 @@ class Linter {
   // -- GD001/GD002/GD008: rule safety (range restriction) -----------------
 
   void CheckRuleSafety(uint32_t ri) {
-    const Rule& r = program_.rules[ri];
-    std::set<std::string> flagged;  // "<code>:<var>" dedup within the rule
-    const VarSet bound = CheckGoalsSafety(r.body, VarSet{}, ri, &flagged);
-    for (const TermNode& arg : r.head.args) {
-      for (const std::string& v : DistinctVarsOf(arg)) {
-        if (bound.count(v) != 0) continue;
-        if (!flagged.insert(std::string(diag::kUnsafeHeadVar) + ":" + v)
-                 .second) {
-          continue;
-        }
-        Emit(AtRule(diag::kUnsafeHeadVar,
-                    "head variable " + v + " of " + r.head.predicate +
-                        (r.is_fact()
-                             ? " makes the fact non-ground"
-                             : " is not bound by any positive body goal"),
-                    ri, r.head.loc));
-      }
+    for (Diagnostic& d : RuleSafetyDiagnostics(program_.rules[ri])) {
+      d.rule_index = static_cast<int>(program_.ClauseOf(ri));
+      Emit(std::move(d));
     }
-  }
-
-  /// Checks every negated / built-in goal of `body` (recursing into
-  /// NotExists conjunctions with the enclosing bindings) and returns the
-  /// variables bound at this level.
-  VarSet CheckGoalsSafety(const std::vector<Literal>& body,
-                          const VarSet& outer, uint32_t ri,
-                          std::set<std::string>* flagged) {
-    const VarSet bound = BoundVars(body, outer);
-    auto flag_unbound = [&](const TermNode& t, std::string_view code,
-                            const std::string& context, SourceLoc loc,
-                            const Literal* local_to = nullptr) {
-      for (const std::string& v : DistinctVarsOf(t)) {
-        if (bound.count(v) != 0) continue;
-        if (local_to != nullptr &&
-            IsLocalVariable(v, *local_to, program_.rules[ri])) {
-          continue;
-        }
-        if (!flagged->insert(std::string(code) + ":" + v).second) continue;
-        Emit(AtRule(code,
-                    "variable " + v + " in " + context +
-                        " is not bound by any positive body goal",
-                    ri, loc));
-      }
-    };
-    for (const Literal& l : body) {
-      switch (l.kind) {
-        case LiteralKind::kAtom:
-          if (l.negated) {
-            // A variable that occurs nowhere else in the rule is local
-            // to its negated goal, as the compiler and the stable-model
-            // check take it: not e(Y, X) holds when no e(Y, X) exists
-            // for any Y.
-            for (const TermNode& a : l.args) {
-              flag_unbound(a, diag::kUnsafeBodyVar,
-                           "negated goal not " + l.predicate, l.loc, &l);
-            }
-          }
-          break;
-        case LiteralKind::kComparison:
-          flag_unbound(l.args[0], diag::kUnsafeBodyVar, "a comparison",
-                       l.loc);
-          flag_unbound(l.args[1], diag::kUnsafeBodyVar, "a comparison",
-                       l.loc);
-          break;
-        case LiteralKind::kNotExists:
-          CheckGoalsSafety(l.body, bound, ri, flagged);
-          break;
-        case LiteralKind::kChoice:
-          flag_unbound(l.args[0], diag::kUnsafeBodyVar, "a choice goal",
-                       l.loc);
-          flag_unbound(l.args[1], diag::kUnsafeBodyVar, "a choice goal",
-                       l.loc);
-          break;
-        case LiteralKind::kLeast:
-        case LiteralKind::kMost: {
-          const char* which =
-              l.kind == LiteralKind::kLeast ? "least" : "most";
-          const TermNode& cost = l.args[0];
-          if (cost.is_var() && bound.count(cost.name) == 0 &&
-              flagged
-                  ->insert(std::string(diag::kUnboundExtremaCost) + ":" +
-                           cost.name)
-                  .second) {
-            Emit(AtRule(diag::kUnboundExtremaCost,
-                        std::string(which) + " cost variable " + cost.name +
-                            " is not bound by any positive body goal",
-                        ri, l.loc));
-          }
-          flag_unbound(l.args[1], diag::kUnsafeBodyVar,
-                       std::string(which) + " grouping", l.loc);
-          break;
-        }
-        case LiteralKind::kNext:
-          break;
-      }
-    }
-    return bound;
   }
 
   // -- GD006/GD007: choice FD hygiene -------------------------------------
@@ -338,8 +166,8 @@ class Linter {
       }
     }
     for (const Literal* g : goals) {
-      const std::vector<std::string> left = DistinctVarsOf(g->args[0]);
-      const std::vector<std::string> right = DistinctVarsOf(g->args[1]);
+      const std::vector<std::string> left = DistinctVariables(g->args[0]);
+      const std::vector<std::string> right = DistinctVariables(g->args[1]);
       if (right.empty()) {
         Emit(AtRule(diag::kDegenerateChoice,
                     "choice FD in a rule for " + r.head.predicate +
@@ -511,7 +339,11 @@ class Linter {
   // -- GD009/GD011/GD106-GD109: stage-stratification ----------------------
 
   void CheckStratification() {
-    if (!options_.check_stratification || structural_error_) return;
+    if (structural_error_) return;
+    if (analysis_ != nullptr) {
+      CheckCliques(*analysis_);
+      return;
+    }
     auto analyzed = AnalyzeStages(program_, options_.stage);
     if (!analyzed.ok()) {
       // Structural stage errors (conflicting stage positions etc.) come
@@ -526,7 +358,10 @@ class Linter {
       Emit(MakeDiagnostic(code, std::move(msg)));
       return;
     }
-    const StageAnalysis& a = *analyzed;
+    CheckCliques(*analyzed);
+  }
+
+  void CheckCliques(const StageAnalysis& a) {
     const DependencyGraph& g = *a.graph;
     for (uint32_t scc : a.clique_order) {
       const CliqueStageInfo& cl = a.cliques[scc];
@@ -588,6 +423,7 @@ class Linter {
 
   const Program& program_;
   const LintOptions& options_;
+  const StageAnalysis* analysis_;
   std::vector<Diagnostic> diags_;
   bool structural_error_ = false;
 };
@@ -595,7 +431,12 @@ class Linter {
 }  // namespace
 
 LintResult LintProgram(const Program& program, const LintOptions& options) {
-  return Linter(program, options).Run();
+  return Linter(program, options, nullptr).Run();
+}
+
+LintResult LintProgram(const Program& program, const StageAnalysis& analysis,
+                       const LintOptions& options) {
+  return Linter(program, options, &analysis).Run();
 }
 
 LintResult LintSource(ValueStore* store, std::string_view source,

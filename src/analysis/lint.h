@@ -4,9 +4,10 @@
 // returns structured Diagnostic records instead of failing on the first
 // problem. Checks (see docs/DIAGNOSTICS.md for the full catalogue):
 //
-//   * rule safety / range restriction: every head variable and every
-//     variable of a negated, comparison, choice, or extrema goal must be
-//     bound by a positive body goal (GD001, GD002, GD008);
+//   * rule safety / range restriction (analysis/safety.h): every head
+//     variable and every variable of a negated, comparison, arithmetic,
+//     choice, or extrema goal must be bound by a positive body goal
+//     (GD001, GD002, GD008);
 //   * undefined, unused, and arity-inconsistent predicates (GD003-GD005);
 //   * duplicate or degenerate choice FD specifications (GD006, GD007);
 //   * stage-stratification (Section 4), with rejected cliques explained
@@ -38,8 +39,6 @@ struct LintOptions {
   std::vector<Program::PredicateRef> roots;
   // Options forwarded to the stage-stratification analysis.
   StageAnalysisOptions stage;
-  // Disable to skip the (comparatively expensive) Section 4 analysis.
-  bool check_stratification = true;
 };
 
 struct LintResult {
@@ -52,6 +51,11 @@ struct LintResult {
 
 /// Lints a parsed program.
 LintResult LintProgram(const Program& program, const LintOptions& options = {});
+
+/// Lints a program `analysis` already analyzed (the engine's, from
+/// LoadProgram); `options.stage` is not read.
+LintResult LintProgram(const Program& program, const StageAnalysis& analysis,
+                       const LintOptions& options = {});
 
 /// Parses `source` (interning constants into `store`) and lints the
 /// result. A parse failure yields a single GD100 diagnostic.

@@ -48,12 +48,6 @@ std::vector<std::string> DistinctVars(const std::vector<std::string>& names) {
   return out;
 }
 
-std::vector<std::string> TermVars(const TermNode& t) {
-  std::vector<std::string> all;
-  CollectVariables(t, &all);
-  return DistinctVars(all);
-}
-
 }  // namespace
 
 Result<Program> ExpandNext(const Program& program) {
@@ -209,7 +203,7 @@ Program RewriteChoice(const Program& program, ChoiceRewriteInfo* info) {
       const TermNode& left = cg->args[0];
       const TermNode& right = cg->args[1];
       VariableRenamer renamer("D$" + std::to_string(i) + "_");
-      for (const std::string& n : TermVars(left)) renamer.Share(n);
+      for (const std::string& n : DistinctVariables(left)) renamer.Share(n);
       std::vector<TermNode> v_renamed;
       for (const std::string& n : v) {
         v_renamed.push_back(renamer.Rename(TermNode::Var(n)));
@@ -222,12 +216,12 @@ Program RewriteChoice(const Program& program, ChoiceRewriteInfo* info) {
       out.rules.push_back(std::move(diff_rule));
 
       ChoiceGoalSig sig;
-      for (const std::string& n : TermVars(left)) {
+      for (const std::string& n : DistinctVariables(left)) {
         const auto it = std::find(v.begin(), v.end(), n);
         sig.left_positions.push_back(
             static_cast<uint32_t>(it - v.begin()));
       }
-      for (const std::string& n : TermVars(right)) {
+      for (const std::string& n : DistinctVariables(right)) {
         const auto it = std::find(v.begin(), v.end(), n);
         sig.right_positions.push_back(
             static_cast<uint32_t>(it - v.begin()));
@@ -268,7 +262,7 @@ Result<Program> RewriteExtrema(const Program& program) {
                                       r.head.predicate +
                                       " must be a single variable"));
     }
-    const std::vector<std::string> group_vars = TermVars(group);
+    const std::vector<std::string> group_vars = DistinctVariables(group);
     if (std::find(group_vars.begin(), group_vars.end(), cost.name) !=
         group_vars.end()) {
       return DiagnosticToStatus(MakeDiagnostic(

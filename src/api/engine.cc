@@ -1247,11 +1247,9 @@ Result<std::string> Engine::AnalysisReport() const {
 
 Result<LintResult> Engine::Lint(const LintOptions& options) const {
   if (!program_) return Status::InvalidArgument("no program loaded");
-  LintOptions opts = options;
-  // Default the stage options to the engine's, so Lint agrees with what
-  // LoadProgram accepted.
-  opts.stage = options_.stage;
-  LintResult result = LintProgram(*program_, opts);
+  // The stage analysis LoadProgram ran, so Lint agrees with what it
+  // accepted.
+  LintResult result = LintProgram(*program_, *analysis_, options);
   // Merge in the abstract interpreter's findings (types, intervals,
   // emptiness, choice determinism), keeping the combined list sorted the
   // same way the structural lints are.

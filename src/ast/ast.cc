@@ -24,6 +24,10 @@ bool IsArithmeticFunctor(const std::string& name) {
          name == "mod" || name == "min" || name == "max";
 }
 
+bool IsArithmeticTerm(const TermNode& t) {
+  return t.is_compound() && t.args.size() == 2 && IsArithmeticFunctor(t.name);
+}
+
 void CollectVariables(const TermNode& t, std::vector<std::string>* out) {
   switch (t.kind) {
     case TermKind::kVariable:
@@ -35,6 +39,18 @@ void CollectVariables(const TermNode& t, std::vector<std::string>* out) {
       for (const TermNode& a : t.args) CollectVariables(a, out);
       break;
   }
+}
+
+std::vector<std::string> DistinctVariables(const TermNode& t) {
+  std::vector<std::string> all;
+  CollectVariables(t, &all);
+  std::vector<std::string> out;
+  for (std::string& n : all) {
+    if (std::find(out.begin(), out.end(), n) == out.end()) {
+      out.push_back(std::move(n));
+    }
+  }
+  return out;
 }
 
 bool TermEquals(const TermNode& a, const TermNode& b) {

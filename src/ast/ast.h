@@ -96,6 +96,9 @@ struct TermNode {
 
 /// True for the functors evaluated as arithmetic rather than constructed.
 bool IsArithmeticFunctor(const std::string& name);
+/// True for a term evaluated as arithmetic: an arithmetic functor applied
+/// to two arguments.
+bool IsArithmeticTerm(const TermNode& t);
 
 /// The parser renames each anonymous "_" apart as this prefix followed
 /// by a per-rule counter ("_G0", "_G1", ...).
@@ -106,6 +109,8 @@ bool IsAnonymousVariable(std::string_view name);
 
 /// Appends the names of all variables in `t` (with repeats) to `out`.
 void CollectVariables(const TermNode& t, std::vector<std::string>* out);
+/// The distinct variable names of `t`, in first-occurrence order.
+std::vector<std::string> DistinctVariables(const TermNode& t);
 
 /// Structural equality of term ASTs.
 bool TermEquals(const TermNode& a, const TermNode& b);

@@ -130,16 +130,8 @@ Status FixpointDriver::Run() {
   }
   // Fill statistics even on a bounded stop, so the partial evaluation is
   // fully reportable (RunReport, metrics, shell .stats).
-  exec_stats_view_ = exec_.stats();
   stats_.exec = exec_.stats();
   stats_.queues = AggregateQueueStats();
-  if (guard_ != nullptr) {
-    stats_.termination = guard_->reason();
-    stats_.guard_checks = guard_->checks();
-    if (guard_->budget() != nullptr) {
-      stats_.peak_memory_bytes = guard_->budget()->peak();
-    }
-  }
   if (obs_.metrics != nullptr) PublishMetrics();
   return st;
 }
@@ -247,7 +239,7 @@ void FixpointDriver::PublishMetrics() {
   m.GetCounter("exec.solutions")->Add(exec_.stats().solutions);
   m.GetCounter("exec.inserts")->Add(exec_.stats().inserts);
   m.GetCounter("exec.scan_rows")->Add(exec_.stats().scan_rows);
-  m.GetCounter("guard.checks")->Add(stats_.guard_checks);
+  m.GetCounter("guard.checks")->Add(guard_ != nullptr ? guard_->checks() : 0);
   // memory.tracked_peak_bytes is published by Engine::Run from
   // MemoryBudget::peak() — the single source of truth — so it is set
   // even when a bad_alloc bypasses this function.

@@ -89,11 +89,6 @@ struct FixpointStats {
   uint64_t saturation_rounds = 0;
   uint64_t gamma_firings = 0;
   uint64_t stages_assigned = 0;
-  // Why the run ended (guardrails): kCompleted is a genuine fixpoint,
-  // anything else a bounded stop with the partial state retained.
-  TerminationReason termination = TerminationReason::kCompleted;
-  uint64_t guard_checks = 0;          // limit/cancel polls performed
-  uint64_t peak_memory_bytes = 0;     // MemoryBudget high-water (0 = untracked)
   // Wall time split between the two alternating phases; collected only
   // when observability is enabled (0 otherwise). saturate_ns sums the
   // sampled Saturate calls, each weighted by the calls it stands for;
@@ -145,7 +140,6 @@ class FixpointDriver {
   /// The live run totals every flight-recorder event carries. Reads
   /// plain counters: call it on the evaluation thread only.
   RunCounters run_counters() const;
-  const ExecStats& exec_stats() const { return exec_stats_view_; }
   /// Indexed by rule_index; entries with an empty `head` had no compiled
   /// rule (program facts).
   const std::vector<RuleProfile>& rule_profiles() const { return profiles_; }
@@ -315,7 +309,6 @@ class FixpointDriver {
   std::vector<ProvPremise> prems_buf_;
   std::vector<std::unique_ptr<GammaState>> gamma_states_;  // by gamma_index
   FixpointStats stats_;
-  ExecStats exec_stats_view_;  // snapshot filled when Run completes
 
   ObsContext obs_;
   bool obs_enabled_ = false;  // == obs_.enabled(), cached for the hot path

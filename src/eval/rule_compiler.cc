@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "analysis/safety.h"
 #include "common/logging.h"
 
 namespace gdlog {
@@ -194,15 +195,7 @@ class RuleCompiler {
       stage_var_name_ = info.stage_var;
     }
 
-    if (head_params_bound_) {
-      // Head arguments are call parameters: mark their variables bound
-      // before the body compiles (checker-only aux$ mode).
-      std::vector<std::string> head_vars;
-      for (const TermNode& t : rule_.head.args) CollectVariables(t, &head_vars);
-      for (const std::string& v : head_vars) {
-        MarkBound(SlotOf(v), /*in_generator=*/true);
-      }
-    }
+    MarkHeadParamsBound();
 
     // Pass 1: compile body literals, greedily reordering so every
     // literal runs only once its inputs are bound (the paper's Example 6
@@ -213,29 +206,18 @@ class RuleCompiler {
 
     // Implicit + explicit choice specs and chosen$ slots, in the order
     // RewriteChoice sees them on the expanded rule.
-    GDLOG_RETURN_IF_ERROR(BuildChoiceSpecs());
+    BuildChoiceSpecs();
     out_.is_gamma = out_.is_next || !out_.choices.empty();
 
-    // Head.
-    std::vector<std::string> head_vars;
-    for (const TermNode& t : rule_.head.args) CollectVariables(t, &head_vars);
-    for (const std::string& v : head_vars) {
-      if (!IsBoundAnywhere(v)) {
-        return Error("head variable " + v + " is never bound in the body");
-      }
-    }
     for (const TermNode& t : rule_.head.args) {
       out_.head_terms.push_back(CompileTerm(t));
       out_.head_ops.push_back(ReadOpOf(out_.head_terms.back()));
     }
 
-    // Extremum bookkeeping.
+    // The candidate queue keys on the cost before the stage is known.
     if (out_.has_extremum && out_.is_next) {
-      const CTerm& cost = out_.pool[out_.cost_term];
-      if (cost.kind != CTerm::Kind::kVar ||
-          !generator_bound_.count(cost.var_slot)) {
-        return Error("extremum cost must be bound by the rule body");
-      }
+      GDLOG_CHECK(generator_bound_.count(out_.pool[out_.cost_term].var_slot))
+          << "next-rule cost bound only after the stage";
     }
 
     // Recursion shape.
@@ -277,7 +259,7 @@ class RuleCompiler {
         ct.constant = t.constant;
         break;
       case TermKind::kCompound: {
-        if (IsArithmeticFunctor(t.name) && t.args.size() == 2) {
+        if (IsArithmeticTerm(t)) {
           ct.kind = CTerm::Kind::kArith;
           auto op = ArithOpOf(t.name);
           GDLOG_CHECK(op.ok());
@@ -364,39 +346,23 @@ class RuleCompiler {
                          in_order.end());
   }
 
-  /// True when pool[t] contains an arithmetic node.
-  bool ContainsArith(uint32_t t) const {
-    const CTerm& ct = out_.pool[t];
-    if (ct.kind == CTerm::Kind::kArith) return true;
-    for (uint32_t a : ct.args) {
-      if (ContainsArith(a)) return true;
-    }
-    return false;
-  }
-
-  /// True when every variable of pool[t] is in `bound`.
-  bool TermBound(uint32_t t,
-                 const std::unordered_set<uint32_t>& bound) const {
-    const CTerm& ct = out_.pool[t];
-    switch (ct.kind) {
-      case CTerm::Kind::kConst:
-        return true;
-      case CTerm::Kind::kVar:
-        return bound.count(ct.var_slot) > 0;
-      default:
-        for (uint32_t a : ct.args) {
-          if (!TermBound(a, bound)) return false;
-        }
-        return true;
-    }
-  }
-
   void CollectSlots(uint32_t t, std::vector<uint32_t>* out) const {
     const CTerm& ct = out_.pool[t];
     if (ct.kind == CTerm::Kind::kVar) {
       out->push_back(ct.var_slot);
     } else {
       for (uint32_t a : ct.args) CollectSlots(a, out);
+    }
+  }
+
+  /// Head arguments that are call parameters (checker-only aux$ mode)
+  /// are bound before the body runs.
+  void MarkHeadParamsBound() {
+    if (!head_params_bound_) return;
+    std::vector<std::string> head_vars;
+    for (const TermNode& t : rule_.head.args) CollectVariables(t, &head_vars);
+    for (const std::string& v : head_vars) {
+      MarkBound(SlotOf(v), /*in_generator=*/true);
     }
   }
 
@@ -410,25 +376,13 @@ class RuleCompiler {
     }
   }
 
-  bool IsBoundAnywhere(const std::string& var) const {
-    auto it = slots_.find(var);
-    if (it == slots_.end()) return false;
-    if (generator_bound_.count(it->second) || post_bound_.count(it->second)) {
-      return true;
-    }
-    return out_.is_next && var == stage_var_name_;
-  }
-
-  /// Mentions the stage variable (or a post-bound variable)?
-  bool MentionsPostVars(const Literal& lit) const {
+  /// In a next rule: reads the stage variable, so it waits for the post
+  /// phase.
+  bool ReadsStage(const Literal& lit) const {
+    if (!out_.is_next) return false;
     std::vector<std::string> vars;
     CollectLiteralVariables(lit, &vars);
-    for (const std::string& v : vars) {
-      if (out_.is_next && v == stage_var_name_) return true;
-      auto it = slots_.find(v);
-      if (it != slots_.end() && post_bound_.count(it->second)) return true;
-    }
-    return false;
+    return std::find(vars.begin(), vars.end(), stage_var_name_) != vars.end();
   }
 
   /// Drops post comparisons that are guaranteed true by the stage-counter
@@ -463,14 +417,6 @@ class RuleCompiler {
   }
 
   Status CompileBodyReordered() {
-    // Occurrence counts across the whole rule, for local-existential
-    // detection in negated goals.
-    {
-      std::vector<std::string> all;
-      CollectLiteralVariables(rule_.head, &all);
-      for (const Literal& l : rule_.body) CollectLiteralVariables(l, &all);
-      for (const std::string& v : all) ++total_var_count_[v];
-    }
     std::vector<const Literal*> work;
     for (const Literal& lit : rule_.body) {
       switch (lit.kind) {
@@ -496,7 +442,7 @@ class RuleCompiler {
     // same atom carries the same window across every plan variant.
     for (const Literal* lit : work) {
       if (!lit->is_positive_atom()) continue;
-      if (out_.is_next && MentionsPostVars(*lit)) continue;
+      if (ReadsStage(*lit)) continue;
       const PredIndex p = analysis_.graph->Lookup(
           lit->predicate, static_cast<uint32_t>(lit->args.size()));
       if (p == kNoPred || analysis_.graph->scc_of(p) != head_scc_) continue;
@@ -507,15 +453,13 @@ class RuleCompiler {
     GDLOG_RETURN_IF_ERROR(CompilePhase(&main_work, &out_.generator,
                                        /*in_post=*/false, nullptr,
                                        /*record=*/planner_ != nullptr));
+    const size_t post_goals = main_work.size();
     if (out_.is_next) {
       GDLOG_RETURN_IF_ERROR(CompilePhase(&main_work, &out_.post,
                                          /*in_post=*/true, nullptr));
     }
-    if (!main_work.empty()) {
-      return Error("cannot order body goals: '" +
-                   DescribeLiteral(*main_work.front()) +
-                   "' has unbound variables");
-    }
+    // RuleSafetyDiagnostics found the rule safe: every goal could run.
+    GDLOG_CHECK(main_work.empty()) << "body goal never ready";
 
     // Delta-first variants: one generator plan per clique occurrence,
     // with that atom leading the join.
@@ -530,15 +474,7 @@ class RuleCompiler {
       post_bound_.clear();
       stage_derived_.clear();
       out_.generator_bound_slots.clear();
-      if (head_params_bound_) {
-        std::vector<std::string> head_vars;
-        for (const TermNode& t : rule_.head.args) {
-          CollectVariables(t, &head_vars);
-        }
-        for (const std::string& v : head_vars) {
-          MarkBound(SlotOf(v), /*in_generator=*/true);
-        }
-      }
+      MarkHeadParamsBound();
       Status st = CompilePhase(&variant_work, &out_.delta_plans[occ],
                                /*in_post=*/false, pinned);
       generator_bound_ = saved_gen;
@@ -546,39 +482,21 @@ class RuleCompiler {
       stage_derived_ = saved_stage;
       out_.generator_bound_slots = saved_slots;
       GDLOG_RETURN_IF_ERROR(st);
+      // Readiness is monotone: the variant runs what the generator runs.
+      GDLOG_CHECK_EQ(variant_work.size(), post_goals);
     }
     return Status::OK();
   }
 
-  std::string DescribeLiteral(const Literal& lit) const {
-    switch (lit.kind) {
-      case LiteralKind::kAtom:
-        return (lit.negated ? std::string("not ") : std::string()) +
-               lit.predicate;
-      case LiteralKind::kComparison:
-        return std::string(ComparisonOpName(lit.op)) + " comparison";
-      case LiteralKind::kNotExists:
-        return "negated conjunction";
-      default:
-        return "goal";
-    }
-  }
-
-  /// Bound columns of an (uncompiled) atom under the current bound set —
-  /// the same analysis CompileAtom performs on compiled terms, applied to
-  /// the AST so candidate scans can be costed before committing to one.
+  /// Bound columns of an atom under the current bound set: CompileAtom's
+  /// probe columns, and what the planner costs a candidate scan by.
   std::vector<uint32_t> BoundColsOf(const Literal& lit, bool in_post) const {
-    const auto bound = VisibleBound(in_post);
-    auto is_bound = [&](const std::string& name) {
-      auto it = slots_.find(name);
-      if (it != slots_.end() && bound.count(it->second)) return true;
-      return in_post && out_.is_next && name == stage_var_name_;
-    };
+    const IsBoundFn is_bound = BoundNames(in_post);
     std::vector<uint32_t> cols;
     for (size_t col = 0; col < lit.args.size(); ++col) {
       std::vector<std::string> vars;
       CollectVariables(lit.args[col], &vars);
-      if (std::all_of(vars.begin(), vars.end(), is_bound)) {
+      if (std::all_of(vars.begin(), vars.end(), std::cref(is_bound))) {
         cols.push_back(static_cast<uint32_t>(col));
       }
     }
@@ -634,6 +552,8 @@ class RuleCompiler {
     bool pin_pending = pinned_first != nullptr;
     while (progress && !work->empty()) {
       progress = false;
+      // The delta atom leads its plan variant as soon as it can run.
+      const bool pin_ready = pin_pending && Ready(*pinned_first, in_post);
       // Push selections down: among ready literals prefer (1) pure
       // filters — comparisons, negated atoms, negated conjunctions —
       // over (2) positive scans, so cheap tests run before joins widen.
@@ -644,7 +564,7 @@ class RuleCompiler {
       double pick_cost = 0;
       for (size_t i = 0; i < work->size(); ++i) {
         const Literal& lit = *(*work)[i];
-        if (pin_pending && &lit != pinned_first) continue;
+        if (pin_ready && &lit != pinned_first) continue;
         if (!Ready(lit, in_post)) continue;
         const bool is_filter = lit.kind == LiteralKind::kComparison ||
                                lit.kind == LiteralKind::kNotExists ||
@@ -654,9 +574,9 @@ class RuleCompiler {
           pick = i;
           break;  // first ready filter in original order wins
         }
-        if (pin_pending) {
+        if (pin_ready) {
           pick = i;
-          break;  // the delta atom leads its plan variant unconditionally
+          break;
         }
         if (planner_ != nullptr) {
           const double cost = EstimateAtomCost(lit, in_post);
@@ -670,15 +590,15 @@ class RuleCompiler {
       }
       if (pick < work->size()) {
         const Literal& lit = *(*work)[pick];
-        pin_pending = false;
+        if (&lit == pinned_first) pin_pending = false;
         if (record) RecordDecision(lit, in_post);
         switch (lit.kind) {
           case LiteralKind::kAtom:
-            GDLOG_RETURN_IF_ERROR(CompileAtom(lit, plan, in_post));
+            CompileAtom(lit, plan, in_post);
             break;
           case LiteralKind::kComparison:
             if (in_post && AlwaysTruePostComparison(lit)) break;
-            GDLOG_RETURN_IF_ERROR(CompileComparison(lit, plan, in_post));
+            CompileComparison(lit, plan, in_post);
             break;
           case LiteralKind::kNotExists:
             GDLOG_RETURN_IF_ERROR(CompileNotExists(lit, plan, in_post));
@@ -693,65 +613,19 @@ class RuleCompiler {
     return Status::OK();
   }
 
-  /// True when the variable's only occurrences in the rule are within one
-  /// literal holding `count_inside` of them.
-  bool IsLocalVariable(const std::string& name, int count_inside) const {
-    auto it = total_var_count_.find(name);
-    return it != total_var_count_.end() && it->second == count_inside;
-  }
-
-  bool Ready(const Literal& lit, bool in_post) {
+  bool Ready(const Literal& lit, bool in_post) const {
     // In the generator phase of a next rule, stage-dependent literals
     // wait for the post phase.
-    if (!in_post && out_.is_next && MentionsPostVars(lit)) return false;
-    const auto bound = VisibleBound(in_post);
-    auto is_bound = [&](const std::string& name) {
-      auto it = slots_.find(name);
-      if (it != slots_.end() && bound.count(it->second)) return true;
-      return in_post && out_.is_next && name == stage_var_name_;
+    if (!in_post && ReadsStage(lit)) return false;
+    return GoalReady(lit, rule_, BoundNames(in_post));
+  }
+
+  /// Whether a variable is bound in the plan segment being compiled.
+  IsBoundFn BoundNames(bool in_post) const {
+    return [this, bound = VisibleBound(in_post)](const std::string& name) {
+      const auto it = slots_.find(name);
+      return it != slots_.end() && bound.count(it->second) > 0;
     };
-    switch (lit.kind) {
-      case LiteralKind::kAtom: {
-        if (!lit.negated) return true;
-        // Negated atom: every variable must be bound or literal-local.
-        std::vector<std::string> vars;
-        CollectLiteralVariables(lit, &vars);
-        std::unordered_map<std::string, int> inside;
-        for (const std::string& v : vars) ++inside[v];
-        for (const auto& [v, n] : inside) {
-          if (!is_bound(v) && !IsLocalVariable(v, n)) return false;
-        }
-        return true;
-      }
-      case LiteralKind::kComparison: {
-        std::vector<std::string> lv, rv;
-        CollectVariables(lit.args[0], &lv);
-        CollectVariables(lit.args[1], &rv);
-        const bool lhs_bound = std::all_of(lv.begin(), lv.end(), is_bound);
-        const bool rhs_bound = std::all_of(rv.begin(), rv.end(), is_bound);
-        if (lhs_bound && rhs_bound) return true;
-        if (lit.op != ComparisonOp::kEq) return false;
-        // Assignment: one side bound, other a bare variable.
-        if (rhs_bound && lit.args[0].is_var()) return true;
-        if (lhs_bound && lit.args[1].is_var()) return true;
-        return false;
-      }
-      case LiteralKind::kNotExists: {
-        // Every variable shared with the rest of the rule must be bound.
-        std::vector<std::string> vars;
-        CollectLiteralVariables(lit, &vars);
-        std::unordered_map<std::string, int> inside;
-        for (const std::string& v : vars) ++inside[v];
-        for (const auto& [v, n] : inside) {
-          if (is_bound(v)) continue;
-          if (IsLocalVariable(v, n)) continue;  // purely internal
-          return false;
-        }
-        return true;
-      }
-      default:
-        return false;
-    }
   }
 
   /// The bound set visible to a plan segment: generator bindings, plus
@@ -769,8 +643,10 @@ class RuleCompiler {
     return b;
   }
 
-  Status CompileAtom(const Literal& lit,
-                     std::vector<CompiledLiteral>* plan, bool in_post) {
+  /// Compiles a ready body atom. Inside a `not (...)` (in_subplan_) the
+  /// variables it binds stay local to the subplan.
+  void CompileAtom(const Literal& lit, std::vector<CompiledLiteral>* plan,
+                   bool in_post) {
     CompiledLiteral cl;
     cl.kind = CompiledLiteral::Kind::kScan;
     CompiledScan& scan = cl.scan;
@@ -789,52 +665,45 @@ class RuleCompiler {
     // Goal ids key off the AST literal, so every plan variant (generator,
     // delta plans, post) compiling the same body atom shares one id and
     // the executor's cardinality counters aggregate across variants.
-    if (!lit.negated) scan.goal_id = GoalIdOf(&lit);
+    if (!lit.negated && !in_subplan_) scan.goal_id = GoalIdOf(&lit);
 
     const auto bound = VisibleBound(in_post);
-    for (size_t col = 0; col < lit.args.size(); ++col) {
-      const uint32_t t = CompileTerm(lit.args[col]);
-      scan.arg_terms.push_back(t);
-      if (TermBound(t, bound)) {
-        scan.bound_cols.push_back(static_cast<uint32_t>(col));
-      } else if (ContainsArith(t)) {
-        return Error("arithmetic with unbound variables in an argument of " +
-                     lit.predicate);
-      }
+    for (const TermNode& arg : lit.args) {
+      scan.arg_terms.push_back(CompileTerm(arg));
     }
+    scan.bound_cols = BoundColsOf(lit, in_post);
     if (!scan.bound_cols.empty()) {
       Relation& rel = catalog_->relation(scan.pred);
       scan.index_id = static_cast<int>(rel.EnsureIndex(scan.bound_cols));
     }
     ResolveScanOps(&scan, bound);
 
-    if (!lit.negated) {
-      // New bindings from unbound columns.
-      for (size_t col = 0; col < lit.args.size(); ++col) {
-        std::vector<uint32_t> slots;
-        CollectSlots(scan.arg_terms[col], &slots);
-        for (uint32_t s : slots) {
-          if (!bound.count(s) && !generator_bound_.count(s) &&
-              !post_bound_.count(s)) {
-            MarkBound(s, !in_post);
-            // Track stage-derived slots: bound from the stage column of a
-            // same-clique predicate.
-            if (same_clique && pidx != kNoPred &&
-                analysis_.stage_arg[pidx] == static_cast<int>(col)) {
-              stage_derived_.insert(s);
-            }
+    // New bindings from unbound columns. (Unbound variables in a negated
+    // atom are local existentials: it was ready, so they occur nowhere
+    // else.)
+    for (size_t col = 0; !lit.negated && col < lit.args.size(); ++col) {
+      std::vector<uint32_t> slots;
+      CollectSlots(scan.arg_terms[col], &slots);
+      for (uint32_t s : slots) {
+        if (bound.count(s)) continue;
+        if (in_subplan_) {
+          subplan_bound_.insert(s);
+        } else if (!generator_bound_.count(s) && !post_bound_.count(s)) {
+          MarkBound(s, !in_post);
+          // Track stage-derived slots: bound from the stage column of a
+          // same-clique predicate.
+          if (same_clique && analysis_.stage_arg[pidx] ==
+                                 static_cast<int>(col)) {
+            stage_derived_.insert(s);
           }
         }
       }
     }
-    // (Unbound variables in a negated atom are local existentials —
-    // Ready() admitted this literal only if they occur nowhere else.)
     plan->push_back(std::move(cl));
-    return Status::OK();
   }
 
-  Status CompileComparison(const Literal& lit,
-                           std::vector<CompiledLiteral>* plan, bool in_post) {
+  void CompileComparison(const Literal& lit,
+                         std::vector<CompiledLiteral>* plan, bool in_post) {
     CompiledLiteral cl;
     cl.kind = CompiledLiteral::Kind::kCompare;
     CompiledCompare& cmp = cl.cmp;
@@ -845,45 +714,24 @@ class RuleCompiler {
     cmp.rhs_op = ReadOpOf(cmp.rhs);
 
     const auto bound = VisibleBound(in_post);
-    const bool lhs_bound = TermBound(cmp.lhs, bound);
-    const bool rhs_bound = TermBound(cmp.rhs, bound);
-    if (lhs_bound && rhs_bound) {
-      plan->push_back(std::move(cl));
-      return Status::OK();
-    }
-    if (lit.op == ComparisonOp::kEq) {
-      const CTerm& l = out_.pool[cmp.lhs];
-      const CTerm& r = out_.pool[cmp.rhs];
-      if (!lhs_bound && rhs_bound && l.kind == CTerm::Kind::kVar) {
-        cmp.is_assignment = true;
-        cmp.assign_slot = l.var_slot;
-        cmp.value_op = cmp.rhs_op;
-        if (in_subplan_) {
-          subplan_bound_.insert(l.var_slot);
-        } else {
-          MarkBound(l.var_slot, !in_post);
-        }
-        plan->push_back(std::move(cl));
-        return Status::OK();
+    const auto unbound_var = [&](uint32_t t) {
+      return out_.pool[t].kind == CTerm::Kind::kVar &&
+             !bound.count(out_.pool[t].var_slot);
+    };
+    // Ready, so a side that is an unbound variable is an `=` assigning
+    // it the other side's value.
+    const bool assign_lhs = unbound_var(cmp.lhs);
+    if (assign_lhs || unbound_var(cmp.rhs)) {
+      cmp.is_assignment = true;
+      cmp.assign_slot = out_.pool[assign_lhs ? cmp.lhs : cmp.rhs].var_slot;
+      cmp.value_op = assign_lhs ? cmp.rhs_op : cmp.lhs_op;
+      if (in_subplan_) {
+        subplan_bound_.insert(cmp.assign_slot);
+      } else {
+        MarkBound(cmp.assign_slot, !in_post);
       }
-      if (!rhs_bound && lhs_bound && r.kind == CTerm::Kind::kVar) {
-        cmp.is_assignment = true;
-        cmp.assign_slot = r.var_slot;
-        cmp.value_op = cmp.lhs_op;
-        if (in_subplan_) {
-          subplan_bound_.insert(r.var_slot);
-        } else {
-          MarkBound(r.var_slot, !in_post);
-        }
-        plan->push_back(std::move(cl));
-        return Status::OK();
-      }
-      // Unbound-but-matchable patterns (e.g. T = t(X, Y) destructuring)
-      // are handled by MatchTerm at runtime if the other side is bound;
-      // otherwise the rule is unsafe.
     }
-    return Error("comparison " + std::string(ComparisonOpName(lit.op)) +
-                 " has unbound variables");
+    plan->push_back(std::move(cl));
   }
 
   Status CompileNotExists(const Literal& lit,
@@ -893,23 +741,30 @@ class RuleCompiler {
     const bool saved = in_subplan_;
     in_subplan_ = true;
     auto saved_bound = subplan_bound_;
-    for (size_t i = 0; i < lit.body.size(); ++i) {
-      const Literal& inner = lit.body[i];
+    // The first ready goal runs next, so goals keep their source order
+    // except where a goal must wait for another to bind its variables.
+    std::vector<const Literal*> work;
+    for (const Literal& inner : lit.body) work.push_back(&inner);
+    while (!work.empty()) {
+      const auto next = std::find_if(
+          work.begin(), work.end(),
+          [&](const Literal* inner) { return Ready(*inner, in_post); });
+      // The rule is safe, so only a goal that never runs is left.
+      if (next == work.end()) {
+        return Error("meta goal inside a negated conjunction");
+      }
+      const Literal& inner = **next;
       switch (inner.kind) {
         case LiteralKind::kAtom:
-          GDLOG_RETURN_IF_ERROR(
-              CompileSubAtom(inner, &cl.sub, in_post));
+          CompileAtom(inner, &cl.sub, in_post);
           break;
         case LiteralKind::kComparison:
-          GDLOG_RETURN_IF_ERROR(CompileComparison(inner, &cl.sub, in_post));
-          break;
-        case LiteralKind::kNotExists:
-          GDLOG_RETURN_IF_ERROR(CompileNotExists(inner, &cl.sub, in_post));
+          CompileComparison(inner, &cl.sub, in_post);
           break;
         default:
-          in_subplan_ = saved;
-          return Error("meta goal inside a negated conjunction");
+          GDLOG_RETURN_IF_ERROR(CompileNotExists(inner, &cl.sub, in_post));
       }
+      work.erase(next);
     }
     in_subplan_ = saved;
     subplan_bound_ = std::move(saved_bound);
@@ -917,41 +772,7 @@ class RuleCompiler {
     return Status::OK();
   }
 
-  /// Atom inside a NotExists subplan: like CompileAtom but new variables
-  /// are subplan-local.
-  Status CompileSubAtom(const Literal& lit,
-                        std::vector<CompiledLiteral>* plan, bool in_post) {
-    CompiledLiteral cl;
-    cl.kind = CompiledLiteral::Kind::kScan;
-    CompiledScan& scan = cl.scan;
-    scan.negated = lit.negated;
-    scan.pred = catalog_->Ensure(lit.predicate,
-                                 static_cast<uint32_t>(lit.args.size()));
-    const auto bound = VisibleBound(in_post);
-    for (size_t col = 0; col < lit.args.size(); ++col) {
-      const uint32_t t = CompileTerm(lit.args[col]);
-      scan.arg_terms.push_back(t);
-      if (TermBound(t, bound)) {
-        scan.bound_cols.push_back(static_cast<uint32_t>(col));
-      }
-    }
-    if (!scan.bound_cols.empty()) {
-      Relation& rel = catalog_->relation(scan.pred);
-      scan.index_id = static_cast<int>(rel.EnsureIndex(scan.bound_cols));
-    }
-    ResolveScanOps(&scan, bound);
-    if (!lit.negated) {
-      std::vector<uint32_t> slots;
-      for (uint32_t t : scan.arg_terms) CollectSlots(t, &slots);
-      for (uint32_t s : slots) {
-        if (!bound.count(s)) subplan_bound_.insert(s);
-      }
-    }
-    plan->push_back(std::move(cl));
-    return Status::OK();
-  }
-
-  Status BuildChoiceSpecs() {
+  void BuildChoiceSpecs() {
     // Walk original body in order; next(I) contributes the implicit
     // choice(I, W), choice(W, I) pair at its position, matching the order
     // produced by ExpandNext + RewriteChoice.
@@ -993,15 +814,6 @@ class RuleCompiler {
         out_.chosen_slots.push_back(SlotOf(v));
       }
     }
-    // Validate: choice variables must be bound by generator or stage.
-    for (uint32_t s : out_.chosen_slots) {
-      if (generator_bound_.count(s)) continue;
-      if (out_.is_next && s == out_.stage_slot) continue;
-      if (post_bound_.count(s)) continue;
-      return Error("choice variable " + out_.slot_names[s] +
-                   " is not bound by the rule body");
-    }
-    return Status::OK();
   }
 
   void ComputeSnapshotSlots() {
@@ -1111,7 +923,6 @@ class RuleCompiler {
   std::unordered_set<uint32_t> stage_derived_;
   std::unordered_set<uint32_t> subplan_bound_;
   std::vector<uint32_t> live_scratch_;
-  std::unordered_map<std::string, int> total_var_count_;
   std::unordered_map<const Literal*, uint32_t> occurrence_of_;
   std::unordered_map<const Literal*, uint32_t> goal_id_of_;
   std::string stage_var_name_;
@@ -1134,21 +945,23 @@ Result<std::vector<CompiledRule>> CompileProgram(
     catalog->Ensure(r.head.predicate,
                     static_cast<uint32_t>(r.head.args.size()));
   }
+  const auto head_bound = [&](const Rule& r) {
+    return options.head_params_bound &&
+           options.head_params_bound(r.head.predicate);
+  };
+  // Safety is decided for every rule before any compiles: a program
+  // with an unsafe rule is refused with that rule's first diagnostic,
+  // a fact with a variable included (ground facts load as rows).
+  for (const Rule& r : program.rules) {
+    const std::vector<Diagnostic> unsafe =
+        RuleSafetyDiagnostics(r, head_bound(r));
+    if (!unsafe.empty()) return DiagnosticToStatus(unsafe.front());
+  }
   int gamma_counter = 0;
   for (uint32_t ri = 0; ri < program.rules.size(); ++ri) {
-    if (program.rules[ri].is_fact()) {
-      // Ground facts load as rows; a fact still here has a variable,
-      // and GroundValue says which.
-      for (const TermNode& t : program.rules[ri].head.args) {
-        GDLOG_RETURN_IF_ERROR(GroundValue(t, store).status());
-      }
-      continue;
-    }
-    const bool head_bound =
-        options.head_params_bound &&
-        options.head_params_bound(program.rules[ri].head.predicate);
-    RuleCompiler rc(program, analysis, ri, catalog, store, head_bound,
-                    options.planner);
+    if (program.rules[ri].is_fact()) continue;
+    RuleCompiler rc(program, analysis, ri, catalog, store,
+                    head_bound(program.rules[ri]), options.planner);
     GDLOG_ASSIGN_OR_RETURN(CompiledRule cr, rc.Compile());
     if (cr.is_gamma) cr.gamma_index = gamma_counter++;
     out.push_back(std::move(cr));

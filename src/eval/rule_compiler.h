@@ -2,7 +2,8 @@
 //
 // Variables become dense slots; terms become nodes in a per-rule pool;
 // body literals become a left-to-right join plan with per-goal index
-// selection (the "availability of indices" assumed by Section 6).
+// selection (the "availability of indices" assumed by Section 6), each
+// goal placed once analysis/safety.h finds it ready to run.
 //
 // Meta goals are lifted out of the plan into rule metadata:
 //   * next(I)        -> is_next / stage_slot; the fixpoint driver assigns
@@ -270,8 +271,10 @@ struct CompileProgramOptions {
   JoinPlanner* planner = nullptr;
 };
 
-/// Compiles every rule of the analyzed program. Predicates are created
-/// in `catalog`; scan indices are created on their relations.
+/// Compiles every rule of the analyzed program, or refuses it with the
+/// first GD001/GD002/GD008 diagnostic (analysis/safety.h) of its first
+/// unsafe rule. Predicates are created in `catalog`; scan indices are
+/// created on their relations.
 /// `analysis.expanded` supplies the canonical choice-goal order for
 /// chosen$ bookkeeping.
 Result<std::vector<CompiledRule>> CompileProgram(

@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "analysis/rewriter.h"
+#include "analysis/safety.h"
 #include "analysis/stage.h"
 #include "common/logging.h"
 #include "eval/rule_compiler.h"
@@ -41,33 +42,6 @@ bool DiffChoiceHolds(const ChoiceRewriteInfo::Entry& entry,
   return false;
 }
 
-/// Occurrences of the variable `name` in a term or literal.
-size_t CountVar(const TermNode& t, const std::string& name) {
-  if (t.is_var()) return t.name == name ? 1 : 0;
-  size_t n = 0;
-  for (const TermNode& a : t.args) n += CountVar(a, name);
-  return n;
-}
-size_t CountVar(const Literal& lit, const std::string& name) {
-  size_t n = 0;
-  for (const TermNode& a : lit.args) n += CountVar(a, name);
-  for (const Literal& inner : lit.body) n += CountVar(inner, name);
-  return n;
-}
-
-/// True when some variable of `t` occurs in `rule` only inside `lit`.
-bool HasLocalVar(const TermNode& t, const Literal& lit, const Rule& rule) {
-  if (t.is_var()) {
-    size_t total = CountVar(rule.head, t.name);
-    for (const Literal& l : rule.body) total += CountVar(l, t.name);
-    return total == CountVar(lit, t.name);
-  }
-  for (const TermNode& a : t.args) {
-    if (HasLocalVar(a, lit, rule)) return true;
-  }
-  return false;
-}
-
 /// The negation oracle tests a negated atom by membership in the fixed
 /// model, which needs a ground tuple. A negated atom with a local
 /// variable (`not e(_, X)`) is existentially quantified instead, so it
@@ -82,10 +56,13 @@ void QuantifyLocalNegations(const Rule& rule, std::vector<Literal>* body) {
       continue;
     }
     if (lit.kind != LiteralKind::kAtom || !lit.negated) continue;
-    const bool has_local = std::any_of(
-        lit.args.begin(), lit.args.end(),
-        [&](const TermNode& t) { return HasLocalVar(t, lit, rule); });
-    if (!has_local) continue;
+    std::vector<std::string> vars;
+    CollectLiteralVariables(lit, &vars);
+    if (std::none_of(vars.begin(), vars.end(), [&](const std::string& v) {
+          return IsLocalVariable(v, lit, rule);
+        })) {
+      continue;
+    }
     Literal atom = std::move(lit);
     atom.negated = false;
     lit = Literal::NotExists({std::move(atom)});

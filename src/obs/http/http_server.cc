@@ -50,9 +50,7 @@ bool HttpStream::Write(std::string_view data) {
   return true;
 }
 
-HttpServer::HttpServer(Options options) : options_(std::move(options)) {
-  if (options_.workers == 0) options_.workers = 1;
-}
+HttpServer::HttpServer(Options options) : options_(std::move(options)) {}
 
 HttpServer::~HttpServer() { Stop(); }
 
@@ -94,7 +92,7 @@ Status HttpServer::Start() {
                             std::to_string(options_.port) + ": " +
                             std::strerror(err));
   }
-  if (::listen(listen_fd_, static_cast<int>(options_.backlog)) < 0) {
+  if (::listen(listen_fd_, static_cast<int>(kBacklog)) < 0) {
     const int err = errno;
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -108,12 +106,11 @@ Status HttpServer::Start() {
     port_.store(ntohs(bound.sin_port), std::memory_order_release);
   }
 
-  active_fds_ = std::make_unique<std::atomic<int>[]>(options_.workers);
-  for (uint32_t i = 0; i < options_.workers; ++i) active_fds_[i].store(-1);
+  for (std::atomic<int>& fd : active_fds_) fd.store(-1);
   running_.store(true, std::memory_order_release);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
-  workers_.reserve(options_.workers);
-  for (uint32_t i = 0; i < options_.workers; ++i) {
+  workers_.reserve(kWorkers);
+  for (uint32_t i = 0; i < kWorkers; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
   return Status::OK();
@@ -128,8 +125,8 @@ void HttpServer::Stop() {
   ::shutdown(listen_fd_, SHUT_RDWR);
   // Unblock workers stuck in recv/send on a live connection (includes
   // any in-flight SSE stream, which also polls ShouldStop).
-  for (uint32_t i = 0; i < options_.workers; ++i) {
-    const int fd = active_fds_[i].load(std::memory_order_acquire);
+  for (const std::atomic<int>& active : active_fds_) {
+    const int fd = active.load(std::memory_order_acquire);
     if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
   }
   cv_.notify_all();
@@ -159,13 +156,13 @@ void HttpServer::AcceptLoop() {
     }
     accepted_.fetch_add(1, std::memory_order_relaxed);
     SetTimeout(fd, SO_RCVTIMEO, options_.read_timeout_ms);
-    SetTimeout(fd, SO_SNDTIMEO, options_.write_timeout_ms);
+    SetTimeout(fd, SO_SNDTIMEO, kWriteTimeoutMs);
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     bool enqueued = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (pending_.size() < options_.queue_depth) {
+      if (pending_.size() < kQueueDepth) {
         pending_.push_back(fd);
         enqueued = true;
       }

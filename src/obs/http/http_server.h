@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -67,16 +66,19 @@ class HttpStream {
 
 class HttpServer {
  public:
+  /// Worker threads, the listen backlog, accepted connections waiting
+  /// for a worker (more are closed), and the send timeout.
+  static constexpr uint32_t kWorkers = 2;
+  static constexpr uint32_t kBacklog = 16;
+  static constexpr uint32_t kQueueDepth = 16;
+  static constexpr uint32_t kWriteTimeoutMs = 5000;
+
   struct Options {
     /// Loopback by default: the endpoint exposes internals and carries
     /// no authentication; binding wider is an explicit choice.
     std::string bind_address = "127.0.0.1";
     uint16_t port = 0;  // 0 = ephemeral (read back via port())
-    uint32_t workers = 2;
-    uint32_t backlog = 16;
-    uint32_t queue_depth = 16;
     uint32_t read_timeout_ms = 5000;
-    uint32_t write_timeout_ms = 5000;
     HttpLimits limits;
   };
 
@@ -142,7 +144,7 @@ class HttpServer {
   std::vector<std::thread> workers_;
   /// fd each worker is currently serving (-1 idle); Stop shuts these
   /// down so blocked reads/writes return promptly.
-  std::unique_ptr<std::atomic<int>[]> active_fds_;
+  std::atomic<int> active_fds_[kWorkers];
 
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> served_{0};

@@ -14,9 +14,7 @@ HttpServer::Options ToHttpOptions(const ObsHttpOptions& o) {
   HttpServer::Options h;
   h.bind_address = o.bind_address;
   h.port = o.port;
-  h.workers = o.workers;
   h.read_timeout_ms = o.read_timeout_ms;
-  h.write_timeout_ms = o.write_timeout_ms;
   return h;
 }
 
@@ -38,7 +36,6 @@ ObsServer::ObsServer(ObsHttpOptions options, Sources sources)
     : options_(std::move(options)),
       sources_(std::move(sources)),
       http_(ToHttpOptions(options_)) {
-  if (options_.runs_retained == 0) options_.runs_retained = 1;
   if (sources_.metrics != nullptr) {
     MetricsRegistry* m = sources_.metrics;
     http_.set_request_observer([m](int status, const std::string& path) {
@@ -59,7 +56,7 @@ void ObsServer::Stop() { http_.Stop(); }
 void ObsServer::PushRunReport(std::string report_json) {
   std::lock_guard<std::mutex> lock(runs_mu_);
   runs_.push_back(std::move(report_json));
-  while (runs_.size() > options_.runs_retained) runs_.pop_front();
+  while (runs_.size() > kRunsRetained) runs_.pop_front();
 }
 
 void ObsServer::SetTrace(std::string trace_json) {

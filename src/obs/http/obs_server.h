@@ -48,15 +48,14 @@ struct ObsHttpOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 picks an ephemeral port; read it back via Engine::obs_http_port.
   uint16_t port = 0;
-  uint32_t workers = 2;
   uint32_t read_timeout_ms = 5000;
-  uint32_t write_timeout_ms = 5000;
-  /// Completed RunReport JSONs retained for /runs.
-  uint32_t runs_retained = 8;
 };
 
 class ObsServer {
  public:
+  /// Completed RunReport JSONs retained for /runs.
+  static constexpr size_t kRunsRetained = 8;
+
   /// The pull-side surfaces the endpoints read. All pointers are
   /// borrowed, may be null (the endpoint degrades to 503/404), and must
   /// outlive the server. `statusz` supplies the engine-state JSON (it

@@ -197,6 +197,14 @@ Status DurableStore::LoadSnapshot(const std::string& path,
     GDLOG_RETURN_IF_ERROR(r.ReadU32(&arity));
     uint64_t num_rows = 0;
     GDLOG_RETURN_IF_ERROR(r.ReadU64(&num_rows));
+    // Each value takes at least one byte, and a relation of arity 0
+    // holds at most its one empty row.
+    if (num_rows > (arity == 0 ? 1 : (r.size - r.pos) / arity)) {
+      return SnapshotCorrupt("relation " + std::string(name) + " claims " +
+                             std::to_string(num_rows) +
+                             " rows, more than snapshot '" + path +
+                             "' holds");
+    }
     Relation& rel = catalog->relation(catalog->Ensure(name, arity));
     std::vector<Value> row;  // grows with the values read, not `arity`
     for (uint64_t i = 0; i < num_rows; ++i) {

@@ -201,6 +201,10 @@ Status DecodeBody(std::string_view body, ValueStore* store, WalRecord* out) {
   GDLOG_RETURN_IF_ERROR(r.ReadU32(&out->arity));
   out->tuple.clear();
   if (out->type != WalRecordType::kCreateRelation) {
+    if (out->arity > r.size - r.pos) {  // each value is at least one byte
+      return CorruptStatus("record arity " + std::to_string(out->arity) +
+                           " exceeds its remaining bytes");
+    }
     out->tuple.resize(out->arity);
     for (uint32_t i = 0; i < out->arity; ++i) {
       GDLOG_RETURN_IF_ERROR(r.ReadValue(store, &out->tuple[i]));

@@ -125,8 +125,7 @@ void Relation::Reserve(size_t n) {
 }
 
 bool Relation::Retract(TupleView tuple) {
-  GDLOG_CHECK(indices_.empty() && delta_end_ == 0)
-      << "Retract is only valid before evaluation";
+  GDLOG_CHECK(delta_end_ == 0) << "Retract is only valid before evaluation";
   const RowId row = Find(tuple);
   if (row == kNoRow) return false;
   // Shift-erase keeps the remaining rows in insertion order; the dedup
@@ -142,6 +141,9 @@ bool Relation::Retract(TupleView tuple) {
     prov_->span_len.erase(prov_->span_len.begin() + row);
   }
   RehashSet(set_buckets_.size());
+  for (std::unique_ptr<Index>& idx : indices_) {
+    idx = BuildIndex(idx->columns());
+  }
   RecountMemory();
   return true;
 }
@@ -244,13 +246,18 @@ size_t Relation::EnsureIndex(const std::vector<uint32_t>& columns) {
   for (size_t i = 0; i < indices_.size(); ++i) {
     if (indices_[i]->columns() == columns) return i;
   }
-  auto idx = std::make_unique<Index>(columns);
+  indices_.push_back(BuildIndex(columns));
+  RecountMemory();
+  return indices_.size() - 1;
+}
+
+std::unique_ptr<Index> Relation::BuildIndex(
+    std::vector<uint32_t> columns) const {
+  auto idx = std::make_unique<Index>(std::move(columns));
   // Sized for the backfill up front, so it never rehashes midway.
   idx->Reserve(num_rows_);
   for (RowId r = 0; r < num_rows_; ++r) idx->Insert(r, Row(r));
-  indices_.push_back(std::move(idx));
-  RecountMemory();
-  return indices_.size() - 1;
+  return idx;
 }
 
 }  // namespace gdlog

@@ -83,11 +83,12 @@ class Relation {
            std::less<>()(p, data_.data() + data_.size());
   }
 
-  /// Removes a tuple, preserving the insertion order of the others.
-  /// Only valid before evaluation starts (no indices built, watermarks
-  /// still at zero) — Retract exists for EDB edits between loads, not
-  /// for the fixpoint, which is append-only. Returns whether the tuple
-  /// was present.
+  /// Removes a tuple, preserving the insertion order of the others, and
+  /// rebuilds the dedup set and any index (a Run that failed at compile
+  /// leaves its indexes). Only valid before evaluation starts (delta
+  /// watermarks still at zero) — Retract exists for EDB edits between
+  /// loads, not for the fixpoint, which is append-only. Returns whether
+  /// the tuple was present.
   bool Retract(TupleView tuple);
 
   /// True iff the tuple is present.
@@ -175,6 +176,8 @@ class Relation {
   template <bool kMayAlias>
   InsertResult InsertHashed(TupleView tuple, uint64_t h);
   void RehashSet(size_t new_bucket_count);
+  /// An index over `columns` holding every row.
+  std::unique_ptr<Index> BuildIndex(std::vector<uint32_t> columns) const;
   void RecountMemory();
 
   std::string name_;

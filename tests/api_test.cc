@@ -2,6 +2,7 @@
 // introspection, and engine options.
 #include "api/engine.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -113,6 +114,93 @@ TEST(Api, RowAddedAfterAFailedRunSeedsTheAnalysis) {
   EXPECT_NE(types->find("q/1: (int[1, 2]) rows [2, 2] [edb]"),
             std::string::npos)
       << *types;
+}
+
+// Run refuses an unsafe rule with the code, message and location of a
+// diagnostic Lint reports for it, with the join planner or without it;
+// no refusal names the parser's _G<n> for an anonymous variable.
+TEST(Api, RunRefusesAnUnsafeRuleWithLintsDiagnostic) {
+  const char* programs[] = {
+      "q(1, 5). q(2, 3). p(X, C) <- q(X, C), most(C, G).",
+      "q(1, 5). q(2, 3). p(X, C) <- q(X, C), least(C, _).",
+      "q(1, 2). p(X, C) <- q(X, C), least(D, X).",
+      "s(nil, 0, 0). q(a, 0). q(b, 0). w(a, 1, 1). w(b, 2, 1). w(b, 2, 2).\n"
+      "s(X, C, I) <- next(I), q(X, J), J < I, w(X, C, I), least(C, I).",
+      "q(1). p(Y) <- q(X + 1), Y = X.",
+      "q(1). r(1, 2). p(X) <- q(X), not r(X, Y + 1).",
+  };
+  for (const char* text : programs) {
+    for (bool planner : {true, false}) {
+      EngineOptions opts;
+      opts.eval.use_join_planner = planner;
+      Engine e(opts);
+      ASSERT_TRUE(e.LoadProgram(text).ok()) << text;
+      auto lint = e.Lint();
+      ASSERT_TRUE(lint.ok()) << lint.status().ToString();
+      const Status run = e.Run();
+      EXPECT_EQ(run.code(), StatusCode::kAnalysisError) << text;
+      EXPECT_TRUE(std::any_of(
+          lint->diagnostics.begin(), lint->diagnostics.end(),
+          [&](const Diagnostic& d) {
+            return d.code == DiagCodeOfStatus(run) &&
+                   DiagnosticToStatus(d).ToString() == run.ToString();
+          }))
+          << text << "\n" << run.ToString();
+      EXPECT_EQ(run.message().find("_G"), std::string::npos) << run.message();
+    }
+  }
+}
+
+// Goals run in the order readiness finds: inside a negated conjunction
+// the first ready goal runs next, and an atom with an arithmetic
+// argument waits for its variables. The checker agrees the model is
+// stable.
+TEST(Api, GoalsRunInTheOrderReadinessFinds) {
+  struct Case {
+    const char* text;
+    int64_t p;
+  };
+  const Case cases[] = {
+      {"q(1). q(2). r(1, 5). p(X) <- q(X), not (Y > 1, r(X, Y)).", 2},
+      {"q(1). q(2). s(1). p(Y) <- q(X + 1), s(X), Y = X.", 1},
+  };
+  for (const Case& c : cases) {
+    for (bool planner : {true, false}) {
+      EngineOptions opts;
+      opts.eval.use_join_planner = planner;
+      Engine e(opts);
+      ASSERT_TRUE(e.LoadProgram(c.text).ok()) << c.text;
+      const Status run = e.Run();
+      ASSERT_TRUE(run.ok()) << c.text << "\n" << run.ToString();
+      EXPECT_EQ(e.Query("p", 1),
+                std::vector<std::vector<Value>>{{Value::Int(c.p)}})
+          << c.text;
+      auto check = e.VerifyStableModel();
+      ASSERT_TRUE(check.ok()) << check.status().ToString();
+      EXPECT_TRUE(check->stable) << check->diagnostic;
+    }
+  }
+}
+
+// A Run that fails at compile leaves the EDB editable: a retract after
+// it removes the row, whether the compile failed before indexing the
+// relation (an unsafe rule) or after (a goal it cannot compile).
+TEST(Api, RetractAfterARunThatFailedAtCompile) {
+  const char* programs[] = {
+      "q(1,2). r(2). p(X) <- q(X, Y), r(Y). s(X, Z) <- q(X, Y).",
+      "q(1,2). r(2). p(X) <- q(X, Y), r(Y).\n"
+      "s(X) <- q(X, Y), not (r(Y), choice(X, Y)).",
+  };
+  const char* codes[] = {"GD001", ""};
+  for (size_t i = 0; i < 2; ++i) {
+    Engine e;
+    ASSERT_TRUE(e.LoadProgram(programs[i]).ok());
+    const Status run = e.Run();
+    EXPECT_EQ(run.code(), StatusCode::kAnalysisError) << run.ToString();
+    EXPECT_EQ(DiagCodeOfStatus(run), codes[i]) << run.ToString();
+    EXPECT_TRUE(e.RetractFact("r", {Value::Int(2)}).ok());
+    EXPECT_TRUE(e.Query("r", 1).empty());
+  }
 }
 
 TEST(Api, FactsViaTextAndApiAgree) {

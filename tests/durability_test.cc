@@ -7,8 +7,10 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,6 +24,52 @@
 #include "storage/durable/durable_store.h"
 #include "storage/durable/io.h"
 #include "storage/durable/wal.h"
+
+// Allocation hook: a request of 1 GiB or more fails (std::bad_alloc, or
+// null for the nothrow forms) instead of committing memory, so a decoder
+// that sizes a buffer by a claimed count fails its test rather than the
+// machine. No test here allocates that much on purpose. Every
+// non-aligned form is replaced, so each allocation is freed by the
+// family that made it (sanitizer builds check this). Out of line, so
+// that no call site sees malloc paired with delete.
+namespace {
+[[gnu::noinline]] void* AllocateBelowOneGiB(std::size_t size) noexcept {
+  if (size >= (std::size_t{1} << 30)) return nullptr;
+  return std::malloc(size == 0 ? 1 : size);
+}
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (void* p = AllocateBelowOneGiB(size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     const std::nothrow_t&) noexcept {
+  return AllocateBelowOneGiB(size);
+}
+[[gnu::noinline]] void* operator new[](std::size_t size,
+                                       const std::nothrow_t&) noexcept {
+  return AllocateBelowOneGiB(size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace gdlog {
 namespace {
@@ -247,6 +295,39 @@ TEST(Wal, DeeplyNestedTermIsCorruptionNotACrash) {
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(DiagCodeOfStatus(st), diag::kWalCorrupt);
   EXPECT_NE(st.message().find("nesting"), std::string::npos);
+}
+
+// A CRC-valid record that claims more values than it has bytes left is
+// undecodable, so the scan ends before it, without sizing a tuple for
+// the claim: arity 2^31 - 1 would ask for 16 GiB.
+TEST(Wal, RecordArityBeyondItsBytesEndsTheValidPrefix) {
+  const std::string dir = TempDbDir("wal-arity");
+  ASSERT_TRUE(EnsureDir(dir).ok());
+  const std::string path = dir + "/wal-1.log";
+  ValueStore store;
+  WalWriter w;
+  ASSERT_TRUE(w.Open(path, 1, 0).ok());
+  ASSERT_TRUE(
+      w.Append(store, WalRecordType::kCreateRelation, "r", 2, TupleView())
+          .ok());
+  ASSERT_TRUE(w.Close().ok());
+  std::string body;
+  body.push_back(static_cast<char>(WalRecordType::kAddFact));
+  AppendBytes(&body, "r");
+  AppendU32(&body, 0x7fffffff);
+  AppendValue(&body, store, Value::Nil());
+  std::string record;
+  AppendU32(&record, Crc32(body.data(), body.size()));
+  AppendU32(&record, static_cast<uint32_t>(body.size()));
+  record += body;
+  std::ofstream(path, std::ios::binary | std::ios::app) << record;
+
+  auto scan = ReadWal(path, 1, &store);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  EXPECT_EQ(scan->records.size(), 1u);
+  EXPECT_TRUE(scan->tail_dropped);
+  EXPECT_EQ(scan->dropped_bytes, record.size());
+  RemoveTree(dir);
 }
 
 // After a failed append leaves torn bytes at the physical EOF, the
@@ -548,6 +629,51 @@ TEST(DurableStore, SnapshotCorruptionIsGd212) {
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(DiagCodeOfStatus(st), diag::kSnapshotCorrupt);
   RemoveTree(dir);
+}
+
+// A CRC-valid snapshot whose relation claims more rows than its bytes
+// can hold is GD212 before the decoder loops over the claim: a relation
+// of arity 0 holds at most one row, and one that claimed 2^60 would
+// loop that many times reading nothing.
+TEST(DurableStore, SnapshotRowCountBeyondItsBytesIsGd212) {
+  struct Claim {
+    uint32_t arity;
+    uint64_t rows;
+    std::vector<Value> values;
+  };
+  const Claim claims[] = {
+      {0, 2, {}},
+      {0, uint64_t{1} << 60, {}},
+      {2, 1000, {Value::Int(1), Value::Int(2)}},
+  };
+  for (const Claim& claim : claims) {
+    const std::string dir = TempDbDir("store-snaprows");
+    ValueStore vs;
+    {
+      Catalog catalog;
+      DurableStore s;
+      ASSERT_TRUE(s.Open(StoreOptions(dir), &vs, &catalog).ok());
+      AddInt(&s, &catalog, "edge", 1, 2);
+      ASSERT_TRUE(s.Checkpoint(catalog, AllRows(catalog)).ok());
+      ASSERT_TRUE(s.Close().ok());
+    }
+    std::string image("GDSNAP1\n");
+    AppendU64(&image, 1);  // the sequence number the manifest expects
+    AppendU32(&image, 1);  // one relation
+    AppendBytes(&image, "r");
+    AppendU32(&image, claim.arity);
+    AppendU64(&image, claim.rows);
+    for (const Value v : claim.values) AppendValue(&image, vs, v);
+    AppendU32(&image, Crc32(image.data() + 8, image.size() - 8));
+    std::ofstream(dir + "/snapshot-1.gds", std::ios::binary | std::ios::trunc)
+        << image;
+    Catalog catalog;
+    DurableStore s;
+    const Status st = s.Open(StoreOptions(dir), &vs, &catalog);
+    ASSERT_FALSE(st.ok()) << "rows " << claim.rows;
+    ASSERT_EQ(DiagCodeOfStatus(st), diag::kSnapshotCorrupt) << st.ToString();
+    RemoveTree(dir);
+  }
 }
 
 TEST(DurableStore, AutoCheckpointFiresOnCadence) {

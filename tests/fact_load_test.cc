@@ -314,11 +314,12 @@ TEST(FactLoad, MalformedFactsKeepTheirErrors) {
     EXPECT_EQ(e.LoadProgram(text).ToString(), status) << text;
   }
   // A fact with a variable is a rule without a body: it loads, and Run
-  // says which variable keeps it from being ground.
+  // says which variable keeps it from being ground, with lint's GD001.
   Engine e;
   ASSERT_TRUE(e.LoadProgram("g(1). p(X). q(Y) <- g(Y).").ok());
   EXPECT_EQ(e.Run().ToString(),
-            "InvalidArgument: fact contains variable X");
+            "AnalysisError: [GD001] head variable X of p makes the fact "
+            "non-ground at line 1, column 7");
 }
 
 TEST(FactLoad, InlineFactsAllocatePerGrowthNotPerFact) {

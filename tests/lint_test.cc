@@ -12,6 +12,7 @@
 #include "analysis/dep_graph.h"
 #include "analysis/diagnostics.h"
 #include "analysis/rewriter.h"
+#include "api/engine.h"
 #include "parser/parser.h"
 
 namespace gdlog {
@@ -246,6 +247,112 @@ TEST(Lint, GD008NotFiredWhenCostBound) {
     q(1, 5).
   )");
   EXPECT_FALSE(HasCode(r, diag::kUnboundExtremaCost));
+}
+
+// -- Lint and Run decide safety alike ---------------------------------------
+//
+// The rule compiler refuses a rule with the first of the diagnostics lint
+// prints for it, so every unsafe rule below is also refused by Run with
+// that exact text, and every rule lint accepts runs, with the join
+// planner and without it.
+
+/// Run's status for `text`, loaded into a fresh engine.
+Status RunStatus(const char* text, bool use_join_planner = true) {
+  EngineOptions opts;
+  opts.eval.use_join_planner = use_join_planner;
+  Engine e(opts);
+  const Status load = e.LoadProgram(text);
+  if (!load.ok()) return load;
+  return e.Run();
+}
+
+/// Lint reports `code` with `message`, and Run refuses the program with
+/// the diagnostic that comes first for the rule (body goals in source
+/// order, then the head).
+void ExpectRefusedAtRun(const char* text, std::string_view code,
+                        const std::string& message) {
+  const LintResult r = Lint(text);
+  const Diagnostic& d = FindCode(r, code);
+  EXPECT_EQ(d.message, message) << text;
+  const Status run = RunStatus(text);
+  EXPECT_EQ(run.code(), StatusCode::kAnalysisError) << text;
+  EXPECT_TRUE(std::any_of(r.diagnostics.begin(), r.diagnostics.end(),
+                          [&](const Diagnostic& l) {
+                            return DiagnosticToStatus(l).ToString() ==
+                                   run.ToString();
+                          }))
+      << text << "\n" << run.ToString() << "\n"
+      << RenderDiagnostics(r.diagnostics, "");
+}
+
+TEST(Lint, GD002UnboundGroupingRefusedAtRun) {
+  ExpectRefusedAtRun("p(X, C) <- q(X, C), most(C, G).\nq(1, 5). q(2, 3).\n",
+                     diag::kUnsafeBodyVar,
+                     "variable G in most grouping is not bound by any "
+                     "positive body goal");
+}
+
+TEST(Lint, GD002AnonymousGroupingVariableIsNamedUnderscore) {
+  ExpectRefusedAtRun("p(X, C) <- q(X, C), least(C, _).\nq(1, 5). q(2, 3).\n",
+                     diag::kUnsafeBodyVar,
+                     "variable _ in least grouping is not bound by any "
+                     "positive body goal");
+}
+
+TEST(Lint, GD008FlatRuleCostRefusedAtRun) {
+  ExpectRefusedAtRun("p(X, C) <- q(X, C), least(D, X).\nq(1, 2).\n",
+                     diag::kUnboundExtremaCost,
+                     "least cost variable D is not bound by any positive "
+                     "body goal");
+}
+
+TEST(Lint, GD008NextRuleCostBoundOnlyAfterTheStage) {
+  // w(X, C, I) reads the stage variable, so it runs after the stage is
+  // known, too late to key C in the candidate queue.
+  ExpectRefusedAtRun(R"(
+    s(nil, 0, 0).
+    s(X, C, I) <- next(I), q(X, J), J < I, w(X, C, I), least(C, I).
+    q(a, 0). q(b, 0). w(a, 1, 1). w(b, 2, 1). w(b, 2, 2).
+  )",
+                     diag::kUnboundExtremaCost,
+                     "least cost variable C is bound only by goals that "
+                     "read the stage variable I");
+}
+
+TEST(Lint, GD002ArithmeticArgumentBindsNothing) {
+  // Arithmetic is evaluated, never inverted: q(X + 1) cannot bind X.
+  ExpectRefusedAtRun("p(Y) <- q(X + 1), Y = X.\nq(1).\n",
+                     diag::kUnsafeBodyVar,
+                     "variable X in an arithmetic argument of q is not "
+                     "bound by any positive body goal");
+  // Y is local to the negated goal, but its arithmetic needs a value.
+  ExpectRefusedAtRun("p(X) <- q(X), not r(X, Y + 1).\nq(1).\nr(1, 2).\n",
+                     diag::kUnsafeBodyVar,
+                     "variable Y in negated goal not r is not bound by any "
+                     "positive body goal");
+}
+
+TEST(Lint, NegatedConjunctionRunsItsFirstReadyGoal) {
+  // Y > 1 waits for link(X, Y) to bind Y.
+  const char* text =
+      "item(1). item(2). link(1, 5).\n"
+      "p(X) <- item(X), not (Y > 1, link(X, Y)).\n";
+  const LintResult r = Lint(text);
+  EXPECT_TRUE(r.clean()) << RenderDiagnostics(r.diagnostics, "");
+  for (bool planner : {true, false}) {
+    EXPECT_TRUE(RunStatus(text, planner).ok()) << planner;
+  }
+}
+
+TEST(Lint, ArithmeticAtomWaitsForItsVariables) {
+  // q(X + 1) runs once s(X) has bound X, whatever order the planner
+  // would pick.
+  const char* text = "q(1). q(2). s(1).\np(Y) <- q(X + 1), s(X), Y = X.\n";
+  const LintResult r = Lint(text);
+  EXPECT_TRUE(r.clean()) << RenderDiagnostics(r.diagnostics, "");
+  for (bool planner : {true, false}) {
+    EXPECT_TRUE(RunStatus(text, planner).ok()) << planner;
+  }
 }
 
 // -- GD009: not stage-stratified, with the cycle explained ------------------

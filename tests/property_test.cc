@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 
+#include "analysis/diagnostics.h"
 #include "api/engine.h"
 #include "baselines/heapsort.h"
 #include "common/rng.h"
@@ -509,6 +510,189 @@ TEST_P(SeedSweep, NearOverflowStaysQuietAndDerives) {
   const absint::PredicateSignature* sig = (*analysis)->Find("ok", 1);
   ASSERT_NE(sig, nullptr);
   EXPECT_TRUE(sig->args[0].iv.Contains(base + shift)) << text;
+}
+
+// -- Lint and Run decide rule safety alike ----------------------------------
+//
+// Random rule bodies over a small EDB: positive and negated atoms with
+// variable, functor, arithmetic, constant and anonymous arguments,
+// comparisons and `=`, negated conjunctions, least/most with groupings,
+// choice, and next rules whose goals may read the stage variable. Lint
+// and the rule compiler share one binding analysis, so whenever a
+// program loads, lint reports GD001/GD002/GD008 exactly when Run refuses
+// the program, with that diagnostic's text, whichever goal order the
+// join planner would pick.
+
+std::string RandomSafetyVar(Rng& rng) {
+  static const char* const kVars[] = {"X", "Y", "Z", "W"};
+  return kVars[rng.NextBounded(4)];
+}
+
+std::string RandomSafetyArg(Rng& rng) {
+  switch (rng.NextBounded(7)) {
+    case 0:
+      return "t(" + RandomSafetyVar(rng) + ")";
+    case 1:
+      return RandomSafetyVar(rng) + " + 1";
+    case 2:
+      return std::to_string(rng.NextBounded(3));
+    case 3:
+      return "_";
+    default:
+      return RandomSafetyVar(rng);
+  }
+}
+
+// Each draw is its own statement, so every compiler draws in one order.
+std::string RandomSafetyAtom(Rng& rng) {
+  static const char* const kPreds[] = {"e", "f"};
+  if (rng.NextBounded(4) == 0) return "g(" + RandomSafetyArg(rng) + ")";
+  const std::string pred = kPreds[rng.NextBounded(2)];
+  const std::string a = RandomSafetyArg(rng);
+  const std::string b = RandomSafetyArg(rng);
+  return pred + "(" + a + ", " + b + ")";
+}
+
+std::string RandomSafetyComparison(Rng& rng) {
+  static const char* const kOps[] = {"<", "!=", "=", "="};
+  const auto side = [&rng] {
+    return rng.NextBounded(3) == 0 ? RandomSafetyVar(rng) + " + 1"
+                                   : RandomSafetyVar(rng);
+  };
+  const std::string lhs = side();
+  const std::string op = kOps[rng.NextBounded(4)];
+  return lhs + " " + op + " " + side();
+}
+
+std::string RandomSafetyGoal(Rng& rng, int depth) {
+  switch (rng.NextBounded(depth > 0 ? 6 : 5)) {
+    case 0:
+    case 1:
+      return RandomSafetyAtom(rng);
+    case 2:
+      return "not " + RandomSafetyAtom(rng);
+    case 3:
+    case 4:
+      return RandomSafetyComparison(rng);
+    default: {
+      const std::string first = RandomSafetyGoal(rng, depth - 1);
+      return "not (" + first + ", " + RandomSafetyGoal(rng, depth - 1) + ")";
+    }
+  }
+}
+
+std::string RandomSafetyGrouping(Rng& rng) {
+  switch (rng.NextBounded(4)) {
+    case 0:
+      return "_";
+    case 1: {
+      const std::string first = RandomSafetyVar(rng);
+      return "(" + first + ", " + RandomSafetyVar(rng) + ")";
+    }
+    default:
+      return RandomSafetyVar(rng);
+  }
+}
+
+/// One random rule (a next rule one time in four) over the EDB.
+std::string RandomSafetyProgram(Rng& rng) {
+  std::string text =
+      "e(0, 1). e(1, 2). e(2, 0). e(1, 1). f(t(1), 2). f(t(2), 0).\n"
+      "g(1). g(2).\n";
+  std::vector<std::string> body;
+  const int goals = static_cast<int>(rng.NextInt(1, 4));
+  for (int i = 0; i < goals; ++i) body.push_back(RandomSafetyGoal(rng, 1));
+  // Atoms that bind every variable, most of the time, so that the
+  // family has safe rules too.
+  if (rng.NextBounded(3) != 0) body.push_back("e(X, Y)");
+  if (rng.NextBounded(3) != 0) body.push_back("e(Z, W)");
+  const std::string v1 = RandomSafetyVar(rng);
+  const std::string v2 = RandomSafetyVar(rng);
+  std::string head;
+  if (rng.NextBounded(4) == 0) {
+    text += "s(nil, 0, 0).\n";
+    head = "s(" + v1 + ", " + v2 + ", I)";
+    body.push_back("next(I)");
+    // A goal that reads the stage variable runs after the stage is
+    // known; the cost may depend on it.
+    if (rng.NextBounded(2)) {
+      body.push_back("e(" + RandomSafetyVar(rng) + ", I)");
+    }
+    body.push_back("least(" + RandomSafetyVar(rng) + ", I)");
+  } else {
+    head = "h(" + v1 + ", " + v2 + ")";
+    const uint64_t extremum = rng.NextBounded(4);  // least, most, none
+    if (extremum < 2) {
+      const std::string cost = RandomSafetyVar(rng);
+      body.push_back((extremum == 0 ? "least(" : "most(") + cost + ", " +
+                     RandomSafetyGrouping(rng) + ")");
+    }
+  }
+  if (rng.NextBounded(3) == 0) {
+    const std::string left = RandomSafetyVar(rng);
+    body.push_back("choice(" + left + ", " + RandomSafetyVar(rng) + ")");
+  }
+  rng.Shuffle(&body);
+  text += head + " <-";
+  for (size_t i = 0; i < body.size(); ++i) {
+    text += (i == 0 ? " " : ", ") + body[i];
+  }
+  return text + ".\n";
+}
+
+bool IsSafetyCode(std::string_view code) {
+  return code == diag::kUnsafeHeadVar || code == diag::kUnsafeBodyVar ||
+         code == diag::kUnboundExtremaCost;
+}
+
+TEST_P(SeedSweep, LintAndRunAgreeOnRuleSafety) {
+  Rng rng(GetParam() * 887 + 11);
+  int loaded = 0, refused = 0, ran = 0;
+  for (int n = 0; n < 60; ++n) {
+    const std::string text = RandomSafetyProgram(rng);
+    for (bool planner : {true, false}) {
+      EngineOptions opts;
+      opts.eval.use_join_planner = planner;
+      opts.limits.max_stages = 64;
+      opts.limits.max_tuples = 10000;
+      Engine e(opts);
+      if (!e.LoadProgram(text).ok()) continue;
+      ++loaded;
+      auto lint = e.Lint();
+      ASSERT_TRUE(lint.ok()) << lint.status().ToString();
+      const bool lint_unsafe = std::any_of(
+          lint->diagnostics.begin(), lint->diagnostics.end(),
+          [](const Diagnostic& d) { return IsSafetyCode(d.code); });
+      const Status run = e.Run();
+      const bool run_unsafe = IsSafetyCode(DiagCodeOfStatus(run));
+      EXPECT_EQ(lint_unsafe, run_unsafe)
+          << text << "planner=" << planner << ": " << run.ToString() << "\n"
+          << RenderDiagnostics(lint->diagnostics, "");
+      // Every refusal carries a code.
+      EXPECT_TRUE(run.ok() || !DiagCodeOfStatus(run).empty())
+          << text << run.ToString();
+      if (run_unsafe) {
+        ++refused;
+        EXPECT_TRUE(std::any_of(lint->diagnostics.begin(),
+                                lint->diagnostics.end(),
+                                [&](const Diagnostic& d) {
+                                  return DiagnosticToStatus(d).ToString() ==
+                                         run.ToString();
+                                }))
+            << text << run.ToString();
+      }
+      if (!run.ok()) continue;
+      ++ran;
+      auto check = e.VerifyStableModel();
+      EXPECT_NE(check.status().code(), StatusCode::kAnalysisError)
+          << text << "planner=" << planner << ": "
+          << check.status().ToString();
+    }
+  }
+  // The family exercises both verdicts.
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(ran, 0);
+  EXPECT_GT(loaded, refused);
 }
 
 }  // namespace

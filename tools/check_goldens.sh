@@ -90,12 +90,14 @@ for f in programs/*.dl tests/fixtures/*.dl; do
   fi
 done
 
-# EXPLAIN ANALYZE goldens: shipped programs, plus the three fixtures
+# EXPLAIN ANALYZE goldens: shipped programs, plus the four fixtures
 # whose rule shapes no shipped program has (a nested negated conjunction,
-# a 65-literal body, and one rule per kind of compiled scan column). The
-# other fixtures exercise diagnostics; their plans are incidental.
+# a 65-literal body, one rule per kind of compiled scan column, and goals
+# that run only in the order readiness finds). The other fixtures
+# exercise diagnostics; their plans are incidental.
 for f in programs/*.dl tests/fixtures/nested_not.dl \
-         tests/fixtures/wide_rule.dl tests/fixtures/column_ops.dl; do
+         tests/fixtures/wide_rule.dl tests/fixtures/column_ops.dl \
+         tests/fixtures/bind_order.dl; do
   name=$(basename "$f" .dl)
   golden="tests/goldens/$name.explain"
   out=$("$SHELL_BIN" "$f" --explain-analyze 2>/dev/null) || true

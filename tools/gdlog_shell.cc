@@ -310,9 +310,9 @@ void PrintStats(const gdlog::Engine& engine) {
     std::printf("%% no run yet\n");
     return;
   }
-  if (s->termination != gdlog::TerminationReason::kCompleted) {
+  if (engine.outcome().reason != gdlog::TerminationReason::kCompleted) {
     const std::string_view reason =
-        gdlog::TerminationReasonName(s->termination);
+        gdlog::TerminationReasonName(engine.outcome().reason);
     std::printf("%% termination: %.*s (partial results)\n",
                 static_cast<int>(reason.size()), reason.data());
   }
