@@ -14,7 +14,11 @@
 // Lint and the rule compiler share one binding analysis: on every
 // program that loads, lint reports GD001/GD002/GD008 exactly when Run
 // refuses the program with one of them, with the join planner and
-// without it. A disagreement aborts.
+// without it. Load and lint share one structural verdict: every
+// LoadProgram refusal of a program that parses carries a GD code, an
+// AnalysisError is DiagnosticToStatus of a diagnostic lint reports, and
+// a program that loads has no structural error (GD009, GD101-GD109,
+// GD111) in lint. A disagreement aborts.
 //
 // The model oracle: a program with no meta literal (choice, least, most,
 // next) has a unique model. When its run completes, a rerun with
@@ -66,6 +70,52 @@ bool IsSafetyCode(std::string_view code) {
   return code == gdlog::diag::kUnsafeHeadVar ||
          code == gdlog::diag::kUnsafeBodyVar ||
          code == gdlog::diag::kUnboundExtremaCost;
+}
+
+bool IsStructureCode(std::string_view code) {
+  return code == gdlog::diag::kNotStageStratified ||
+         code == gdlog::diag::kMetaInNegation ||
+         (code >= gdlog::diag::kMultipleNext &&
+          code <= gdlog::diag::kMissingStageArg);
+}
+
+/// `text` parses. Aborts unless LoadProgram and lint agree on its
+/// structure.
+void CheckLoadAgreesWithLint(std::string_view text) {
+  gdlog::Engine engine;
+  const gdlog::Status load = engine.LoadProgram(text);
+  if (load.ok()) {
+    const auto lint = engine.Lint();
+    if (!lint.ok()) return;
+    for (const gdlog::Diagnostic& d : lint->diagnostics) {
+      if (d.severity == gdlog::DiagSeverity::kError &&
+          IsStructureCode(d.code)) {
+        std::fprintf(stderr, "loaded, yet lint reports\n%s",
+                     gdlog::RenderDiagnostic(d, "").c_str());
+        std::abort();
+      }
+    }
+    return;
+  }
+  if (gdlog::DiagCodeOfStatus(load).empty()) {
+    std::fprintf(stderr, "load refused without a code: %s\n",
+                 load.ToString().c_str());
+    std::abort();
+  }
+  if (load.code() != gdlog::StatusCode::kAnalysisError) return;
+  gdlog::ValueStore store;
+  const gdlog::LintResult lint = gdlog::LintSource(&store, text, {});
+  if (std::none_of(lint.diagnostics.begin(), lint.diagnostics.end(),
+                   [&](const gdlog::Diagnostic& d) {
+                     return gdlog::DiagnosticToStatus(d).ToString() ==
+                            load.ToString();
+                   })) {
+    std::fprintf(stderr,
+                 "load refusal is no lint diagnostic\n  load: %s\n%s",
+                 load.ToString().c_str(),
+                 gdlog::RenderDiagnostics(lint.diagnostics, "").c_str());
+    std::abort();
+  }
 }
 
 RunResult RunOnce(std::string_view text, bool seminaive, bool planner = true) {
@@ -153,6 +203,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       gdlog::absint::AnalysisToJson(r, &w);
       (void)w.Take();
       (void)gdlog::absint::SignaturesText(r);
+      CheckLoadAgreesWithLint(text);
     }
   }
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "analysis/rewriter.h"
+#include "analysis/stage.h"
 #include "obs/json.h"
 #include "storage/catalog.h"
 #include "storage/relation.h"
@@ -769,14 +770,15 @@ AnalysisResult Analyze(const Program& surface) {
       rel.Insert(TupleView(b.rows.data() + i * b.arity, b.arity));
     }
   }
-  Result<Program> expanded = ExpandNext(surface);
-  if (expanded.ok()) {
-    return AnalyzeProgram(surface, expanded.value(), facts);
+  // A malformed rule is reported by its GD1xx diagnostic elsewhere and
+  // cannot be expanded; the surface program still analyzes soundly
+  // (next() binds its stage variable to a nonnegative int).
+  for (const Rule& r : surface.rules) {
+    if (!RuleStructureDiagnostics(r).empty()) {
+      return AnalyzeProgram(surface, surface, facts);
+    }
   }
-  // Expansion failures carry their own GD1xx diagnostics elsewhere; the
-  // surface program still analyzes soundly (next() binds its stage
-  // variable to a nonnegative int).
-  return AnalyzeProgram(surface, surface, facts);
+  return AnalyzeProgram(surface, ExpandNext(surface), facts);
 }
 
 void AnalysisToJson(const AnalysisResult& r, JsonWriter* w) {

@@ -87,8 +87,8 @@ AnalysisResult AnalyzeProgram(const Program& surface, const Program& expanded,
 
 /// Convenience for callers holding only the surface program (fuzzer,
 /// tests): loads its fact batches into a scratch catalog, expands next()
-/// internally and falls back to analyzing the surface program when
-/// expansion fails.
+/// internally, and analyzes the surface program instead when a rule is
+/// malformed (RuleStructureDiagnostics), which ExpandNext cannot expand.
 AnalysisResult Analyze(const Program& surface);
 
 /// Renders the "analysis" JSON object: {"rounds": N, "predicates":

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <tuple>
+#include <utility>
 
 #include "obs/json.h"
 
@@ -19,112 +20,25 @@ std::string_view DiagSeverityName(DiagSeverity s) {
   return "?";
 }
 
-namespace {
-
-struct CodeEntry {
-  std::string_view code;
-  DiagSeverity severity;
-  std::string_view summary;
-};
-
-constexpr CodeEntry kCodeTable[] = {
-    {diag::kUnsafeHeadVar, DiagSeverity::kError,
-     "head variable not bound by any positive body goal"},
-    {diag::kUnsafeBodyVar, DiagSeverity::kError,
-     "variable in a negated or built-in goal not bound by any positive "
-     "body goal"},
-    {diag::kUndefinedPredicate, DiagSeverity::kWarning,
-     "predicate used in a rule body but never defined by a fact or rule"},
-    {diag::kUnusedPredicate, DiagSeverity::kWarning,
-     "predicate defined but never used"},
-    {diag::kArityMismatch, DiagSeverity::kWarning,
-     "predicate name used with inconsistent arities"},
-    {diag::kDuplicateChoice, DiagSeverity::kWarning,
-     "duplicate choice goal in one rule"},
-    {diag::kDegenerateChoice, DiagSeverity::kWarning,
-     "degenerate choice FD (trivially satisfied)"},
-    {diag::kUnboundExtremaCost, DiagSeverity::kError,
-     "extrema cost variable not bound by any positive body goal"},
-    {diag::kNotStageStratified, DiagSeverity::kError,
-     "recursive clique is not stage-stratified"},
-    {diag::kUnreachableRule, DiagSeverity::kWarning,
-     "rule cannot contribute to any query root"},
-    {diag::kRelaxedStratification, DiagSeverity::kNote,
-     "clique accepted under relaxed flat-rule stratification only"},
-    {diag::kProvablyEmpty, DiagSeverity::kWarning,
-     "rule body (or whole predicate) is provably unsatisfiable"},
-    {diag::kGuaranteedOverflow, DiagSeverity::kWarning,
-     "arithmetic site can never produce an in-range value"},
-    {diag::kParseError, DiagSeverity::kError, "syntax error"},
-    {diag::kMultipleNext, DiagSeverity::kError,
-     "rule has more than one next goal"},
-    {diag::kBadStageVar, DiagSeverity::kError,
-     "stage variable of next(...) must appear exactly once in the head"},
-    {diag::kMultipleExtrema, DiagSeverity::kError,
-     "rule has more than one extrema goal"},
-    {diag::kNonVariableCost, DiagSeverity::kError,
-     "extrema cost must be a single variable"},
-    {diag::kCostInGroup, DiagSeverity::kError,
-     "extrema cost variable may not appear in the grouping"},
-    {diag::kConflictingStagePos, DiagSeverity::kError,
-     "predicate has conflicting stage argument positions"},
-    {diag::kTwoHeadStagePos, DiagSeverity::kError,
-     "rule places stage variables at two head positions"},
-    {diag::kMixedRuleKinds, DiagSeverity::kError,
-     "predicate mixes next rules and flat recursive rules"},
-    {diag::kMissingStageArg, DiagSeverity::kError,
-     "predicate in a stage clique has no stage argument"},
-    {diag::kIntLiteralRange, DiagSeverity::kError,
-     "integer literal outside the engine's 61-bit value range"},
-    {diag::kDeadlineExceeded, DiagSeverity::kError,
-     "run stopped: wall-clock deadline exceeded"},
-    {diag::kTupleLimit, DiagSeverity::kError,
-     "run stopped: derived-tuple limit reached"},
-    {diag::kStageLimit, DiagSeverity::kError,
-     "run stopped: stage limit reached"},
-    {diag::kIterationLimit, DiagSeverity::kError,
-     "run stopped: fixpoint-iteration limit reached"},
-    {diag::kMemoryLimit, DiagSeverity::kError,
-     "run stopped: tracked-memory budget exceeded"},
-    {diag::kRunCancelled, DiagSeverity::kError,
-     "run stopped: cooperative cancellation requested"},
-    {diag::kOutOfMemory, DiagSeverity::kError,
-     "run stopped: allocation failure caught at the Run boundary"},
-    {diag::kInjectedFault, DiagSeverity::kError,
-     "run stopped: deterministic fault injected at a probe point"},
-    {diag::kWalError, DiagSeverity::kError,
-     "durability: WAL or checkpoint I/O failed (path and offset in message)"},
-    {diag::kWalCorrupt, DiagSeverity::kError,
-     "durability: WAL unreadable beyond a torn tail (bad header or replay)"},
-    {diag::kSnapshotCorrupt, DiagSeverity::kError,
-     "durability: snapshot or manifest failed its checksum"},
-    {diag::kTypeConflict, DiagSeverity::kError,
-     "variable has provably disjoint types at two uses"},
-    {diag::kNonIntArithmetic, DiagSeverity::kError,
-     "arithmetic operand can never be an int"},
-    {diag::kDeadChoice, DiagSeverity::kWarning,
-     "choice witness set is provably a singleton"},
-    {diag::kChoiceNeverRejects, DiagSeverity::kNote,
-     "choice rule admissibility reduces to the FD memo"},
-};
-
-const CodeEntry* FindCode(std::string_view code) {
-  for (const CodeEntry& e : kCodeTable) {
-    if (e.code == code) return &e;
-  }
-  return nullptr;
-}
-
-}  // namespace
-
 DiagSeverity DiagCodeSeverity(std::string_view code) {
-  const CodeEntry* e = FindCode(code);
-  return e ? e->severity : DiagSeverity::kError;
-}
-
-std::string_view DiagCodeSummary(std::string_view code) {
-  const CodeEntry* e = FindCode(code);
-  return e ? e->summary : std::string_view{};
+  // Every code not listed is an error.
+  static constexpr std::pair<std::string_view, DiagSeverity> kNonErrors[] = {
+      {diag::kUndefinedPredicate, DiagSeverity::kWarning},
+      {diag::kUnusedPredicate, DiagSeverity::kWarning},
+      {diag::kArityMismatch, DiagSeverity::kWarning},
+      {diag::kDuplicateChoice, DiagSeverity::kWarning},
+      {diag::kDegenerateChoice, DiagSeverity::kWarning},
+      {diag::kUnreachableRule, DiagSeverity::kWarning},
+      {diag::kRelaxedStratification, DiagSeverity::kNote},
+      {diag::kProvablyEmpty, DiagSeverity::kWarning},
+      {diag::kGuaranteedOverflow, DiagSeverity::kWarning},
+      {diag::kDeadChoice, DiagSeverity::kWarning},
+      {diag::kChoiceNeverRejects, DiagSeverity::kNote},
+  };
+  for (const auto& [c, severity] : kNonErrors) {
+    if (c == code) return severity;
+  }
+  return DiagSeverity::kError;
 }
 
 Diagnostic MakeDiagnostic(std::string_view code, std::string message) {

@@ -1,16 +1,18 @@
 // Structured compile-time diagnostics for gdlog programs.
 //
 // Every program-level complaint the frontend can raise — from the linter
-// (analysis/lint.h), the stage-stratification analysis (analysis/stage.h),
-// and the semantic rewriter (analysis/rewriter.h) — is a Diagnostic: a
-// stable code (GD001, GD102, ...), a severity, a one-line message, the
-// offending predicate and rule, a source location threaded from the
-// lexer, and optional note lines (e.g. the dependency cycle that breaks
-// stage-stratification). docs/DIAGNOSTICS.md catalogues every code.
+// (analysis/lint.h), rule safety (analysis/safety.h) and the rule-shape
+// and stage-stratification analysis (analysis/stage.h) — is a
+// Diagnostic: a stable code (GD001, GD102, ...), a severity, a one-line
+// message, the offending predicate and rule, a source location threaded
+// from the lexer, and optional note lines (e.g. the dependency cycle
+// that breaks stage-stratification). docs/DIAGNOSTICS.md catalogues
+// every code.
 //
-// Analysis passes that still report through Status embed the code in the
-// message ("[GD106] ..."); DiagCodeOfStatus recovers it so callers and
-// tests can dispatch on codes instead of message substrings.
+// The engine refuses a program with the Diagnostic lint prints, through
+// DiagnosticToStatus, which embeds the code in the message ("[GD106]
+// ..."); DiagCodeOfStatus recovers it so callers and tests can dispatch
+// on codes instead of message substrings.
 #ifndef GDLOG_ANALYSIS_DIAGNOSTICS_H_
 #define GDLOG_ANALYSIS_DIAGNOSTICS_H_
 
@@ -48,7 +50,7 @@ inline constexpr std::string_view kUnreachableRule = "GD010";
 inline constexpr std::string_view kRelaxedStratification = "GD011";
 inline constexpr std::string_view kProvablyEmpty = "GD012";
 inline constexpr std::string_view kGuaranteedOverflow = "GD013";
-// -- Parse / structural failures (parser, rewriter, stage analysis) -------
+// -- Parse / structural failures (parser, stage analysis) -----------------
 inline constexpr std::string_view kParseError = "GD100";
 inline constexpr std::string_view kMultipleNext = "GD101";
 inline constexpr std::string_view kBadStageVar = "GD102";
@@ -60,6 +62,7 @@ inline constexpr std::string_view kTwoHeadStagePos = "GD107";
 inline constexpr std::string_view kMixedRuleKinds = "GD108";
 inline constexpr std::string_view kMissingStageArg = "GD109";
 inline constexpr std::string_view kIntLiteralRange = "GD110";
+inline constexpr std::string_view kMetaInNegation = "GD111";
 // -- Run-time termination outcomes (common/guardrails.h) -------------------
 inline constexpr std::string_view kDeadlineExceeded = "GD200";
 inline constexpr std::string_view kTupleLimit = "GD201";
@@ -82,9 +85,6 @@ inline constexpr std::string_view kChoiceNeverRejects = "GD311";
 
 /// Default severity of a code ("GDnnn"); kError for unknown codes.
 DiagSeverity DiagCodeSeverity(std::string_view code);
-
-/// One-line catalogue summary of a code; empty for unknown codes.
-std::string_view DiagCodeSummary(std::string_view code);
 
 struct Diagnostic {
   std::string code;  // stable "GDnnn" identifier

@@ -8,8 +8,8 @@
 #include <string>
 #include <vector>
 
-#include "analysis/dep_graph.h"
 #include "analysis/safety.h"
+#include "common/logging.h"
 #include "parser/parser.h"
 
 namespace gdlog {
@@ -68,72 +68,13 @@ class Linter {
     return d;
   }
 
-  // -- GD101-GD105: per-rule structural errors ----------------------------
+  // -- GD101-GD105/GD111: rule shape (analysis/stage.h) --------------------
 
   void CheckRuleStructure(uint32_t ri) {
-    const Rule& r = program_.rules[ri];
-    std::vector<const Literal*> nexts;
-    std::vector<const Literal*> extrema;
-    for (const Literal& l : r.body) {
-      if (l.kind == LiteralKind::kNext) nexts.push_back(&l);
-      if (l.kind == LiteralKind::kLeast || l.kind == LiteralKind::kMost) {
-        extrema.push_back(&l);
-      }
-    }
-    if (nexts.size() > 1) {
+    for (Diagnostic& d : RuleStructureDiagnostics(program_.rules[ri])) {
       structural_error_ = true;
-      Emit(AtRule(diag::kMultipleNext,
-                  "rule for " + r.head.predicate + " has " +
-                      std::to_string(nexts.size()) +
-                      " next goals; at most one is allowed",
-                  ri, nexts[1]->loc));
-    } else if (nexts.size() == 1) {
-      const std::string& sv = nexts[0]->args[0].name;
-      int occurrences = 0;
-      for (const TermNode& arg : r.head.args) {
-        if (arg.is_var() && arg.name == sv) ++occurrences;
-      }
-      if (occurrences != 1) {
-        structural_error_ = true;
-        Emit(AtRule(diag::kBadStageVar,
-                    "stage variable " + sv + " of next(...) " +
-                        (occurrences == 0
-                             ? "does not appear in the head"
-                             : "appears more than once in the head") +
-                        " of a rule for " + r.head.predicate,
-                    ri, nexts[0]->loc));
-      }
-    }
-    if (extrema.size() > 1) {
-      structural_error_ = true;
-      Emit(AtRule(diag::kMultipleExtrema,
-                  "rule for " + r.head.predicate +
-                      " has more than one extrema goal",
-                  ri, extrema[1]->loc));
-    }
-    for (const Literal* ext : extrema) {
-      const TermNode& cost = ext->args[0];
-      const char* which =
-          ext->kind == LiteralKind::kLeast ? "least" : "most";
-      if (!cost.is_var()) {
-        structural_error_ = true;
-        Emit(AtRule(diag::kNonVariableCost,
-                    std::string(which) + " cost in a rule for " +
-                        r.head.predicate + " must be a single variable",
-                    ri, ext->loc));
-        continue;
-      }
-      const std::vector<std::string> group_vars =
-          DistinctVariables(ext->args[1]);
-      if (std::find(group_vars.begin(), group_vars.end(), cost.name) !=
-          group_vars.end()) {
-        structural_error_ = true;
-        Emit(AtRule(diag::kCostInGroup,
-                    std::string(which) + " cost variable " + cost.name +
-                        " also appears in the grouping of a rule for " +
-                        r.head.predicate,
-                    ri, ext->loc));
-      }
+      d.rule_index = static_cast<int>(program_.ClauseOf(ri));
+      Emit(std::move(d));
     }
   }
 
@@ -339,86 +280,21 @@ class Linter {
   // -- GD009/GD011/GD106-GD109: stage-stratification ----------------------
 
   void CheckStratification() {
+    // AnalyzeStages fails only on a malformed rule, reported above.
     if (structural_error_) return;
-    if (analysis_ != nullptr) {
-      CheckCliques(*analysis_);
-      return;
-    }
-    auto analyzed = AnalyzeStages(program_, options_.stage);
-    if (!analyzed.ok()) {
-      // Structural stage errors (conflicting stage positions etc.) come
-      // back through Status with an embedded code; surface them as-is.
-      std::string code = DiagCodeOfStatus(analyzed.status());
-      std::string msg = analyzed.status().message();
-      if (code.empty()) {
-        code = std::string(diag::kNotStageStratified);
-      } else {
-        msg = msg.substr(code.size() + 3);  // strip "[GDnnn] "
-      }
-      Emit(MakeDiagnostic(code, std::move(msg)));
-      return;
-    }
+    if (analysis_ != nullptr) return CheckCliques(*analysis_);
+    const Result<StageAnalysis> analyzed = AnalyzeStages(program_);
+    GDLOG_CHECK(analyzed.ok()) << analyzed.status().ToString();
     CheckCliques(*analyzed);
   }
 
   void CheckCliques(const StageAnalysis& a) {
-    const DependencyGraph& g = *a.graph;
     for (uint32_t scc : a.clique_order) {
-      const CliqueStageInfo& cl = a.cliques[scc];
-      if (cl.cls != CliqueClass::kRejected &&
-          cl.cls != CliqueClass::kRelaxedStage) {
-        continue;
+      const CliqueClass cls = a.cliques[scc].cls;
+      if (cls == CliqueClass::kRejected || cls == CliqueClass::kRelaxedStage) {
+        Emit(CliqueDiagnostic(program_, a, scc));
       }
-      const bool rejected = cl.cls == CliqueClass::kRejected;
-      std::string members;
-      for (size_t i = 0; i < cl.members.size(); ++i) {
-        if (i) members += ", ";
-        members += PredKey(g.name(cl.members[i]), g.arity(cl.members[i]));
-      }
-      std::string code = cl.code;
-      if (code.empty()) {
-        code = std::string(rejected ? diag::kNotStageStratified
-                                    : diag::kRelaxedStratification);
-      }
-      Diagnostic d = MakeDiagnostic(
-          code, rejected
-                    ? "recursive clique {" + members +
-                          "} is not stage-stratified"
-                    : "recursive clique {" + members +
-                          "} is accepted under relaxed flat-rule "
-                          "stratification only (stable-model guarantee "
-                          "does not follow syntactically)");
-      if (!cl.members.empty()) {
-        d.predicate = PredKey(g.name(cl.members[0]), g.arity(cl.members[0]));
-      }
-      if (!cl.rules.empty()) {
-        const CliqueClause first = FirstCliqueClause(program_, a, cl);
-        d.rule_index = static_cast<int>(first.clause);
-        d.loc = first.loc;
-      }
-      const std::string cycle = FormatCycle(g, scc);
-      if (!cycle.empty()) d.notes.push_back(cycle);
-      if (!cl.diagnostic.empty()) d.notes.push_back(cl.diagnostic);
-      Emit(std::move(d));
     }
-  }
-
-  /// "dependency cycle: p -> cand ~> blocked -> p" over the expanded
-  /// program's dependency graph; `~>` marks an edge under negation.
-  static std::string FormatCycle(const DependencyGraph& g, uint32_t scc) {
-    const std::vector<uint32_t> cycle = g.CycleWithin(scc);
-    if (cycle.empty()) return "";
-    bool any_negative = false;
-    std::string out = g.name(g.edges()[cycle.front()].from);
-    for (uint32_t ei : cycle) {
-      const DependencyGraph::Edge& e = g.edges()[ei];
-      any_negative |= e.negative;
-      out += e.negative ? " ~> " : " -> ";
-      out += g.name(e.to);
-    }
-    std::string text = "dependency cycle: " + out;
-    if (any_negative) text += " (~> marks a dependency under negation)";
-    return text;
   }
 
   const Program& program_;

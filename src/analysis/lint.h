@@ -12,11 +12,15 @@
 //   * duplicate or degenerate choice FD specifications (GD006, GD007);
 //   * stage-stratification (Section 4), with rejected cliques explained
 //     by the offending dependency cycle through the next/choice recursion
-//     (GD009, GD011, GD106-GD109);
+//     (GD009, GD011, GD106-GD109; CliqueDiagnostic in analysis/stage.h);
 //   * per-rule structural errors: multiple next/extrema goals, bad stage
-//     variables, malformed extrema costs (GD101-GD105);
+//     variables, malformed extrema costs, meta goals inside `not (...)`
+//     (GD101-GD105, GD111; RuleStructureDiagnostics in analysis/stage.h);
 //   * rules unreachable from the query roots, when roots are given
 //     (GD010).
+//
+// LoadProgram refuses a program with the first error AnalyzeStages
+// finds, so its refusal is a diagnostic lint prints.
 //
 // The pass never evaluates the program; it is pure syntax + analysis and
 // safe to run on untrusted input.
@@ -37,8 +41,6 @@ struct LintOptions {
   // unreachable-rule check (GD010) is skipped and the unused-predicate
   // check (GD004) treats every rule-defined sink predicate as a root.
   std::vector<Program::PredicateRef> roots;
-  // Options forwarded to the stage-stratification analysis.
-  StageAnalysisOptions stage;
 };
 
 struct LintResult {
@@ -53,7 +55,7 @@ struct LintResult {
 LintResult LintProgram(const Program& program, const LintOptions& options = {});
 
 /// Lints a program `analysis` already analyzed (the engine's, from
-/// LoadProgram); `options.stage` is not read.
+/// LoadProgram).
 LintResult LintProgram(const Program& program, const StageAnalysis& analysis,
                        const LintOptions& options = {});
 

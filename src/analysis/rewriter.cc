@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "analysis/diagnostics.h"
+#include "analysis/safety.h"
 #include "common/logging.h"
 
 namespace gdlog {
@@ -50,48 +50,29 @@ std::vector<std::string> DistinctVars(const std::vector<std::string>& names) {
 
 }  // namespace
 
-Result<Program> ExpandNext(const Program& program) {
+Program ExpandNext(const Program& program) {
   Program out;
   out.rules.reserve(program.rules.size());
   for (size_t ri = 0; ri < program.rules.size(); ++ri) {
     const Rule& r = program.rules[ri];
-    size_t next_count = std::count_if(
-        r.body.begin(), r.body.end(),
-        [](const Literal& l) { return l.kind == LiteralKind::kNext; });
-    if (next_count == 0) {
-      out.rules.push_back(r);
-      continue;
-    }
-    if (next_count > 1) {
-      return DiagnosticToStatus(MakeDiagnostic(
-          diag::kMultipleNext, "rule for " + r.head.predicate +
-                                   " has more than one next goal"));
-    }
-    // Locate the stage variable and its (unique) position in the head.
     const auto next_it = std::find_if(
         r.body.begin(), r.body.end(),
         [](const Literal& l) { return l.kind == LiteralKind::kNext; });
+    if (next_it == r.body.end()) {
+      out.rules.push_back(r);
+      continue;
+    }
+    // The stage variable and its position in the head, unique by the
+    // shape AnalyzeStages checks (RuleStructureDiagnostics).
     const std::string& stage_var = next_it->args[0].name;
-    int stage_pos = -1;
-    for (size_t j = 0; j < r.head.args.size(); ++j) {
-      const TermNode& arg = r.head.args[j];
-      if (arg.is_var() && arg.name == stage_var) {
-        if (stage_pos >= 0) {
-          return DiagnosticToStatus(MakeDiagnostic(
-              diag::kBadStageVar,
-              "stage variable " + stage_var + " appears more than once in "
-              "the head of a rule for " + r.head.predicate));
-        }
-        stage_pos = static_cast<int>(j);
-      }
-    }
-    if (stage_pos < 0) {
-      return DiagnosticToStatus(MakeDiagnostic(
-          diag::kBadStageVar,
-          "stage variable " + stage_var +
-              " of next(...) does not appear in the head of a rule for " +
-              r.head.predicate));
-    }
+    const auto is_stage = [&](const TermNode& t) {
+      return t.is_var() && t.name == stage_var;
+    };
+    GDLOG_CHECK_EQ(
+        std::count_if(r.head.args.begin(), r.head.args.end(), is_stage), 1);
+    const auto stage_pos = static_cast<int>(
+        std::find_if(r.head.args.begin(), r.head.args.end(), is_stage) -
+        r.head.args.begin());
     // Build: p(_..., I1), I = I1 + 1, choice(I, W), choice(W, I).
     // Fresh variables carry the rule's clause number, as --rewrite shows.
     Rule nr;
@@ -120,6 +101,7 @@ Result<Program> ExpandNext(const Program& program) {
         nr.body.push_back(l);
         continue;
       }
+      GDLOG_CHECK(&l == &*next_it) << "a rule with two next goals";
       nr.body.push_back(Literal::Atom(r.head.predicate, prev_args));
       nr.body.push_back(Literal::Comparison(
           ComparisonOp::kEq, TermNode::Var(stage_var),
@@ -233,44 +215,29 @@ Program RewriteChoice(const Program& program, ChoiceRewriteInfo* info) {
   return out;
 }
 
-Result<Program> RewriteExtrema(const Program& program) {
+Program RewriteExtrema(const Program& program) {
+  const auto is_extremum = [](const Literal& l) {
+    return l.kind == LiteralKind::kLeast || l.kind == LiteralKind::kMost;
+  };
   Program out;
   for (const Rule& r : program.rules) {
     if (!r.has_extrema()) {
       out.rules.push_back(r);
       continue;
     }
-    size_t count = std::count_if(
-        r.body.begin(), r.body.end(), [](const Literal& l) {
-          return l.kind == LiteralKind::kLeast || l.kind == LiteralKind::kMost;
-        });
-    if (count > 1) {
-      return DiagnosticToStatus(MakeDiagnostic(
-          diag::kMultipleExtrema, "rule for " + r.head.predicate +
-                                      " has more than one extrema goal"));
-    }
-    const auto ext_it = std::find_if(
-        r.body.begin(), r.body.end(), [](const Literal& l) {
-          return l.kind == LiteralKind::kLeast || l.kind == LiteralKind::kMost;
-        });
+    // One extremum whose cost is a variable outside its grouping, by the
+    // shape AnalyzeStages checks (RuleStructureDiagnostics).
+    GDLOG_CHECK_EQ(std::count_if(r.body.begin(), r.body.end(), is_extremum),
+                   1);
+    const auto ext_it = std::find_if(r.body.begin(), r.body.end(), is_extremum);
     const bool is_least = ext_it->kind == LiteralKind::kLeast;
     const TermNode& cost = ext_it->args[0];
-    const TermNode& group = ext_it->args[1];
-    if (!cost.is_var()) {
-      return DiagnosticToStatus(MakeDiagnostic(
-          diag::kNonVariableCost, "extrema cost in a rule for " +
-                                      r.head.predicate +
-                                      " must be a single variable"));
-    }
-    const std::vector<std::string> group_vars = DistinctVariables(group);
-    if (std::find(group_vars.begin(), group_vars.end(), cost.name) !=
-        group_vars.end()) {
-      return DiagnosticToStatus(MakeDiagnostic(
-          diag::kCostInGroup,
-          "extrema cost variable " + cost.name +
-              " may not also appear in the grouping of a rule for " +
-              r.head.predicate));
-    }
+    const std::vector<std::string> group_vars =
+        DistinctVariables(ext_it->args[1]);
+    GDLOG_CHECK(cost.is_var() &&
+                std::find(group_vars.begin(), group_vars.end(), cost.name) ==
+                    group_vars.end())
+        << "malformed extremum cost in a rule for " << r.head.predicate;
 
     Rule nr;
     nr.head = r.head;
@@ -296,6 +263,32 @@ Result<Program> RewriteExtrema(const Program& program) {
 }
 
 namespace {
+
+/// The stable-model checker tests a negated atom by membership in a
+/// fixed model, which needs a ground tuple. A negated atom with a local
+/// variable (`not e(_, X)`) is existentially quantified instead, so it
+/// becomes the negated conjunction `not (e(_, X))`, which
+/// NormalizeNotExists turns into an aux$ goal. `body` is `rule`'s body
+/// or a conjunction nested in it.
+void QuantifyLocalNegations(const Rule& rule, std::vector<Literal>* body) {
+  for (Literal& lit : *body) {
+    if (lit.kind == LiteralKind::kNotExists) {
+      QuantifyLocalNegations(rule, &lit.body);
+      continue;
+    }
+    if (!lit.is_negated_atom()) continue;
+    std::vector<std::string> vars;
+    CollectLiteralVariables(lit, &vars);
+    if (std::none_of(vars.begin(), vars.end(), [&](const std::string& v) {
+          return IsLocalVariable(v, lit, rule);
+        })) {
+      continue;
+    }
+    Literal atom = std::move(lit);
+    atom.negated = false;
+    lit = Literal::NotExists({std::move(atom)});
+  }
+}
 
 void NormalizeRule(const Rule& rule, uint32_t* aux_counter,
                    std::vector<Rule>* out) {
@@ -349,17 +342,11 @@ Program NormalizeNotExists(const Program& program) {
   return out;
 }
 
-Result<Program> FullSemanticExpansion(const Program& program) {
-  GDLOG_ASSIGN_OR_RETURN(Program p1, ExpandNext(program));
-  Program p2 = RewriteChoice(p1, nullptr);
-  GDLOG_ASSIGN_OR_RETURN(Program p3, RewriteExtrema(p2));
-  return NormalizeNotExists(p3);
-}
-
-Result<Program> ExpandForStageAnalysis(const Program& program) {
-  GDLOG_ASSIGN_OR_RETURN(Program p1, ExpandNext(program));
-  Program p2 = EraseChoice(p1);
-  return RewriteExtrema(p2);
+Program FullSemanticExpansion(const Program& program,
+                              ChoiceRewriteInfo* info) {
+  Program p = RewriteExtrema(RewriteChoice(ExpandNext(program), info));
+  for (Rule& r : p.rules) QuantifyLocalNegations(r, &r.body);
+  return NormalizeNotExists(p);
 }
 
 }  // namespace gdlog

@@ -21,6 +21,10 @@
 //                      auxiliary predicate + a plain negated atom, giving
 //                      a normal logic program for the GL-reduct checker
 //
+// The rewritings are defined for rules of the shape AnalyzeStages (the
+// load gate, analysis/stage.h) accepts, and check it with GDLOG_CHECK:
+// callers pass a program the gate accepted.
+//
 // Generated predicate names contain '$' (chosen$0, diffChoice$0, aux$1),
 // which user programs cannot lex — no capture is possible.
 #ifndef GDLOG_ANALYSIS_REWRITER_H_
@@ -31,7 +35,6 @@
 #include <vector>
 
 #include "ast/ast.h"
-#include "common/status.h"
 
 namespace gdlog {
 
@@ -40,9 +43,9 @@ struct RewriteOptions {
   std::string fresh_var_prefix = "R$";
 };
 
-/// Step 1. Fails if a rule uses next(I) with I not appearing exactly once
-/// among the head arguments, or uses multiple next goals.
-Result<Program> ExpandNext(const Program& program);
+/// Step 1. Each rule has at most one next(I), with I exactly once among
+/// its head arguments.
+Program ExpandNext(const Program& program);
 
 /// Describes one choice goal of a rewritten rule in terms of positions
 /// into the chosen$i predicate's argument list: the FD
@@ -65,29 +68,31 @@ struct ChoiceRewriteInfo {
   std::vector<Entry> entries;
 };
 
-/// Step 2. Purely syntactic; never fails on ExpandNext output. If `info`
-/// is non-null it receives the chosen/diffChoice metadata.
+/// Step 2. Purely syntactic. If `info` is non-null it receives the
+/// chosen/diffChoice metadata.
 Program RewriteChoice(const Program& program, ChoiceRewriteInfo* info);
 
 /// Step 2 variant used by stage analysis: simply erase choice goals (the
 /// paper's "eliminating the choice goals").
 Program EraseChoice(const Program& program);
 
-/// Step 3. Fails if a rule carries more than one extrema goal (the paper
-/// never combines two, and their interaction is unspecified), or if the
-/// extrema cost term is not a variable.
-Result<Program> RewriteExtrema(const Program& program);
+/// Step 3. Each rule has at most one extrema goal (the paper never
+/// combines two, and their interaction is unspecified), whose cost is a
+/// variable outside its grouping.
+Program RewriteExtrema(const Program& program);
 
 /// Step 4. Purely syntactic.
 Program NormalizeNotExists(const Program& program);
 
 /// The full pipeline 1-4: the normal logic program whose stable models
-/// define the meaning of `program`.
-Result<Program> FullSemanticExpansion(const Program& program);
-
-/// Steps 1-3 only (used by the stage-stratification checker, which wants
-/// to see NotExists bodies in place rather than behind aux predicates).
-Result<Program> ExpandForStageAnalysis(const Program& program);
+/// define the meaning of `program`, as the stable-model checker checks
+/// it and --rewrite prints it. Before step 4 a negated atom with a
+/// variable local to it (`not e(_, X)`) becomes the negated conjunction
+/// `not (e(_, X))`, so that every plain negated atom of the result is
+/// ground when it runs. `info`, when non-null, receives step 2's
+/// metadata.
+Program FullSemanticExpansion(const Program& program,
+                              ChoiceRewriteInfo* info = nullptr);
 
 /// Renames every variable in `lit` via `map`; variables not in the map
 /// are added with `fresh(name)`.

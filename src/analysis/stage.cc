@@ -358,7 +358,203 @@ void CollectOccurrences(const std::vector<Literal>& body,
   }
 }
 
+/// Infers the stage argument of every predicate of stage clique `s`
+/// into `a->stage_arg`: a next rule's stage variable fixes its head's,
+/// and flat rules propagate stage variables until nothing changes. A
+/// predicate given two positions (GD106), or a rule placing stage
+/// variables at two head positions (GD107), rejects the clique.
+void InferStagePositions(const Program& program, uint32_t s,
+                         StageAnalysis* a) {
+  const DependencyGraph& graph = *a->graph;
+  CliqueStageInfo& cl = a->cliques[s];
+  const auto reject = [&cl](std::string_view code, std::string why) {
+    cl.cls = CliqueClass::kRejected;
+    cl.code = std::string(code);
+    cl.diagnostic = std::move(why);
+  };
+  const auto conflict = [&](PredIndex head, int pos) {
+    reject(diag::kConflictingStagePos,
+           "predicate " + graph.name(head) + " has conflicting stage "
+           "argument positions " + std::to_string(a->stage_arg[head]) +
+           " and " + std::to_string(pos));
+  };
+  // Seed from next rules: the stage variable's position in the head.
+  for (uint32_t ri : cl.rules) {
+    if (a->rule_info[ri].kind != RuleKind::kNext) continue;
+    const Rule& r = program.rules[ri];
+    const std::string& sv = a->rule_info[ri].stage_var;
+    int pos = -1;
+    for (size_t j = 0; j < r.head.args.size(); ++j) {
+      if (r.head.args[j].is_var() && r.head.args[j].name == sv) {
+        pos = static_cast<int>(j);  // unique: RuleStructureDiagnostics
+      }
+    }
+    GDLOG_CHECK_GE(pos, 0);
+    const PredIndex head = graph.Lookup(
+        r.head.predicate, static_cast<uint32_t>(r.head.args.size()));
+    if (a->stage_arg[head] >= 0 && a->stage_arg[head] != pos) {
+      return conflict(head, pos);
+    }
+    a->stage_arg[head] = pos;
+  }
+  // Propagate through flat rules until stable.
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (uint32_t ri : cl.rules) {
+      if (a->rule_info[ri].kind == RuleKind::kNext) continue;
+      const Rule& r = program.rules[ri];
+      const auto sv = RuleStageVars(r, graph, s, a->stage_arg);
+      if (sv.empty()) continue;
+      const PredIndex head = graph.Lookup(
+          r.head.predicate, static_cast<uint32_t>(r.head.args.size()));
+      int pos = -1;
+      for (size_t j = 0; j < r.head.args.size(); ++j) {
+        const TermNode& t = r.head.args[j];
+        if (!t.is_var() || sv.count(t.name) == 0) continue;
+        if (pos >= 0) {
+          return reject(diag::kTwoHeadStagePos,
+                        "rule for " + graph.name(head) +
+                            " places stage variables at two head "
+                            "positions (" + std::to_string(pos) + " and " +
+                            std::to_string(j) + ")");
+        }
+        pos = static_cast<int>(j);
+      }
+      if (pos < 0 || a->stage_arg[head] == pos) continue;
+      if (a->stage_arg[head] >= 0) return conflict(head, pos);
+      a->stage_arg[head] = pos;
+      changed = true;
+    }
+  }
+}
+
+std::string PredKey(const DependencyGraph& g, PredIndex p) {
+  return g.name(p) + "/" + std::to_string(g.arity(p));
+}
+
+/// "dependency cycle: p -> cand ~> blocked -> p" over the expanded
+/// program's dependency graph; `~>` marks an edge under negation.
+std::string FormatCycle(const DependencyGraph& g, uint32_t scc) {
+  const std::vector<uint32_t> cycle = g.CycleWithin(scc);
+  if (cycle.empty()) return "";
+  bool any_negative = false;
+  std::string out = g.name(g.edges()[cycle.front()].from);
+  for (uint32_t ei : cycle) {
+    const DependencyGraph::Edge& e = g.edges()[ei];
+    any_negative |= e.negative;
+    out += e.negative ? " ~> " : " -> ";
+    out += g.name(e.to);
+  }
+  std::string text = "dependency cycle: " + out;
+  if (any_negative) text += " (~> marks a dependency under negation)";
+  return text;
+}
+
+std::string_view MetaGoalName(LiteralKind kind) {
+  switch (kind) {
+    case LiteralKind::kNext:
+      return "next";
+    case LiteralKind::kChoice:
+      return "choice";
+    case LiteralKind::kLeast:
+      return "least";
+    case LiteralKind::kMost:
+      return "most";
+    default:
+      return "?";
+  }
+}
+
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Rule shape
+// ---------------------------------------------------------------------------
+
+std::vector<Diagnostic> RuleStructureDiagnostics(const Rule& rule) {
+  const std::string& head = rule.head.predicate;
+  std::vector<Diagnostic> out;
+  const auto flag = [&](std::string_view code, std::string message,
+                        const Literal& goal) {
+    Diagnostic d = MakeDiagnostic(code, std::move(message));
+    d.predicate = head + "/" + std::to_string(rule.head.args.size());
+    d.loc = goal.loc.valid() ? goal.loc : rule.loc;
+    out.push_back(std::move(d));
+  };
+  // GD111: the rewritings place meta goals only at a body's top level.
+  std::function<void(const Literal&)> flag_negated = [&](const Literal& l) {
+    for (const Literal& inner : l.body) {
+      if (inner.is_meta()) {
+        flag(diag::kMetaInNegation,
+             std::string(MetaGoalName(inner.kind)) +
+                 " goal inside a negated conjunction in a rule for " + head,
+             inner);
+      }
+      flag_negated(inner);
+    }
+  };
+  const auto nexts = std::count_if(
+      rule.body.begin(), rule.body.end(),
+      [](const Literal& l) { return l.kind == LiteralKind::kNext; });
+  int next_seen = 0;
+  int extrema_seen = 0;
+  for (const Literal& l : rule.body) {
+    switch (l.kind) {
+      case LiteralKind::kNext: {
+        if (++next_seen == 2) {
+          flag(diag::kMultipleNext,
+               "rule for " + head + " has " + std::to_string(nexts) +
+                   " next goals; at most one is allowed",
+               l);
+        }
+        if (nexts != 1) break;
+        const std::string& sv = l.args[0].name;
+        const auto occurrences = std::count_if(
+            rule.head.args.begin(), rule.head.args.end(),
+            [&](const TermNode& t) { return t.is_var() && t.name == sv; });
+        if (occurrences != 1) {
+          flag(diag::kBadStageVar,
+               "stage variable " + sv + " of next(...) " +
+                   (occurrences == 0 ? "does not appear in the head"
+                                     : "appears more than once in the head") +
+                   " of a rule for " + head,
+               l);
+        }
+        break;
+      }
+      case LiteralKind::kLeast:
+      case LiteralKind::kMost: {
+        const std::string which(MetaGoalName(l.kind));
+        if (++extrema_seen == 2) {
+          flag(diag::kMultipleExtrema,
+               "rule for " + head + " has more than one extrema goal", l);
+        }
+        const TermNode& cost = l.args[0];
+        const std::vector<std::string> group = DistinctVariables(l.args[1]);
+        if (!cost.is_var()) {
+          flag(diag::kNonVariableCost,
+               which + " cost in a rule for " + head +
+                   " must be a single variable",
+               l);
+        } else if (std::find(group.begin(), group.end(), cost.name) !=
+                   group.end()) {
+          flag(diag::kCostInGroup,
+               which + " cost variable " + cost.name +
+                   " also appears in the grouping of a rule for " + head,
+               l);
+        }
+        break;
+      }
+      case LiteralKind::kNotExists:
+        flag_negated(l);
+        break;
+      default:
+        break;
+    }
+  }
+  return out;
+}
 
 // ---------------------------------------------------------------------------
 // Main analysis
@@ -385,16 +581,48 @@ CliqueClause FirstCliqueClause(const Program& program,
   return first;
 }
 
-Result<StageAnalysis> AnalyzeStages(const Program& program,
-                                    const StageAnalysisOptions& options) {
+Diagnostic CliqueDiagnostic(const Program& program,
+                            const StageAnalysis& analysis, uint32_t scc) {
+  const DependencyGraph& g = *analysis.graph;
+  const CliqueStageInfo& cl = analysis.cliques[scc];
+  GDLOG_CHECK(cl.cls == CliqueClass::kRejected ||
+              cl.cls == CliqueClass::kRelaxedStage);
+  std::string members;
+  for (size_t i = 0; i < cl.members.size(); ++i) {
+    if (i) members += ", ";
+    members += PredKey(g, cl.members[i]);
+  }
+  Diagnostic d = MakeDiagnostic(
+      cl.code, cl.cls == CliqueClass::kRejected
+                   ? "recursive clique {" + members +
+                         "} is not stage-stratified"
+                   : "recursive clique {" + members +
+                         "} is accepted under relaxed flat-rule "
+                         "stratification only (stable-model guarantee "
+                         "does not follow syntactically)");
+  d.predicate = PredKey(g, cl.members[0]);
+  const CliqueClause first = FirstCliqueClause(program, analysis, cl);
+  d.rule_index = static_cast<int>(first.clause);
+  d.loc = first.loc;
+  const std::string cycle = FormatCycle(g, scc);
+  if (!cycle.empty()) d.notes.push_back(cycle);
+  if (!cl.diagnostic.empty()) d.notes.push_back(cl.diagnostic);
+  return d;
+}
+
+Result<StageAnalysis> AnalyzeStages(const Program& program) {
+  for (uint32_t ri = 0; ri < program.rules.size(); ++ri) {
+    std::vector<Diagnostic> malformed =
+        RuleStructureDiagnostics(program.rules[ri]);
+    if (!malformed.empty()) return DiagnosticToStatus(malformed.front());
+  }
   StageAnalysis out;
-  GDLOG_ASSIGN_OR_RETURN(out.expanded, ExpandNext(program));
+  out.expanded = ExpandNext(program);
   out.graph = std::make_unique<DependencyGraph>(out.expanded);
   const DependencyGraph& graph = *out.graph;
 
   // The ordering-check form: choice erased, extrema rewritten.
-  Program check_form_tmp = EraseChoice(out.expanded);
-  GDLOG_ASSIGN_OR_RETURN(Program check_form, RewriteExtrema(check_form_tmp));
+  const Program check_form = RewriteExtrema(EraseChoice(out.expanded));
   GDLOG_CHECK_EQ(check_form.rules.size(), program.rules.size());
 
   const size_t num_rules = program.rules.size();
@@ -409,7 +637,6 @@ Result<StageAnalysis> AnalyzeStages(const Program& program,
   // Rule kinds. A rule is recursive (flat/next) when its body mentions a
   // predicate of its head's clique — on the *expanded* form, so next
   // rules are recursive by construction.
-  std::vector<uint32_t> scc_of_rule(num_rules);
   for (uint32_t ri = 0; ri < num_rules; ++ri) {
     const Rule& orig = program.rules[ri];
     const Rule& exp = out.expanded.rules[ri];
@@ -417,7 +644,6 @@ Result<StageAnalysis> AnalyzeStages(const Program& program,
         exp.head.predicate, static_cast<uint32_t>(exp.head.args.size()));
     GDLOG_CHECK_NE(head, kNoPred);
     const uint32_t scc = graph.scc_of(head);
-    scc_of_rule[ri] = scc;
     out.cliques[scc].rules.push_back(ri);
 
     bool recursive = false;
@@ -449,70 +675,7 @@ Result<StageAnalysis> AnalyzeStages(const Program& program,
 
   // Stage-position inference, per clique containing next rules.
   for (uint32_t s = 0; s < graph.num_sccs(); ++s) {
-    if (!out.cliques[s].has_next_rules) continue;
-    // Seed from next rules: the stage variable's position in the head.
-    for (uint32_t ri : out.cliques[s].rules) {
-      if (out.rule_info[ri].kind != RuleKind::kNext) continue;
-      const Rule& orig = program.rules[ri];
-      const std::string& sv = out.rule_info[ri].stage_var;
-      int pos = -1;
-      for (size_t j = 0; j < orig.head.args.size(); ++j) {
-        if (orig.head.args[j].is_var() && orig.head.args[j].name == sv) {
-          pos = static_cast<int>(j);  // uniqueness enforced by ExpandNext
-        }
-      }
-      GDLOG_CHECK_GE(pos, 0);
-      const PredIndex head = graph.Lookup(
-          orig.head.predicate, static_cast<uint32_t>(orig.head.args.size()));
-      if (out.stage_arg[head] >= 0 && out.stage_arg[head] != pos) {
-        return DiagnosticToStatus(MakeDiagnostic(
-            diag::kConflictingStagePos,
-            "predicate " + graph.name(head) + " has conflicting stage "
-            "argument positions " + std::to_string(out.stage_arg[head]) +
-            " and " + std::to_string(pos)));
-      }
-      out.stage_arg[head] = pos;
-    }
-    // Propagate through flat rules until stable.
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (uint32_t ri : out.cliques[s].rules) {
-        if (out.rule_info[ri].kind == RuleKind::kNext) continue;
-        const Rule& orig = program.rules[ri];
-        const auto sv = RuleStageVars(orig, graph, s, out.stage_arg);
-        if (sv.empty()) continue;
-        const PredIndex head = graph.Lookup(
-            orig.head.predicate,
-            static_cast<uint32_t>(orig.head.args.size()));
-        int pos = -1;
-        for (size_t j = 0; j < orig.head.args.size(); ++j) {
-          const TermNode& t = orig.head.args[j];
-          if (t.is_var() && sv.count(t.name)) {
-            if (pos >= 0) {
-              return DiagnosticToStatus(MakeDiagnostic(
-                  diag::kTwoHeadStagePos,
-                  "rule for " + graph.name(head) +
-                      " places stage variables at two head positions (" +
-                      std::to_string(pos) + " and " + std::to_string(j) +
-                      ")"));
-            }
-            pos = static_cast<int>(j);
-          }
-        }
-        if (pos < 0) continue;
-        if (out.stage_arg[head] == pos) continue;
-        if (out.stage_arg[head] >= 0) {
-          return DiagnosticToStatus(MakeDiagnostic(
-              diag::kConflictingStagePos,
-              "predicate " + graph.name(head) + " has conflicting stage "
-              "argument positions " + std::to_string(out.stage_arg[head]) +
-              " and " + std::to_string(pos)));
-        }
-        out.stage_arg[head] = pos;
-        changed = true;
-      }
-    }
+    if (out.cliques[s].has_next_rules) InferStagePositions(program, s, &out);
   }
 
   // Record head stage positions on rules.
@@ -526,6 +689,7 @@ Result<StageAnalysis> AnalyzeStages(const Program& program,
   // Per-clique classification.
   for (uint32_t s = 0; s < graph.num_sccs(); ++s) {
     CliqueStageInfo& cl = out.cliques[s];
+    if (cl.cls == CliqueClass::kRejected) continue;  // stage positions
     const bool recursive = graph.IsRecursive(s);
     const bool internal_neg = graph.HasInternalNegation(s);
 
@@ -639,13 +803,10 @@ Result<StageAnalysis> AnalyzeStages(const Program& program,
       cl.cls = CliqueClass::kRejected;
       cl.code = diag::kNotStageStratified;
     } else if (flat_violation) {
-      if (options.allow_relaxed_flat_rules) {
-        cl.cls = CliqueClass::kRelaxedStage;
-        cl.code = diag::kRelaxedStratification;
-      } else {
-        cl.cls = CliqueClass::kRejected;
-        cl.code = diag::kNotStageStratified;
-      }
+      // The fixpoint is still well-defined; Theorem 1's stable-model
+      // guarantee no longer follows syntactically (Section 7, Kruskal).
+      cl.cls = CliqueClass::kRelaxedStage;
+      cl.code = diag::kRelaxedStratification;
     } else {
       cl.cls = CliqueClass::kStageStratified;
       cl.diagnostic.clear();

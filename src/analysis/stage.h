@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "analysis/dep_graph.h"
+#include "analysis/diagnostics.h"
 #include "ast/ast.h"
 #include "common/status.h"
 
@@ -93,22 +94,15 @@ struct StageAnalysis {
   // Clique ids in dependency order (callees first) — the stratum
   // saturation order of the fixpoint drivers.
   std::vector<uint32_t> clique_order;
-
-  bool AllAccepted() const {
-    for (const CliqueStageInfo& c : cliques) {
-      if (c.cls == CliqueClass::kRejected) return false;
-    }
-    return true;
-  }
 };
 
-struct StageAnalysisOptions {
-  // Accept stage cliques whose flat rules break strict stratification
-  // (classified kRelaxedStage instead of kRejected). The fixpoint is still
-  // well-defined operationally; the stable-model guarantee of Theorem 1
-  // no longer follows syntactically — the paper's Kruskal discussion.
-  bool allow_relaxed_flat_rules = true;
-};
+/// GD101-GD105 and GD111 for `rule`: the shape the rewritings of next,
+/// choice and least/most (Sections 2-3) are defined for. At most one
+/// next goal, whose stage variable appears exactly once in the head; at
+/// most one extremum, whose cost is a variable outside its grouping; no
+/// next, choice, least or most inside `not (...)`, at any depth. In body
+/// order, each located at its goal and naming the head predicate.
+std::vector<Diagnostic> RuleStructureDiagnostics(const Rule& rule);
 
 /// The first source clause defining a member of `clique` — a rule, or a
 /// ground fact of a member predicate — which diagnostics about the
@@ -121,13 +115,19 @@ CliqueClause FirstCliqueClause(const Program& program,
                                const StageAnalysis& analysis,
                                const CliqueStageInfo& clique);
 
+/// The diagnostic of clique `scc`, rejected or relaxed: its code, the
+/// members, the dependency cycle and the analysis' explanation as
+/// notes, located at FirstCliqueClause. LoadProgram refuses a rejected
+/// clique with it, and lint prints it.
+Diagnostic CliqueDiagnostic(const Program& program,
+                            const StageAnalysis& analysis, uint32_t scc);
+
 /// Runs the full analysis on `program` (original surface form, with
-/// next/choice/least goals in place). Fails only on structural errors
-/// (malformed next goals, conflicting stage positions, mixed rule kinds,
-/// extrema misuse); mere loss of stage-stratification is reported per
-/// clique via CliqueClass.
-Result<StageAnalysis> AnalyzeStages(const Program& program,
-                                    const StageAnalysisOptions& options = {});
+/// next/choice/least goals in place). Fails only when a rule is
+/// malformed, with the first RuleStructureDiagnostics of the first such
+/// rule; every other problem rejects its clique (CliqueClass) and the
+/// analysis goes on with the others.
+Result<StageAnalysis> AnalyzeStages(const Program& program);
 
 }  // namespace gdlog
 

@@ -329,22 +329,14 @@ Status Engine::LoadProgramAst(Program program) {
     const uint64_t t0 = WallNowNs();
     auto analyzed = [&] {
       TraceSpan span(tracer_.get(), "analyze", "engine");
-      return AnalyzeStages(program, options_.stage);
+      return AnalyzeStages(program);
     }();
     phase_times_.analyze_ns += WallNowNs() - t0;
     GDLOG_RETURN_IF_ERROR(analyzed.status());
-    for (const CliqueStageInfo& cl : analyzed->cliques) {
-      if (cl.cls != CliqueClass::kRejected) continue;
-      Diagnostic d = MakeDiagnostic(
-          cl.code.empty() ? std::string_view(diag::kNotStageStratified)
-                          : std::string_view(cl.code),
-          cl.diagnostic);
-      if (!cl.rules.empty()) {
-        const CliqueClause first = FirstCliqueClause(program, *analyzed, cl);
-        d.rule_index = static_cast<int>(first.clause);
-        d.loc = first.loc;
+    for (uint32_t scc = 0; scc < analyzed->cliques.size(); ++scc) {
+      if (analyzed->cliques[scc].cls == CliqueClass::kRejected) {
+        return DiagnosticToStatus(CliqueDiagnostic(program, *analyzed, scc));
       }
-      return DiagnosticToStatus(d);
     }
     // The facts load as data, timed as the load phase. A failed insert
     // leaves no program loaded, so the load can be retried; rows
@@ -1198,7 +1190,7 @@ Status Engine::WriteMetricsText(const std::string& path) const {
 
 Result<std::string> Engine::RewrittenProgramText() const {
   if (!program_) return Status::InvalidArgument("no program loaded");
-  GDLOG_ASSIGN_OR_RETURN(Program full, FullSemanticExpansion(*program_));
+  Program full = FullSemanticExpansion(*program_);
   full.facts = program_->facts;
   return ProgramToString(*store_, full);
 }

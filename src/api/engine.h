@@ -66,7 +66,6 @@ struct DurabilityOptions {
 
 struct EngineOptions {
   EvalOptions eval;
-  StageAnalysisOptions stage;
   /// Observability switches. Histogram metrics and the flight recorder
   /// are always on by default (both lock-free, sub-5% overhead); the
   /// Chrome-trace tracer stays opt-in via obs.enabled. See
@@ -155,16 +154,17 @@ class Engine {
   Value Nil() { return Value::Nil(); }
 
   /// Parses and analyzes a program, then inserts its inline facts into
-  /// the catalog. Fails on parse errors, structural stage errors, and
-  /// rejected cliques (recursion through negation that is not
-  /// stage-stratified). The ground facts never become rules: the parser
-  /// turns them into relation rows (program()->facts), and they enter
-  /// the catalog here, at load, one batch per predicate through the EDB
-  /// load path AddFacts takes — ahead of any later AddFact rows,
-  /// WAL-logged when durability is on, and retractable before Run like
-  /// any other EDB tuple. Reloading a program against a recovered
-  /// database logs nothing new: every fact is already there. The insert
-  /// is timed as the load phase (phase_times().load_ns).
+  /// the catalog. Fails on parse errors, on a malformed rule and on a
+  /// rejected clique (not stage-stratified), with the code, text and
+  /// location of the diagnostic Lint prints for it (AnalyzeStages and
+  /// CliqueDiagnostic, analysis/stage.h). The ground facts never become
+  /// rules: the parser turns them into relation rows (program()->facts),
+  /// and they enter the catalog here, at load, one batch per predicate
+  /// through the EDB load path AddFacts takes — ahead of any later
+  /// AddFact rows, WAL-logged when durability is on, and retractable
+  /// before Run like any other EDB tuple. Reloading a program against a
+  /// recovered database logs nothing new: every fact is already there.
+  /// The insert is timed as the load phase (phase_times().load_ns).
   Status LoadProgram(std::string_view text);
   /// Same, from an already-built AST. Ground facts left among its rules
   /// (a programmatically built program has them there) move to its
@@ -319,7 +319,8 @@ class Engine {
   Status WriteTrace(const std::string& path) const;
 
   /// The first-order rewriting whose stable models define this program's
-  /// meaning (Sections 2-3), pretty-printed.
+  /// meaning (Sections 2-3), pretty-printed: the program
+  /// VerifyStableModel checks.
   Result<std::string> RewrittenProgramText() const;
 
   /// Human-readable report of the Section 4 analysis: every recursive

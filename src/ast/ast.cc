@@ -107,24 +107,6 @@ ComparisonOp FlipComparison(ComparisonOp op) {
   return op;
 }
 
-ComparisonOp NegateComparison(ComparisonOp op) {
-  switch (op) {
-    case ComparisonOp::kEq:
-      return ComparisonOp::kNe;
-    case ComparisonOp::kNe:
-      return ComparisonOp::kEq;
-    case ComparisonOp::kLt:
-      return ComparisonOp::kGe;
-    case ComparisonOp::kLe:
-      return ComparisonOp::kGt;
-    case ComparisonOp::kGt:
-      return ComparisonOp::kLe;
-    case ComparisonOp::kGe:
-      return ComparisonOp::kLt;
-  }
-  return op;
-}
-
 void CollectLiteralVariables(const Literal& lit,
                              std::vector<std::string>* out) {
   for (const TermNode& t : lit.args) CollectVariables(t, out);

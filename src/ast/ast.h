@@ -124,8 +124,6 @@ enum class ComparisonOp : uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
 std::string_view ComparisonOpName(ComparisonOp op);
 /// The comparison with swapped operands (kLt -> kGt etc.).
 ComparisonOp FlipComparison(ComparisonOp op);
-/// The negated comparison (kLt -> kGe etc.).
-ComparisonOp NegateComparison(ComparisonOp op);
 
 enum class LiteralKind : uint8_t {
   kAtom,        // p(t1,...,tn), possibly negated

@@ -36,15 +36,6 @@ class Arena {
   /// Copies `s` into the arena; the view stays valid for the arena's life.
   std::string_view CopyString(std::string_view s);
 
-  /// Allocates an uninitialized array of T (trivially destructible only —
-  /// the arena never runs destructors).
-  template <typename T>
-  T* AllocateArray(size_t count) {
-    static_assert(std::is_trivially_destructible_v<T>,
-                  "Arena does not run destructors");
-    return static_cast<T*>(Allocate(count * sizeof(T), alignof(T)));
-  }
-
   /// Total bytes handed out (for accounting in EXPERIMENTS.md memory rows).
   size_t bytes_allocated() const { return bytes_allocated_; }
 

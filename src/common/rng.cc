@@ -53,6 +53,5 @@ double Rng::NextDouble() {
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
-Rng Rng::Split() { return Rng(Next() ^ 0xd1b54a32d192ed03ull); }
 
 }  // namespace gdlog

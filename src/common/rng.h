@@ -32,9 +32,6 @@ class Rng {
   /// Uniform double in [0, 1).
   double NextDouble();
 
-  /// An independent generator split from this one's stream.
-  Rng Split();
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>* v) {

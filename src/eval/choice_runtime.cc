@@ -144,10 +144,4 @@ std::vector<std::vector<Value>> ChoiceRuntime::ChosenTuples(
   return out;
 }
 
-size_t ChoiceRuntime::TotalChosen() const {
-  size_t n = 0;
-  for (const RuleMemo& m : memos_) n += m.num_chosen;
-  return n;
-}
-
 }  // namespace gdlog

@@ -51,8 +51,6 @@ class ChoiceRuntime {
   /// out per CompiledRule::chosen_slots.
   std::vector<std::vector<Value>> ChosenTuples(int gamma_index) const;
 
-  size_t TotalChosen() const;
-
   /// Charges the FD tables and chosen tuples to `budget` (which must
   /// outlive this runtime), now and whenever one of them grows.
   void set_memory_budget(MemoryBudget* budget);

@@ -149,15 +149,15 @@ bool MatchTerm(const std::vector<CTerm>& pool, uint32_t t, Value v,
 
 namespace {
 
-Result<ArithOp> ArithOpOf(const std::string& name) {
+ArithOp ArithOpOf(const std::string& name) {
   if (name == "+") return ArithOp::kAdd;
   if (name == "-") return ArithOp::kSub;
   if (name == "*") return ArithOp::kMul;
   if (name == "/") return ArithOp::kDiv;
   if (name == "mod") return ArithOp::kMod;
   if (name == "min") return ArithOp::kMin;
-  if (name == "max") return ArithOp::kMax;
-  return Status::Internal("unknown arithmetic functor " + name);
+  GDLOG_CHECK_EQ(name, "max") << name << " is not an arithmetic functor";
+  return ArithOp::kMax;
 }
 
 class RuleCompiler {
@@ -176,7 +176,9 @@ class RuleCompiler {
     out_.rule_index = program.ClauseOf(rule_index);
   }
 
-  Result<CompiledRule> Compile() {
+  /// Compiles a rule of a program AnalyzeStages accepted, which
+  /// CompileProgram found safe.
+  CompiledRule Compile() {
     const RuleStageInfo& info = analysis_.rule_info[rule_pos_];
     out_.is_next = info.kind == RuleKind::kNext;
     out_.head_stage_pos = info.head_stage_pos;
@@ -202,7 +204,7 @@ class RuleCompiler {
     // writes `I = max(J, K)` after the negated conjunctions that read
     // I). Meta goals are extracted first; for next rules, literals that
     // need the stage variable wait for the post phase.
-    GDLOG_RETURN_IF_ERROR(CompileBodyReordered());
+    CompileBodyReordered();
 
     // Implicit + explicit choice specs and chosen$ slots, in the order
     // RewriteChoice sees them on the expanded rule.
@@ -233,11 +235,6 @@ class RuleCompiler {
   }
 
  private:
-  Status Error(const std::string& msg) const {
-    return Status::AnalysisError("rule for " + rule_.head.predicate + ": " +
-                                 msg);
-  }
-
   uint32_t SlotOf(const std::string& name) {
     auto it = slots_.find(name);
     if (it != slots_.end()) return it->second;
@@ -261,9 +258,7 @@ class RuleCompiler {
       case TermKind::kCompound: {
         if (IsArithmeticTerm(t)) {
           ct.kind = CTerm::Kind::kArith;
-          auto op = ArithOpOf(t.name);
-          GDLOG_CHECK(op.ok());
-          ct.op = *op;
+          ct.op = ArithOpOf(t.name);
         } else {
           ct.kind = CTerm::Kind::kConstruct;
           ct.functor = t.is_tuple()
@@ -416,7 +411,7 @@ class RuleCompiler {
     return stage_derived_.count(it->second) > 0;
   }
 
-  Status CompileBodyReordered() {
+  void CompileBodyReordered() {
     std::vector<const Literal*> work;
     for (const Literal& lit : rule_.body) {
       switch (lit.kind) {
@@ -424,7 +419,6 @@ class RuleCompiler {
           break;  // metadata handled via StageAnalysis
         case LiteralKind::kLeast:
         case LiteralKind::kMost: {
-          if (out_.has_extremum) return Error("multiple extrema goals");
           out_.has_extremum = true;
           out_.is_least = lit.kind == LiteralKind::kLeast;
           out_.cost_term = CompileTerm(lit.args[0]);
@@ -450,13 +444,11 @@ class RuleCompiler {
     }
 
     auto main_work = work;
-    GDLOG_RETURN_IF_ERROR(CompilePhase(&main_work, &out_.generator,
-                                       /*in_post=*/false, nullptr,
-                                       /*record=*/planner_ != nullptr));
+    CompilePhase(&main_work, &out_.generator, /*in_post=*/false, nullptr,
+                 /*record=*/planner_ != nullptr);
     const size_t post_goals = main_work.size();
     if (out_.is_next) {
-      GDLOG_RETURN_IF_ERROR(CompilePhase(&main_work, &out_.post,
-                                         /*in_post=*/true, nullptr));
+      CompilePhase(&main_work, &out_.post, /*in_post=*/true, nullptr);
     }
     // RuleSafetyDiagnostics found the rule safe: every goal could run.
     GDLOG_CHECK(main_work.empty()) << "body goal never ready";
@@ -475,17 +467,15 @@ class RuleCompiler {
       stage_derived_.clear();
       out_.generator_bound_slots.clear();
       MarkHeadParamsBound();
-      Status st = CompilePhase(&variant_work, &out_.delta_plans[occ],
-                               /*in_post=*/false, pinned);
+      CompilePhase(&variant_work, &out_.delta_plans[occ], /*in_post=*/false,
+                   pinned);
       generator_bound_ = saved_gen;
       post_bound_ = saved_post;
       stage_derived_ = saved_stage;
       out_.generator_bound_slots = saved_slots;
-      GDLOG_RETURN_IF_ERROR(st);
       // Readiness is monotone: the variant runs what the generator runs.
       GDLOG_CHECK_EQ(variant_work.size(), post_goals);
     }
-    return Status::OK();
   }
 
   /// Bound columns of an atom under the current bound set: CompileAtom's
@@ -545,9 +535,9 @@ class RuleCompiler {
     out_.plan_decisions.push_back(std::move(d));
   }
 
-  Status CompilePhase(std::vector<const Literal*>* work,
-                      std::vector<CompiledLiteral>* plan, bool in_post,
-                      const Literal* pinned_first, bool record = false) {
+  void CompilePhase(std::vector<const Literal*>* work,
+                    std::vector<CompiledLiteral>* plan, bool in_post,
+                    const Literal* pinned_first, bool record = false) {
     bool progress = true;
     bool pin_pending = pinned_first != nullptr;
     while (progress && !work->empty()) {
@@ -600,17 +590,13 @@ class RuleCompiler {
             if (in_post && AlwaysTruePostComparison(lit)) break;
             CompileComparison(lit, plan, in_post);
             break;
-          case LiteralKind::kNotExists:
-            GDLOG_RETURN_IF_ERROR(CompileNotExists(lit, plan, in_post));
-            break;
-          default:
-            return Status::Internal("meta goal in work list");
+          default:  // kNotExists; meta goals never enter the work list
+            CompileNotExists(lit, plan, in_post);
         }
         work->erase(work->begin() + pick);
         progress = true;
       }
     }
-    return Status::OK();
   }
 
   bool Ready(const Literal& lit, bool in_post) const {
@@ -734,8 +720,8 @@ class RuleCompiler {
     plan->push_back(std::move(cl));
   }
 
-  Status CompileNotExists(const Literal& lit,
-                          std::vector<CompiledLiteral>* plan, bool in_post) {
+  void CompileNotExists(const Literal& lit,
+                        std::vector<CompiledLiteral>* plan, bool in_post) {
     CompiledLiteral cl;
     cl.kind = CompiledLiteral::Kind::kNotExists;
     const bool saved = in_subplan_;
@@ -749,10 +735,9 @@ class RuleCompiler {
       const auto next = std::find_if(
           work.begin(), work.end(),
           [&](const Literal* inner) { return Ready(*inner, in_post); });
-      // The rule is safe, so only a goal that never runs is left.
-      if (next == work.end()) {
-        return Error("meta goal inside a negated conjunction");
-      }
+      // The rule is safe and has no meta goal inside `not (...)`
+      // (GD111), so some goal is ready.
+      GDLOG_CHECK(next != work.end()) << "goal inside not (...) never ready";
       const Literal& inner = **next;
       switch (inner.kind) {
         case LiteralKind::kAtom:
@@ -762,14 +747,13 @@ class RuleCompiler {
           CompileComparison(inner, &cl.sub, in_post);
           break;
         default:
-          GDLOG_RETURN_IF_ERROR(CompileNotExists(inner, &cl.sub, in_post));
+          CompileNotExists(inner, &cl.sub, in_post);
       }
       work.erase(next);
     }
     in_subplan_ = saved;
     subplan_bound_ = std::move(saved_bound);
     plan->push_back(std::move(cl));
-    return Status::OK();
   }
 
   void BuildChoiceSpecs() {
@@ -962,7 +946,7 @@ Result<std::vector<CompiledRule>> CompileProgram(
     if (program.rules[ri].is_fact()) continue;
     RuleCompiler rc(program, analysis, ri, catalog, store,
                     head_bound(program.rules[ri]), options.planner);
-    GDLOG_ASSIGN_OR_RETURN(CompiledRule cr, rc.Compile());
+    CompiledRule cr = rc.Compile();
     if (cr.is_gamma) cr.gamma_index = gamma_counter++;
     out.push_back(std::move(cr));
   }

@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "analysis/rewriter.h"
-#include "analysis/safety.h"
 #include "analysis/stage.h"
 #include "common/logging.h"
 #include "eval/rule_compiler.h"
@@ -42,33 +41,6 @@ bool DiffChoiceHolds(const ChoiceRewriteInfo::Entry& entry,
   return false;
 }
 
-/// The negation oracle tests a negated atom by membership in the fixed
-/// model, which needs a ground tuple. A negated atom with a local
-/// variable (`not e(_, X)`) is existentially quantified instead, so it
-/// becomes the negated conjunction `not (e(_, X))`, which
-/// NormalizeNotExists turns into an aux$ goal the checker evaluates
-/// top-down against the same model. `body` is `rule`'s body or a
-/// conjunction nested in it.
-void QuantifyLocalNegations(const Rule& rule, std::vector<Literal>* body) {
-  for (Literal& lit : *body) {
-    if (lit.kind == LiteralKind::kNotExists) {
-      QuantifyLocalNegations(rule, &lit.body);
-      continue;
-    }
-    if (lit.kind != LiteralKind::kAtom || !lit.negated) continue;
-    std::vector<std::string> vars;
-    CollectLiteralVariables(lit, &vars);
-    if (std::none_of(vars.begin(), vars.end(), [&](const std::string& v) {
-          return IsLocalVariable(v, lit, rule);
-        })) {
-      continue;
-    }
-    Literal atom = std::move(lit);
-    atom.negated = false;
-    lit = Literal::NotExists({std::move(atom)});
-  }
-}
-
 }  // namespace
 
 Result<StableCheckResult> CheckStableModel(
@@ -76,12 +48,8 @@ Result<StableCheckResult> CheckStableModel(
     const std::vector<std::vector<std::vector<Value>>>& chosen_by_rule,
     const std::vector<size_t>& edb_rows) {
   // ---- 1. Rewrite to normal form -----------------------------------------
-  GDLOG_ASSIGN_OR_RETURN(Program p1, ExpandNext(original));
   ChoiceRewriteInfo info;
-  Program p2 = RewriteChoice(p1, &info);
-  GDLOG_ASSIGN_OR_RETURN(Program p3, RewriteExtrema(p2));
-  for (Rule& r : p3.rules) QuantifyLocalNegations(r, &r.body);
-  Program full = NormalizeNotExists(p3);
+  Program full = FullSemanticExpansion(original, &info);
 
   if (info.entries.size() != chosen_by_rule.size()) {
     return Status::InvalidArgument(

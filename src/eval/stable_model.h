@@ -5,7 +5,8 @@
 // first-order rewriting. This checker verifies that claim directly for a
 // concrete run:
 //
-//   1. the program is rewritten to its normal form (next expanded,
+//   1. the program is rewritten to its normal form by
+//      FullSemanticExpansion, the form --rewrite prints (next expanded,
 //      choice -> chosen$/diffChoice$, extrema -> negation, NotExists ->
 //      aux$ predicates);
 //   2. the candidate model M+ is assembled from the engine's relations,
@@ -43,7 +44,8 @@ struct StableCheckResult {
 
 /// Verifies that the contents of `model_catalog` (plus `chosen_by_rule`,
 /// indexed like RewriteChoice's chosen$i) form a stable model of
-/// `original`. `store` must be the ValueStore the model was built with.
+/// `original`, a program AnalyzeStages accepts. `store` must be the
+/// ValueStore the model was built with.
 /// The first `edb_rows[pred]` rows of each relation (none past the
 /// vector's end) are its EDB rows (user facts + program facts): those
 /// rows seed the reduct's least fixpoint as extensional input.

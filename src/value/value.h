@@ -122,8 +122,6 @@ class ValueStore {
   void set_memory_budget(MemoryBudget* budget);
 
   // -- Construction ------------------------------------------------------
-  Value MakeInt(int64_t v) const { return Value::Int(v); }
-  Value MakeNil() const { return Value::Nil(); }
   Value MakeSymbol(std::string_view name);
   /// Interns the ground term functor(args...). A 0-ary term is distinct
   /// from the symbol of the same name.
@@ -145,7 +143,6 @@ class ValueStore {
   /// This is the order implemented by the <, <=, >, >= builtins and the
   /// least/most extrema.
   int Compare(Value a, Value b) const;
-  bool Less(Value a, Value b) const { return Compare(a, b) < 0; }
 
   std::string ToString(Value v) const;
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/lint.h"
 #include "obs/json.h"
 
 namespace gdlog {
@@ -183,24 +184,130 @@ TEST(Api, GoalsRunInTheOrderReadinessFinds) {
 }
 
 // A Run that fails at compile leaves the EDB editable: a retract after
-// it removes the row, whether the compile failed before indexing the
-// relation (an unsafe rule) or after (a goal it cannot compile).
+// it removes the row. The compiler refuses only unsafe rules, before it
+// indexes any relation; storage_test's Index.RetractRebuildsTheIndexes
+// covers a retract from an indexed relation.
 TEST(Api, RetractAfterARunThatFailedAtCompile) {
-  const char* programs[] = {
-      "q(1,2). r(2). p(X) <- q(X, Y), r(Y). s(X, Z) <- q(X, Y).",
-      "q(1,2). r(2). p(X) <- q(X, Y), r(Y).\n"
-      "s(X) <- q(X, Y), not (r(Y), choice(X, Y)).",
-  };
-  const char* codes[] = {"GD001", ""};
-  for (size_t i = 0; i < 2; ++i) {
-    Engine e;
-    ASSERT_TRUE(e.LoadProgram(programs[i]).ok());
-    const Status run = e.Run();
-    EXPECT_EQ(run.code(), StatusCode::kAnalysisError) << run.ToString();
-    EXPECT_EQ(DiagCodeOfStatus(run), codes[i]) << run.ToString();
-    EXPECT_TRUE(e.RetractFact("r", {Value::Int(2)}).ok());
-    EXPECT_TRUE(e.Query("r", 1).empty());
-  }
+  Engine e;
+  ASSERT_TRUE(
+      e.LoadProgram("q(1,2). r(2). p(X) <- q(X, Y), r(Y). s(X, Z) <- q(X, Y).")
+          .ok());
+  const Status run = e.Run();
+  EXPECT_EQ(run.code(), StatusCode::kAnalysisError) << run.ToString();
+  EXPECT_EQ(DiagCodeOfStatus(run), diag::kUnsafeHeadVar) << run.ToString();
+  EXPECT_TRUE(e.RetractFact("r", {Value::Int(2)}).ok());
+  EXPECT_TRUE(e.Query("r", 1).empty());
+}
+
+// -- LoadProgram refuses with the diagnostic lint prints --------------------
+//
+// Program structure is decided once (AnalyzeStages): a malformed rule or
+// a rejected clique is refused at LoadProgram with the code, text and
+// location of one of the diagnostics LintSource reports for the program.
+
+/// LoadProgram refuses `text` with exactly `want`, and that is
+/// DiagnosticToStatus of a diagnostic lint reports for `text`.
+void ExpectLoadRefusal(const std::string& text, const std::string& want) {
+  Engine e;
+  const Status load = e.LoadProgram(text);
+  EXPECT_EQ(load.ToString(), want) << text;
+  ValueStore store;
+  const LintResult lint = LintSource(&store, text);
+  EXPECT_TRUE(std::any_of(lint.diagnostics.begin(), lint.diagnostics.end(),
+                          [&](const Diagnostic& d) {
+                            return DiagnosticToStatus(d).ToString() ==
+                                   load.ToString();
+                          }))
+      << text << load.ToString() << "\n"
+      << RenderDiagnostics(lint.diagnostics, "");
+}
+
+TEST(Api, LoadRefusesTwoNextGoalsWithLintsDiagnostic) {
+  ExpectLoadRefusal(
+      "q(1, 2).\np(X, C, I) <- next(I), next(J), q(X, C), J < I.\n",
+      "AnalysisError: [GD101] rule for p has 2 next goals; at most one is "
+      "allowed at line 2, column 24");
+}
+
+TEST(Api, LoadRefusesANonVariableCostWithLintsDiagnostic) {
+  ExpectLoadRefusal(
+      "q(1, 2).\np(X, C) <- q(X, C), least(3, X).\n",
+      "AnalysisError: [GD104] least cost in a rule for p must be a single "
+      "variable at line 2, column 21");
+}
+
+TEST(Api, LoadRefusesACostInItsGroupingWithLintsDiagnostic) {
+  ExpectLoadRefusal(
+      "q(1, 2).\np(X, C) <- q(X, C), least(C, C).\n",
+      "AnalysisError: [GD105] least cost variable C also appears in the "
+      "grouping of a rule for p at line 2, column 21");
+}
+
+TEST(Api, LoadRefusesABadStageVariableOrTwoExtremaWithLintsDiagnostic) {
+  ExpectLoadRefusal(
+      "q(1, 2).\np(X, C) <- next(I), q(X, C).\n",
+      "AnalysisError: [GD102] stage variable I of next(...) does not appear "
+      "in the head of a rule for p at line 2, column 12");
+  ExpectLoadRefusal(
+      "q(1, 2).\np(I, I) <- next(I), q(I, _).\n",
+      "AnalysisError: [GD102] stage variable I of next(...) appears more "
+      "than once in the head of a rule for p at line 2, column 12");
+  ExpectLoadRefusal(
+      "q(1, 2).\np(X, C) <- q(X, C), least(C, X), most(X, C).\n",
+      "AnalysisError: [GD103] rule for p has more than one extrema goal at "
+      "line 2, column 34");
+}
+
+// Conflicting stage positions (GD106) and stage variables at two head
+// positions (GD107) reject their own cliques: lint reports both, each
+// located at its clique's first clause, and LoadProgram refuses with
+// the first.
+TEST(Api, StagePositionConflictsRejectTheirCliquesAndLintReportsBoth) {
+  const std::string text =
+      "q(1, 2).\n"
+      "p(nil, 0, 0).\n"
+      "p(X, C, I) <- next(I), q(X, C).\n"
+      "p(I, X, C) <- next(I), q(X, C).\n"
+      "s(nil, 0).\n"
+      "s(X, I) <- next(I), t(X, J, _), J < I.\n"
+      "t(X, I, I) <- s(X, I).\n";
+  ExpectLoadRefusal(
+      text,
+      "AnalysisError: [GD106] recursive clique {p/3} is not "
+      "stage-stratified at line 2, column 1; dependency cycle: p -> p; "
+      "predicate p has conflicting stage argument positions 2 and 0");
+  ValueStore store;
+  const LintResult lint = LintSource(&store, text);
+  ASSERT_EQ(lint.diagnostics.size(), 2u)
+      << RenderDiagnostics(lint.diagnostics, "");
+  const Diagnostic& gd107 = lint.diagnostics[1];
+  EXPECT_EQ(gd107.code, diag::kTwoHeadStagePos);
+  EXPECT_EQ(gd107.loc, (SourceLoc{5, 1}));
+  EXPECT_EQ(gd107.notes.back(),
+            "rule for t places stage variables at two head positions (1 and "
+            "2)");
+}
+
+TEST(Api, LoadRefusesMixedRuleKindsWithLintsText) {
+  ExpectLoadRefusal(
+      "q(1, 2).\np(X, I) <- next(I), q(X, _).\n"
+      "p(X, I) <- p(X, J), I = J + 1, J < 3.\np(a, 0).\n",
+      "AnalysisError: [GD108] recursive clique {p/2} is not "
+      "stage-stratified at line 2, column 1; dependency cycle: p -> p; "
+      "predicate p mixes next rules and flat recursive rules");
+}
+
+// A meta goal inside `not (...)` has no rewriting (GD111): refused at
+// LoadProgram, where it used to reach Run and fail there without a code.
+TEST(Api, LoadRefusesAMetaGoalInsideANegatedConjunction) {
+  ExpectLoadRefusal(
+      "q(1, 2).\np(X) <- q(X, _), not (q(X, Y), choice(X, Y)).\n",
+      "AnalysisError: [GD111] choice goal inside a negated conjunction in a "
+      "rule for p at line 2, column 32");
+  ExpectLoadRefusal(
+      "q(1, 2).\np(X) <- q(X, _), not (q(X, Y), least(Y, X)).\n",
+      "AnalysisError: [GD111] least goal inside a negated conjunction in a "
+      "rule for p at line 2, column 32");
 }
 
 TEST(Api, FactsViaTextAndApiAgree) {
@@ -253,21 +360,8 @@ TEST(Api, AnalysisIntrospection) {
   EXPECT_TRUE(found_stage_clique);
 }
 
-TEST(Api, StrictModeRejectsRelaxedPrograms) {
-  EngineOptions opts;
-  opts.stage.allow_relaxed_flat_rules = false;
-  Engine e(opts);
-  const Status st = e.LoadProgram(R"(
-    p(nil, 0).
-    p(X, I) <- next(I), cand(X, J), J < I, choice((), X).
-    cand(X, J) <- p(_, J), q(X), not blocked(X, J).
-    blocked(X, J) <- p(X, J).
-  )");
-  EXPECT_FALSE(st.ok());
-}
-
 TEST(Api, RelaxedModeAcceptsAndRuns) {
-  Engine e;  // allow_relaxed_flat_rules defaults to true
+  Engine e;  // a relaxed clique loads, with its GD011 note
   ASSERT_TRUE(e.LoadProgram(R"(
     q(10). q(20).
     p(nil, 0).

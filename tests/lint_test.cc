@@ -595,6 +595,31 @@ TEST(Lint, GD105CostVariableInGrouping) {
   EXPECT_TRUE(HasCode(r, diag::kCostInGroup));
 }
 
+TEST(Lint, GD111MetaGoalInsideNegatedConjunction) {
+  // At the goal, at any depth, one diagnostic per meta goal; the rule is
+  // refused at LoadProgram with the first.
+  const char* text =
+      "p(X) <- q(X, _), not (q(X, Y), choice(X, Y)).\n"
+      "r(X) <- q(X, _), not (q(X, Y), not (q(Y, Z), most(Z, Y))).\n"
+      "q(1, 2).\n";
+  const LintResult r = Lint(text);
+  std::vector<const Diagnostic*> found;
+  for (const Diagnostic& d : r.diagnostics) {
+    if (d.code == diag::kMetaInNegation) found.push_back(&d);
+  }
+  ASSERT_EQ(found.size(), 2u) << RenderDiagnostics(r.diagnostics, "");
+  EXPECT_EQ(found[0]->severity, DiagSeverity::kError);
+  EXPECT_EQ(found[0]->message,
+            "choice goal inside a negated conjunction in a rule for p");
+  EXPECT_EQ(found[0]->loc, (SourceLoc{1, 32}));
+  EXPECT_EQ(found[1]->message,
+            "most goal inside a negated conjunction in a rule for r");
+  EXPECT_EQ(found[1]->loc, (SourceLoc{2, 46}));
+  Engine e;
+  EXPECT_EQ(e.LoadProgram(text).ToString(),
+            DiagnosticToStatus(*found[0]).ToString());
+}
+
 TEST(Lint, StructuralCodesNotFiredOnWellFormedNextRule) {
   const LintResult r = Lint(R"(
     sp(nil, 0, 0).
@@ -606,6 +631,7 @@ TEST(Lint, StructuralCodesNotFiredOnWellFormedNextRule) {
   EXPECT_FALSE(HasCode(r, diag::kMultipleExtrema));
   EXPECT_FALSE(HasCode(r, diag::kNonVariableCost));
   EXPECT_FALSE(HasCode(r, diag::kCostInGroup));
+  EXPECT_FALSE(HasCode(r, diag::kMetaInNegation));
 }
 
 // -- Status bridge ----------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "analysis/diagnostics.h"
+#include "analysis/lint.h"
 #include "api/engine.h"
 #include "baselines/heapsort.h"
 #include "common/rng.h"
@@ -693,6 +694,140 @@ TEST_P(SeedSweep, LintAndRunAgreeOnRuleSafety) {
   EXPECT_GT(refused, 0);
   EXPECT_GT(ran, 0);
   EXPECT_GT(loaded, refused);
+}
+
+// -- Load and lint decide program structure alike ---------------------------
+//
+// Rules like the safety family's, sometimes given a second next goal or
+// extremum, a cost that is not a variable or lies in its grouping, a
+// meta goal inside `not (...)` or a stage variable missing from the
+// head, and sometimes a second rule that gives the stage predicate
+// another stage position, mixes a flat recursive rule into its clique,
+// places stage variables at two head positions, or recurses through
+// negation. AnalyzeStages decides program structure once, so a
+// LoadProgram refusal is a diagnostic lint reports for the program, and
+// a program that loads has no structural error in lint.
+
+/// An extremum goal over the rule's variables: its cost a variable, or
+/// one time in five a constant or arithmetic term; its grouping the
+/// cost itself one time in six.
+std::string RandomStructureExtremum(Rng& rng, const std::string& grouping) {
+  const std::string kind = rng.NextBounded(2) ? "least(" : "most(";
+  std::string cost = RandomSafetyVar(rng);
+  if (rng.NextBounded(5) == 0) {
+    cost = rng.NextBounded(2) ? "1" : cost + " + 1";
+  }
+  const std::string group =
+      rng.NextBounded(6) == 0 ? "(" + cost + ", " + grouping + ")" : grouping;
+  return kind + cost + ", " + group + ")";
+}
+
+std::string RandomStructureProgram(Rng& rng) {
+  std::string text =
+      "e(0, 1). e(1, 2). e(2, 0). e(1, 1). f(t(1), 2). f(t(2), 0).\n"
+      "g(1). g(2).\n";
+  std::vector<std::string> body = {"e(X, Y)", "e(Z, W)"};
+  const int goals = static_cast<int>(rng.NextInt(1, 3));
+  for (int i = 0; i < goals; ++i) body.push_back(RandomSafetyGoal(rng, 1));
+  const bool next_rule = rng.NextBounded(2) == 0;
+  std::string head;
+  if (next_rule) {
+    text += "s(nil, 0, 0).\n";
+    head = rng.NextBounded(8) == 0 ? "s(X, Y, Z)" : "s(X, Y, I)";
+    body.push_back("next(I)");
+    if (rng.NextBounded(8) == 0) body.push_back("next(J)");
+  } else {
+    head = "h(X, Y)";
+  }
+  const std::string grouping = next_rule ? "I" : RandomSafetyGrouping(rng);
+  if (rng.NextBounded(3) != 0) {
+    body.push_back(RandomStructureExtremum(rng, grouping));
+    if (rng.NextBounded(6) == 0) {
+      body.push_back(RandomStructureExtremum(rng, grouping));
+    }
+  }
+  if (rng.NextBounded(4) == 0) {
+    const std::string left = RandomSafetyVar(rng);
+    body.push_back("choice(" + left + ", " + RandomSafetyVar(rng) + ")");
+  }
+  if (rng.NextBounded(5) == 0) {
+    static const char* const kMeta[] = {"choice(X, V)", "least(V, X)",
+                                        "most(V, ())", "next(K)"};
+    body.push_back("not (e(X, V), " +
+                   std::string(kMeta[rng.NextBounded(4)]) + ")");
+  }
+  rng.Shuffle(&body);
+  text += head + " <-";
+  for (size_t i = 0; i < body.size(); ++i) {
+    text += (i == 0 ? " " : ", ") + body[i];
+  }
+  text += ".\n";
+  if (next_rule) {
+    switch (rng.NextBounded(5)) {
+      case 0:  // s's stage at position 0 as well as 2: GD106
+        text += "s(I, X, Y) <- next(I), e(X, Y).\n";
+        break;
+      case 1:  // a flat recursive rule beside the next rule: GD108
+        text += "s(X, Y, I) <- s(X, Y, J), I = J + 1, J < 3.\n";
+        break;
+      case 2:  // t's stage variable at two head positions: GD107
+        text += "s(X, Y, I) <- next(I), t(X, J, _), e(J, Y), J < I.\n"
+                "t(X, I, I) <- s(X, _, I).\n";
+        break;
+      default:
+        break;
+    }
+  } else if (rng.NextBounded(4) == 0) {
+    text += "h(X, Y) <- e(X, Y), not h(Y, X).\n";  // GD009
+  }
+  return text;
+}
+
+bool IsStructureCode(std::string_view code) {
+  return code == diag::kNotStageStratified || code == diag::kMetaInNegation ||
+         (code >= diag::kMultipleNext && code <= diag::kMissingStageArg);
+}
+
+TEST_P(SeedSweep, LintAndLoadAgreeOnProgramStructure) {
+  Rng rng(GetParam() * 613 + 5);
+  int loaded = 0, refused = 0;
+  for (int n = 0; n < 60; ++n) {
+    const std::string text = RandomStructureProgram(rng);
+    EngineOptions opts;
+    opts.limits.max_stages = 64;
+    opts.limits.max_tuples = 10000;
+    Engine e(opts);
+    const Status load = e.LoadProgram(text);
+    if (!load.ok()) {
+      ++refused;
+      ASSERT_EQ(load.code(), StatusCode::kAnalysisError) << text;
+      ValueStore store;
+      const LintResult lint = LintSource(&store, text);
+      EXPECT_TRUE(std::any_of(lint.diagnostics.begin(),
+                              lint.diagnostics.end(),
+                              [&](const Diagnostic& d) {
+                                return DiagnosticToStatus(d).ToString() ==
+                                       load.ToString();
+                              }))
+          << text << load.ToString() << "\n"
+          << RenderDiagnostics(lint.diagnostics, "");
+      continue;
+    }
+    ++loaded;
+    auto lint = e.Lint();
+    ASSERT_TRUE(lint.ok()) << lint.status().ToString();
+    for (const Diagnostic& d : lint->diagnostics) {
+      EXPECT_FALSE(d.severity == DiagSeverity::kError &&
+                   IsStructureCode(d.code))
+          << text << RenderDiagnostic(d, "");
+    }
+    // Whatever loads runs, or is refused with a code.
+    const Status run = e.Run();
+    EXPECT_TRUE(run.ok() || !DiagCodeOfStatus(run).empty())
+        << text << run.ToString();
+  }
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(loaded, 0);
 }
 
 }  // namespace

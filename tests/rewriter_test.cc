@@ -1,11 +1,14 @@
 // Unit tests for the semantic rewritings of Sections 2-3: next
 // expansion, choice -> chosen/diffChoice, extrema -> negation, and
-// NotExists normalization.
+// NotExists normalization, and for the load gate that refuses the rule
+// shapes they are not defined for.
 #include "analysis/rewriter.h"
 
 #include <gtest/gtest.h>
 
 #include "analysis/diagnostics.h"
+#include "analysis/stage.h"
+#include "api/engine.h"
 #include "ast/printer.h"
 #include "parser/parser.h"
 
@@ -24,11 +27,10 @@ TEST(ExpandNext, SortExample) {
     sp(nil, 0, 0).
     sp(X, C, I) <- next(I), p(X, C), least(C, I).
   )");
-  auto expanded = ExpandNext(p);
-  ASSERT_TRUE(expanded.ok());
+  const Program expanded = ExpandNext(p);
   // The seed fact is a row of sp's batch; the next rule is rule 0.
-  ASSERT_EQ(expanded->rules.size(), 1u);
-  const Rule& r = expanded->rules[0];
+  ASSERT_EQ(expanded.rules.size(), 1u);
+  const Rule& r = expanded.rules[0];
   const std::string text = RuleToString(store, r);
   // The macro expansion of Section 3: sp(_, _, I1), I = I1 + 1,
   // choice(I, W), choice(W, I).
@@ -41,30 +43,6 @@ TEST(ExpandNext, SortExample) {
   for (const Literal& l : r.body) {
     EXPECT_NE(l.kind, LiteralKind::kNext);
   }
-}
-
-TEST(ExpandNext, RejectsStageVarNotInHead) {
-  ValueStore store;
-  Program p = MustParse(&store, "q(X) <- next(I), p(X).");
-  auto expanded = ExpandNext(p);
-  EXPECT_FALSE(expanded.ok());
-  EXPECT_EQ(DiagCodeOfStatus(expanded.status()), diag::kBadStageVar);
-}
-
-TEST(ExpandNext, RejectsDuplicateStagePosition) {
-  ValueStore store;
-  Program p = MustParse(&store, "q(I, I) <- next(I), p(I).");
-  auto expanded = ExpandNext(p);
-  EXPECT_FALSE(expanded.ok());
-  EXPECT_EQ(DiagCodeOfStatus(expanded.status()), diag::kBadStageVar);
-}
-
-TEST(ExpandNext, RejectsMultipleNextGoals) {
-  ValueStore store;
-  Program p = MustParse(&store, "q(I, J) <- next(I), next(J), p(I, J).");
-  auto expanded = ExpandNext(p);
-  EXPECT_FALSE(expanded.ok());
-  EXPECT_EQ(DiagCodeOfStatus(expanded.status()), diag::kMultipleNext);
 }
 
 TEST(RewriteChoice, Example1Structure) {
@@ -110,9 +88,8 @@ TEST(RewriteExtrema, LeastBecomesNegatedCopy) {
   Program p = MustParse(&store, R"(
     bttm_st(St, Crs, G) <- takes(St, Crs, G), G > 1, least(G, Crs).
   )");
-  auto q = RewriteExtrema(p);
-  ASSERT_TRUE(q.ok());
-  const Rule& r = q->rules[0];
+  const Program q = RewriteExtrema(p);
+  const Rule& r = q.rules[0];
   // least goal gone; a NotExists appended.
   ASSERT_EQ(r.body.back().kind, LiteralKind::kNotExists);
   const std::vector<Literal>& copy = r.body.back().body;
@@ -127,33 +104,8 @@ TEST(RewriteExtrema, LeastBecomesNegatedCopy) {
 TEST(RewriteExtrema, MostUsesGreaterThan) {
   ValueStore store;
   Program p = MustParse(&store, "m(X, C) <- q(X, C), most(C, ()).");
-  auto q = RewriteExtrema(p);
-  ASSERT_TRUE(q.ok());
-  EXPECT_EQ(q->rules[0].body.back().body.back().op, ComparisonOp::kGt);
-}
-
-TEST(RewriteExtrema, RejectsMultipleExtrema) {
-  ValueStore store;
-  Program p = MustParse(&store, "m(X, C, D) <- q(X, C, D), least(C), most(D).");
-  auto q = RewriteExtrema(p);
-  EXPECT_FALSE(q.ok());
-  EXPECT_EQ(DiagCodeOfStatus(q.status()), diag::kMultipleExtrema);
-}
-
-TEST(RewriteExtrema, RejectsNonVariableCost) {
-  ValueStore store;
-  Program p = MustParse(&store, "m(X) <- q(X, C), least(C + 1).");
-  auto q = RewriteExtrema(p);
-  EXPECT_FALSE(q.ok());
-  EXPECT_EQ(DiagCodeOfStatus(q.status()), diag::kNonVariableCost);
-}
-
-TEST(RewriteExtrema, RejectsCostInGrouping) {
-  ValueStore store;
-  Program p = MustParse(&store, "m(X, C) <- q(X, C), least(C, (X, C)).");
-  auto q = RewriteExtrema(p);
-  EXPECT_FALSE(q.ok());
-  EXPECT_EQ(DiagCodeOfStatus(q.status()), diag::kCostInGroup);
+  const Program q = RewriteExtrema(p);
+  EXPECT_EQ(q.rules[0].body.back().body.back().op, ComparisonOp::kGt);
 }
 
 TEST(NormalizeNotExists, AuxPredicateIntroduced) {
@@ -180,10 +132,9 @@ TEST(FullSemanticExpansion, PrimIsNormal) {
                        least(C, I), choice(Y, X).
     new_g(X, Y, C, J) <- prm(_, X, _, J), g(X, Y, C).
   )");
-  auto full = FullSemanticExpansion(p);
-  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  const Program full = FullSemanticExpansion(p);
   // Normal program: no meta goals, no NotExists anywhere.
-  for (const Rule& r : full->rules) {
+  for (const Rule& r : full.rules) {
     for (const Literal& l : r.body) {
       EXPECT_NE(l.kind, LiteralKind::kNext);
       EXPECT_NE(l.kind, LiteralKind::kChoice);
@@ -194,7 +145,7 @@ TEST(FullSemanticExpansion, PrimIsNormal) {
   }
   // chosen$/diffChoice$/aux$ predicates all present.
   bool has_chosen = false, has_diff = false, has_aux = false;
-  for (const Rule& r : full->rules) {
+  for (const Rule& r : full.rules) {
     if (r.head.predicate.rfind("chosen$", 0) == 0) has_chosen = true;
     if (r.head.predicate.rfind("diffChoice$", 0) == 0) has_diff = true;
     if (r.head.predicate.rfind("aux$", 0) == 0) has_aux = true;
@@ -202,6 +153,63 @@ TEST(FullSemanticExpansion, PrimIsNormal) {
   EXPECT_TRUE(has_chosen);
   EXPECT_TRUE(has_diff);
   EXPECT_TRUE(has_aux);
+}
+
+// A negated atom with a local variable is quantified before the
+// normalization, so --rewrite prints the aux$ rule the stable-model
+// checker checks (tests/fixtures/neg_anon.dl).
+TEST(FullSemanticExpansion, LocalNegatedVariableBecomesAnAuxGoal) {
+  Engine e;
+  ASSERT_TRUE(e.LoadProgram("src(1). e(2, 1).\n"
+                            "p(X) <- src(X), not e(_, X).\n")
+                  .ok());
+  auto text = e.RewrittenProgramText();
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_NE(text->find("not aux$0(X)"), std::string::npos) << *text;
+  EXPECT_NE(text->find("aux$0(X) <- e("), std::string::npos) << *text;
+}
+
+// The rewritings are defined for one rule shape; the load gate
+// (AnalyzeStages) refuses every other with its code, before any
+// rewriting runs, and LoadProgram refuses with the same code.
+void ExpectRefusedByTheGate(const char* text, std::string_view code) {
+  ValueStore store;
+  const Program p = MustParse(&store, text);
+  const Result<StageAnalysis> a = AnalyzeStages(p);
+  ASSERT_FALSE(a.ok()) << text;
+  EXPECT_EQ(DiagCodeOfStatus(a.status()), code) << a.status().ToString();
+  Engine e;
+  const Status load = e.LoadProgram(text);
+  EXPECT_EQ(load.code(), StatusCode::kAnalysisError) << text;
+  EXPECT_EQ(DiagCodeOfStatus(load), code) << load.ToString();
+}
+
+TEST(RewriteGate, RejectsStageVarNotInHead) {
+  ExpectRefusedByTheGate("q(X) <- next(I), p(X).", diag::kBadStageVar);
+}
+
+TEST(RewriteGate, RejectsDuplicateStagePosition) {
+  ExpectRefusedByTheGate("q(I, I) <- next(I), p(I).", diag::kBadStageVar);
+}
+
+TEST(RewriteGate, RejectsMultipleNextGoals) {
+  ExpectRefusedByTheGate("q(I, J) <- next(I), next(J), p(I, J).",
+                         diag::kMultipleNext);
+}
+
+TEST(RewriteGate, RejectsMultipleExtrema) {
+  ExpectRefusedByTheGate("m(X, C, D) <- q(X, C, D), least(C), most(D).",
+                         diag::kMultipleExtrema);
+}
+
+TEST(RewriteGate, RejectsNonVariableCost) {
+  ExpectRefusedByTheGate("m(X) <- q(X, C), least(C + 1).",
+                         diag::kNonVariableCost);
+}
+
+TEST(RewriteGate, RejectsCostInGrouping) {
+  ExpectRefusedByTheGate("m(X, C) <- q(X, C), least(C, (X, C)).",
+                         diag::kCostInGroup);
 }
 
 TEST(VariableRenamerTest, SharesAndRenames) {

@@ -160,8 +160,7 @@ TEST(StageAnalysis, MatchingAndTspAccepted) {
 
 TEST(StageAnalysis, RelaxedFlatRuleNegation) {
   // A flat rule whose negated goal is not strictly stage-stratified:
-  // accepted as RelaxedStage by default, rejected when the option is off
-  // (the paper's Kruskal discussion, Section 7).
+  // accepted as RelaxedStage (the paper's Kruskal discussion, Section 7).
   ValueStore store;
   const char* text = R"(
     p(nil, 0).
@@ -174,15 +173,6 @@ TEST(StageAnalysis, RelaxedFlatRuleNegation) {
   const CliqueStageInfo& cl = CliqueOf(a, "p", 2);
   EXPECT_EQ(cl.cls, CliqueClass::kRelaxedStage) << cl.diagnostic;
   EXPECT_EQ(cl.code, diag::kRelaxedStratification);
-
-  StageAnalysisOptions strict;
-  strict.allow_relaxed_flat_rules = false;
-  auto a2 = AnalyzeStages(prog, strict);
-  ASSERT_TRUE(a2.ok());
-  const PredIndex p = a2->graph->Lookup("p", 2);
-  EXPECT_EQ(a2->cliques[a2->graph->scc_of(p)].cls, CliqueClass::kRejected);
-  EXPECT_EQ(a2->cliques[a2->graph->scc_of(p)].code,
-            diag::kNotStageStratified);
 }
 
 TEST(StageAnalysis, MixedNextAndFlatRulesRejected) {
@@ -204,9 +194,12 @@ TEST(StageAnalysis, ConflictingStagePositionsReportCode) {
     p(X, I) <- next(I), q(X).
     p(I, X) <- next(I), q(X).
   )");
-  auto a = AnalyzeStages(p);
-  ASSERT_FALSE(a.ok());
-  EXPECT_EQ(DiagCodeOfStatus(a.status()), diag::kConflictingStagePos);
+  StageAnalysis a = MustAnalyze(p);
+  const CliqueStageInfo& cl = CliqueOf(a, "p", 2);
+  EXPECT_EQ(cl.cls, CliqueClass::kRejected);
+  EXPECT_EQ(cl.code, diag::kConflictingStagePos);
+  EXPECT_EQ(cl.diagnostic,
+            "predicate p has conflicting stage argument positions 1 and 0");
 }
 
 TEST(StageAnalysis, NonStratifiedCliqueReportsCode) {

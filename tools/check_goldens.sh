@@ -56,6 +56,13 @@
 # derived rows leaking into the EDB seeds shows up here, on programs
 # that have no .explain golden too.
 #
+# And for every program and fixture that the plain run refuses at load
+# with "AnalysisError: [GDnnn] ...", that refusal must be one of the
+# diagnostics `--lint-json` prints, rendered as DiagnosticToStatus
+# renders it: "[code] message", " at line L, column C" when located,
+# then "; note" for each note. Load and lint share one structural
+# verdict, so a refusal lint does not print is drift.
+#
 #   tools/check_goldens.sh BUILD_DIR            check; exit 1 on drift
 #   tools/check_goldens.sh BUILD_DIR --update   refresh the goldens
 set -u
@@ -193,6 +200,30 @@ if [ "$MODE" != "--update" ]; then
     if [ -z "$want" ] || [ "$want" != "$got" ]; then
       diff -u <(printf '%s\n' "$want") <(printf '%s\n' "$got")
       echo "ANALYSIS DRIFT: $f --json-report vs --lint-json"
+      fail=1
+    fi
+  done
+fi
+
+# A load refusal is a diagnostic lint prints.
+lint_as_statuses() {
+  python3 -c 'import json, sys
+for d in json.load(sys.stdin)["diagnostics"]:
+    s = "AnalysisError: [%s] %s" % (d["code"], d["message"])
+    if "line" in d:
+        s += " at line %d, column %d" % (d["line"], d["column"])
+    print(s + "".join("; " + n for n in d.get("notes", [])))'
+}
+if [ "$MODE" != "--update" ]; then
+  for f in programs/*.dl tests/fixtures/*.dl; do
+    line=$("$SHELL_BIN" "$f" 2>&1 >/dev/null |
+      grep -F "$f: AnalysisError: [GD" | head -n 1)
+    [ -n "$line" ] || continue
+    refusal=${line#"$f: "}
+    if ! "$SHELL_BIN" "$f" --lint-json 2>/dev/null | lint_as_statuses |
+        grep -qxF -- "$refusal"; then
+      echo "LOAD DRIFT: $f is refused with \"$refusal\"," \
+        "which --lint-json does not print"
       fail=1
     fi
   done

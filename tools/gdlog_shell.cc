@@ -384,7 +384,6 @@ int RunLint(const std::string& name, const std::string& text,
   }
   gdlog::Engine engine(options);
   if (!engine.LoadProgram(text).ok()) {
-    lopts.stage = options.stage;
     gdlog::ValueStore store;
     const gdlog::LintResult result = gdlog::LintSource(&store, text, lopts);
     if (json) {
