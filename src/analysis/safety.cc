@@ -103,12 +103,6 @@ void RunReadyGoals(const std::vector<Literal>& goals, const Rule& rule,
   }
 }
 
-/// The name a diagnostic shows for `var`: `_` for the parser's name of
-/// an anonymous variable.
-std::string ShownName(const std::string& var) {
-  return IsAnonymousVariable(var) ? "_" : var;
-}
-
 class SafetyChecker {
  public:
   explicit SafetyChecker(const Rule& rule) : rule_(rule) {}

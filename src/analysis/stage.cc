@@ -515,7 +515,7 @@ std::vector<Diagnostic> RuleStructureDiagnostics(const Rule& rule) {
             [&](const TermNode& t) { return t.is_var() && t.name == sv; });
         if (occurrences != 1) {
           flag(diag::kBadStageVar,
-               "stage variable " + sv + " of next(...) " +
+               "stage variable " + ShownName(sv) + " of next(...) " +
                    (occurrences == 0 ? "does not appear in the head"
                                      : "appears more than once in the head") +
                    " of a rule for " + head,

@@ -19,6 +19,10 @@ bool IsAnonymousVariable(std::string_view name) {
                      [](char c) { return c >= '0' && c <= '9'; });
 }
 
+std::string ShownName(const std::string& name) {
+  return IsAnonymousVariable(name) ? "_" : name;
+}
+
 bool IsArithmeticFunctor(const std::string& name) {
   return name == "+" || name == "-" || name == "*" || name == "/" ||
          name == "mod" || name == "min" || name == "max";

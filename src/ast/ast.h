@@ -106,6 +106,9 @@ inline constexpr std::string_view kAnonymousVarPrefix = "_G";
 /// True for a name of that form: the parser's name for an anonymous "_"
 /// (a variable the program itself spells _G<n> reads the same).
 bool IsAnonymousVariable(std::string_view name);
+/// The name a diagnostic shows for variable `name`: `_` for the parser's
+/// name of an anonymous variable.
+std::string ShownName(const std::string& name);
 
 /// Appends the names of all variables in `t` (with repeats) to `out`.
 void CollectVariables(const TermNode& t, std::vector<std::string>* out);

@@ -20,9 +20,9 @@ void ChoiceRuntime::set_memory_budget(MemoryBudget* budget) {
 size_t ChoiceRuntime::ApproxBytes() const {
   size_t bytes = memos_.capacity() * sizeof(RuleMemo);
   for (const RuleMemo& m : memos_) {
-    bytes += m.goals.capacity() * sizeof(FlatTable) +
+    bytes += m.tables.capacity() * sizeof(GoalTable) +
              m.chosen.capacity() * sizeof(Value);
-    for (const FlatTable& t : m.goals) bytes += t.ApproxBytes();
+    for (const GoalTable& t : m.tables) bytes += t.fd.ApproxBytes();
   }
   return bytes;
 }
@@ -31,25 +31,41 @@ void ChoiceRuntime::Recharge() {
   if (budget_ != nullptr) budget_->Update(&charged_, ApproxBytes());
 }
 
-int ChoiceRuntime::Register(const CompiledRule& rule) {
-  GDLOG_CHECK_GE(rule.gamma_index, 0);
-  if (memos_.size() <= static_cast<size_t>(rule.gamma_index)) {
-    memos_.resize(rule.gamma_index + 1);
-  }
-  RuleMemo& memo = memos_[rule.gamma_index];
-  memo.goals.clear();
-  for (const ChoiceSpec& spec : rule.choices) {
-    memo.goals.emplace_back(static_cast<uint32_t>(spec.left_ops.size()),
-                            static_cast<uint32_t>(spec.right_ops.size()));
-    left_.resize(std::max(left_.size(), spec.left_ops.size()));
-    right_.resize(std::max(right_.size(), spec.right_ops.size()));
-  }
-  memo.chosen_width = static_cast<uint32_t>(rule.chosen_slots.size());
-  Recharge();
-  return rule.gamma_index;
+namespace {
+
+/// True when pool[t] holds arithmetic, the one term that can fail to
+/// evaluate once its variables are bound.
+bool HasArith(const std::vector<CTerm>& pool, uint32_t t) {
+  const CTerm& ct = pool[t];
+  return ct.kind == CTerm::Kind::kArith ||
+         std::any_of(ct.args.begin(), ct.args.end(),
+                     [&](uint32_t a) { return HasArith(pool, a); });
 }
 
-namespace {
+/// True when goal `spec` of `rule` can reject a firing whose queue keys
+/// its classes by `class_key`. A component that can fail to evaluate
+/// rejects; otherwise the goal cannot when its left side reads, as bare
+/// components, the stage (fresh at every firing) or the whole class key
+/// (a class fires at most once).
+bool CanReject(const CompiledRule& rule, const ChoiceSpec& spec,
+               std::span<const uint32_t> class_key) {
+  for (const auto* ops : {&spec.left_ops, &spec.right_ops}) {
+    for (const TermOp& op : *ops) {
+      if (op.kind == TermOp::Kind::kTerm && HasArith(rule.pool, op.index)) {
+        return true;
+      }
+    }
+  }
+  const auto reads = [&](uint32_t slot) {
+    return std::any_of(spec.left_ops.begin(), spec.left_ops.end(),
+                       [&](const TermOp& op) {
+                         return op.kind == TermOp::Kind::kSlot &&
+                                op.index == slot;
+                       });
+  };
+  if (rule.is_next && reads(rule.stage_slot)) return false;
+  return !std::all_of(class_key.begin(), class_key.end(), reads);
+}
 
 /// Reads one side's components into `out`.
 bool ReadSide(const CompiledRule& rule, const std::vector<TermOp>& ops,
@@ -62,15 +78,44 @@ bool ReadSide(const CompiledRule& rule, const std::vector<TermOp>& ops,
 
 }  // namespace
 
+int ChoiceRuntime::Register(const CompiledRule& rule,
+                            std::span<const uint32_t> class_key) {
+  GDLOG_CHECK_GE(rule.gamma_index, 0);
+  if (memos_.size() <= static_cast<size_t>(rule.gamma_index)) {
+    memos_.resize(rule.gamma_index + 1);
+  }
+  RuleMemo& memo = memos_[rule.gamma_index];
+  memo.tables.clear();
+  // Check order, a pure conjunction's cost only: the rule's own goals,
+  // which do the rejecting, before next's.
+  for (const bool from_next : {false, true}) {
+    for (size_t g = 0; g < rule.choices.size(); ++g) {
+      const ChoiceSpec& spec = rule.choices[g];
+      if (spec.from_next != from_next || !CanReject(rule, spec, class_key)) {
+        continue;
+      }
+      memo.tables.push_back(
+          {static_cast<uint32_t>(g),
+           FlatTable(static_cast<uint32_t>(spec.left_ops.size()),
+                     static_cast<uint32_t>(spec.right_ops.size()))});
+      left_.resize(std::max(left_.size(), spec.left_ops.size()));
+      right_.resize(std::max(right_.size(), spec.right_ops.size()));
+    }
+  }
+  memo.chosen_width = static_cast<uint32_t>(rule.chosen_slots.size());
+  Recharge();
+  return rule.gamma_index;
+}
+
 bool ChoiceRuntime::ReadPair(const CompiledRule& rule, const ChoiceSpec& spec,
                              const BindingFrame& frame) {
   return ReadSide(rule, spec.left_ops, frame, store_, left_.data()) &&
          ReadSide(rule, spec.right_ops, frame, store_, right_.data());
 }
 
-bool ChoiceRuntime::Satisfies(const CompiledRule& rule, const FlatTable& fd,
-                              size_t g, const BindingFrame& frame) {
-  const ChoiceSpec& spec = rule.choices[g];
+bool ChoiceRuntime::Satisfies(const CompiledRule& rule, const GoalTable& t,
+                              const BindingFrame& frame) {
+  const ChoiceSpec& spec = rule.choices[t.goal];
   if (!ReadPair(rule, spec, frame)) {
     // A choice pair that fails to evaluate (an arithmetic term that
     // overflowed, say) has no FD witness; treat the candidate as
@@ -78,24 +123,16 @@ bool ChoiceRuntime::Satisfies(const CompiledRule& rule, const FlatTable& fd,
     // and moves on.
     return false;
   }
-  const uint32_t id = fd.Find({left_.data(), spec.left_ops.size()});
+  const uint32_t id = t.fd.Find({left_.data(), spec.left_ops.size()});
   if (id == FlatTable::kNotFound) return true;
-  const std::span<const Value> chosen = fd.Values(id);
+  const std::span<const Value> chosen = t.fd.Values(id);
   return std::equal(chosen.begin(), chosen.end(), right_.begin());
 }
 
 bool ChoiceRuntime::Admissible(const CompiledRule& rule,
                                const BindingFrame& frame) {
-  const RuleMemo& memo = memos_[rule.gamma_index];
-  // A pure conjunction, so the order only sets its cost: the rule's own
-  // goals, which do the rejecting, before the two next synthesizes.
-  for (const bool from_next : {false, true}) {
-    for (size_t g = 0; g < rule.choices.size(); ++g) {
-      if (rule.choices[g].from_next == from_next &&
-          !Satisfies(rule, memo.goals[g], g, frame)) {
-        return false;
-      }
-    }
+  for (const GoalTable& t : memos_[rule.gamma_index].tables) {
+    if (!Satisfies(rule, t, frame)) return false;
   }
   return true;
 }
@@ -104,20 +141,19 @@ void ChoiceRuntime::Commit(const CompiledRule& rule,
                            const BindingFrame& frame) {
   RuleMemo& memo = memos_[rule.gamma_index];
   bool grew = false;
-  for (size_t g = 0; g < rule.choices.size(); ++g) {
-    const ChoiceSpec& spec = rule.choices[g];
+  for (GoalTable& t : memo.tables) {
+    const ChoiceSpec& spec = rule.choices[t.goal];
     const bool ok = ReadPair(rule, spec, frame);
     GDLOG_CHECK(ok);
-    FlatTable& fd = memo.goals[g];
-    const size_t before = fd.ApproxBytes();
+    const size_t before = t.fd.ApproxBytes();
     bool inserted = false;
     const uint32_t id =
-        fd.Insert({left_.data(), spec.left_ops.size()}, &inserted);
+        t.fd.Insert({left_.data(), spec.left_ops.size()}, &inserted);
     if (inserted) {
       std::copy_n(right_.begin(), spec.right_ops.size(),
-                  fd.Values(id).begin());
+                  t.fd.Values(id).begin());
     }
-    grew |= fd.ApproxBytes() != before;
+    grew |= t.fd.ApproxBytes() != before;
   }
   const size_t before = memo.chosen.capacity();
   for (uint32_t s : rule.chosen_slots) {

@@ -51,7 +51,6 @@ FixpointDriver::FixpointDriver(Catalog* catalog, ValueStore* store,
   MemoryBudget* const budget = guard_ != nullptr ? guard_->budget() : nullptr;
   for (const CompiledRule& r : rules_) {
     if (!r.is_gamma) continue;
-    choice_.Register(r);
     auto order = CandidateQueue::Order::kFifo;
     if (r.has_extremum) {
       order = r.is_least ? CandidateQueue::Order::kMin
@@ -63,6 +62,8 @@ FixpointDriver::FixpointDriver(Catalog* catalog, ValueStore* store,
     // which instance of a class fires stays a free (seedable) choice.
     const bool merge = r.merge_by_choice_keys &&
                        options_.use_merge_congruence && r.has_extremum;
+    // The queue's class key (PushCandidate's), which L fires once.
+    choice_.Register(r, merge ? r.congruence_slots : r.snapshot_slots);
     auto g = std::make_unique<GammaState>();
     g->rule = &r;
     g->merge = merge;

@@ -184,7 +184,10 @@ struct ChoiceSpec {
   // True for the two FD goals synthesized by next expansion,
   // choice(I, W) and choice(W, I). The latter is what bounds the number
   // of γ firings (each W value fires at most once — the termination
-  // argument behind Theorem 2); neither contributes congruence keys.
+  // argument behind Theorem 2); where W's bare components cover the
+  // queue's class key, L_r is that FD and ChoiceRuntime keeps no table
+  // for it. choice(I, W) never rejects: each firing takes a fresh stage.
+  // Neither contributes congruence keys.
   bool from_next = false;
 };
 

@@ -64,7 +64,10 @@ bool Index::Reserve(size_t entries) {
 }
 
 bool Index::Insert(RowId row, TupleView tuple) {
-  const uint64_t h = HashRowKey(tuple);
+  return InsertHashed(row, HashRowKey(tuple));
+}
+
+bool Index::InsertHashed(RowId row, uint64_t h) {
   const auto entry = static_cast<uint32_t>(rows_.size());
   // rows_, hashes_ and next_ grow in lockstep from empty, so their
   // capacities are always equal.

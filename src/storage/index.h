@@ -36,6 +36,14 @@ class Index {
   /// Registers `row` (whose full tuple is `tuple`) under its key columns.
   /// Returns true when a capacity grew (so ApproxBytes changed).
   bool Insert(RowId row, TupleView tuple);
+  /// Insert, given the row's key hash (HashRowKey of its tuple).
+  bool InsertHashed(RowId row, uint64_t hash);
+  /// Prefetches the bucket and chain tail that a row of key hash `hash`
+  /// links into.
+  void Prefetch(uint64_t hash) const {
+    __builtin_prefetch(&buckets_[hash & bucket_mask_]);
+    __builtin_prefetch(&tails_[hash & bucket_mask_]);
+  }
 
   /// Makes room for `entries` entries in all, so that inserting up to
   /// that many neither reallocates nor rehashes. Returns true when a

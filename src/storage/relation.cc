@@ -6,6 +6,31 @@
 
 namespace gdlog {
 
+namespace {
+
+/// Feeds rows 0..n-1 in order to `insert(i, hash)`. Rows are hashed by
+/// `hash(i)` a chunk at a time, and each insert runs while `prefetch`
+/// pulls in what the row kAhead positions later will touch.
+template <typename HashFn, typename PrefetchFn, typename InsertFn>
+[[gnu::always_inline]] inline void InsertAhead(size_t n, HashFn hash,
+                                               PrefetchFn prefetch,
+                                               InsertFn insert) {
+  constexpr size_t kChunk = 64;
+  constexpr size_t kAhead = 8;
+  uint64_t hashes[kChunk];
+  for (size_t base = 0; base < n; base += kChunk) {
+    const size_t m = std::min(kChunk, n - base);
+    for (size_t i = 0; i < m; ++i) hashes[i] = hash(base + i);
+    for (size_t i = 0; i < std::min(kAhead, m); ++i) prefetch(hashes[i]);
+    for (size_t i = 0; i < m; ++i) {
+      if (i + kAhead < m) prefetch(hashes[i + kAhead]);
+      insert(base + i, hashes[i]);
+    }
+  }
+}
+
+}  // namespace
+
 Relation::Relation(std::string name, uint32_t arity)
     : name_(std::move(name)), arity_(arity) {
   set_buckets_.assign(64, kNoRow);
@@ -74,29 +99,16 @@ Relation::InsertResult Relation::Insert(TupleView tuple) {
 
 void Relation::InsertBatch(const Value* rows, size_t num_rows,
                            uint64_t* inserted) {
-  // Rows are hashed a chunk at a time, then inserted in order while the
-  // dedup bucket of the row kAhead positions later is prefetched.
-  constexpr size_t kChunk = 64;
-  constexpr size_t kAhead = 8;
-  uint64_t hashes[kChunk];
-  for (size_t base = 0; base < num_rows; base += kChunk) {
-    const size_t n = std::min(kChunk, num_rows - base);
-    const Value* chunk = rows + base * arity_;
-    for (size_t i = 0; i < n; ++i) {
-      hashes[i] = HashTuple(TupleView(chunk + i * arity_, arity_));
-    }
-    for (size_t i = 0; i < std::min(kAhead, n); ++i) {
-      __builtin_prefetch(&set_buckets_[hashes[i] & set_mask_]);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (i + kAhead < n) {
-        __builtin_prefetch(&set_buckets_[hashes[i + kAhead] & set_mask_]);
-      }
-      *inserted += InsertHashed</*kMayAlias=*/false>(
-                       TupleView(chunk + i * arity_, arity_), hashes[i])
-                       .inserted;
-    }
-  }
+  // Each insert runs while the dedup bucket of a later row is prefetched.
+  const auto row = [&](size_t i) {
+    return TupleView(rows + i * arity_, arity_);
+  };
+  InsertAhead(
+      num_rows, [&](size_t i) { return HashTuple(row(i)); },
+      [&](uint64_t h) { __builtin_prefetch(&set_buckets_[h & set_mask_]); },
+      [&](size_t i, uint64_t h) {
+        *inserted += InsertHashed</*kMayAlias=*/false>(row(i), h).inserted;
+      });
 }
 
 void Relation::Reserve(size_t n) {
@@ -254,9 +266,17 @@ size_t Relation::EnsureIndex(const std::vector<uint32_t>& columns) {
 std::unique_ptr<Index> Relation::BuildIndex(
     std::vector<uint32_t> columns) const {
   auto idx = std::make_unique<Index>(std::move(columns));
-  // Sized for the backfill up front, so it never rehashes midway.
+  // Sized for the backfill up front, so it never rehashes midway (and a
+  // prefetched slot stays put). Rows link in order: chains keep
+  // insertion order.
   idx->Reserve(num_rows_);
-  for (RowId r = 0; r < num_rows_; ++r) idx->Insert(r, Row(r));
+  InsertAhead(
+      num_rows_,
+      [&](size_t r) { return idx->HashRowKey(Row(static_cast<RowId>(r))); },
+      [&](uint64_t h) { idx->Prefetch(h); },
+      [&](size_t r, uint64_t h) {
+        idx->InsertHashed(static_cast<RowId>(r), h);
+      });
   return idx;
 }
 

@@ -249,6 +249,10 @@ TEST(Api, LoadRefusesABadStageVariableOrTwoExtremaWithLintsDiagnostic) {
       "AnalysisError: [GD102] stage variable I of next(...) does not appear "
       "in the head of a rule for p at line 2, column 12");
   ExpectLoadRefusal(
+      "q(1).\np(X, Y) <- next(_), q(X), Y = X.\n",
+      "AnalysisError: [GD102] stage variable _ of next(...) does not appear "
+      "in the head of a rule for p at line 2, column 12");
+  ExpectLoadRefusal(
       "q(1, 2).\np(I, I) <- next(I), q(I, _).\n",
       "AnalysisError: [GD102] stage variable I of next(...) appears more "
       "than once in the head of a rule for p at line 2, column 12");

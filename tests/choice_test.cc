@@ -2,7 +2,9 @@
 // models across seeds, choice in recursion, and the chosen memo.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
+#include <sstream>
 
 #include "api/engine.h"
 #include "greedy/matching.h"
@@ -154,6 +156,74 @@ TEST(Choice, RewrittenProgramTextMentionsChosen) {
   ASSERT_TRUE(text.ok());
   EXPECT_NE(text->find("chosen$0"), std::string::npos);
   EXPECT_NE(text->find("not diffChoice$0"), std::string::npos);
+}
+
+// -- FDs that L does not imply ------------------------------------------------
+//
+// A goal whose left side reads the queue's whole class key (or the stage)
+// keeps no FD table: L fires each class once. The FDs below read less
+// than that, so only their tables can reject.
+
+std::string ReadFixture(const std::string& name) {
+  std::ifstream in(std::string(GDLOG_SOURCE_DIR) + "/tests/fixtures/" + name);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// The rejected_fd count of each audited firing, in firing order.
+std::vector<uint64_t> FdRejections(const Engine& e) {
+  std::vector<uint64_t> out;
+  for (const ChoiceAuditEntry& entry : e.ChoiceAudit()->entries()) {
+    out.push_back(entry.rejected_fd);
+  }
+  return out;
+}
+
+TEST(Choice, NextChoiceWIRejectsWhenWDoesNotFixTheClass) {
+  // W = (X) is a strict part of the class (X, C): without next's
+  // choice(W, I) the second a would fire too, as s(a, 2).
+  EngineOptions opts;
+  opts.provenance = true;
+  Engine e(opts);
+  ASSERT_TRUE(e.LoadProgram(ReadFixture("next_fd_rejects.dl")).ok());
+  ASSERT_TRUE(e.Run().ok());
+  std::set<std::pair<std::string, int64_t>> s;
+  for (const auto& row : e.Query("s", 2)) {
+    s.insert({e.store().ToString(row[0]), row[1].AsInt()});
+  }
+  EXPECT_EQ(s, (std::set<std::pair<std::string, int64_t>>{
+                   {"nil", 0}, {"a", 1}, {"b", 2}}));
+  EXPECT_EQ(FdRejections(e), (std::vector<uint64_t>{0, 1}));
+  auto check = e.VerifyStableModel();
+  ASSERT_TRUE(check.ok()) << check.status().ToString();
+  EXPECT_TRUE(check->stable) << check->diagnostic;
+}
+
+TEST(Choice, MergedRuleRejectsOnAStrictPartOfItsClassKey) {
+  // Example 7's shape, which runs in merge mode: the choice keys (X, Y)
+  // and the cost C cover the candidate, so the class key is (X, Y) and
+  // each goal's left side is a strict part of it. After (1, 10) fires,
+  // (2, 10) fails choice(Y, X) and (1, 11) fails choice(X, Y).
+  EngineOptions opts;
+  opts.provenance = true;
+  Engine e(opts);
+  ASSERT_TRUE(e.LoadProgram(R"(
+    m(nil, nil, 0, 0).
+    m(X, Y, C, I) <- next(I), g(X, Y, C), least(C, I),
+                     choice(Y, X), choice(X, Y).
+    g(1, 10, 1). g(2, 10, 2). g(1, 11, 3). g(2, 11, 4).
+  )").ok());
+  ASSERT_TRUE(e.Run().ok());
+  std::set<std::pair<int64_t, int64_t>> pairs;
+  for (const auto& row : e.Query("m", 4)) {
+    if (row[0].is_int()) pairs.insert({row[0].AsInt(), row[1].AsInt()});
+  }
+  EXPECT_EQ(pairs, (std::set<std::pair<int64_t, int64_t>>{{1, 10}, {2, 11}}));
+  EXPECT_EQ(FdRejections(e), (std::vector<uint64_t>{0, 2}));
+  auto check = e.VerifyStableModel();
+  ASSERT_TRUE(check.ok()) << check.status().ToString();
+  EXPECT_TRUE(check->stable) << check->diagnostic;
 }
 
 }  // namespace

@@ -572,6 +572,13 @@ TEST(Lint, GD102StageVarMissingFromHead) {
   EXPECT_TRUE(HasCode(r, diag::kBadStageVar));
 }
 
+TEST(Lint, GD102AnonymousStageVariableIsNamedUnderscore) {
+  const LintResult r = Lint("q(1).\np(X, Y) <- next(_), q(X), Y = X.\n");
+  EXPECT_EQ(FindCode(r, diag::kBadStageVar).message,
+            "stage variable _ of next(...) does not appear in the head of "
+            "a rule for p");
+}
+
 TEST(Lint, GD102StageVarTwiceInHead) {
   const LintResult r = Lint("p(I, I) <- next(I), q(I).\nq(1).\n");
   EXPECT_TRUE(HasCode(r, diag::kBadStageVar));

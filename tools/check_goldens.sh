@@ -17,7 +17,7 @@
 # fixed program; the table carries no timings.
 #
 # Finally runs `gdlog_shell --choices --seed K` over the shipped programs
-# and five fixtures at seeds 0 and 2 and diffs the model plus its
+# and six fixtures at seeds 0 and 2 and diffs the model plus its
 # choice-audit trail against tests/goldens/<name>.seed<K>.choices. The
 # fixtures are tests/fixtures/stage_flat_cycle.dl (a stage clique with a
 # flat cycle beside a relation only its next rule reads), match_bulk.dl
@@ -25,10 +25,12 @@
 # retrieval, so the queue pops them from one sorted run),
 # choice_sides.dl (one choice goal per side shape), fact_text.dl (a
 # sort with tied costs over fact text in every form the raw fact scan
-# reads, so its audit pins the order the facts load in) and
+# reads, so its audit pins the order the facts load in),
 # choice_rejects.dl (choice rules without next whose pops are rejected
-# by the extremum filter and by a head term that fails). This pins which
-# stable model each seed picks: any drift in candidate order,
+# by the extremum filter and by a head term that fails) and
+# next_fd_rejects.dl (a next rule whose choice(W, I) rejects a pop: W
+# does not fix the queue's class, so L alone would let it fire). This
+# pins which stable model each seed picks: any drift in candidate order,
 # tie-breaking, or audit counts shows up here even when the model set is
 # unchanged.
 #
@@ -123,7 +125,8 @@ done
 # Chosen-model goldens: the model and choice audit per seed.
 CHOICE_PROGRAMS="programs/*.dl tests/fixtures/stage_flat_cycle.dl
   tests/fixtures/match_bulk.dl tests/fixtures/choice_sides.dl
-  tests/fixtures/fact_text.dl tests/fixtures/choice_rejects.dl"
+  tests/fixtures/fact_text.dl tests/fixtures/choice_rejects.dl
+  tests/fixtures/next_fd_rejects.dl"
 for f in $CHOICE_PROGRAMS; do
   name=$(basename "$f" .dl)
   for seed in 0 2; do
